@@ -8,6 +8,10 @@ sweep        decoherence-rate sweep (fig3a, fig3b, or custom with a sweep block)
 robustness   Monte Carlo + corner analysis of unknown parameter errors
 gates verify gate-synthesis audit (local invariants, both operator orders)
 
+Without ``--out`` each command prints its JSON summary or report.  ``--format``
+belongs to ``run`` only and picks which of its csv, svg and json files go to
+``--out``.
+
 Exit codes: 0 success, 2 configuration error, 3 validity-regime error,
 4 integration failure.
 """
@@ -15,7 +19,6 @@ Exit codes: 0 success, 2 configuration error, 3 validity-regime error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from .config import load_config
 from .errors import ConfigError, IntegrationError, ValidityError
 from .experiments import derive_report, run_robustness, run_scenario, run_sweep
 from .gates import verification_report
-from .output import write_json
+from .output import dumps, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,21 +44,21 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_seed=False):
+    def common(sp):
         sp.add_argument("--config", required=True, type=Path, help="scenario JSON file")
         sp.add_argument("--out", type=Path, default=None, help="output directory")
-        sp.add_argument(
-            "--format",
-            default="csv,json",
-            help="comma-separated outputs: csv,svg,json (default csv,json)",
-        )
-        if needs_seed:
-            sp.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+        return sp
 
     common(sub.add_parser("derive", help="parameter pipeline and validity report"))
-    common(sub.add_parser("run", help="run one pulse scenario"))
+    common(sub.add_parser("run", help="run one pulse scenario")).add_argument(
+        "--format",
+        default="csv,json",
+        help="comma-separated outputs: csv,svg,json (default csv,json)",
+    )
     common(sub.add_parser("sweep", help="run a decoherence sweep"))
-    common(sub.add_parser("robustness", help="run the unknown-error analysis"), needs_seed=True)
+    common(sub.add_parser("robustness", help="run the unknown-error analysis")).add_argument(
+        "--seed", type=int, default=0, help="PRNG seed (default 0)"
+    )
 
     gates = sub.add_parser("gates", help="gate-level tools")
     gates_sub = gates.add_subparsers(dest="gates_command", required=True)
@@ -75,7 +78,7 @@ def _formats(arg: str) -> tuple[str, ...]:
 
 def _emit(payload: dict, out_dir: Path | None, name: str):
     if out_dir is None:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps(payload))
     else:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = write_json(payload, out_dir / name)
@@ -101,28 +104,23 @@ def main(argv=None) -> int:
         scn = load_config(args.config)
         if args.command == "derive":
             _emit(derive_report(scn), args.out, f"{scn.experiment}_derive.json")
-        elif args.command == "run":
+            return EXIT_OK
+        if args.command == "run":
             _check_experiment(scn, _RUN_EXPERIMENTS, "run")
             summary = run_scenario(scn, out_dir=args.out, formats=_formats(args.format))
-            if args.out is None:
-                print(json.dumps(summary, indent=2, sort_keys=True))
-            else:
-                print(f"fidelity = {summary['fidelity']:.6f}; outputs in {args.out}")
+            done = f"fidelity = {summary['fidelity']:.6f}"
         elif args.command == "sweep":
             _check_experiment(scn, _SWEEP_EXPERIMENTS, "sweep")
             summary = run_sweep(scn, out_dir=args.out)
-            if args.out is None:
-                print(json.dumps(summary, indent=2, sort_keys=True))
-            else:
-                print(f"sweep complete; outputs in {args.out}")
-        elif args.command == "robustness":
+            done = "sweep complete"
+        else:
             _check_experiment(scn, ("robustness",), "robustness")
             summary = run_robustness(scn, seed=args.seed, out_dir=args.out)
-            worst = summary["worst_corner"]["fidelity"]
-            if args.out is None:
-                print(json.dumps(summary, indent=2, sort_keys=True))
-            else:
-                print(f"worst-corner fidelity = {worst:.6f}; outputs in {args.out}")
+            done = f"worst-corner fidelity = {summary['worst_corner']['fidelity']:.6f}"
+        if args.out is None:
+            print(dumps(summary))
+        else:
+            print(f"{done}; outputs in {args.out}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

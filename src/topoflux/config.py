@@ -125,7 +125,8 @@ class Scenario:
                 "tf2": self.noise.tf2,
             },
             "operating_point": {
-                "phi_c": self.phi_c,
+                # NaN when overrides replace an unsolvable resonance condition
+                "phi_c": self.phi_c if math.isfinite(self.phi_c) else None,
                 "g": self.g,
                 "g_prime": self.g_prime,
                 "phase_freq": self.phase_freq,

@@ -15,9 +15,17 @@ dephasing (sigma_f^z, rate 1/tf2):
     drho/dt = -i [H, rho] + (1/(2 tf1)) (2 a rho a^dag - a^dag a rho - rho a^dag a)
               + (1/tf2) (sigma_f^z rho sigma_f^z - rho)
 
-Integration is fixed-step classical RK4; no renormalization is applied, so
-trace drift measures integration quality directly.  ``evolve`` is a pure
-function of its inputs; independent evolutions are safe to run concurrently.
+All three integrators (``evolve``, ``evolve_static`` and ``pulse_propagator``)
+run on one fixed-step classical RK4 routine, ``_rk4``.  ``_propagate`` walks a
+pulse schedule through it: it picks and checks the step, splits each segment
+into ``ceil(duration/dt)`` equal steps and carries the interaction-picture
+phase across segment boundaries.  The sampled trajectories of ``evolve`` and
+``evolve_static`` come from one recorder, ``_Recorder``, which takes a sample
+whenever the running time reaches the next sample instant, rejects a diverged
+(non-finite) state and assembles the ``Trajectory``.  No renormalization is
+applied, so trace drift measures integration quality directly.  ``evolve`` is
+a pure function of its inputs; independent evolutions are safe to run
+concurrently.
 """
 
 from __future__ import annotations
@@ -247,6 +255,88 @@ def _check_dt(dt: float, schedule: PulseSchedule):
                 )
 
 
+def _rk4(f, y, h, n_steps, before_step=None):
+    """``n_steps`` classical RK4 steps of size h for dy/dtau = f(tau, y) from tau = 0.
+
+    ``before_step(y, h)``, when given, sees the state before every step.
+    """
+    tau = 0.0
+    for _ in range(n_steps):
+        if before_step is not None:
+            before_step(y, h)
+        k1 = f(tau, y)
+        k2 = f(tau + h / 2, y + (h / 2) * k1)
+        k3 = f(tau + h / 2, y + (h / 2) * k2)
+        k4 = f(tau + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        tau += h
+    return y
+
+
+def _propagate(y, schedule: PulseSchedule, dt, ws: _Workspace, generator, before_step=None):
+    """Integrate dy/dt = generator(H(t), y) over every segment of the schedule.
+
+    Each segment uses the largest step <= dt that divides its duration evenly;
+    the interaction-picture phase is continuous across segment boundaries.
+    """
+    if dt is None:
+        dt = default_dt(schedule)
+    _check_dt(dt, schedule)
+    phase0 = 0.0
+    for seg in schedule.segments:
+        n_steps = max(1, math.ceil(seg.duration / dt))
+
+        def f(tau, m):
+            return generator(_hamiltonian(ws, seg, tau, phase0), m)
+
+        y = _rk4(f, y, seg.duration / n_steps, n_steps, before_step)
+        phase0 += seg.phase_freq * seg.duration
+    return y
+
+
+class _Recorder:
+    """Samples the state at most once per sample period and builds the Trajectory."""
+
+    def __init__(self, spec: HilbertSpec, sample_period: float):
+        self.spec = spec
+        self.sample_period = sample_period
+        self.i_dn1 = spec.index(DOWN, 1)
+        self.i_up0 = spec.index(UP, 0)
+        self.t = 0.0
+        self.next_sample = 0.0
+        self.rows = []
+
+    def before_step(self, rho, h):
+        if self.t >= self.next_sample - 1e-12:
+            self._record(rho)
+            self.next_sample = self.t + self.sample_period
+        self.t += h
+
+    def _record(self, rho):
+        if not np.all(np.isfinite(rho.view(float))):
+            raise IntegrationError(f"state diverged by t={self.t:.4g} ns; reduce dt")
+        i, j = self.i_dn1, self.i_up0
+        # one row per sample, in Trajectory field order
+        self.rows.append(
+            (
+                self.t,
+                rho[i, i],
+                rho[j, j],
+                rho[i, j],
+                rho[j, i],
+                np.real(np.trace(rho)),
+                purity(rho),
+                min_eigenvalue(rho),
+            )
+        )
+
+    def finish(self, rho) -> Trajectory:
+        """Record the final state and return the whole trajectory."""
+        self._record(rho)
+        columns = (np.array(col) for col in zip(*self.rows))
+        return Trajectory(*columns, final_state=rho, spec=self.spec)
+
+
 def evolve(
     rho0: np.ndarray,
     schedule: PulseSchedule,
@@ -278,83 +368,30 @@ def evolve(
 
     Raises
     ------
-    IntegrationError if dt cannot resolve the phase factor or the final trace
-    drifts by more than 1e-6.
+    IntegrationError if dt cannot resolve the phase factor, the state
+    diverges or the final trace drifts by more than 1e-6.
     """
     spec = spec or HilbertSpec()
     if rho0.shape != (spec.dim, spec.dim):
         raise ValueError(f"rho0 must be {spec.dim}x{spec.dim}, got {rho0.shape}")
-    if dt is None:
-        dt = default_dt(schedule)
-    _check_dt(dt, schedule)
-
     ws = _Workspace(spec)
     gamma1 = noise.relaxation_rate
     gamma2 = noise.dephasing_rate
+    recorder = _Recorder(spec, schedule.sample_period)
 
-    i_dn1 = spec.index(DOWN, 1)
-    i_up0 = spec.index(UP, 0)
+    def generator(h, r):
+        return _rhs_with(ws, r, h, gamma1, gamma2)
 
-    times, r11, r22, r12, r21, tr, pur, mineig = [], [], [], [], [], [], [], []
-
-    def record(t, rho):
-        if not np.all(np.isfinite(rho.view(float))):
-            raise IntegrationError(f"state diverged by t={t:.4g} ns; reduce dt")
-        times.append(t)
-        r11.append(rho[i_dn1, i_dn1])
-        r22.append(rho[i_up0, i_up0])
-        r12.append(rho[i_dn1, i_up0])
-        r21.append(rho[i_up0, i_dn1])
-        tr.append(np.real(np.trace(rho)))
-        pur.append(purity(rho))
-        mineig.append(min_eigenvalue(rho))
-
-    rho = np.array(rho0, dtype=complex)
-    t_global = 0.0
-    phase0 = 0.0
-    next_sample = 0.0
-
-    for seg in schedule.segments:
-        n_steps = max(1, math.ceil(seg.duration / dt))
-        h_step = seg.duration / n_steps
-
-        def rhs(tau, r):
-            return _rhs_with(ws, r, _hamiltonian(ws, seg, tau, phase0), gamma1, gamma2)
-
-        tau = 0.0
-        for _ in range(n_steps):
-            if t_global >= next_sample - 1e-12:
-                record(t_global, rho)
-                next_sample = t_global + schedule.sample_period
-            k1 = rhs(tau, rho)
-            k2 = rhs(tau + h_step / 2, rho + (h_step / 2) * k1)
-            k3 = rhs(tau + h_step / 2, rho + (h_step / 2) * k2)
-            k4 = rhs(tau + h_step, rho + h_step * k3)
-            rho = rho + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            tau += h_step
-            t_global += h_step
-        phase0 += seg.phase_freq * seg.duration
-
-    record(t_global, rho)
+    rho0 = np.array(rho0, dtype=complex)
+    rho = _propagate(rho0, schedule, dt, ws, generator, recorder.before_step)
+    traj = recorder.finish(rho)
 
     drift = trace_error(rho)
     if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
         raise IntegrationError(
             f"final trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:.0e}; reduce dt"
         )
-
-    return Trajectory(
-        times=np.array(times),
-        rho11=np.array(r11),
-        rho22=np.array(r22),
-        rho12=np.array(r12),
-        rho21=np.array(r21),
-        trace=np.array(tr),
-        purity=np.array(pur),
-        min_eigenvalue=np.array(mineig),
-        final_state=rho,
-        spec=spec,
-    )
+    return traj
 
 
 def build_lab_hamiltonian(omega_f, energy, g, g_prime, spec: HilbertSpec | None = None) -> np.ndarray:
@@ -391,64 +428,22 @@ def evolve_static(
     """Evolve under a fixed Hamiltonian (lab-frame cross-checks).
 
     The relaxation and dephasing operators commute with the free rotation, so
-    the same dissipators are valid in this frame.
+    the same dissipators are valid in this frame.  Samples follow the same
+    rule as ``evolve`` (default period duration/200); a diverged state raises
+    IntegrationError.
     """
     spec = spec or HilbertSpec()
     ws = _Workspace(spec)
     gamma1 = noise.relaxation_rate
     gamma2 = noise.dephasing_rate
     n_steps = max(1, math.ceil(duration / dt))
-    h_step = duration / n_steps
-    sp = sample_period if sample_period is not None else duration / 200.0
+    recorder = _Recorder(spec, sample_period if sample_period is not None else duration / 200.0)
 
-    i_dn1 = spec.index(DOWN, 1)
-    i_up0 = spec.index(UP, 0)
-    times, r11, r22, r12, r21, tr, pur, mineig = [], [], [], [], [], [], [], []
-
-    def rhs(_t, r):
+    def f(_tau, r):
         return _rhs_with(ws, r, hamiltonian, gamma1, gamma2)
 
-    rho = np.array(rho0, dtype=complex)
-    t = 0.0
-    next_sample = 0.0
-    for _ in range(n_steps):
-        if t >= next_sample - 1e-12:
-            times.append(t)
-            r11.append(rho[i_dn1, i_dn1])
-            r22.append(rho[i_up0, i_up0])
-            r12.append(rho[i_dn1, i_up0])
-            r21.append(rho[i_up0, i_dn1])
-            tr.append(np.real(np.trace(rho)))
-            pur.append(purity(rho))
-            mineig.append(min_eigenvalue(rho))
-            next_sample = t + sp
-        k1 = rhs(t, rho)
-        k2 = rhs(t + h_step / 2, rho + (h_step / 2) * k1)
-        k3 = rhs(t + h_step / 2, rho + (h_step / 2) * k2)
-        k4 = rhs(t + h_step, rho + h_step * k3)
-        rho = rho + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h_step
-    times.append(t)
-    r11.append(rho[i_dn1, i_dn1])
-    r22.append(rho[i_up0, i_up0])
-    r12.append(rho[i_dn1, i_up0])
-    r21.append(rho[i_up0, i_dn1])
-    tr.append(np.real(np.trace(rho)))
-    pur.append(purity(rho))
-    mineig.append(min_eigenvalue(rho))
-
-    return Trajectory(
-        times=np.array(times),
-        rho11=np.array(r11),
-        rho22=np.array(r22),
-        rho12=np.array(r12),
-        rho21=np.array(r21),
-        trace=np.array(tr),
-        purity=np.array(pur),
-        min_eigenvalue=np.array(mineig),
-        final_state=rho,
-        spec=spec,
-    )
+    rho = _rk4(f, np.array(rho0, dtype=complex), duration / n_steps, n_steps, recorder.before_step)
+    return recorder.finish(rho)
 
 
 def pulse_propagator(
@@ -460,29 +455,8 @@ def pulse_propagator(
     closed-form gate constructions.
     """
     spec = spec or HilbertSpec()
-    if dt is None:
-        dt = default_dt(schedule)
-    _check_dt(dt, schedule)
-    ws = _Workspace(spec)
     u = np.eye(spec.dim, dtype=complex)
-    phase0 = 0.0
-    for seg in schedule.segments:
-        n_steps = max(1, math.ceil(seg.duration / dt))
-        h_step = seg.duration / n_steps
-
-        def rhs(tau, m):
-            return -1j * (_hamiltonian(ws, seg, tau, phase0) @ m)
-
-        tau = 0.0
-        for _ in range(n_steps):
-            k1 = rhs(tau, u)
-            k2 = rhs(tau + h_step / 2, u + (h_step / 2) * k1)
-            k3 = rhs(tau + h_step / 2, u + (h_step / 2) * k2)
-            k4 = rhs(tau + h_step, u + h_step * k3)
-            u = u + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            tau += h_step
-        phase0 += seg.phase_freq * seg.duration
-    return u
+    return _propagate(u, schedule, dt, _Workspace(spec), lambda h, m: -1j * (h @ m))
 
 
 def pulse_duration_for_area(
@@ -490,8 +464,9 @@ def pulse_duration_for_area(
 ) -> float:
     """Duration making the time integral of the shaped g(t) equal ``area``.
 
-    Rectangular pulses solve in closed form; ramped pulses bisect on the
-    segment-area function to a residual below 1e-12 rad.
+    Both shapes solve in closed form: each sin^2 ramp carries half the area
+    of a flat ramp of the same length, so a ramped pulse is the rectangular
+    pulse lengthened by one ramp time (``PulseSegment.area``).
     """
     if g_value == 0.0:
         raise ValueError("g_value must be nonzero")
@@ -510,22 +485,7 @@ def pulse_duration_for_area(
         raise ValueError(
             f"|area/g| = {flat_equiv:.4f} ns is shorter than the ramp time {ramp_time} ns"
         )
-
-    def area_of(duration):
-        return PulseSegment(
-            duration=duration, g_value=g_value, shape=SIN2_RAMP, ramp_time=ramp_time
-        ).area()
-
-    lo, hi = 2.0 * ramp_time, flat_equiv + 2.0 * ramp_time
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if abs(area_of(mid) - area) < 1e-12:
-            return mid
-        if (area_of(mid) - area) * math.copysign(1.0, g_value) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return area / g_value + ramp_time
 
 
 def trajectory_checks(traj: Trajectory) -> dict:

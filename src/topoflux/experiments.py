@@ -2,8 +2,9 @@
 
 Every runner is deterministic given (config, seed) and writes self-describing
 summaries that echo the fully resolved parameter set.  Sweep and Monte Carlo
-points are mutually independent (nothing shared but immutable inputs); they
-run sequentially here, with outputs assembled in grid order.
+points are mutually independent (nothing shared but immutable inputs); both
+runners list them as ``run_evolution`` overrides and evaluate them through
+``fidelities``, which returns results in list order.
 """
 
 from __future__ import annotations
@@ -86,6 +87,16 @@ def scenario_fidelity(scn: Scenario, traj: Trajectory) -> float:
     return fidelity_pure(target_state(scn), traj.final_state)
 
 
+def fidelities(scn: Scenario, points: list[dict]) -> list[float]:
+    """Final-state fidelity against ``target_state(scn)`` for each point.
+
+    A point is a dict of ``run_evolution`` keyword overrides (g, g_prime,
+    phase_freq, noise); the pulse timing stays calibrated to the nominal g.
+    """
+    target = target_state(scn)
+    return [fidelity_pure(target, run_evolution(scn, **p).final_state) for p in points]
+
+
 def run_scenario(scn: Scenario, out_dir=None, formats=("csv", "json", "svg")) -> dict:
     """Run one pulse scenario; returns (and optionally writes) the summary."""
     schedule = build_schedule(scn)
@@ -122,29 +133,27 @@ def run_sweep(scn: Scenario, out_dir=None) -> dict:
     if scn.sweep is None:
         raise ConfigError("scenario has no sweep block", pointer="/sweep")
     sweep = scn.sweep
-    target = target_state(scn)
-    schedule_duration = pulse_duration_for_area(
-        scn.pulse_area, scn.g, shape=scn.pulse_shape, ramp_time=scn.ramp_time
-    )
+    etas = [float(eta) for eta in sweep.values()]
+    points = [
+        {"g_prime": ratio * scn.g, "noise": _noise_for_axis(scn.noise, sweep.axis, eta)}
+        for eta in etas
+        for ratio in sweep.ratios
+    ]
+    flat = fidelities(scn, points)
+    width = len(sweep.ratios)
+    grid = [flat[i * width : (i + 1) * width] for i in range(len(etas))]
 
     header = [sweep.axis + "_per_ns"] + [f"F1_gprime_over_g_{r:g}" for r in sweep.ratios]
-    rows = []
-    for eta in sweep.values():
-        noise = _noise_for_axis(scn.noise, sweep.axis, eta)
-        row = [float(eta)]
-        for ratio in sweep.ratios:
-            traj = run_evolution(scn, g_prime=ratio * scn.g, noise=noise)
-            row.append(fidelity_pure(target, traj.final_state))
-        rows.append(row)
+    rows = [[eta] + row for eta, row in zip(etas, grid)]
 
     summary = {
         "schemaVersion": 1,
         "experiment": scn.experiment,
         "axis": sweep.axis,
-        "axis_values": [float(v) for v in sweep.values()],
+        "axis_values": etas,
         "ratios": list(sweep.ratios),
-        "fidelities": [row[1:] for row in rows],
-        "pulse_duration_ns": schedule_duration,
+        "fidelities": grid,
+        "pulse_duration_ns": build_schedule(scn).total_duration,
         "parameters": scn.parameter_echo(),
     }
     if out_dir is not None:
@@ -168,33 +177,25 @@ def run_robustness(scn: Scenario, seed: int = 0, out_dir=None) -> dict:
         raise ConfigError("scenario has no robustness block", pointer="/robustness")
     frac = scn.robustness.error_fraction
     n_samples = scn.robustness.samples
-    target = target_state(scn)
-
-    def fidelity_with(fg, fgp, fe):
-        traj = run_evolution(
-            scn, g=scn.g * fg, g_prime=scn.g_prime * fgp, phase_freq=scn.phase_freq * fe
-        )
-        return fidelity_pure(target, traj.final_state)
-
-    nominal = fidelity_with(1.0, 1.0, 1.0)
-
-    corners = []
-    for fg in (1.0 - frac, 1.0 + frac):
-        for fgp in (1.0 - frac, 1.0 + frac):
-            for fe in (1.0 - frac, 1.0 + frac):
-                corners.append(
-                    {
-                        "factors": {"g": fg, "g_prime": fgp, "E": fe},
-                        "fidelity": fidelity_with(fg, fgp, fe),
-                    }
-                )
-    worst = min(corners, key=lambda c: c["fidelity"])
-
+    spread = (1.0 - frac, 1.0 + frac)
+    corner_factors = [(fg, fgp, fe) for fg in spread for fgp in spread for fe in spread]
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_samples):
-        fg, fgp, fe = (float(x) for x in rng.uniform(1.0 - frac, 1.0 + frac, size=3))
-        samples.append(fidelity_with(fg, fgp, fe))
+    sample_factors = [
+        tuple(float(x) for x in rng.uniform(1.0 - frac, 1.0 + frac, size=3))
+        for _ in range(n_samples)
+    ]
+
+    points = [
+        {"g": scn.g * fg, "g_prime": scn.g_prime * fgp, "phase_freq": scn.phase_freq * fe}
+        for fg, fgp, fe in [(1.0, 1.0, 1.0)] + corner_factors + sample_factors
+    ]
+    nominal, *fids = fidelities(scn, points)
+    corners = [
+        {"factors": {"g": fg, "g_prime": fgp, "E": fe}, "fidelity": fid}
+        for (fg, fgp, fe), fid in zip(corner_factors, fids)
+    ]
+    worst = min(corners, key=lambda c: c["fidelity"])
+    samples = fids[len(corners) :]
 
     summary = {
         "schemaVersion": 1,

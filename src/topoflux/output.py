@@ -74,9 +74,14 @@ def read_trajectory_csv(path) -> dict:
     return {name: np.array(vals) for name, vals in cols.items()}
 
 
+def dumps(payload: dict) -> str:
+    """Canonical JSON text of a summary or report; NaN and Infinity are rejected."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(payload: dict, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(dumps(payload) + "\n")
     return path
 
 

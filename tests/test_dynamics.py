@@ -217,6 +217,36 @@ class TestEvolve:
         with np.errstate(all="ignore"), pytest.raises(IntegrationError):
             evolve(pure_density(SPEC.ket(UP, 0)), schedule, NO_NOISE, SPEC, dt=1e-3)
 
+    def test_static_divergence_error(self):
+        # evolve_static shares the sampler's finite-state check with evolve
+        h = interaction_hamiltonian(0.0, PulseSegment(1.0, g_value=1.0e4), SPEC)
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError):
+            evolve_static(pure_density(SPEC.ket(UP, 0)), h, 1.0, NO_NOISE, SPEC, dt=1e-3)
+
+    def test_static_matches_evolve_for_rectangular_pulse(self):
+        # g' = 0 and a flat envelope make H constant, so both entry points run
+        # the same steps through the same stepper and sampler
+        duration = math.pi / abs(G1)
+        dt = duration / 997
+        sample_period = duration / 37
+        schedule = single_segment(duration=duration, sample_period=sample_period)
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        a = evolve(rho0, schedule, NOISE1, SPEC, dt=dt)
+        h = interaction_hamiltonian(0.0, schedule.segments[0], SPEC)
+        b = evolve_static(rho0, h, duration, NOISE1, SPEC, dt=dt, sample_period=sample_period)
+        for name in (
+            "times",
+            "rho11",
+            "rho22",
+            "rho12",
+            "rho21",
+            "trace",
+            "purity",
+            "min_eigenvalue",
+            "final_state",
+        ):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_segment_splitting_preserves_phase(self):
         # one segment of length T equals two back-to-back segments of T/2
         duration = math.pi / abs(G1)
@@ -271,14 +301,15 @@ class TestPulseDurations:
         with pytest.raises(ValueError):
             pulse_duration_for_area(math.pi, G1)
 
-    @pytest.mark.parametrize("ramp", [0.01, 0.05])
+    # the last ramp equals |area/g|: the pulse is all ramp, with no flat top
+    @pytest.mark.parametrize("ramp", [0.01, 0.05, math.pi / abs(G1)])
     def test_sin2_flat_top_compensation(self, ramp):
         d = pulse_duration_for_area(-math.pi, G1, shape=SIN2_RAMP, ramp_time=ramp)
         assert d == pytest.approx(math.pi / abs(G1) + ramp, abs=1e-9)
         seg = PulseSegment(
             duration=d, g_value=G1, shape=SIN2_RAMP, ramp_time=ramp
         )
-        assert seg.area() == pytest.approx(-math.pi, abs=1e-9)
+        assert seg.area() == pytest.approx(-math.pi, rel=1e-14)
 
     def test_sin2_ramp_longer_than_pulse(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,15 @@ from topoflux.output import (
 from topoflux.presets import scenario_preset
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_loads(text):
+    """json.loads that refuses the NaN / Infinity / -Infinity extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def fast_raw(name="fig2a", **blocks):
     """Preset with a coarse (but still phase-resolving) integration grid.
 
@@ -242,6 +251,35 @@ class TestCli:
         assert main(["gates", "verify", "--out", str(out)]) == 0
         report = json.loads((out / "gates_verification.json").read_text())
         assert report["verdict"]["canonical_root_right_to_left_is_cp"] is True
+
+    def test_unsolved_phase_emits_strict_json(self, tmp_path, capsys):
+        # full overrides keep an unsolvable resonance target from being fatal;
+        # phi_c stays unresolved and must come out as null, not NaN
+        raw = fast_raw()
+        raw["overrides"] = {
+            "g_GHz": -2.0595918,
+            "gPrime_GHz": -1.0439816,
+            "E_GHz": 49.963987,
+            "resonanceTarget_GHz": 500.0,
+        }
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["derive", "--config", str(cfg)]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["parameters"]["operating_point"]["phi_c"] is None
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = strict_loads((out / "fig2a_summary.json").read_text())
+        assert summary["parameters"]["operating_point"]["phi_c"] is None
+
+    def test_format_only_on_run(self, tmp_path):
+        raw = fast_raw(
+            "fig3a",
+            sweep={"axis": "eta1", "lo": 0.0, "hi": 0.002, "points": 2, "gPrimeOverG": [0]},
+        )
+        cfg = self.write_cfg(tmp_path, raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--format", "csv"])
+        assert exc.value.code == 2
 
     def test_bad_format_exit_2(self, tmp_path):
         cfg = self.write_cfg(tmp_path, fast_raw())
