@@ -4,14 +4,20 @@ On-disk units mirror the usual experimental quotes: frequencies in GHz
 (ordinary, i.e. omega/2pi), times in ns, lengths in um, velocities in m/s,
 temperature in mK.  ``resolve`` converts everything to the internal rad/ns
 system and runs the device pipeline once, so a resolved scenario is fully
-self-describing.
+self-describing: summaries echo its records (``dataclasses.asdict``) as they
+are.  A phase ``phi_c`` left unsolved because full overrides replace the
+resonance condition stays ``None`` and is echoed as ``null``.
+
+Numbers are parsed strictly: ``NaN``, ``Infinity`` and literals that overflow
+a float are a ``ConfigError``, never a value that reaches the pipeline.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import jsonschema
@@ -21,26 +27,15 @@ from .dynamics import RECTANGULAR, NoiseParams
 from .errors import ConfigError, ValidityError
 from .hilbert import HilbertSpec
 
-SCHEMA_VERSION = 1
-
-EXPERIMENTS = ("fig2a", "fig2b", "fig3a", "fig3b", "robustness", "altParams", "custom")
 SWEEP_EXPERIMENTS = ("fig3a", "fig3b")
 
 
+@functools.cache
 def load_schema() -> dict:
+    """The bundled scenario schema, read once; callers share it and must not modify it."""
     ref = resources.files("topoflux") / "schema" / "scenario.schema.json"
     with ref.open() as f:
         return json.load(f)
-
-
-_SCHEMA = None
-
-
-def _schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        _SCHEMA = load_schema()
-    return _SCHEMA
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ class Scenario:
     noise: NoiseParams
     dt: float | None
     sample_period: float | None
-    phi_c: float
+    phi_c: float | None  # None when full overrides replace an unsolvable resonance
     g: float
     g_prime: float
     phase_freq: float
@@ -93,79 +88,37 @@ class Scenario:
     validity: dev.ValidityReport | None
     sweep: SweepSpec | None
     robustness: RobustnessSpec | None
-    raw: dict
 
     def parameter_echo(self) -> dict:
         """Resolved parameters (internal units) for self-describing summaries."""
-        d = self.device
         echo = {
             "units": {"angular_frequency": "rad/ns", "time": "ns", "length": "um"},
             "experiment": self.experiment,
-            "device": {
-                "alpha": d.alpha,
-                "beta": d.beta,
-                "ej": d.ej,
-                "ej_over_ec": d.ej_over_ec,
-                "delta0": d.delta0,
-                "v_fermi": d.v_fermi,
-                "length": d.length,
-                "tf1": d.tf1,
-                "tf2": d.tf2,
-                "temperature": d.temperature,
-            },
-            "hilbert": {"n_fock": self.spec.n_fock},
+            "device": asdict(self.device),
+            "hilbert": asdict(self.spec),
             "pulse": {
                 "area": self.pulse_area,
                 "shape": self.pulse_shape,
                 "ramp_time": self.ramp_time,
             },
-            "noise": {
-                "enabled": self.noise.enabled,
-                "tf1": self.noise.tf1,
-                "tf2": self.noise.tf2,
-            },
+            "noise": asdict(self.noise),
             "operating_point": {
-                # NaN when overrides replace an unsolvable resonance condition
-                "phi_c": self.phi_c if math.isfinite(self.phi_c) else None,
+                "phi_c": self.phi_c,
                 "g": self.g,
                 "g_prime": self.g_prime,
                 "phase_freq": self.phase_freq,
             },
         }
         if self.derived is not None:
-            echo["derived"] = {
-                "theta": self.derived.theta,
-                "zeta": self.derived.zeta,
-                "omega_f": self.derived.omega_f,
-                "lambda_phi": self.derived.lambda_phi,
-                "energy": self.derived.energy,
-                "de_dphi": self.derived.de_dphi,
-                "g": self.derived.g,
-                "g_prime": self.derived.g_prime,
-            }
+            echo["derived"] = asdict(self.derived)
         if self.validity is not None:
-            echo["validity"] = validity_to_dict(self.validity)
+            echo["validity"] = {**asdict(self.validity), "all_passed": self.validity.all_passed}
         return echo
-
-
-def validity_to_dict(report: dev.ValidityReport) -> dict:
-    return {
-        "ratio_g_over_g_prime": report.ratio_g_over_g_prime,
-        "energy_over_g": report.energy_over_g,
-        "tunneling_rate": report.tunneling_rate,
-        "tunneling_error_prob": report.tunneling_error_prob,
-        "thermal_occupation": report.thermal_occupation,
-        "all_passed": report.all_passed,
-        "checks": [
-            {"name": c.name, "value": c.value, "threshold": c.threshold, "passed": c.passed}
-            for c in report.checks
-        ],
-    }
 
 
 def validate_raw(raw: dict):
     """Schema-validate a raw config dict; unknown keys are rejected."""
-    validator = jsonschema.Draft202012Validator(_schema())
+    validator = jsonschema.Draft202012Validator(load_schema())
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
@@ -222,9 +175,9 @@ def resolve(raw: dict) -> Scenario:
     full_override = all(k in overrides for k in ("g_GHz", "gPrime_GHz", "E_GHz"))
     derived = None
     validity = None
-    phi_c = raw["device"].get("phiC_rad", math.nan)
+    phi_c = raw["device"].get("phiC_rad")
     try:
-        if math.isnan(phi_c):
+        if phi_c is None:
             phi_c = dev.solve_resonant_phase(params, omega_res)
         derived = dev.derive_couplings(params, phi_c)
         validity = dev.validity_report(params, phi_c)
@@ -284,15 +237,27 @@ def resolve(raw: dict) -> Scenario:
         validity=validity,
         sweep=sweep,
         robustness=robustness,
-        raw=raw,
     )
+
+
+def _finite_number(text: str, convert=float):
+    # json accepts NaN, Infinity and literals beyond float range; a config may not
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config has a non-finite number ({value})")
+    return convert(text)
 
 
 def load_config(path) -> Scenario:
     """Read a JSON scenario file and resolve it."""
     try:
         with open(path) as f:
-            raw = json.load(f)
+            raw = json.load(
+                f,
+                parse_float=_finite_number,
+                parse_int=functools.partial(_finite_number, convert=int),
+                parse_constant=_finite_number,
+            )
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:

@@ -35,21 +35,18 @@ from .output import emit_outputs, write_json, write_matrix_csv
 _GATE_BASIS = ((DOWN, 0), (DOWN, 1), (UP, 0), (UP, 1))
 
 
-def build_schedule(
-    scn: Scenario, g=None, g_prime=None, phase_freq=None, duration=None
-) -> PulseSchedule:
+def build_schedule(scn: Scenario, g=None, g_prime=None, phase_freq=None) -> PulseSchedule:
     """Single-segment schedule for the scenario's pulse.
 
-    The duration is calibrated against the *scenario's* nominal g unless given
-    explicitly, so perturbation studies keep the nominal pulse timing.
+    The duration is calibrated against the *scenario's* nominal g, so
+    perturbation studies keep the nominal pulse timing.
     """
     g = scn.g if g is None else g
     g_prime = scn.g_prime if g_prime is None else g_prime
     phase_freq = scn.phase_freq if phase_freq is None else phase_freq
-    if duration is None:
-        duration = pulse_duration_for_area(
-            scn.pulse_area, scn.g, shape=scn.pulse_shape, ramp_time=scn.ramp_time
-        )
+    duration = pulse_duration_for_area(
+        scn.pulse_area, scn.g, shape=scn.pulse_shape, ramp_time=scn.ramp_time
+    )
     seg = PulseSegment(
         duration=duration,
         g_value=g,
@@ -92,9 +89,21 @@ def fidelities(scn: Scenario, points: list[dict]) -> list[float]:
 
     A point is a dict of ``run_evolution`` keyword overrides (g, g_prime,
     phase_freq, noise); the pulse timing stays calibrated to the nominal g.
+    Only the final state is read, so each evolution samples just its two ends.
     """
     target = target_state(scn)
-    return [fidelity_pure(target, run_evolution(scn, **p).final_state) for p in points]
+    ends_only = replace(scn, sample_period=build_schedule(scn).total_duration)
+    return [fidelity_pure(target, run_evolution(ends_only, **p).final_state) for p in points]
+
+
+def _summary(scn: Scenario, **fields) -> dict:
+    """The envelope every summary and report shares around its own fields."""
+    return {
+        "schemaVersion": 1,
+        "experiment": scn.experiment,
+        **fields,
+        "parameters": scn.parameter_echo(),
+    }
 
 
 def run_scenario(scn: Scenario, out_dir=None, formats=("csv", "json", "svg")) -> dict:
@@ -102,15 +111,13 @@ def run_scenario(scn: Scenario, out_dir=None, formats=("csv", "json", "svg")) ->
     schedule = build_schedule(scn)
     traj = evolve(initial_state(scn.spec), schedule, scn.noise, spec=scn.spec, dt=scn.dt)
     fid = scenario_fidelity(scn, traj)
-    summary = {
-        "schemaVersion": 1,
-        "experiment": scn.experiment,
-        "fidelity": fid,
-        "pulse_duration_ns": schedule.total_duration,
-        "dt_ns": scn.dt if scn.dt is not None else default_dt(schedule),
-        "diagnostics": trajectory_checks(traj),
-        "parameters": scn.parameter_echo(),
-    }
+    summary = _summary(
+        scn,
+        fidelity=fid,
+        pulse_duration_ns=schedule.total_duration,
+        dt_ns=scn.dt if scn.dt is not None else default_dt(schedule),
+        diagnostics=trajectory_checks(traj),
+    )
     if out_dir is not None:
         stem = scn.experiment
         emit_outputs(traj, out_dir, stem, formats=formats, summary=summary)
@@ -146,16 +153,14 @@ def run_sweep(scn: Scenario, out_dir=None) -> dict:
     header = [sweep.axis + "_per_ns"] + [f"F1_gprime_over_g_{r:g}" for r in sweep.ratios]
     rows = [[eta] + row for eta, row in zip(etas, grid)]
 
-    summary = {
-        "schemaVersion": 1,
-        "experiment": scn.experiment,
-        "axis": sweep.axis,
-        "axis_values": etas,
-        "ratios": list(sweep.ratios),
-        "fidelities": grid,
-        "pulse_duration_ns": build_schedule(scn).total_duration,
-        "parameters": scn.parameter_echo(),
-    }
+    summary = _summary(
+        scn,
+        axis=sweep.axis,
+        axis_values=etas,
+        ratios=list(sweep.ratios),
+        fidelities=grid,
+        pulse_duration_ns=build_schedule(scn).total_duration,
+    )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -197,23 +202,21 @@ def run_robustness(scn: Scenario, seed: int = 0, out_dir=None) -> dict:
     worst = min(corners, key=lambda c: c["fidelity"])
     samples = fids[len(corners) :]
 
-    summary = {
-        "schemaVersion": 1,
-        "experiment": scn.experiment,
-        "seed": seed,
-        "error_fraction": frac,
-        "nominal_fidelity": nominal,
-        "corners": corners,
-        "worst_corner": worst,
-        "monte_carlo": {
+    summary = _summary(
+        scn,
+        seed=seed,
+        error_fraction=frac,
+        nominal_fidelity=nominal,
+        corners=corners,
+        worst_corner=worst,
+        monte_carlo={
             "samples": n_samples,
             "min": min(samples) if samples else nominal,
             "mean": float(np.mean(samples)) if samples else nominal,
             "max": max(samples) if samples else nominal,
             "fidelities": samples,
         },
-        "parameters": scn.parameter_echo(),
-    }
+    )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -223,8 +226,4 @@ def run_robustness(scn: Scenario, seed: int = 0, out_dir=None) -> dict:
 
 def derive_report(scn: Scenario) -> dict:
     """Parameter pipeline echo plus validity checks (no time evolution)."""
-    return {
-        "schemaVersion": 1,
-        "experiment": scn.experiment,
-        "parameters": scn.parameter_echo(),
-    }
+    return _summary(scn)

@@ -141,16 +141,6 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def validate_density_matrix(rho: np.ndarray, trace_tol=1e-7, herm_tol=1e-9, eig_tol=1e-8):
-    """Raise ValueError unless rho is trace-one, Hermitian, and positive within tolerance."""
-    if trace_error(rho) >= trace_tol:
-        raise ValueError(f"trace deviates from 1 by {trace_error(rho):.3e}")
-    if hermiticity_error(rho) >= herm_tol:
-        raise ValueError(f"Hermiticity violated by {hermiticity_error(rho):.3e}")
-    if min_eigenvalue(rho) <= -eig_tol:
-        raise ValueError(f"negative eigenvalue {min_eigenvalue(rho):.3e}")
-
-
 def pure_density(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| for a normalized state vector."""
     psi = np.asarray(psi, dtype=complex)

@@ -29,6 +29,8 @@ CSV_COLUMNS = (
     "min_eig",
 )
 
+SVG_SIZE = (640, 400)  # width, height in px
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -52,13 +54,18 @@ def trajectory_rows(traj: Trajectory):
         )
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> Path:
+def _write_csv(header, rows, path) -> Path:
+    # private: perfbench tracing wraps the public writers, one span per file written
     path = Path(path)
-    lines = [",".join(CSV_COLUMNS)]
-    for row in trajectory_rows(traj):
+    lines = [",".join(header)]
+    for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> Path:
+    return _write_csv(CSV_COLUMNS, trajectory_rows(traj), path)
 
 
 def read_trajectory_csv(path) -> dict:
@@ -86,17 +93,13 @@ def write_json(payload: dict, path) -> Path:
 
 
 def write_matrix_csv(header: list[str], rows: list[list[float]], path) -> Path:
-    path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_csv(header, rows, path)
 
 
-def write_trajectory_svg(traj: Trajectory, path, width=640, height=400) -> Path:
+def write_trajectory_svg(traj: Trajectory, path) -> Path:
     """Hand-emitted line plot of rho11, rho22, |rho12| against time."""
     path = Path(path)
+    width, height = SVG_SIZE
     t = np.asarray(traj.times, dtype=float)
     series = [
         ("rho11", "#1f77b4", np.real(traj.rho11)),

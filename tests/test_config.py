@@ -1,9 +1,10 @@
 import json
 import math
 
+import jsonschema
 import pytest
 
-from topoflux.config import load_config, resolve, validate_raw
+from topoflux.config import load_config, load_schema, resolve, validate_raw
 from topoflux.device import angular_to_ghz
 from topoflux.errors import ConfigError, ValidityError
 from topoflux.presets import preset_names, scenario_preset
@@ -12,6 +13,9 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestSchema:
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(load_schema())
+
     def test_all_presets_validate(self):
         for name in preset_names():
             validate_raw(scenario_preset(name))

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import topoflux.experiments
 from topoflux.cli import main
 from topoflux.config import resolve
 from topoflux.dynamics import NO_NOISE, PulseSchedule, PulseSegment, evolve
-from topoflux.experiments import run_robustness, run_scenario, run_sweep
+from topoflux.experiments import fidelities, run_robustness, run_scenario, run_sweep
 from topoflux.hilbert import UP, HilbertSpec, pure_density
 from topoflux.output import (
     CSV_COLUMNS,
@@ -136,6 +137,18 @@ class TestSweep:
         )
         summary = run_sweep(resolve(raw))
         assert summary["fidelities"][0][0] == pytest.approx(base, abs=1e-12)
+
+    def test_fidelities_sample_only_the_ends(self, fig2a_fast, monkeypatch):
+        lengths = []
+
+        def counting_evolve(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            lengths.append(len(traj))
+            return traj
+
+        monkeypatch.setattr(topoflux.experiments, "evolve", counting_evolve)
+        fidelities(fig2a_fast, [{}, {"g_prime": 0.0}])
+        assert lengths == [2, 2]
 
     def test_sweep_csv_layout(self, tmp_path):
         # base dephasing effectively off so the eta1 = 0, ratio 0 corner is noise-free
@@ -270,6 +283,24 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         summary = strict_loads((out / "fig2a_summary.json").read_text())
         assert summary["parameters"]["operating_point"]["phi_c"] is None
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("9" * 401, id="401-digit-int")],
+    )
+    @pytest.mark.parametrize(
+        "block, key", [("device", "Tf2_ns"), ("noise", "Tf1_ns"), ("device", "phiC_rad")]
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, block, key, literal):
+        # json.dumps cannot write these, so splice the literal into the text
+        raw = fast_raw()
+        raw.setdefault(block, {})[key] = "PLACEHOLDER"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw).replace('"PLACEHOLDER"', literal))
+        assert main(["derive", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_format_only_on_run(self, tmp_path):
         raw = fast_raw(

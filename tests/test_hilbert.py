@@ -19,7 +19,6 @@ from topoflux.hilbert import (
     sigma_minus,
     sigma_plus,
     trace_error,
-    validate_density_matrix,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -162,12 +161,9 @@ class TestStatesAndFidelity:
 
     def test_density_checks(self):
         rho = pure_density(self.up0)
-        validate_density_matrix(rho)
         assert trace_error(rho) < 1e-12
         assert hermiticity_error(rho) < 1e-12
         assert min_eigenvalue(rho) > -1e-12
-        with pytest.raises(ValueError):
-            validate_density_matrix(2.0 * rho)
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
