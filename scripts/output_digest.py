@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Write a fixed set of topoflux outputs into a new OUT_DIR and print a sha256 per file.
+
+The set covers what a refactor that promises unchanged output bytes must
+keep: ``run --format csv,json,svg`` on fig2a, fig2b and altParams, the
+``derive`` report of every preset, ``gates verify``, fig3a and fig3b sweeps
+reduced to 3 points and the ratios [0, 3], and robustness with 2 samples for
+seeds 0 and 7.  Run it on two checkouts and compare the printed lines:
+
+    PYTHONPATH=src python scripts/output_digest.py OUT_DIR
+
+It only uses the CLI, ``resolve``, ``run_sweep`` and ``run_robustness``, so
+older checkouts run it too.  A run takes under a minute on one core.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from topoflux import cli
+from topoflux.config import resolve
+from topoflux.experiments import run_robustness, run_sweep
+from topoflux.presets import preset_names, scenario_preset
+
+RUN_PRESETS = ("fig2a", "fig2b", "altParams")
+SWEEP_PRESETS = ("fig3a", "fig3b")
+ROBUSTNESS_SEEDS = (0, 7)
+
+
+def _cli(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"topoflux {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def write_outputs(out: Path):
+    (out / "derive").mkdir(parents=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in preset_names():
+            cfg = Path(tmp) / f"{name}.json"
+            cfg.write_text(json.dumps(scenario_preset(name)))
+            (out / "derive" / f"{name}.json").write_text(_cli("derive", "--config", str(cfg)))
+            if name in RUN_PRESETS:
+                run_out = str(out / "run")
+                _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json,svg")
+    _cli("gates", "verify", "--out", str(out / "gates"))
+
+    for name in SWEEP_PRESETS:
+        raw = scenario_preset(name)
+        raw["sweep"].update(points=3, gPrimeOverG=[0, 3])
+        run_sweep(resolve(raw), out_dir=out / "sweep")
+
+    raw = scenario_preset("robustness")
+    raw["robustness"]["samples"] = 2
+    for seed in ROBUSTNESS_SEEDS:
+        run_robustness(resolve(raw), seed=seed, out_dir=out / f"robustness_seed{seed}")
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("out_dir", type=Path)
+    args = ap.parse_args()
+    write_outputs(args.out_dir)
+    for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(args.out_dir)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,7 +3,7 @@ Majorana-based topological qubit and a superconducting flux qubit."""
 
 from .config import Scenario, load_config, resolve
 from .device import DeviceParams, DerivedCouplings, ValidityReport
-from .dynamics import NoiseParams, PulseSchedule, PulseSegment, Trajectory, evolve
+from .dynamics import NoiseParams, PulseSegment, Trajectory, evolve
 from .hilbert import HilbertSpec
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "DerivedCouplings",
     "HilbertSpec",
     "NoiseParams",
-    "PulseSchedule",
     "PulseSegment",
     "Scenario",
     "Trajectory",

@@ -9,7 +9,9 @@ are.  A phase ``phi_c`` left unsolved because full overrides replace the
 resonance condition stays ``None`` and is echoed as ``null``.
 
 Numbers are parsed strictly: ``NaN``, ``Infinity`` and literals that overflow
-a float are a ``ConfigError``, never a value that reaches the pipeline.
+a float are a ``ConfigError``, never a value that reaches the pipeline.  So
+are an override that overflows in rad/ns, a pulse that cannot be built and a
+sweep with ``lo >= hi``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from importlib import resources
 import jsonschema
 
 from . import device as dev
-from .dynamics import RECTANGULAR, NoiseParams
+from .dynamics import RECTANGULAR, NoiseParams, PulseSegment, pulse_duration_for_area
 from .errors import ConfigError, ValidityError
 from .hilbert import HilbertSpec
 
@@ -50,11 +52,11 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in ("eta1", "eta2"):
-            raise ValueError(f"axis must be eta1 or eta2, got {self.axis!r}")
+            raise ConfigError(f"axis must be eta1 or eta2, got {self.axis!r}", pointer="/sweep")
         if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+            raise ConfigError(f"need lo < hi, got [{self.lo}, {self.hi}]", pointer="/sweep")
         if self.points < 2:
-            raise ValueError(f"need at least 2 points, got {self.points}")
+            raise ConfigError(f"need at least 2 points, got {self.points}", pointer="/sweep")
 
     def values(self):
         step = (self.hi - self.lo) / (self.points - 1)
@@ -155,6 +157,14 @@ def _device_from_raw(d: dict) -> dev.DeviceParams:
     )
 
 
+def _override(overrides: dict, key: str) -> float:
+    """An override in rad/ns; one too large for a float in those units is a ConfigError."""
+    omega = dev.ghz_to_angular(overrides[key])
+    if not math.isfinite(omega):
+        raise ConfigError(f"{overrides[key]} GHz overflows in rad/ns", pointer=f"/overrides/{key}")
+    return omega
+
+
 def resolve(raw: dict) -> Scenario:
     """Validate and resolve a raw config into internal units.
 
@@ -167,7 +177,7 @@ def resolve(raw: dict) -> Scenario:
 
     _, _, omega_f = dev.derive_statics(params)
     omega_res = (
-        dev.ghz_to_angular(overrides["resonanceTarget_GHz"])
+        _override(overrides, "resonanceTarget_GHz")
         if "resonanceTarget_GHz" in overrides
         else omega_f
     )
@@ -185,15 +195,9 @@ def resolve(raw: dict) -> Scenario:
         if not full_override:
             raise
 
-    g = dev.ghz_to_angular(overrides["g_GHz"]) if "g_GHz" in overrides else derived.g
-    g_prime = (
-        dev.ghz_to_angular(overrides["gPrime_GHz"])
-        if "gPrime_GHz" in overrides
-        else derived.g_prime
-    )
-    phase_freq = (
-        dev.ghz_to_angular(overrides["E_GHz"]) if "E_GHz" in overrides else derived.energy
-    )
+    g = _override(overrides, "g_GHz") if "g_GHz" in overrides else derived.g
+    g_prime = _override(overrides, "gPrime_GHz") if "gPrime_GHz" in overrides else derived.g_prime
+    phase_freq = _override(overrides, "E_GHz") if "E_GHz" in overrides else derived.energy
 
     noise_raw = raw.get("noise", {})
     noise = NoiseParams(
@@ -219,7 +223,7 @@ def resolve(raw: dict) -> Scenario:
         r = raw["robustness"]
         robustness = RobustnessSpec(error_fraction=r["errorFraction"], samples=r["samples"])
 
-    return Scenario(
+    scn = Scenario(
         experiment=raw["experiment"],
         device=params,
         spec=HilbertSpec(raw.get("hilbert", {}).get("fockLevels", 2)),
@@ -238,6 +242,12 @@ def resolve(raw: dict) -> Scenario:
         sweep=sweep,
         robustness=robustness,
     )
+    try:  # the nominal pulse every run builds, so that a config that derives also runs
+        duration = pulse_duration_for_area(scn.pulse_area, g, scn.pulse_shape, scn.ramp_time)
+        PulseSegment(duration, g, shape=scn.pulse_shape, ramp_time=scn.ramp_time)
+    except ValueError as e:
+        raise ConfigError(str(e), pointer="/pulse") from None
+    return scn
 
 
 def _finite_number(text: str, convert=float):

@@ -8,30 +8,28 @@ energy E:
     H(t) = -(g(t)/2) (a^dag s- + a s+)
            -(g'(t)/2) sigma_f^z (s+ e^{i phase(t)} + s- e^{-i phase(t)})
 
-with phase(t) accumulating at rate E within each pulse segment.  Decoherence
+with phase(t) = E t, starting at 0 when the pulse starts.  Decoherence
 enters through flux relaxation (jump operator a, rate 1/tf1) and flux
 dephasing (sigma_f^z, rate 1/tf2):
 
     drho/dt = -i [H, rho] + (1/(2 tf1)) (2 a rho a^dag - a^dag a rho - rho a^dag a)
               + (1/tf2) (sigma_f^z rho sigma_f^z - rho)
 
-All three integrators (``evolve``, ``evolve_static`` and ``pulse_propagator``)
-run on one fixed-step classical RK4 routine, ``_rk4``.  ``_propagate`` walks a
-pulse schedule through it: it picks and checks the step, splits each segment
-into ``ceil(duration/dt)`` equal steps and carries the interaction-picture
-phase across segment boundaries.  The sampled trajectories of ``evolve`` and
-``evolve_static`` come from one recorder, ``_Recorder``, which takes a sample
-whenever the running time reaches the next sample instant, rejects a diverged
-(non-finite) state and assembles the ``Trajectory``.  No renormalization is
-applied, so trace drift measures integration quality directly.  ``evolve`` is
-a pure function of its inputs; independent evolutions are safe to run
-concurrently.
+A pulse is one ``PulseSegment``.  ``evolve``, ``evolve_static`` and
+``pulse_propagator`` all step through ``_propagate``: ``ceil(duration/dt)``
+equal classical RK4 steps (``_rk4``), at most ``MAX_STEPS`` of them.  The
+trajectories of ``evolve`` and ``evolve_static`` come from one recorder,
+``_Recorder``, which samples every duration/200 unless told otherwise,
+rejects a diverged (non-finite) state and assembles the ``Trajectory``.  No
+renormalization is applied, so trace drift measures integration quality
+directly.  ``evolve`` is a pure function of its inputs; independent
+evolutions are safe to run concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +56,14 @@ SIN2_RAMP = "sinSquaredRamp"
 MIN_STEPS_PER_PHASE_PERIOD = 100
 DEFAULT_STEPS_PER_PHASE_PERIOD = 200
 DEFAULT_TOTAL_STEPS = 10_000
+# refuse a run that would take hours: 100x the default step count
+MAX_STEPS = 1_000_000
 TRACE_DRIFT_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One piece of the control schedule with constant setpoints.
+    """One coupling pulse with constant setpoints under its envelope.
 
     g_value / g_prime_value are the plateau couplings in rad/ns; both follow
     the same envelope since they share one physical origin (the slope of the
@@ -79,8 +79,8 @@ class PulseSegment:
     ramp_time: float = 0.0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"pulse duration must be positive and finite, got {self.duration}")
         if self.shape not in (RECTANGULAR, SIN2_RAMP):
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         if self.shape == SIN2_RAMP:
@@ -92,7 +92,7 @@ class PulseSegment:
                 )
 
     def envelope(self, tau: float) -> float:
-        """Dimensionless envelope at time tau since segment start."""
+        """Dimensionless envelope at time tau since the pulse start."""
         if self.shape == RECTANGULAR:
             return 1.0
         r = self.ramp_time
@@ -103,27 +103,11 @@ class PulseSegment:
         return 1.0
 
     def area(self) -> float:
-        """Integral of g(t) over the segment."""
+        """Integral of g(t) over the pulse."""
         if self.shape == RECTANGULAR:
             return self.g_value * self.duration
         # each sin^2 ramp integrates to g * ramp_time / 2
         return self.g_value * (self.duration - self.ramp_time)
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    segments: tuple[PulseSegment, ...]
-    sample_period: float
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("schedule needs at least one segment")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
 
 
 @dataclass(frozen=True)
@@ -166,7 +150,6 @@ class Trajectory:
     purity: np.ndarray
     min_eigenvalue: np.ndarray
     final_state: np.ndarray
-    spec: HilbertSpec = field(default_factory=HilbertSpec)
 
     def __len__(self):
         return len(self.times)
@@ -191,23 +174,16 @@ class _Workspace:
         self.z_diag = np.real(np.diag(zf)).copy()
 
 
-def interaction_hamiltonian(
-    t: float, seg: PulseSegment, spec: HilbertSpec, phase0: float = 0.0
-) -> np.ndarray:
-    """Interaction-picture Hamiltonian at time t since segment start.
-
-    phase0 is the phase already accumulated in earlier segments, so that
-    multi-segment schedules keep a continuous e^{i phase} factor.
-    """
-    ws = _Workspace(spec)
-    return _hamiltonian(ws, seg, t, phase0)
+def interaction_hamiltonian(t: float, pulse: PulseSegment, spec: HilbertSpec) -> np.ndarray:
+    """Interaction-picture Hamiltonian at time t since the pulse start."""
+    return _hamiltonian(_Workspace(spec), pulse, t)
 
 
-def _hamiltonian(ws: _Workspace, seg: PulseSegment, tau: float, phase0: float) -> np.ndarray:
+def _hamiltonian(ws: _Workspace, seg: PulseSegment, tau: float) -> np.ndarray:
     env = seg.envelope(tau)
     h = (-0.5 * seg.g_value * env) * ws.exchange
     if seg.g_prime_value != 0.0:
-        ph = np.exp(1j * (phase0 + seg.phase_freq * tau))
+        ph = np.exp(1j * (seg.phase_freq * tau))
         h = h + (-0.5 * seg.g_prime_value * env) * (ph * ws.contam_up + np.conj(ph) * ws.contam_down)
     return h
 
@@ -233,26 +209,14 @@ def _rhs_with(ws, rho, h, gamma1, gamma2):
     return out
 
 
-def default_dt(schedule: PulseSchedule) -> float:
-    """Step size resolving both the total duration and the fastest phase."""
-    dt = schedule.total_duration / DEFAULT_TOTAL_STEPS
-    for seg in schedule.segments:
-        if seg.phase_freq != 0.0:
-            dt = min(dt, (2.0 * math.pi / abs(seg.phase_freq)) / DEFAULT_STEPS_PER_PHASE_PERIOD)
+def default_dt(pulse: PulseSegment) -> float:
+    """Step size resolving both the pulse duration and its phase."""
+    dt = pulse.duration / DEFAULT_TOTAL_STEPS
+    if pulse.phase_freq != 0.0:
+        dt = min(dt, (2.0 * math.pi / abs(pulse.phase_freq)) / DEFAULT_STEPS_PER_PHASE_PERIOD)
     return dt
 
 
-def _check_dt(dt: float, schedule: PulseSchedule):
-    if dt <= 0:
-        raise IntegrationError(f"dt must be positive, got {dt}")
-    for seg in schedule.segments:
-        if seg.phase_freq != 0.0:
-            limit = (2.0 * math.pi / abs(seg.phase_freq)) / MIN_STEPS_PER_PHASE_PERIOD
-            if dt > limit:
-                raise IntegrationError(
-                    f"dt={dt:.3e} ns cannot resolve the phase frequency "
-                    f"{seg.phase_freq:.3f} rad/ns (need dt <= {limit:.3e} ns)"
-                )
 
 
 def _rk4(f, y, h, n_steps, before_step=None):
@@ -273,32 +237,60 @@ def _rk4(f, y, h, n_steps, before_step=None):
     return y
 
 
-def _propagate(y, schedule: PulseSchedule, dt, ws: _Workspace, generator, before_step=None):
-    """Integrate dy/dt = generator(H(t), y) over every segment of the schedule.
+def _propagate(y, hamiltonian, duration, dt, generator, before_step=None):
+    """Integrate dy/dt = generator(hamiltonian(t), y) from t = 0 to ``duration``.
 
-    Each segment uses the largest step <= dt that divides its duration evenly;
-    the interaction-picture phase is continuous across segment boundaries.
+    The step is the largest one <= dt that divides the duration evenly.
+    """
+    if dt <= 0:
+        raise IntegrationError(f"dt must be positive, got {dt}")
+    # compared as a float, so a ratio that overflows to inf is refused too
+    if not duration / dt <= MAX_STEPS:
+        raise IntegrationError(
+            f"a {duration:.4g} ns run in steps of dt={dt:.3e} ns needs more than "
+            f"{MAX_STEPS} RK4 steps"
+        )
+    n_steps = max(1, math.ceil(duration / dt))
+
+    def f(tau, m):
+        return generator(hamiltonian(tau), m)
+
+    return _rk4(f, y, duration / n_steps, n_steps, before_step)
+
+
+def _propagate_pulse(y, ws: _Workspace, pulse: PulseSegment, dt, generator, before_step=None):
+    """``_propagate`` over the pulse.
+
+    dt defaults to ``default_dt(pulse)`` and must resolve the pulse's phase.
     """
     if dt is None:
-        dt = default_dt(schedule)
-    _check_dt(dt, schedule)
-    phase0 = 0.0
-    for seg in schedule.segments:
-        n_steps = max(1, math.ceil(seg.duration / dt))
+        dt = default_dt(pulse)
+    if pulse.phase_freq != 0.0:
+        limit = (2.0 * math.pi / abs(pulse.phase_freq)) / MIN_STEPS_PER_PHASE_PERIOD
+        if dt > limit:
+            raise IntegrationError(
+                f"dt={dt:.3e} ns cannot resolve the phase frequency "
+                f"{pulse.phase_freq:.3f} rad/ns (need dt <= {limit:.3e} ns)"
+            )
+    return _propagate(
+        y, lambda tau: _hamiltonian(ws, pulse, tau), pulse.duration, dt, generator, before_step
+    )
 
-        def f(tau, m):
-            return generator(_hamiltonian(ws, seg, tau, phase0), m)
 
-        y = _rk4(f, y, seg.duration / n_steps, n_steps, before_step)
-        phase0 += seg.phase_freq * seg.duration
-    return y
+def _lindblad(ws: _Workspace, noise: NoiseParams):
+    """The master-equation generator (H, rho) -> drho/dt for ``noise``."""
+    gamma1, gamma2 = noise.relaxation_rate, noise.dephasing_rate
+    return lambda h, rho: _rhs_with(ws, rho, h, gamma1, gamma2)
 
 
 class _Recorder:
     """Samples the state at most once per sample period and builds the Trajectory."""
 
-    def __init__(self, spec: HilbertSpec, sample_period: float):
-        self.spec = spec
+    def __init__(self, spec: HilbertSpec, duration: float, sample_period: float | None):
+        if sample_period is None:
+            sample_period = duration / 200.0
+        if not sample_period > 0:
+            raise ValueError(f"sample_period must be positive, got {sample_period}")
         self.sample_period = sample_period
         self.i_dn1 = spec.index(DOWN, 1)
         self.i_up0 = spec.index(UP, 0)
@@ -334,56 +326,55 @@ class _Recorder:
         """Record the final state and return the whole trajectory."""
         self._record(rho)
         columns = (np.array(col) for col in zip(*self.rows))
-        return Trajectory(*columns, final_state=rho, spec=self.spec)
+        return Trajectory(*columns, final_state=rho)
 
 
 def evolve(
     rho0: np.ndarray,
-    schedule: PulseSchedule,
+    pulse: PulseSegment,
     noise: NoiseParams,
     spec: HilbertSpec | None = None,
     dt: float | None = None,
+    sample_period: float | None = None,
 ) -> Trajectory:
-    """Integrate the master equation over a pulse schedule.
+    """Integrate the master equation over one pulse.
 
     Parameters
     ----------
     rho0 : ndarray
         Initial density matrix on the composite space.
-    schedule : PulseSchedule
-        Control segments; the interaction-picture phase is continuous across
-        segment boundaries.
+    pulse : PulseSegment
+        The coupling pulse; its interaction-picture phase starts at 0 when
+        the pulse starts.
     noise : NoiseParams
         Relaxation / dephasing times; pass NO_NOISE for closed evolution.
     spec : HilbertSpec, optional
         Defaults to the two-level flux truncation.
     dt : float, optional
-        RK4 step in ns; defaults to ``default_dt(schedule)``.  Each segment
-        uses the largest step <= dt that divides its duration evenly.
+        RK4 step in ns; defaults to ``default_dt(pulse)``.  The pulse runs in
+        the largest step <= dt that divides its duration evenly.
+    sample_period : float, optional
+        Time between samples in ns; defaults to 1/200 of the pulse duration.
 
     Returns
     -------
-    Trajectory with samples roughly every ``schedule.sample_period`` plus the
-    initial and final points.
+    Trajectory with samples roughly every ``sample_period`` plus the initial
+    and final points.
 
     Raises
     ------
-    IntegrationError if dt cannot resolve the phase factor, the state
-    diverges or the final trace drifts by more than 1e-6.
+    IntegrationError if dt cannot resolve the phase factor, the pulse needs
+    more than ``MAX_STEPS`` steps, the state diverges or the final trace
+    drifts by more than 1e-6.  ValueError if ``sample_period`` is not
+    positive.
     """
     spec = spec or HilbertSpec()
     if rho0.shape != (spec.dim, spec.dim):
         raise ValueError(f"rho0 must be {spec.dim}x{spec.dim}, got {rho0.shape}")
     ws = _Workspace(spec)
-    gamma1 = noise.relaxation_rate
-    gamma2 = noise.dephasing_rate
-    recorder = _Recorder(spec, schedule.sample_period)
-
-    def generator(h, r):
-        return _rhs_with(ws, r, h, gamma1, gamma2)
-
+    recorder = _Recorder(spec, pulse.duration, sample_period)
     rho0 = np.array(rho0, dtype=complex)
-    rho = _propagate(rho0, schedule, dt, ws, generator, recorder.before_step)
+    rho = _propagate_pulse(rho0, ws, pulse, dt, _lindblad(ws, noise), recorder.before_step)
     traj = recorder.finish(rho)
 
     drift = trace_error(rho)
@@ -428,35 +419,27 @@ def evolve_static(
     """Evolve under a fixed Hamiltonian (lab-frame cross-checks).
 
     The relaxation and dephasing operators commute with the free rotation, so
-    the same dissipators are valid in this frame.  Samples follow the same
-    rule as ``evolve`` (default period duration/200); a diverged state raises
-    IntegrationError.
+    the same dissipators are valid in this frame.  Steps and samples follow
+    the same rules as ``evolve`` (default sample period duration/200); a
+    diverged state or more than ``MAX_STEPS`` steps raise IntegrationError.
     """
     spec = spec or HilbertSpec()
-    ws = _Workspace(spec)
-    gamma1 = noise.relaxation_rate
-    gamma2 = noise.dephasing_rate
-    n_steps = max(1, math.ceil(duration / dt))
-    recorder = _Recorder(spec, sample_period if sample_period is not None else duration / 200.0)
-
-    def f(_tau, r):
-        return _rhs_with(ws, r, hamiltonian, gamma1, gamma2)
-
-    rho = _rk4(f, np.array(rho0, dtype=complex), duration / n_steps, n_steps, recorder.before_step)
+    generator = _lindblad(_Workspace(spec), noise)
+    recorder = _Recorder(spec, duration, sample_period)
+    rho0 = np.array(rho0, dtype=complex)
+    rho = _propagate(rho0, lambda _tau: hamiltonian, duration, dt, generator, recorder.before_step)
     return recorder.finish(rho)
 
 
-def pulse_propagator(
-    schedule: PulseSchedule, spec: HilbertSpec | None = None, dt: float | None = None
-) -> np.ndarray:
-    """Closed-system propagator U of a schedule, dU/dt = -i H(t) U.
+def pulse_propagator(pulse: PulseSegment, spec: HilbertSpec | None = None) -> np.ndarray:
+    """Closed-system propagator U of a pulse, dU/dt = -i H(t) U, at ``default_dt``.
 
     Gives the unitary actually generated by the pulse, for comparison against
     closed-form gate constructions.
     """
     spec = spec or HilbertSpec()
     u = np.eye(spec.dim, dtype=complex)
-    return _propagate(u, schedule, dt, _Workspace(spec), lambda h, m: -1j * (h @ m))
+    return _propagate_pulse(u, _Workspace(spec), pulse, None, lambda h, m: -1j * (h @ m))
 
 
 def pulse_duration_for_area(

@@ -18,7 +18,6 @@ import numpy as np
 from .config import Scenario
 from .dynamics import (
     NoiseParams,
-    PulseSchedule,
     PulseSegment,
     Trajectory,
     default_dt,
@@ -35,8 +34,8 @@ from .output import emit_outputs, write_json, write_matrix_csv
 _GATE_BASIS = ((DOWN, 0), (DOWN, 1), (UP, 0), (UP, 1))
 
 
-def build_schedule(scn: Scenario, g=None, g_prime=None, phase_freq=None) -> PulseSchedule:
-    """Single-segment schedule for the scenario's pulse.
+def build_schedule(scn: Scenario, g=None, g_prime=None, phase_freq=None) -> PulseSegment:
+    """The scenario's pulse.
 
     The duration is calibrated against the *scenario's* nominal g, so
     perturbation studies keep the nominal pulse timing.
@@ -47,7 +46,7 @@ def build_schedule(scn: Scenario, g=None, g_prime=None, phase_freq=None) -> Puls
     duration = pulse_duration_for_area(
         scn.pulse_area, scn.g, shape=scn.pulse_shape, ramp_time=scn.ramp_time
     )
-    seg = PulseSegment(
+    return PulseSegment(
         duration=duration,
         g_value=g,
         g_prime_value=g_prime,
@@ -55,8 +54,6 @@ def build_schedule(scn: Scenario, g=None, g_prime=None, phase_freq=None) -> Puls
         shape=scn.pulse_shape,
         ramp_time=scn.ramp_time,
     )
-    sample_period = scn.sample_period if scn.sample_period is not None else duration / 200.0
-    return PulseSchedule(segments=(seg,), sample_period=sample_period)
 
 
 def initial_state(spec: HilbertSpec) -> np.ndarray:
@@ -75,9 +72,11 @@ def target_state(scn: Scenario) -> np.ndarray:
 
 
 def run_evolution(scn: Scenario, g=None, g_prime=None, phase_freq=None, noise=None) -> Trajectory:
-    schedule = build_schedule(scn, g=g, g_prime=g_prime, phase_freq=phase_freq)
+    pulse = build_schedule(scn, g=g, g_prime=g_prime, phase_freq=phase_freq)
     noise = scn.noise if noise is None else noise
-    return evolve(initial_state(scn.spec), schedule, noise, spec=scn.spec, dt=scn.dt)
+    return evolve(
+        initial_state(scn.spec), pulse, noise, scn.spec, dt=scn.dt, sample_period=scn.sample_period
+    )
 
 
 def scenario_fidelity(scn: Scenario, traj: Trajectory) -> float:
@@ -92,7 +91,7 @@ def fidelities(scn: Scenario, points: list[dict]) -> list[float]:
     Only the final state is read, so each evolution samples just its two ends.
     """
     target = target_state(scn)
-    ends_only = replace(scn, sample_period=build_schedule(scn).total_duration)
+    ends_only = replace(scn, sample_period=build_schedule(scn).duration)
     return [fidelity_pure(target, run_evolution(ends_only, **p).final_state) for p in points]
 
 
@@ -108,14 +107,14 @@ def _summary(scn: Scenario, **fields) -> dict:
 
 def run_scenario(scn: Scenario, out_dir=None, formats=("csv", "json", "svg")) -> dict:
     """Run one pulse scenario; returns (and optionally writes) the summary."""
-    schedule = build_schedule(scn)
-    traj = evolve(initial_state(scn.spec), schedule, scn.noise, spec=scn.spec, dt=scn.dt)
+    pulse = build_schedule(scn)
+    traj = run_evolution(scn)
     fid = scenario_fidelity(scn, traj)
     summary = _summary(
         scn,
         fidelity=fid,
-        pulse_duration_ns=schedule.total_duration,
-        dt_ns=scn.dt if scn.dt is not None else default_dt(schedule),
+        pulse_duration_ns=pulse.duration,
+        dt_ns=scn.dt if scn.dt is not None else default_dt(pulse),
         diagnostics=trajectory_checks(traj),
     )
     if out_dir is not None:
@@ -159,7 +158,7 @@ def run_sweep(scn: Scenario, out_dir=None) -> dict:
         axis_values=etas,
         ratios=list(sweep.ratios),
         fidelities=grid,
-        pulse_duration_ns=build_schedule(scn).total_duration,
+        pulse_duration_ns=build_schedule(scn).duration,
     )
     if out_dir is not None:
         out = Path(out_dir)

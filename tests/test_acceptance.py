@@ -14,7 +14,6 @@ from topoflux.device import angular_to_ghz, de_dphi, energy_of_phi, ghz_to_angul
 from topoflux.dynamics import (
     NO_NOISE,
     NoiseParams,
-    PulseSchedule,
     PulseSegment,
     default_dt,
     evolve,
@@ -199,29 +198,26 @@ def test_criterion_08_property_suite(scn_fig2a, fig2a_run):
     results["hermiticity"] = diag["final_hermiticity_error"] < 1e-9
     results["positivity"] = diag["min_eigenvalue"] > -1e-8
 
-    sched = build_schedule(scn_fig2a)
-    traj_free = evolve(rho_up0, sched, NO_NOISE, spec)
+    pulse = build_schedule(scn_fig2a)
+    traj_free = evolve(rho_up0, pulse, NO_NOISE, spec)
     results["purity_noise_free"] = np.max(np.abs(traj_free.purity - 1.0)) < 1e-7
 
     duration = 2.0 * math.pi / abs(g)
-    rabi_sched = PulseSchedule(
-        segments=(PulseSegment(duration=duration, g_value=g),), sample_period=duration / 50
-    )
-    traj = evolve(rho_up0, rabi_sched, NO_NOISE, spec)
+    rabi_pulse = PulseSegment(duration=duration, g_value=g)
+    traj = evolve(rho_up0, rabi_pulse, NO_NOISE, spec, sample_period=duration / 50)
     rabi_err = np.max(np.abs(np.real(traj.rho22) - np.cos(abs(g) * traj.times / 2.0) ** 2))
     results["rabi_oracle"] = rabi_err < 1e-6
 
-    dark_sched = PulseSchedule(
-        segments=(PulseSegment(duration=10.0, g_value=g),), sample_period=5.0
-    )
     dark0 = pure_density(spec.ket(DOWN, 0))
-    dark_dev = np.max(np.abs(evolve(dark0, dark_sched, noise, spec).final_state - dark0))
+    dark_pulse = PulseSegment(duration=10.0, g_value=g)
+    dark_traj = evolve(dark0, dark_pulse, noise, spec, sample_period=5.0)
+    dark_dev = np.max(np.abs(dark_traj.final_state - dark0))
     results["dark_state"] = dark_dev < 1e-9
 
     i_dn1 = spec.index(DOWN, 1)
-    dt = default_dt(sched)
-    f_full = evolve(rho_up0, sched, noise, spec, dt=dt).final_state[i_dn1, i_dn1].real
-    f_half = evolve(rho_up0, sched, noise, spec, dt=dt / 2).final_state[i_dn1, i_dn1].real
+    dt = default_dt(pulse)
+    f_full = evolve(rho_up0, pulse, noise, spec, dt=dt).final_state[i_dn1, i_dn1].real
+    f_half = evolve(rho_up0, pulse, noise, spec, dt=dt / 2).final_state[i_dn1, i_dn1].real
     results["dt_halving"] = abs(f_full - f_half) < 1e-7
 
     dev = scn_fig2a.device
@@ -273,10 +269,7 @@ def test_criterion_09_gate_suite(scn_fig2a):
 
     g = scn_fig2a.g
     duration = math.pi / abs(g)
-    sched = PulseSchedule(
-        segments=(PulseSegment(duration=duration, g_value=g),), sample_period=duration
-    )
-    u_dyn = pulse_propagator(sched, HilbertSpec(2))
+    u_dyn = pulse_propagator(PulseSegment(duration=duration, g_value=g), HilbertSpec(2))
     dyn_fid = gate_fidelity(ideal_pulse_unitary(-math.pi), u_dyn)
     results["dynamics_vs_closed_form"] = dyn_fid >= 1.0 - 1e-6
 

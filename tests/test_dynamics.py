@@ -11,7 +11,6 @@ from topoflux.dynamics import (
     RECTANGULAR,
     SIN2_RAMP,
     NoiseParams,
-    PulseSchedule,
     PulseSegment,
     build_lab_hamiltonian,
     default_dt,
@@ -37,16 +36,11 @@ NOISE1 = NoiseParams(tf1=900.0, tf2=20.0)
 SPEC = HilbertSpec(2)
 
 
-def single_segment(g=G1, g_prime=0.0, phase_freq=0.0, duration=None, sample_period=None, **kw):
+def make_pulse(g=G1, g_prime=0.0, phase_freq=0.0, duration=None, **kw):
     if duration is None:
         duration = math.pi / abs(g) if g else 1.0
-    return PulseSchedule(
-        segments=(
-            PulseSegment(
-                duration=duration, g_value=g, g_prime_value=g_prime, phase_freq=phase_freq, **kw
-            ),
-        ),
-        sample_period=sample_period if sample_period is not None else duration / 100.0,
+    return PulseSegment(
+        duration=duration, g_value=g, g_prime_value=g_prime, phase_freq=phase_freq, **kw
     )
 
 
@@ -110,10 +104,11 @@ class TestLabFrame:
         rho0 = pure_density(SPEC.ket(UP, 0))
         traj_i = evolve(
             rho0,
-            single_segment(g=G1, g_prime=GP1, phase_freq=E1, sample_period=duration / 50),
+            make_pulse(g=G1, g_prime=GP1, phase_freq=E1),
             NO_NOISE,
             SPEC,
             dt=dt,
+            sample_period=duration / 50,
         )
         h_lab = build_lab_hamiltonian(E1, E1, G1, GP1, SPEC)
         traj_l = evolve_static(
@@ -166,25 +161,29 @@ class TestEvolve:
     def test_rabi_oracle(self):
         # noise off, g' = 0: rho22(t) = cos^2(|g| t / 2) exactly
         duration = TWO_PI / abs(G1)
-        schedule = single_segment(duration=duration, sample_period=duration / 50)
-        traj = evolve(pure_density(SPEC.ket(UP, 0)), schedule, NO_NOISE, SPEC)
+        pulse = make_pulse(duration=duration)
+        traj = evolve(
+            pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, SPEC, sample_period=duration / 50
+        )
         expected = np.cos(np.abs(G1) * traj.times / 2.0) ** 2
         assert np.max(np.abs(np.real(traj.rho22) - expected)) < 1e-6
 
     def test_dark_state_stationary(self):
-        schedule = single_segment(duration=10.0, sample_period=5.0)
-        traj = evolve(pure_density(SPEC.ket(DOWN, 0)), schedule, NOISE1, SPEC)
+        pulse = make_pulse(duration=10.0)
+        traj = evolve(pure_density(SPEC.ket(DOWN, 0)), pulse, NOISE1, SPEC, sample_period=5.0)
         dev = np.max(np.abs(traj.final_state - pure_density(SPEC.ket(DOWN, 0))))
         assert dev < 1e-9
 
     def test_noise_free_purity(self):
-        schedule = single_segment(g=G1, g_prime=GP1, phase_freq=E1)
-        traj = evolve(pure_density(SPEC.ket(UP, 0)), schedule, NO_NOISE, SPEC)
+        pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        traj = evolve(rho0, pulse, NO_NOISE, SPEC, sample_period=pulse.duration / 100)
         assert np.max(np.abs(traj.purity - 1.0)) < 1e-7
 
     def test_invariants_with_noise(self):
-        schedule = single_segment(g=G1, g_prime=GP1, phase_freq=E1)
-        traj = evolve(pure_density(SPEC.ket(UP, 0)), schedule, NOISE1, SPEC)
+        pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        traj = evolve(rho0, pulse, NOISE1, SPEC, sample_period=pulse.duration / 100)
         checks = trajectory_checks(traj)
         assert checks["max_trace_error"] < 1e-7
         assert checks["final_hermiticity_error"] < 1e-9
@@ -192,30 +191,33 @@ class TestEvolve:
 
     def test_transfer_fidelity_with_noise(self):
         # pi pulse with decoherence lands near 0.993
-        schedule = single_segment(g=G1, g_prime=GP1, phase_freq=E1)
-        traj = evolve(pure_density(SPEC.ket(UP, 0)), schedule, NOISE1, SPEC)
+        pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        traj = evolve(rho0, pulse, NOISE1, SPEC, sample_period=pulse.duration / 100)
         i_dn1 = SPEC.index(DOWN, 1)
         assert traj.final_state[i_dn1, i_dn1].real == pytest.approx(0.993, abs=0.005)
 
     def test_dt_halving(self):
-        schedule = single_segment(g=G1, g_prime=GP1, phase_freq=E1, sample_period=1.0)
+        pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         rho0 = pure_density(SPEC.ket(UP, 0))
         i_dn1 = SPEC.index(DOWN, 1)
-        dt = default_dt(schedule)
-        f = evolve(rho0, schedule, NOISE1, SPEC, dt=dt).final_state[i_dn1, i_dn1].real
-        f_half = evolve(rho0, schedule, NOISE1, SPEC, dt=dt / 2).final_state[i_dn1, i_dn1].real
+        dt = default_dt(pulse)
+        f = evolve(rho0, pulse, NOISE1, SPEC, dt=dt, sample_period=1.0).final_state
+        f_half = evolve(rho0, pulse, NOISE1, SPEC, dt=dt / 2, sample_period=1.0).final_state
+        f, f_half = f[i_dn1, i_dn1].real, f_half[i_dn1, i_dn1].real
         assert abs(f - f_half) < 1e-7
 
     def test_step_size_error(self):
-        schedule = single_segment(g=G1, phase_freq=E1)
+        pulse = make_pulse(g=G1, phase_freq=E1)
+        rho0 = pure_density(SPEC.ket(UP, 0))
         with pytest.raises(IntegrationError):
-            evolve(pure_density(SPEC.ket(UP, 0)), schedule, NO_NOISE, SPEC, dt=1e-2)
+            evolve(rho0, pulse, NO_NOISE, SPEC, dt=1e-2, sample_period=pulse.duration / 100)
 
     def test_trace_drift_error(self):
         # wildly under-resolved Rabi frequency blows up RK4 and must be caught
-        schedule = single_segment(g=1.0e4, duration=1.0, sample_period=1.0)
+        pulse = make_pulse(g=1.0e4, duration=1.0)
         with np.errstate(all="ignore"), pytest.raises(IntegrationError):
-            evolve(pure_density(SPEC.ket(UP, 0)), schedule, NO_NOISE, SPEC, dt=1e-3)
+            evolve(pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, SPEC, dt=1e-3, sample_period=1.0)
 
     def test_static_divergence_error(self):
         # evolve_static shares the sampler's finite-state check with evolve
@@ -229,10 +231,10 @@ class TestEvolve:
         duration = math.pi / abs(G1)
         dt = duration / 997
         sample_period = duration / 37
-        schedule = single_segment(duration=duration, sample_period=sample_period)
+        pulse = make_pulse(duration=duration)
         rho0 = pure_density(SPEC.ket(UP, 0))
-        a = evolve(rho0, schedule, NOISE1, SPEC, dt=dt)
-        h = interaction_hamiltonian(0.0, schedule.segments[0], SPEC)
+        a = evolve(rho0, pulse, NOISE1, SPEC, dt=dt, sample_period=sample_period)
+        h = interaction_hamiltonian(0.0, pulse, SPEC)
         b = evolve_static(rho0, h, duration, NOISE1, SPEC, dt=dt, sample_period=sample_period)
         for name in (
             "times",
@@ -247,27 +249,13 @@ class TestEvolve:
         ):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
-    def test_segment_splitting_preserves_phase(self):
-        # one segment of length T equals two back-to-back segments of T/2
-        duration = math.pi / abs(G1)
-        half = PulseSegment(
-            duration=duration / 2, g_value=G1, g_prime_value=GP1, phase_freq=E1
-        )
-        split = PulseSchedule(segments=(half, half), sample_period=duration)
-        whole = single_segment(g=G1, g_prime=GP1, phase_freq=E1, sample_period=duration)
-        rho0 = pure_density(SPEC.ket(UP, 0))
-        dt = (TWO_PI / E1) / 200.0
-        a = evolve(rho0, split, NOISE1, SPEC, dt=dt).final_state
-        b = evolve(rho0, whole, NOISE1, SPEC, dt=dt).final_state
-        assert np.max(np.abs(a - b)) < 1e-10
-
     def test_larger_truncation_matches_two_level(self):
         # from |up,0> the exchange never populates n >= 2; N = 4 must agree closely
         spec4 = HilbertSpec(4)
         rho0_4 = pure_density(spec4.ket(UP, 0))
-        schedule = single_segment(g=G1, g_prime=GP1, phase_freq=E1, sample_period=1.0)
-        t4 = evolve(rho0_4, schedule, NOISE1, spec4)
-        t2 = evolve(pure_density(SPEC.ket(UP, 0)), schedule, NOISE1, SPEC)
+        pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
+        t4 = evolve(rho0_4, pulse, NOISE1, spec4, sample_period=1.0)
+        t2 = evolve(pure_density(SPEC.ket(UP, 0)), pulse, NOISE1, SPEC, sample_period=1.0)
         f4 = t4.final_state[spec4.index(DOWN, 1), spec4.index(DOWN, 1)].real
         f2 = t2.final_state[SPEC.index(DOWN, 1), SPEC.index(DOWN, 1)].real
         assert f4 == pytest.approx(f2, abs=5e-4)
@@ -275,15 +263,14 @@ class TestEvolve:
 
 class TestPropagator:
     def test_unitary(self):
-        schedule = single_segment(g=G1, g_prime=GP1, phase_freq=E1)
-        u = pulse_propagator(schedule, SPEC)
+        u = pulse_propagator(make_pulse(g=G1, g_prime=GP1, phase_freq=E1), SPEC)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-9
 
     def test_matches_density_evolution(self):
-        schedule = single_segment(g=G1)
-        u = pulse_propagator(schedule, SPEC)
+        pulse = make_pulse(g=G1)
+        u = pulse_propagator(pulse, SPEC)
         rho0 = pure_density(SPEC.ket(UP, 0))
-        traj = evolve(rho0, schedule, NO_NOISE, SPEC)
+        traj = evolve(rho0, pulse, NO_NOISE, SPEC, sample_period=pulse.duration / 100)
         assert np.max(np.abs(u @ rho0 @ u.conj().T - traj.final_state)) < 1e-9
 
 
@@ -319,13 +306,8 @@ class TestPulseDurations:
         # adiabatic ramps keep the closed-system pi-pulse transfer exact
         ramp = 0.02
         d = pulse_duration_for_area(-math.pi, G1, shape=SIN2_RAMP, ramp_time=ramp)
-        schedule = PulseSchedule(
-            segments=(
-                PulseSegment(duration=d, g_value=G1, shape=SIN2_RAMP, ramp_time=ramp),
-            ),
-            sample_period=d,
-        )
-        traj = evolve(pure_density(SPEC.ket(UP, 0)), schedule, NO_NOISE, SPEC)
+        pulse = PulseSegment(duration=d, g_value=G1, shape=SIN2_RAMP, ramp_time=ramp)
+        traj = evolve(pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, SPEC, sample_period=d)
         i_dn1 = SPEC.index(DOWN, 1)
         assert traj.final_state[i_dn1, i_dn1].real == pytest.approx(1.0, abs=1e-5)
 
@@ -341,10 +323,12 @@ class TestValidation:
 
     def test_schedule_validation(self):
         seg = PulseSegment(duration=1.0, g_value=1.0)
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        h = interaction_hamiltonian(0.0, seg, SPEC)
         with pytest.raises(ValueError):
-            PulseSchedule(segments=(), sample_period=0.1)
+            evolve(rho0, seg, NO_NOISE, SPEC, sample_period=0.0)
         with pytest.raises(ValueError):
-            PulseSchedule(segments=(seg,), sample_period=0.0)
+            evolve_static(rho0, h, 1.0, NO_NOISE, SPEC, sample_period=0.0)
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topoflux.experiments
 from topoflux.cli import main
 from topoflux.config import resolve
-from topoflux.dynamics import NO_NOISE, PulseSchedule, PulseSegment, evolve
+from topoflux.dynamics import NO_NOISE, PulseSegment, evolve
 from topoflux.experiments import fidelities, run_robustness, run_scenario, run_sweep
 from topoflux.hilbert import UP, HilbertSpec, pure_density
 from topoflux.output import (
@@ -15,7 +21,7 @@ from topoflux.output import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from topoflux.presets import scenario_preset
+from topoflux.presets import preset_names, scenario_preset
 
 
 def _reject_constant(token):
@@ -37,6 +43,43 @@ def fast_raw(name="fig2a", **blocks):
     raw["integration"] = {"dt_ns": 1.5e-4}
     for key, val in blocks.items():
         raw[key] = val
+    return raw
+
+
+# device-scale values half the time, else any finite float (zero, both signs,
+# subnormals and the extremes)
+FINITE = st.one_of(st.floats(-100.0, 100.0), st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.one_of(
+    st.floats(0.0, 100.0, exclude_min=True),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@st.composite
+def schema_valid_configs(draw):
+    """A preset with its pulse, operating point, sweep and truncation redrawn."""
+    raw = scenario_preset(draw(st.sampled_from(preset_names())))
+    overrides = raw.setdefault("overrides", {})
+    for key in ("g_GHz", "gPrime_GHz", "E_GHz"):
+        if draw(st.booleans()):
+            overrides[key] = draw(FINITE)
+    if draw(st.booleans()):
+        overrides["resonanceTarget_GHz"] = draw(POSITIVE)
+    shape = draw(st.sampled_from(["rectangular", "sinSquaredRamp"]))
+    raw["pulse"] = {"areaOverPi": draw(FINITE.filter(bool)), "shape": shape}
+    if shape == "sinSquaredRamp":
+        raw["pulse"]["rampTime_ns"] = draw(POSITIVE)
+    if "sweep" in raw or draw(st.booleans()):
+        raw["sweep"] = {
+            "axis": draw(st.sampled_from(["eta1", "eta2"])),
+            "lo": draw(st.floats(min_value=0.0, allow_infinity=False)),
+            "hi": draw(POSITIVE),
+            "points": draw(st.integers(min_value=2, max_value=10**6)),
+            "gPrimeOverG": [0, 3],
+        }
+    if draw(st.booleans()):
+        raw["device"]["phiC_rad"] = draw(FINITE)
+    raw["hilbert"] = {"fockLevels": draw(st.integers(min_value=2, max_value=6))}
     return raw
 
 
@@ -63,9 +106,9 @@ class TestOutputs:
 
     def test_two_sample_trajectory_three_line_csv(self, tmp_path):
         seg = PulseSegment(duration=0.1, g_value=-12.9)
-        schedule = PulseSchedule(segments=(seg,), sample_period=1.0)  # only t=0 and end
         spec = HilbertSpec(2)
-        traj = evolve(pure_density(spec.ket(UP, 0)), schedule, NO_NOISE, spec)
+        # the sample period outlasts the pulse: only t=0 and the end
+        traj = evolve(pure_density(spec.ket(UP, 0)), seg, NO_NOISE, spec, sample_period=1.0)
         assert len(traj) == 2
         path = write_trajectory_csv(traj, tmp_path / "tiny.csv")
         assert len(path.read_text().strip().split("\n")) == 3
@@ -74,7 +117,14 @@ class TestOutputs:
         scn = resolve(fast_raw())
         from topoflux.experiments import build_schedule, initial_state
 
-        traj = evolve(initial_state(scn.spec), build_schedule(scn), scn.noise, scn.spec, scn.dt)
+        traj = evolve(
+            initial_state(scn.spec),
+            build_schedule(scn),
+            scn.noise,
+            scn.spec,
+            scn.dt,
+            sample_period=scn.sample_period,
+        )
         path = write_trajectory_csv(traj, tmp_path / "t.csv")
         cols = read_trajectory_csv(path)
         assert np.array_equal(cols["t_ns"], traj.times)
@@ -315,3 +365,64 @@ class TestCli:
     def test_bad_format_exit_2(self, tmp_path):
         cfg = self.write_cfg(tmp_path, fast_raw())
         assert main(["run", "--config", str(cfg), "--format", "pdf"]) == 2
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("pulse", "areaOverPi", -1e6),  # 2.4e9 steps at the default dt
+            ("integration", "dt_ns", 1e-300),
+            ("integration", "dt_ns", 1e-320),  # duration/dt overflows to inf
+        ],
+    )
+    def test_step_count_bound_exit_4(self, tmp_path, capsys, block, key, value):
+        raw = fast_raw()
+        raw[block][key] = value
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RK4 steps" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, raw",
+        [
+            ("run", fast_raw(overrides={"g_GHz": 2.0})),
+            ("run", fast_raw(overrides={"g_GHz": 0})),
+            (
+                "run",
+                fast_raw(pulse={"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 1.0}),
+            ),
+            (
+                "sweep",
+                fast_raw(
+                    "fig3a",
+                    sweep={"axis": "eta1", "lo": 0.2, "hi": 0.2, "points": 2, "gPrimeOverG": [0]},
+                ),
+            ),
+        ],
+        ids=["g-sign-opposite-area", "g-zero", "ramp-longer-than-pulse", "sweep-lo-not-below-hi"],
+    )
+    def test_pulse_and_sweep_checks_exit_2(self, tmp_path, capsys, command, raw):
+        cfg = self.write_cfg(tmp_path, raw)
+        for cmd in ("derive", command):
+            assert main([cmd, "--config", str(cfg)]) == 2, cmd
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "config error" in captured.err
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_valid_configs())
+def test_derive_fuzz_exits_cleanly(raw):
+    # any schema-valid config derives, or is refused with a documented code
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["derive", "--config", str(cfg)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        strict_loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
