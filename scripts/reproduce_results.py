@@ -2,8 +2,8 @@
 """Run every bundled experiment and collect the headline numbers.
 
 Writes CSV/JSON/SVG artifacts under --out (default ./out) and prints a small
-results table.  --quick coarsens the integration grid and shrinks the sweep
-and Monte Carlo sizes for a fast smoke run.
+results table.  --quick shrinks the sweep and Monte Carlo sizes for a fast
+smoke run.
 """
 
 import argparse
@@ -21,14 +21,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out"))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--quick", action="store_true", help="coarser grids, smaller sweeps")
+    ap.add_argument("--quick", action="store_true", help="smaller sweeps and Monte Carlo")
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
     def prepared(name):
         raw = scenario_preset(name)
         if args.quick:
-            raw["integration"] = {"dt_ns": 1.5e-4}
             if "sweep" in raw:
                 raw["sweep"]["points"] = 5
             if "robustness" in raw:

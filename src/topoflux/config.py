@@ -10,8 +10,9 @@ resonance condition stays ``None`` and is echoed as ``null``.
 
 Numbers are parsed strictly: ``NaN``, ``Infinity`` and literals that overflow
 a float are a ``ConfigError``, never a value that reaches the pipeline.  So
-are an override that overflows in rad/ns, a pulse that cannot be built and a
-sweep with ``lo >= hi``.
+are a device value or an override that overflows in internal units, a pulse
+that cannot be built, a sweep with ``lo >= hi`` and a sweep or Monte Carlo
+asking for more than ``MAX_EVALUATIONS`` evolutions.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .errors import ConfigError, ValidityError
 from .hilbert import HilbertSpec
 
 SWEEP_EXPERIMENTS = ("fig3a", "fig3b")
+# evolutions one sweep (points x ratios) or Monte Carlo (9 + samples) may ask
+# for; the presets ask for 147 and 109
+MAX_EVALUATIONS = 100_000
 
 
 @functools.cache
@@ -38,6 +42,13 @@ def load_schema() -> dict:
     ref = resources.files("topoflux") / "schema" / "scenario.schema.json"
     with ref.open() as f:
         return json.load(f)
+
+
+def _check_evaluations(evaluations: int, pointer: str):
+    if evaluations > MAX_EVALUATIONS:
+        raise ConfigError(
+            f"{evaluations} evaluations exceed the limit of {MAX_EVALUATIONS}", pointer=pointer
+        )
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,7 @@ class SweepSpec:
             raise ConfigError(f"need lo < hi, got [{self.lo}, {self.hi}]", pointer="/sweep")
         if self.points < 2:
             raise ConfigError(f"need at least 2 points, got {self.points}", pointer="/sweep")
+        _check_evaluations(self.points * len(self.ratios), "/sweep")
 
     def values(self):
         step = (self.hi - self.lo) / (self.points - 1)
@@ -67,6 +79,10 @@ class SweepSpec:
 class RobustnessSpec:
     error_fraction: float
     samples: int
+
+    def __post_init__(self):
+        # the nominal point and the eight corners run besides the samples
+        _check_evaluations(9 + self.samples, "/robustness")
 
 
 @dataclass
@@ -142,27 +158,67 @@ def _cross_checks(raw: dict):
         raise ConfigError("pulse area must be nonzero", pointer="/pulse/areaOverPi")
 
 
+def _internal(block: dict, key: str, convert, unit: str, pointer: str) -> float:
+    """``convert(block[key])``; a value too large for a float in internal units is a ConfigError."""
+    value = convert(block[key])
+    if not math.isfinite(value):
+        raise ConfigError(f"{block[key]} {unit} overflows in internal units", pointer=pointer + key)
+    return value
+
+
 def _device_from_raw(d: dict) -> dev.DeviceParams:
-    return dev.DeviceParams(
-        alpha=d["alpha"],
-        beta=d["beta"],
-        ej=dev.ghz_to_angular(d["EJ_GHz"]),
-        ej_over_ec=d["EJ_over_EC"],
-        delta0=dev.ghz_to_angular(d["delta0_GHz"]),
-        v_fermi=dev.m_per_s_to_um_per_ns(d["vF_m_per_s"]),
-        length=d["L_um"],
-        tf1=d["Tf1_ns"],
-        tf2=d["Tf2_ns"],
-        temperature=dev.mk_to_angular(d["temperature_mK"]),
-    )
+    """The device block in internal units, refused with a ConfigError when out of float range.
+
+    That is a value that overflows or underflows in internal units, or a scale
+    of the pipeline (theta, zeta, omega_f, Delta0 L / vF or vF / L) that is
+    zero, not finite or has no finite reciprocal; the pipeline would carry it
+    on into a nan or inf validity message.
+    """
+
+    def internal(key, convert, unit):
+        return _internal(d, key, convert, unit, "/device/")
+
+    try:
+        params = dev.DeviceParams(
+            alpha=d["alpha"],
+            beta=d["beta"],
+            ej=internal("EJ_GHz", dev.ghz_to_angular, "GHz"),
+            ej_over_ec=d["EJ_over_EC"],
+            delta0=internal("delta0_GHz", dev.ghz_to_angular, "GHz"),
+            v_fermi=internal("vF_m_per_s", dev.m_per_s_to_um_per_ns, "m/s"),
+            length=d["L_um"],
+            tf1=d["Tf1_ns"],
+            tf2=d["Tf2_ns"],
+            temperature=internal("temperature_mK", dev.mk_to_angular, "mK"),
+        )
+    except ValueError as e:  # a positive value that underflows to zero
+        raise ConfigError(str(e), pointer="/device") from None
+    theta, zeta, omega_f = dev.derive_statics(params)
+    scales = {
+        "theta": theta,
+        "zeta": zeta,
+        "omega_f": omega_f,
+        "Delta0 L / vF": params.delta0 * params.length / params.v_fermi,
+        "vF / L": params.v_fermi / params.length,
+    }
+    for name, value in scales.items():
+        if not (value != 0.0 and math.isfinite(value) and math.isfinite(1.0 / value)):
+            raise ConfigError(f"the device block gives {name} = {value:.3g}", pointer="/device")
+    return params
+
+
+def _all_finite(value) -> bool:
+    """Whether every float in a nested dict, list or tuple is finite."""
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _override(overrides: dict, key: str) -> float:
     """An override in rad/ns; one too large for a float in those units is a ConfigError."""
-    omega = dev.ghz_to_angular(overrides[key])
-    if not math.isfinite(omega):
-        raise ConfigError(f"{overrides[key]} GHz overflows in rad/ns", pointer=f"/overrides/{key}")
-    return omega
+    return _internal(overrides, key, dev.ghz_to_angular, "GHz", "/overrides/")
 
 
 def resolve(raw: dict) -> Scenario:
@@ -194,6 +250,10 @@ def resolve(raw: dict) -> Scenario:
     except ValidityError:
         if not full_override:
             raise
+    except ArithmeticError as e:  # ZeroDivisionError, or OverflowError from **
+        raise ConfigError(f"the device block overflows the pipeline ({e})", "/device") from None
+    if not all(_all_finite(asdict(r)) for r in (derived, validity) if r is not None):
+        raise ConfigError("the device block drives the pipeline to inf or nan", pointer="/device")
 
     g = _override(overrides, "g_GHz") if "g_GHz" in overrides else derived.g
     g_prime = _override(overrides, "gPrime_GHz") if "gPrime_GHz" in overrides else derived.g_prime

@@ -15,8 +15,13 @@ dephasing (sigma_f^z, rate 1/tf2):
     drho/dt = -i [H, rho] + (1/(2 tf1)) (2 a rho a^dag - a^dag a rho - rho a^dag a)
               + (1/tf2) (sigma_f^z rho sigma_f^z - rho)
 
-A pulse is one ``PulseSegment``.  ``evolve``, ``evolve_static`` and
-``pulse_propagator`` all step through ``_propagate``: ``ceil(duration/dt)``
+A pulse is one ``PulseSegment``.  ``evolve`` propagates a rectangular pulse
+exactly: in the frame rho = V rho' V^dag with V(t) = exp(i E t N) and
+N = a^dag a + |up><up|, the contamination phase becomes the static term E N,
+both dissipators are unchanged, and the master equation has one constant
+generator L.  One matrix exponential exp(L ds) (``expm``) then carries the
+state from one sample to the next.  A sin^2-ramped pulse, ``evolve_static``
+and ``pulse_propagator`` step through ``_propagate``: ``ceil(duration/dt)``
 equal classical RK4 steps (``_rk4``), at most ``MAX_STEPS`` of them.  The
 trajectories of ``evolve`` and ``evolve_static`` come from one recorder,
 ``_Recorder``, which samples every duration/200 unless told otherwise,
@@ -56,7 +61,8 @@ SIN2_RAMP = "sinSquaredRamp"
 MIN_STEPS_PER_PHASE_PERIOD = 100
 DEFAULT_STEPS_PER_PHASE_PERIOD = 200
 DEFAULT_TOTAL_STEPS = 10_000
-# refuse a run that would take hours: 100x the default step count
+# refuse a run that would take hours: 100x the default RK4 step count; it
+# also bounds the samples of an exact propagation
 MAX_STEPS = 1_000_000
 TRACE_DRIFT_LIMIT = 1e-6
 
@@ -172,6 +178,8 @@ class _Workspace:
         # diagonal operators enter the dissipators as broadcast scalings
         self.number_diag = np.real(np.diag(self.a_dag @ self.a)).copy()
         self.z_diag = np.real(np.diag(zf)).copy()
+        # N = a^dag a + |up><up|: the exchange conserves it, s+ raises it by one
+        self.excitation_diag = self.number_diag + np.real(np.diag(self.s_plus @ self.s_minus))
 
 
 def interaction_hamiltonian(t: float, pulse: PulseSegment, spec: HilbertSpec) -> np.ndarray:
@@ -210,13 +218,124 @@ def _rhs_with(ws, rho, h, gamma1, gamma2):
 
 
 def default_dt(pulse: PulseSegment) -> float:
-    """Step size resolving both the pulse duration and its phase."""
+    """RK4 step size resolving both the pulse duration and its phase."""
     dt = pulse.duration / DEFAULT_TOTAL_STEPS
     if pulse.phase_freq != 0.0:
         dt = min(dt, (2.0 * math.pi / abs(pulse.phase_freq)) / DEFAULT_STEPS_PER_PHASE_PERIOD)
     return dt
 
 
+# Pade-13 coefficients b_0..b_13 and the largest 1-norm for which Pade-13 is
+# accurate to double precision without scaling (Higham 2005, Table 2.3)
+_PADE13 = (
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring.
+
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005).  A matrix with a
+    non-finite entry, or whose 1-norm overflows, raises IntegrationError.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a, 1)
+    if not math.isfinite(norm):
+        raise IntegrationError(f"cannot exponentiate a generator of 1-norm {norm}")
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a * 2.0**-squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    odd = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+    u = a @ (odd + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    v = v + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def _frame_liouvillian(ws: _Workspace, pulse: PulseSegment, noise: NoiseParams) -> np.ndarray:
+    """The constant generator of a rectangular pulse in the frame exp(i E t N).
+
+    There H' = -(g/2) exchange - (g'/2)(contam_up + contam_down) + E N.  The
+    superoperator acts on the row-major vec(rho'), where
+    vec(A rho B) = (A kron B^T) vec(rho); every diagonal operator (E N, both
+    anticommutators, the dephasing sandwich) enters as one diagonal.
+    """
+    eye = np.eye(ws.spec.dim)
+    h = (-0.5 * pulse.g_value) * ws.exchange - (0.5 * pulse.g_prime_value) * (
+        ws.contam_up + ws.contam_down
+    )
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gamma1, gamma2 = noise.relaxation_rate, noise.dephasing_rate
+    nx, nd, zd = ws.excitation_diag, ws.number_diag, ws.z_diag
+    diagonal = (
+        (-1j * pulse.phase_freq) * np.subtract.outer(nx, nx)
+        - (0.5 * gamma1) * np.add.outer(nd, nd)
+        + gamma2 * (np.multiply.outer(zd, zd) - 1.0)
+    )
+    gen[np.diag_indices_from(gen)] += diagonal.ravel()
+    if gamma1 > 0.0:
+        gen += gamma1 * np.kron(ws.a, ws.a.conj())
+    return gen
+
+
+def _propagate_exact(
+    rho0, ws: _Workspace, pulse: PulseSegment, noise: NoiseParams, recorder: _Recorder
+) -> np.ndarray:
+    """Exact propagation of a rectangular pulse; returns the state at its end.
+
+    One exponential exp(L ds) carries the frame state from each sample to the
+    next, ds being the recorder's sample period; a remainder shorter than ds
+    gets its own exponential.  The samples are taken in the frame, which
+    changes none of the recorded quantities, and only the final state is
+    turned back, by the elementwise phases of V(T) rho' V(T)^dag.
+    """
+    duration, period = pulse.duration, recorder.sample_period
+    # compared as a float, so a ratio that overflows to inf is refused too
+    if not duration / period <= MAX_STEPS:
+        raise IntegrationError(
+            f"a {duration:.4g} ns pulse sampled every {period:.3e} ns needs more than "
+            f"{MAX_STEPS} samples"
+        )
+    # sample times k * period strictly before the end; the tolerance keeps a
+    # period that divides the duration from adding a sample at the end
+    n_samples = max(1, math.ceil(duration / period - 1e-9))
+    gen = _frame_liouvillian(ws, pulse, noise)
+    d = ws.spec.dim
+    y = rho0.reshape(-1)
+    # an overflow leaves a non-finite state, which the recorder refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = expm(gen * period) if n_samples > 1 else None
+        for k in range(n_samples):
+            if k:
+                y = step @ y
+            recorder.record(k * period, y.reshape(d, d))
+        rest = duration - (n_samples - 1) * period
+        if step is None or not math.isclose(rest, period, rel_tol=1e-12):
+            step = expm(gen * rest)
+        nx = ws.excitation_diag
+        frame = np.exp((1j * pulse.phase_freq * duration) * np.subtract.outer(nx, nx))
+        return frame * (step @ y).reshape(d, d)
 
 
 def _rk4(f, y, h, n_steps, before_step=None):
@@ -299,19 +418,21 @@ class _Recorder:
         self.rows = []
 
     def before_step(self, rho, h):
+        """The RK4 hook: samples the state before a step of size h when one is due."""
         if self.t >= self.next_sample - 1e-12:
-            self._record(rho)
+            self.record(self.t, rho)
             self.next_sample = self.t + self.sample_period
         self.t += h
 
-    def _record(self, rho):
+    def record(self, t, rho):
+        """Sample ``rho`` as the state at time t."""
         if not np.all(np.isfinite(rho.view(float))):
-            raise IntegrationError(f"state diverged by t={self.t:.4g} ns; reduce dt")
+            raise IntegrationError(f"state diverged by t={t:.4g} ns")
         i, j = self.i_dn1, self.i_up0
         # one row per sample, in Trajectory field order
         self.rows.append(
             (
-                self.t,
+                t,
                 rho[i, i],
                 rho[j, j],
                 rho[i, j],
@@ -322,9 +443,9 @@ class _Recorder:
             )
         )
 
-    def finish(self, rho) -> Trajectory:
-        """Record the final state and return the whole trajectory."""
-        self._record(rho)
+    def finish(self, rho, t=None) -> Trajectory:
+        """Record the final state, at t or where the steps ended, and return the trajectory."""
+        self.record(self.t if t is None else t, rho)
         columns = (np.array(col) for col in zip(*self.rows))
         return Trajectory(*columns, final_state=rho)
 
@@ -339,6 +460,9 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation over one pulse.
 
+    A rectangular pulse is propagated exactly, one matrix exponential per
+    sample period, and ``dt`` is unused.  A sin^2-ramped pulse runs RK4 steps.
+
     Parameters
     ----------
     rho0 : ndarray
@@ -351,22 +475,25 @@ def evolve(
     spec : HilbertSpec, optional
         Defaults to the two-level flux truncation.
     dt : float, optional
-        RK4 step in ns; defaults to ``default_dt(pulse)``.  The pulse runs in
-        the largest step <= dt that divides its duration evenly.
+        RK4 step in ns for a sin^2-ramped pulse; defaults to
+        ``default_dt(pulse)``.  The pulse runs in the largest step <= dt that
+        divides its duration evenly.  Unused for a rectangular pulse.
     sample_period : float, optional
         Time between samples in ns; defaults to 1/200 of the pulse duration.
 
     Returns
     -------
-    Trajectory with samples roughly every ``sample_period`` plus the initial
-    and final points.
+    Trajectory with samples every ``sample_period`` (a rectangular pulse) or
+    at the first RK4 step after each period has passed, plus the initial and
+    final points.
 
     Raises
     ------
-    IntegrationError if dt cannot resolve the phase factor, the pulse needs
-    more than ``MAX_STEPS`` steps, the state diverges or the final trace
-    drifts by more than 1e-6.  ValueError if ``sample_period`` is not
-    positive.
+    IntegrationError if dt cannot resolve the phase factor, a ramped pulse
+    needs more than ``MAX_STEPS`` RK4 steps, a rectangular one more than
+    ``MAX_STEPS`` samples or an exponential of a non-finite generator, the
+    state diverges or the final trace drifts by more than 1e-6.  ValueError
+    if ``sample_period`` is not positive.
     """
     spec = spec or HilbertSpec()
     if rho0.shape != (spec.dim, spec.dim):
@@ -374,8 +501,12 @@ def evolve(
     ws = _Workspace(spec)
     recorder = _Recorder(spec, pulse.duration, sample_period)
     rho0 = np.array(rho0, dtype=complex)
-    rho = _propagate_pulse(rho0, ws, pulse, dt, _lindblad(ws, noise), recorder.before_step)
-    traj = recorder.finish(rho)
+    if pulse.shape == RECTANGULAR:
+        rho = _propagate_exact(rho0, ws, pulse, noise, recorder)
+        traj = recorder.finish(rho, pulse.duration)
+    else:
+        rho = _propagate_pulse(rho0, ws, pulse, dt, _lindblad(ws, noise), recorder.before_step)
+        traj = recorder.finish(rho)
 
     drift = trace_error(rho)
     if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,6 +48,11 @@ def fast_raw(name="fig2a", **blocks):
     return raw
 
 
+# a ramped fig2a pulse: evolve runs it in RK4 steps of integration.dt_ns
+RAMPED = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.02}
+RUN_PRESETS = ("fig2a", "fig2b", "altParams")
+
+
 # device-scale values half the time, else any finite float (zero, both signs,
 # subnormals and the extremes)
 FINITE = st.one_of(st.floats(-100.0, 100.0), st.floats(allow_nan=False, allow_infinity=False))
@@ -56,16 +63,16 @@ POSITIVE = st.one_of(
 
 
 @st.composite
-def schema_valid_configs(draw):
+def schema_valid_configs(draw, presets=None, shapes=("rectangular", "sinSquaredRamp")):
     """A preset with its pulse, operating point, sweep and truncation redrawn."""
-    raw = scenario_preset(draw(st.sampled_from(preset_names())))
+    raw = scenario_preset(draw(st.sampled_from(presets or preset_names())))
     overrides = raw.setdefault("overrides", {})
     for key in ("g_GHz", "gPrime_GHz", "E_GHz"):
         if draw(st.booleans()):
             overrides[key] = draw(FINITE)
     if draw(st.booleans()):
         overrides["resonanceTarget_GHz"] = draw(POSITIVE)
-    shape = draw(st.sampled_from(["rectangular", "sinSquaredRamp"]))
+    shape = draw(st.sampled_from(shapes))
     raw["pulse"] = {"areaOverPi": draw(FINITE.filter(bool)), "shape": shape}
     if shape == "sinSquaredRamp":
         raw["pulse"]["rampTime_ns"] = draw(POSITIVE)
@@ -286,7 +293,7 @@ class TestCli:
         assert "strong branch" in capsys.readouterr().err
 
     def test_integration_error_exit_4(self, tmp_path):
-        raw = fast_raw()
+        raw = fast_raw(pulse=dict(RAMPED))
         raw["integration"] = {"dt_ns": 0.01}
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 4
@@ -369,19 +376,93 @@ class TestCli:
     @pytest.mark.parametrize(
         "block, key, value",
         [
-            ("pulse", "areaOverPi", -1e6),  # 2.4e9 steps at the default dt
+            ("pulse", "areaOverPi", -1e6),  # 1.6e9 steps of 1.5e-4 ns
             ("integration", "dt_ns", 1e-300),
             ("integration", "dt_ns", 1e-320),  # duration/dt overflows to inf
         ],
     )
     def test_step_count_bound_exit_4(self, tmp_path, capsys, block, key, value):
-        raw = fast_raw()
+        raw = fast_raw(pulse=dict(RAMPED))
         raw[block][key] = value
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "RK4 steps" in captured.err
+
+    def test_sample_count_bound_exit_4(self, tmp_path, capsys):
+        raw = fast_raw()
+        raw["integration"]["samplePeriod_ns"] = 1e-12  # 2.4e11 samples
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "samples" in captured.err
+
+    def test_long_rectangular_pulse_runs(self, tmp_path, capsys):
+        # a 2.4e5 ns pulse costs the same 200 samples as a short one
+        raw = fast_raw()
+        raw["pulse"]["areaOverPi"] = -1e6
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(cfg)]) == 0
+        summary = strict_loads(capsys.readouterr().out)
+        assert summary["pulse_duration_ns"] == pytest.approx(2.43e5, rel=1e-3)
+        assert 0.0 <= summary["fidelity"] <= 1.0
+        assert all(math.isfinite(v) for v in summary["diagnostics"].values())
+
+    def test_run_imports_no_scipy(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
+        code = (
+            "import sys; from topoflux.cli import main; "
+            f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0; "
+            "print('scipy' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize(
+        "preset, device",
+        [
+            ("fig2a", {"delta0_GHz": 1e308}),  # overflows in rad/ns
+            ("fig2a", {"EJ_GHz": 1e308}),
+            ("fig2a", {"delta0_GHz": 1e307}),  # Delta0 L / vF overflows
+            ("fig2a", {"EJ_over_EC": 5e-324}),  # zeta overflows
+            ("fig2a", {"vF_m_per_s": 5e-324}),  # underflows to 0 um/ns
+            # the pinned resonance solves; then the tunneling error overflows
+            ("altParams", {"EJ_GHz": 1e307, "delta0_GHz": 1e5}),
+            ("altParams", {"EJ_GHz": 1e300, "beta": 1e300}),  # a report value is inf
+        ],
+        ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x:g}" for k, x in v.items()),
+    )
+    def test_device_overflow_exit_2(self, tmp_path, capsys, preset, device):
+        raw = fast_raw(preset)
+        raw["device"].update(device)
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["derive", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert "/device" in captured.err
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            fast_raw("robustness", robustness={"errorFraction": 0.1, "samples": 10**12}),
+            fast_raw(
+                "fig3a",
+                sweep={"axis": "eta1", "lo": 0.0, "hi": 0.2, "points": 10**5, "gPrimeOverG": [0, 1]},
+            ),
+        ],
+        ids=["robustness-samples", "sweep-points"],
+    )
+    def test_evaluation_cap_exit_2(self, tmp_path, capsys, raw):
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["derive", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "evaluations exceed" in captured.err
 
     @pytest.mark.parametrize(
         "command, raw",
@@ -424,5 +505,24 @@ def test_derive_fuzz_exits_cleanly(raw):
     assert code in (0, 2, 3)
     if code == 0:
         strict_loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(schema_valid_configs(presets=RUN_PRESETS, shapes=("rectangular",)))
+def test_run_fuzz_exits_cleanly(raw):
+    # rectangular pulses propagate exactly, so each example runs in milliseconds
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert out.getvalue().startswith("fidelity = ")
+        assert out.getvalue().count("\n") == 1
     else:
         assert out.getvalue() == ""
