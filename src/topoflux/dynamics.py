@@ -65,6 +65,9 @@ DEFAULT_TOTAL_STEPS = 10_000
 # also bounds the samples of an exact propagation
 MAX_STEPS = 1_000_000
 TRACE_DRIFT_LIMIT = 1e-6
+# |rho - rho^dag|_F above twice hilbert.fidelity_pure's 1e-10 bound on an
+# imaginary part could give a fidelity with a larger one
+HERMITICITY_LIMIT = 2e-10
 
 
 @dataclass(frozen=True)
@@ -492,8 +495,9 @@ def evolve(
     IntegrationError if dt cannot resolve the phase factor, a ramped pulse
     needs more than ``MAX_STEPS`` RK4 steps, a rectangular one more than
     ``MAX_STEPS`` samples or an exponential of a non-finite generator, the
-    state diverges or the final trace drifts by more than 1e-6.  ValueError
-    if ``sample_period`` is not positive.
+    state diverges, the final trace drifts by more than 1e-6 or the final
+    state is not Hermitian to ``HERMITICITY_LIMIT``.  ValueError if
+    ``sample_period`` is not positive.
     """
     spec = spec or HilbertSpec()
     if rho0.shape != (spec.dim, spec.dim):
@@ -510,8 +514,12 @@ def evolve(
 
     drift = trace_error(rho)
     if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
+        raise IntegrationError(f"final trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:.0e}")
+    skew = np.linalg.norm(rho - rho.conj().T)
+    if not skew <= HERMITICITY_LIMIT:
         raise IntegrationError(
-            f"final trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:.0e}; reduce dt"
+            f"final state is not Hermitian: |rho - rho^dag| = {skew:.3e} exceeds "
+            f"{HERMITICITY_LIMIT:.0e}"
         )
     return traj
 

@@ -293,11 +293,6 @@ class TestExactPropagation:
         with pytest.raises(IntegrationError):
             expm(np.full((2, 2), value))
 
-    def test_sample_count_bound(self):
-        pulse = make_pulse()
-        with pytest.raises(IntegrationError, match="samples"):
-            evolve(pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, SPEC, sample_period=1e-12)
-
 
 class TestPropagator:
     def test_unitary(self):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -390,14 +391,21 @@ class TestCli:
         assert captured.out == ""
         assert "RK4 steps" in captured.err
 
-    def test_sample_count_bound_exit_4(self, tmp_path, capsys):
-        raw = fast_raw()
-        raw["integration"]["samplePeriod_ns"] = 1e-12  # 2.4e11 samples
-        cfg = self.write_cfg(tmp_path, raw)
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ({"integration": {"samplePeriod_ns": 1e-12}}, "samples"),  # 2.4e11 samples
+            # g' = 2.3e9 rad/ns: exp(L ds) keeps rho Hermitian only to about 1e-10
+            ({"overrides": {"gPrime_GHz": 365373325.0}}, "not Hermitian"),
+        ],
+        ids=["sample-count", "hermiticity"],
+    )
+    def test_exact_propagation_refusals_exit_4(self, tmp_path, capsys, blocks, message):
+        cfg = self.write_cfg(tmp_path, fast_raw(**blocks))
         assert main(["run", "--config", str(cfg)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "samples" in captured.err
+        assert message in captured.err
 
     def test_long_rectangular_pulse_runs(self, tmp_path, capsys):
         # a 2.4e5 ns pulse costs the same 200 samples as a short one
@@ -417,8 +425,14 @@ class TestCli:
             f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0; "
             "print('scipy' in sys.modules)"
         )
+        # the child imports topoflux from the same source tree as this test
+        src = Path(topoflux.experiments.__file__).resolve().parents[1]
         done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert done.stdout.splitlines()[-1] == "False"
 
