@@ -2,10 +2,12 @@
 """Write a fixed set of topoflux outputs into a new OUT_DIR and print a sha256 per file.
 
 The set covers what a refactor that promises unchanged output bytes must
-keep: ``run --format csv,json,svg`` on fig2a, fig2b and altParams, the
-``derive`` report of every preset, ``gates verify``, fig3a and fig3b sweeps
-reduced to 3 points and the ratios [0, 3], and robustness with 2 samples for
-seeds 0 and 7.  Run it on two checkouts and compare the printed lines:
+keep: ``run --format csv,json,svg`` on fig2a, fig2b and altParams,
+``run --format csv,json`` on fig2a with a 0.05 ns sin^2 ramp at fockLevels 2
+and 4, the ``derive`` report of every preset, ``gates verify``, fig3a and
+fig3b sweeps reduced to 3 points and the ratios [0, 3], and robustness with 2
+samples for seeds 0 and 7.  Run it on two checkouts and compare the printed
+lines:
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR
 
@@ -27,6 +29,8 @@ from topoflux.experiments import run_robustness, run_sweep
 from topoflux.presets import preset_names, scenario_preset
 
 RUN_PRESETS = ("fig2a", "fig2b", "altParams")
+RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
+RAMP_FOCK_LEVELS = (2, 4)
 SWEEP_PRESETS = ("fig3a", "fig3b")
 ROBUSTNESS_SEEDS = (0, 7)
 
@@ -50,6 +54,12 @@ def write_outputs(out: Path):
             if name in RUN_PRESETS:
                 run_out = str(out / "run")
                 _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json,svg")
+        for levels in RAMP_FOCK_LEVELS:
+            raw = {**scenario_preset("fig2a"), "pulse": RAMP, "hilbert": {"fockLevels": levels}}
+            cfg = Path(tmp) / f"ramped_fock{levels}.json"
+            cfg.write_text(json.dumps(raw))
+            run_out = str(out / f"run_ramped_fock{levels}")
+            _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json")
     _cli("gates", "verify", "--out", str(out / "gates"))
 
     for name in SWEEP_PRESETS:

@@ -191,13 +191,14 @@ def solve_resonant_phase(p: DeviceParams, omega_target: float) -> float:
     lam_star = 0.5 - omega_target * p.length / (1.9 * p.v_fermi)
     s = lam_star * p.v_fermi / (p.delta0 * p.length)
     if abs(s) > 1.0:
+        required = f"{s:.4g}" if math.isfinite(s) else "beyond float range"
         raise NoSolutionError(
-            f"no phase satisfies E(phi) = {omega_target:.3f} rad/ns for this wire "
-            f"(required sin(phi/2) = {s:.3f})"
+            f"no phase satisfies E(phi) = {omega_target:.6g} rad/ns for this wire "
+            f"(required sin(phi/2) = {required})"
         )
     if lam_star > STRONG_BRANCH_MAX_LAMBDA:
         raise ValidityError(
-            f"resonance at Lambda={lam_star:.3f} falls outside the strong branch (<= -5)"
+            f"resonance at Lambda={lam_star:.4g} falls outside the strong branch (<= -5)"
         )
     phi = 2.0 * math.asin(s)
     return phi

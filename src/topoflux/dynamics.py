@@ -15,20 +15,24 @@ dephasing (sigma_f^z, rate 1/tf2):
     drho/dt = -i [H, rho] + (1/(2 tf1)) (2 a rho a^dag - a^dag a rho - rho a^dag a)
               + (1/tf2) (sigma_f^z rho sigma_f^z - rho)
 
-A pulse is one ``PulseSegment``.  ``evolve`` propagates a rectangular pulse
-exactly: in the frame rho = V rho' V^dag with V(t) = exp(i E t N) and
+A pulse is one ``PulseSegment``, and every pulse is propagated by one core,
+``_propagate``.  In the frame rho = V rho' V^dag with V(t) = exp(i E t N) and
 N = a^dag a + |up><up|, the contamination phase becomes the static term E N,
-both dissipators are unchanged, and the master equation has one constant
-generator L.  One matrix exponential exp(L ds) (``expm``) then carries the
-state from one sample to the next.  A sin^2-ramped pulse, ``evolve_static``
-and ``pulse_propagator`` step through ``_propagate``: ``ceil(duration/dt)``
-equal classical RK4 steps (``_rk4``), at most ``MAX_STEPS`` of them.  The
-trajectories of ``evolve`` and ``evolve_static`` come from one recorder,
-``_Recorder``, which samples every duration/200 unless told otherwise,
-rejects a diverged (non-finite) state and assembles the ``Trajectory``.  No
-renormalization is applied, so trace drift measures integration quality
-directly.  ``evolve`` is a pure function of its inputs; independent
-evolutions are safe to run concurrently.
+both dissipators are unchanged, and the generator is L(t) = L0 + env(t) L1:
+L0 holds -i[E N, .] and both dissipators, L1 the coupling commutator.  On the
+plateau (env = 1) one matrix exponential (``expm``) carries the state from
+one sample to the next; on a sin^2 ramp, fourth-order Magnus steps (two-point
+Gauss-Legendre; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do,
+each one exponential.  Only the final state is turned back to the working
+frame.  ``evolve_static`` takes one exponential of a static lab-frame
+Liouvillian per sample, and ``pulse_propagator`` runs the same core on the
+Hilbert-space pair (-i E N, -i H_coupling).  The trajectories of ``evolve``
+and ``evolve_static`` come from one recorder, ``_Recorder``, which samples at
+the times k * sample_period (default duration/200) and at the end, rejects a
+non-finite state and assembles the ``Trajectory``.  No renormalization is
+applied, so trace drift measures the propagation's precision directly.
+``evolve`` is a pure function of its inputs; independent evolutions are safe
+to run concurrently.
 """
 
 from __future__ import annotations
@@ -57,12 +61,14 @@ from .hilbert import (
 RECTANGULAR = "rectangular"
 SIN2_RAMP = "sinSquaredRamp"
 
-# RK4 must resolve the e^{+-iEt} phase; hard floor on points per period
-MIN_STEPS_PER_PHASE_PERIOD = 100
-DEFAULT_STEPS_PER_PHASE_PERIOD = 200
-DEFAULT_TOTAL_STEPS = 10_000
-# refuse a run that would take hours: 100x the default RK4 step count; it
-# also bounds the samples of an exact propagation
+# Magnus step on a ramp: h = min(ramp_time / RAMP_STEPS, MAX_PHASE_STEP / |E|).
+# On the fig2a and altParams operating points with ramps of 0.02-1 ns, final
+# states then lie within 2e-11 of the same runs at steps 8-24 times shorter
+# (ramp_time/128 and 0.15/|E| left 9e-10 on a 0.1 ns altParams ramp)
+RAMP_STEPS = 256
+MAX_PHASE_STEP = 0.05
+# refuse a run that would take hours: samples plus ramp steps, where a ramp
+# step costs one exponential
 MAX_STEPS = 1_000_000
 TRACE_DRIFT_LIMIT = 1e-6
 # |rho - rho^dag|_F above twice hilbert.fidelity_pure's 1e-10 bound on an
@@ -169,7 +175,6 @@ class _Workspace:
 
     def __init__(self, spec: HilbertSpec):
         n = spec.n_fock
-        self.spec = spec
         self.a = embed(annihilation_op(n), "flux", spec)
         self.a_dag = self.a.conj().T
         self.s_minus = embed(sigma_minus(), "topological", spec)
@@ -184,81 +189,43 @@ class _Workspace:
         # N = a^dag a + |up><up|: the exchange conserves it, s+ raises it by one
         self.excitation_diag = self.number_diag + np.real(np.diag(self.s_plus @ self.s_minus))
 
-
-def interaction_hamiltonian(t: float, pulse: PulseSegment, spec: HilbertSpec) -> np.ndarray:
-    """Interaction-picture Hamiltonian at time t since the pulse start."""
-    return _hamiltonian(_Workspace(spec), pulse, t)
-
-
-def _hamiltonian(ws: _Workspace, seg: PulseSegment, tau: float) -> np.ndarray:
-    env = seg.envelope(tau)
-    h = (-0.5 * seg.g_value * env) * ws.exchange
-    if seg.g_prime_value != 0.0:
-        ph = np.exp(1j * (seg.phase_freq * tau))
-        h = h + (-0.5 * seg.g_prime_value * env) * (ph * ws.contam_up + np.conj(ph) * ws.contam_down)
-    return h
-
-
-def lindblad_rhs(
-    rho: np.ndarray, h: np.ndarray, noise: NoiseParams, spec: HilbertSpec
-) -> np.ndarray:
-    """Right-hand side of the master equation for a given Hamiltonian snapshot."""
-    ws = _Workspace(spec)
-    return _rhs_with(ws, rho, h, noise.relaxation_rate, noise.dephasing_rate)
-
-
-def _rhs_with(ws, rho, h, gamma1, gamma2):
-    out = -1j * (h @ rho - rho @ h)
-    if gamma1 > 0.0:
-        nd = ws.number_diag
-        out = out + 0.5 * gamma1 * (
-            2.0 * (ws.a @ rho @ ws.a_dag) - nd[:, None] * rho - rho * nd[None, :]
+    def coupling(self, pulse: PulseSegment) -> np.ndarray:
+        """The plateau coupling in the frame exp(i E t N), where it is static."""
+        return (-0.5 * pulse.g_value) * self.exchange - (0.5 * pulse.g_prime_value) * (
+            self.contam_up + self.contam_down
         )
-    if gamma2 > 0.0:
-        zd = ws.z_diag
-        out = out + gamma2 * (zd[:, None] * rho * zd[None, :] - rho)
-    return out
-
-
-def default_dt(pulse: PulseSegment) -> float:
-    """RK4 step size resolving both the pulse duration and its phase."""
-    dt = pulse.duration / DEFAULT_TOTAL_STEPS
-    if pulse.phase_freq != 0.0:
-        dt = min(dt, (2.0 * math.pi / abs(pulse.phase_freq)) / DEFAULT_STEPS_PER_PHASE_PERIOD)
-    return dt
 
 
 # Pade-13 coefficients b_0..b_13 and the largest 1-norm for which Pade-13 is
 # accurate to double precision without scaling (Higham 2005, Table 2.3)
 _PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+# the largest 1-norm expm accepts.  A step keeps rho Hermitian and its trace
+# only to about 1e-16 times its generator's 1-norm, so runs above 1.7e7 often
+# fail the trace or Hermiticity check already; of about 1300 probed runs (the
+# fig2a, fig2b and altParams presets, noise on, off and up to 1e12 times
+# stronger, pulses up to 2e9 pi), none above 1.4e9 passed them.
+EXPM_MAX_NORM = 1e10
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by Pade-13 scaling and squaring.
 
     Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005).  A matrix with a
-    non-finite entry, or whose 1-norm overflows, raises IntegrationError.
+    non-finite entry, or whose 1-norm is above ``EXPM_MAX_NORM``, raises
+    IntegrationError.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(a, 1)
-    if not math.isfinite(norm):
-        raise IntegrationError(f"cannot exponentiate a generator of 1-norm {norm}")
+    if not norm <= EXPM_MAX_NORM:
+        raise IntegrationError(
+            f"cannot exponentiate a generator of 1-norm {norm:.3e}: a step above "
+            f"{EXPM_MAX_NORM:.0e} is too long for double precision"
+        )
     squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a * 2.0**-squarings
     b = _PADE13
@@ -276,137 +243,110 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _frame_liouvillian(ws: _Workspace, pulse: PulseSegment, noise: NoiseParams) -> np.ndarray:
-    """The constant generator of a rectangular pulse in the frame exp(i E t N).
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """-i[h, .] on the row-major vec(rho), where vec(A rho B) = (A kron B^T) vec(rho)."""
+    eye = np.eye(len(h))
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
-    There H' = -(g/2) exchange - (g'/2)(contam_up + contam_down) + E N.  The
-    superoperator acts on the row-major vec(rho'), where
-    vec(A rho B) = (A kron B^T) vec(rho); every diagonal operator (E N, both
-    anticommutators, the dephasing sandwich) enters as one diagonal.
+
+def _free_generator(ws: _Workspace, energy: float, noise: NoiseParams) -> np.ndarray:
+    """-i[energy N, .] plus both dissipators, on the row-major vec(rho).
+
+    All but the jump term a rho a^dag are diagonal superoperators.
     """
-    eye = np.eye(ws.spec.dim)
-    h = (-0.5 * pulse.g_value) * ws.exchange - (0.5 * pulse.g_prime_value) * (
-        ws.contam_up + ws.contam_down
-    )
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     gamma1, gamma2 = noise.relaxation_rate, noise.dephasing_rate
     nx, nd, zd = ws.excitation_diag, ws.number_diag, ws.z_diag
     diagonal = (
-        (-1j * pulse.phase_freq) * np.subtract.outer(nx, nx)
+        (-1j * energy) * np.subtract.outer(nx, nx)
         - (0.5 * gamma1) * np.add.outer(nd, nd)
         + gamma2 * (np.multiply.outer(zd, zd) - 1.0)
     )
-    gen[np.diag_indices_from(gen)] += diagonal.ravel()
+    gen = np.diag(diagonal.ravel())
     if gamma1 > 0.0:
         gen += gamma1 * np.kron(ws.a, ws.a.conj())
     return gen
 
 
-def _propagate_exact(
-    rho0, ws: _Workspace, pulse: PulseSegment, noise: NoiseParams, recorder: _Recorder
-) -> np.ndarray:
-    """Exact propagation of a rectangular pulse; returns the state at its end.
+def _ramp_step(pulse: PulseSegment, dt: float | None) -> float:
+    """The Magnus step on the pulse's ramps, capped at dt when given."""
+    # a ramp shorter than RAMP_STEPS subnormals still gets a nonzero step
+    h = max(pulse.ramp_time / RAMP_STEPS, math.ulp(0.0))
+    if pulse.phase_freq != 0.0:
+        h = min(h, MAX_PHASE_STEP / abs(pulse.phase_freq))
+    if dt is not None:
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        h = min(h, dt)
+    return h
 
-    One exponential exp(L ds) carries the frame state from each sample to the
-    next, ds being the recorder's sample period; a remainder shorter than ds
-    gets its own exponential.  The samples are taken in the frame, which
-    changes none of the recorded quantities, and only the final state is
-    turned back, by the elementwise phases of V(T) rho' V(T)^dag.
+
+# the two Gauss-Legendre nodes of a step sit at 1/2 -+ _GAUSS of it
+_GAUSS = math.sqrt(3.0) / 6.0
+
+
+def _propagate(y, a0, a1, pulse: PulseSegment, period: float, h: float, record=None):
+    """Carry y over the pulse under dy/dt = (a0 + env(t) a1) y; returns y at its end.
+
+    The pulse is walked in sample intervals [k period, (k+1) period], the last
+    one ending at the pulse's end, each cut at the ramp ends.  A plateau piece
+    takes one exponential, shared by every piece of the same length; a ramp
+    piece takes ceil(length/h) equal fourth-order Magnus steps
+
+        Omega = s (a0 + (e1 + e2)/2 a1) + (sqrt(3)/12) s^2 (e1 - e2) [a0, a1]
+
+    with e1, e2 the envelope at the step's Gauss nodes (on the plateau,
+    e1 = e2 and Omega is the exact s (a0 + a1)).  ``record(t, y)``, when
+    given, sees y at every sample time k * period before the end.
     """
-    duration, period = pulse.duration, recorder.sample_period
-    # compared as a float, so a ratio that overflows to inf is refused too
-    if not duration / period <= MAX_STEPS:
+    duration, ramp = pulse.duration, pulse.ramp_time
+    # compared as a float, so a count that overflows to inf is refused too
+    if not duration / period + (2.0 * ramp / h if ramp else 0.0) <= MAX_STEPS:
         raise IntegrationError(
-            f"a {duration:.4g} ns pulse sampled every {period:.3e} ns needs more than "
-            f"{MAX_STEPS} samples"
+            f"a {duration:.4g} ns pulse sampled every {period:.3e} ns, with ramp steps of "
+            f"{h:.3e} ns, needs more than {MAX_STEPS} samples and ramp steps"
         )
     # sample times k * period strictly before the end; the tolerance keeps a
     # period that divides the duration from adding a sample at the end
     n_samples = max(1, math.ceil(duration / period - 1e-9))
-    gen = _frame_liouvillian(ws, pulse, noise)
-    d = ws.spec.dim
-    y = rho0.reshape(-1)
-    # an overflow leaves a non-finite state, which the recorder refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = expm(gen * period) if n_samples > 1 else None
-        for k in range(n_samples):
-            if k:
-                y = step @ y
-            recorder.record(k * period, y.reshape(d, d))
-        rest = duration - (n_samples - 1) * period
-        if step is None or not math.isclose(rest, period, rel_tol=1e-12):
-            step = expm(gen * rest)
-        nx = ws.excitation_diag
-        frame = np.exp((1j * pulse.phase_freq * duration) * np.subtract.outer(nx, nx))
-        return frame * (step @ y).reshape(d, d)
+    rest = duration - (n_samples - 1) * period
+    if math.isclose(rest, period, rel_tol=1e-12):
+        rest = period
+    commutator = a0 @ a1 - a1 @ a0 if ramp else None
+    cache = {}
 
+    def plateau(y, length):
+        if length not in cache:
+            cache[length] = expm(length * (a0 + a1))
+        return cache[length] @ y
 
-def _rk4(f, y, h, n_steps, before_step=None):
-    """``n_steps`` classical RK4 steps of size h for dy/dtau = f(tau, y) from tau = 0.
+    def magnus(y, a, b):
+        n_steps = math.ceil((b - a) / h)
+        s = (b - a) / n_steps
+        for j in range(n_steps):
+            mid = a + (j + 0.5) * s
+            e1, e2 = pulse.envelope(mid - _GAUSS * s), pulse.envelope(mid + _GAUSS * s)
+            omega = s * (a0 + (0.5 * (e1 + e2)) * a1)
+            omega += (0.5 * _GAUSS * s * s * (e1 - e2)) * commutator
+            y = expm(omega) @ y
+        return y
 
-    ``before_step(y, h)``, when given, sees the state before every step.
-    """
-    tau = 0.0
-    for _ in range(n_steps):
-        if before_step is not None:
-            before_step(y, h)
-        k1 = f(tau, y)
-        k2 = f(tau + h / 2, y + (h / 2) * k1)
-        k3 = f(tau + h / 2, y + (h / 2) * k2)
-        k4 = f(tau + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        tau += h
+    for k in range(n_samples):
+        t0 = k * period
+        if record is not None:
+            record(t0, y)
+        last = k == n_samples - 1
+        t1 = duration if last else t0 + period
+        if ramp <= t0 and t1 <= duration - ramp:
+            y = plateau(y, rest if last else period)
+            continue
+        cuts = [c for c in dict.fromkeys((ramp, duration - ramp)) if t0 < c < t1]
+        for a, b in zip([t0, *cuts], [*cuts, t1]):
+            y = plateau(y, b - a) if ramp <= a and b <= duration - ramp else magnus(y, a, b)
     return y
 
 
-def _propagate(y, hamiltonian, duration, dt, generator, before_step=None):
-    """Integrate dy/dt = generator(hamiltonian(t), y) from t = 0 to ``duration``.
-
-    The step is the largest one <= dt that divides the duration evenly.
-    """
-    if dt <= 0:
-        raise IntegrationError(f"dt must be positive, got {dt}")
-    # compared as a float, so a ratio that overflows to inf is refused too
-    if not duration / dt <= MAX_STEPS:
-        raise IntegrationError(
-            f"a {duration:.4g} ns run in steps of dt={dt:.3e} ns needs more than "
-            f"{MAX_STEPS} RK4 steps"
-        )
-    n_steps = max(1, math.ceil(duration / dt))
-
-    def f(tau, m):
-        return generator(hamiltonian(tau), m)
-
-    return _rk4(f, y, duration / n_steps, n_steps, before_step)
-
-
-def _propagate_pulse(y, ws: _Workspace, pulse: PulseSegment, dt, generator, before_step=None):
-    """``_propagate`` over the pulse.
-
-    dt defaults to ``default_dt(pulse)`` and must resolve the pulse's phase.
-    """
-    if dt is None:
-        dt = default_dt(pulse)
-    if pulse.phase_freq != 0.0:
-        limit = (2.0 * math.pi / abs(pulse.phase_freq)) / MIN_STEPS_PER_PHASE_PERIOD
-        if dt > limit:
-            raise IntegrationError(
-                f"dt={dt:.3e} ns cannot resolve the phase frequency "
-                f"{pulse.phase_freq:.3f} rad/ns (need dt <= {limit:.3e} ns)"
-            )
-    return _propagate(
-        y, lambda tau: _hamiltonian(ws, pulse, tau), pulse.duration, dt, generator, before_step
-    )
-
-
-def _lindblad(ws: _Workspace, noise: NoiseParams):
-    """The master-equation generator (H, rho) -> drho/dt for ``noise``."""
-    gamma1, gamma2 = noise.relaxation_rate, noise.dephasing_rate
-    return lambda h, rho: _rhs_with(ws, rho, h, gamma1, gamma2)
-
-
 class _Recorder:
-    """Samples the state at most once per sample period and builds the Trajectory."""
+    """Samples the state and builds the Trajectory."""
 
     def __init__(self, spec: HilbertSpec, duration: float, sample_period: float | None):
         if sample_period is None:
@@ -414,41 +354,24 @@ class _Recorder:
         if not sample_period > 0:
             raise ValueError(f"sample_period must be positive, got {sample_period}")
         self.sample_period = sample_period
+        self.dim = spec.dim
         self.i_dn1 = spec.index(DOWN, 1)
         self.i_up0 = spec.index(UP, 0)
-        self.t = 0.0
-        self.next_sample = 0.0
         self.rows = []
 
-    def before_step(self, rho, h):
-        """The RK4 hook: samples the state before a step of size h when one is due."""
-        if self.t >= self.next_sample - 1e-12:
-            self.record(self.t, rho)
-            self.next_sample = self.t + self.sample_period
-        self.t += h
-
-    def record(self, t, rho):
-        """Sample ``rho`` as the state at time t."""
+    def record(self, t, y):
+        """Sample the state whose row-major vec is ``y`` as the state at time t."""
+        rho = y.reshape(self.dim, self.dim)
         if not np.all(np.isfinite(rho.view(float))):
             raise IntegrationError(f"state diverged by t={t:.4g} ns")
         i, j = self.i_dn1, self.i_up0
         # one row per sample, in Trajectory field order
-        self.rows.append(
-            (
-                t,
-                rho[i, i],
-                rho[j, j],
-                rho[i, j],
-                rho[j, i],
-                np.real(np.trace(rho)),
-                purity(rho),
-                min_eigenvalue(rho),
-            )
-        )
+        row = (t, rho[i, i], rho[j, j], rho[i, j], rho[j, i], np.real(np.trace(rho)))
+        self.rows.append(row + (purity(rho), min_eigenvalue(rho)))
 
-    def finish(self, rho, t=None) -> Trajectory:
-        """Record the final state, at t or where the steps ended, and return the trajectory."""
-        self.record(self.t if t is None else t, rho)
+    def finish(self, rho, t) -> Trajectory:
+        """Record the final state at time t and return the trajectory."""
+        self.record(t, rho)
         columns = (np.array(col) for col in zip(*self.rows))
         return Trajectory(*columns, final_state=rho)
 
@@ -461,10 +384,12 @@ def evolve(
     dt: float | None = None,
     sample_period: float | None = None,
 ) -> Trajectory:
-    """Integrate the master equation over one pulse.
+    """Propagate the master equation over one pulse.
 
-    A rectangular pulse is propagated exactly, one matrix exponential per
-    sample period, and ``dt`` is unused.  A sin^2-ramped pulse runs RK4 steps.
+    The pulse runs in the frame exp(i E t N) through ``_propagate``: one
+    matrix exponential per sample period on the plateau (the whole of a
+    rectangular pulse), fourth-order Magnus steps of
+    min(ramp_time/256, 0.05/|E|, dt) on a sin^2 ramp.
 
     Parameters
     ----------
@@ -478,39 +403,42 @@ def evolve(
     spec : HilbertSpec, optional
         Defaults to the two-level flux truncation.
     dt : float, optional
-        RK4 step in ns for a sin^2-ramped pulse; defaults to
-        ``default_dt(pulse)``.  The pulse runs in the largest step <= dt that
-        divides its duration evenly.  Unused for a rectangular pulse.
+        Cap in ns on the Magnus step of a sin^2 ramp; each ramp piece runs in
+        the largest equal steps no longer than the cap.  A rectangular pulse
+        has no ramp steps.
     sample_period : float, optional
         Time between samples in ns; defaults to 1/200 of the pulse duration.
 
     Returns
     -------
-    Trajectory with samples every ``sample_period`` (a rectangular pulse) or
-    at the first RK4 step after each period has passed, plus the initial and
-    final points.
+    Trajectory with samples at the times k * sample_period before the end of
+    the pulse, plus the final point.
 
     Raises
     ------
-    IntegrationError if dt cannot resolve the phase factor, a ramped pulse
-    needs more than ``MAX_STEPS`` RK4 steps, a rectangular one more than
-    ``MAX_STEPS`` samples or an exponential of a non-finite generator, the
-    state diverges, the final trace drifts by more than 1e-6 or the final
-    state is not Hermitian to ``HERMITICITY_LIMIT``.  ValueError if
-    ``sample_period`` is not positive.
+    IntegrationError if the pulse needs more than ``MAX_STEPS`` samples and
+    ramp steps, a step's generator is non-finite or too long for double
+    precision (``EXPM_MAX_NORM``), the state is not finite, the final trace
+    drifts by more than ``TRACE_DRIFT_LIMIT`` or the final state is not
+    Hermitian to ``HERMITICITY_LIMIT``.  ValueError if ``sample_period`` or
+    ``dt`` is not positive.
     """
     spec = spec or HilbertSpec()
     if rho0.shape != (spec.dim, spec.dim):
         raise ValueError(f"rho0 must be {spec.dim}x{spec.dim}, got {rho0.shape}")
     ws = _Workspace(spec)
     recorder = _Recorder(spec, pulse.duration, sample_period)
-    rho0 = np.array(rho0, dtype=complex)
-    if pulse.shape == RECTANGULAR:
-        rho = _propagate_exact(rho0, ws, pulse, noise, recorder)
-        traj = recorder.finish(rho, pulse.duration)
-    else:
-        rho = _propagate_pulse(rho0, ws, pulse, dt, _lindblad(ws, noise), recorder.before_step)
-        traj = recorder.finish(rho)
+    y = np.array(rho0, dtype=complex).reshape(-1)
+    h = _ramp_step(pulse, dt)
+    # expm refuses a generator that overflows, and the recorder a state
+    with np.errstate(over="ignore", invalid="ignore"):
+        l0 = _free_generator(ws, pulse.phase_freq, noise)
+        l1 = _commutator(ws.coupling(pulse))
+        y = _propagate(y, l0, l1, pulse, recorder.sample_period, h, recorder.record)
+        nx = ws.excitation_diag
+        frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
+        rho = frame * y.reshape(spec.dim, spec.dim)
+    traj = recorder.finish(rho, pulse.duration)
 
     drift = trace_error(rho)
     if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
@@ -552,33 +480,45 @@ def evolve_static(
     duration: float,
     noise: NoiseParams = NO_NOISE,
     spec: HilbertSpec | None = None,
-    dt: float = 1e-4,
     sample_period: float | None = None,
 ) -> Trajectory:
     """Evolve under a fixed Hamiltonian (lab-frame cross-checks).
 
     The relaxation and dephasing operators commute with the free rotation, so
-    the same dissipators are valid in this frame.  Steps and samples follow
-    the same rules as ``evolve`` (default sample period duration/200); a
-    diverged state or more than ``MAX_STEPS`` steps raise IntegrationError.
+    the same dissipators are valid in this frame.  One exponential of the
+    static Liouvillian over a sample period carries the state from sample to
+    sample, and samples follow the same rules as ``evolve`` (default sample
+    period duration/200); a non-finite state or generator raises
+    IntegrationError.
     """
     spec = spec or HilbertSpec()
-    generator = _lindblad(_Workspace(spec), noise)
     recorder = _Recorder(spec, duration, sample_period)
-    rho0 = np.array(rho0, dtype=complex)
-    rho = _propagate(rho0, lambda _tau: hamiltonian, duration, dt, generator, recorder.before_step)
-    return recorder.finish(rho)
+    gen = _commutator(hamiltonian) + _free_generator(_Workspace(spec), 0.0, noise)
+    y = np.array(rho0, dtype=complex).reshape(-1)
+    flat = PulseSegment(duration, g_value=0.0)
+    y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, 0.0, recorder.record)
+    return recorder.finish(y.reshape(spec.dim, spec.dim), duration)
 
 
 def pulse_propagator(pulse: PulseSegment, spec: HilbertSpec | None = None) -> np.ndarray:
-    """Closed-system propagator U of a pulse, dU/dt = -i H(t) U, at ``default_dt``.
+    """Closed-system propagator U of a pulse, dU/dt = -i H(t) U.
 
     Gives the unitary actually generated by the pulse, for comparison against
-    closed-form gate constructions.
+    closed-form gate constructions: ``_propagate`` runs it in the frame
+    exp(i E t N) from the identity, and the frame factor V(T) turns it back.
     """
     spec = spec or HilbertSpec()
-    u = np.eye(spec.dim, dtype=complex)
-    return _propagate_pulse(u, _Workspace(spec), pulse, None, lambda h, m: -1j * (h @ m))
+    ws = _Workspace(spec)
+    nx = ws.excitation_diag
+    u = _propagate(
+        np.eye(spec.dim, dtype=complex),
+        np.diag(-1j * pulse.phase_freq * nx),
+        -1j * ws.coupling(pulse),
+        pulse,
+        pulse.duration,
+        _ramp_step(pulse, None),
+    )
+    return np.exp((1j * pulse.phase_freq * pulse.duration) * nx)[:, None] * u
 
 
 def pulse_duration_for_area(

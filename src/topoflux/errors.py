@@ -25,4 +25,4 @@ class NoSolutionError(ValidityError):
 
 
 class IntegrationError(TopofluxError):
-    """Master-equation integration failed its quality checks (step size, trace drift)."""
+    """Master-equation propagation failed its checks (step count or length, trace drift)."""

@@ -20,7 +20,6 @@ from .dynamics import (
     NoiseParams,
     PulseSegment,
     Trajectory,
-    default_dt,
     evolve,
     pulse_duration_for_area,
     trajectory_checks,
@@ -114,7 +113,6 @@ def run_scenario(scn: Scenario, out_dir=None, formats=("csv", "json", "svg")) ->
         scn,
         fidelity=fid,
         pulse_duration_ns=pulse.duration,
-        dt_ns=scn.dt if scn.dt is not None else default_dt(pulse),
         diagnostics=trajectory_checks(traj),
     )
     if out_dir is not None:

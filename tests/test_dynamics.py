@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rk4_oracle as rk4
+from rk4_oracle import interaction_hamiltonian
+from topoflux.config import resolve
 from topoflux.device import ghz_to_angular
 from topoflux.dynamics import (
     NO_NOISE,
@@ -12,22 +15,21 @@ from topoflux.dynamics import (
     SIN2_RAMP,
     NoiseParams,
     PulseSegment,
-    _lindblad,
-    _propagate_pulse,
+    _commutator,
+    _free_generator,
     _Workspace,
     build_lab_hamiltonian,
-    default_dt,
     evolve,
     evolve_static,
     expm,
-    interaction_hamiltonian,
-    lindblad_rhs,
     pulse_duration_for_area,
     pulse_propagator,
     trajectory_checks,
 )
 from topoflux.errors import IntegrationError
+from topoflux.experiments import build_schedule, initial_state
 from topoflux.hilbert import DOWN, UP, HilbertSpec, hermiticity_error, pure_density
+from topoflux.presets import scenario_preset
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,24 +106,28 @@ class TestLabFrame:
     def test_rwa_agreement_over_pi_pulse(self):
         # counter-rotating corrections scale as g/omega_f ~ 0.04
         duration = math.pi / abs(G1)
-        dt = (TWO_PI / E1) / 200.0
         rho0 = pure_density(SPEC.ket(UP, 0))
         traj_i = evolve(
             rho0,
             make_pulse(g=G1, g_prime=GP1, phase_freq=E1),
             NO_NOISE,
             SPEC,
-            dt=dt,
             sample_period=duration / 50,
         )
         h_lab = build_lab_hamiltonian(E1, E1, G1, GP1, SPEC)
-        traj_l = evolve_static(
-            rho0, h_lab, duration, NO_NOISE, SPEC, dt=dt, sample_period=duration / 50
-        )
+        traj_l = evolve_static(rho0, h_lab, duration, NO_NOISE, SPEC, sample_period=duration / 50)
         n = min(len(traj_i), len(traj_l))
         d22 = np.max(np.abs(np.real(traj_i.rho22[:n] - traj_l.rho22[:n])))
         d11 = np.max(np.abs(np.real(traj_i.rho11[:n] - traj_l.rho11[:n])))
         assert max(d22, d11) < 0.05
+
+
+def frame_rhs(rho, pulse, noise, tau=0.0, spec=SPEC):
+    """drho'/dt from the generator evolve runs, L0 + env(tau) L1, on the row-major vec(rho')."""
+    ws = _Workspace(spec)
+    gen = _free_generator(ws, pulse.phase_freq, noise)
+    gen = gen + pulse.envelope(tau) * _commutator(ws.coupling(pulse))
+    return (gen @ rho.reshape(-1)).reshape(rho.shape)
 
 
 class TestLindbladRhs:
@@ -130,22 +136,22 @@ class TestLindbladRhs:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        seg = PulseSegment(duration=1.0, g_value=G1, g_prime_value=GP1, phase_freq=E1)
-        h = interaction_hamiltonian(0.2, seg, SPEC)
-        out = lindblad_rhs(rho, h, NOISE1, SPEC)
+        seg = PulseSegment(
+            duration=1.0, g_value=G1, g_prime_value=GP1, phase_freq=E1, shape=SIN2_RAMP, ramp_time=0.4
+        )
+        out = frame_rhs(rho, seg, NOISE1, tau=0.2)
         assert abs(np.trace(out)) < 1e-12
 
     def test_dark_state_zero_derivative(self):
         rho = pure_density(SPEC.ket(DOWN, 0))
-        seg = PulseSegment(duration=1.0, g_value=G1)
-        h = interaction_hamiltonian(0.0, seg, SPEC)
-        out = lindblad_rhs(rho, h, NOISE1, SPEC)
+        seg = PulseSegment(duration=1.0, g_value=G1, phase_freq=E1)
+        out = frame_rhs(rho, seg, NOISE1)
         assert np.max(np.abs(out)) < 1e-14
 
     def test_population_decay_rate(self):
         # H = 0: d rho11/dt = -rho11 / tf1
         rho = pure_density(SPEC.ket(DOWN, 1))
-        out = lindblad_rhs(rho, np.zeros((4, 4), dtype=complex), NOISE1, SPEC)
+        out = frame_rhs(rho, PulseSegment(duration=1.0, g_value=0.0), NOISE1)
         i_dn1 = SPEC.index(DOWN, 1)
         i_dn0 = SPEC.index(DOWN, 0)
         assert out[i_dn1, i_dn1].real == pytest.approx(-1.0 / 900.0, rel=1e-12)
@@ -155,10 +161,21 @@ class TestLindbladRhs:
         # H = 0: the up0/down1 coherence decays at 1/(2 tf1) + 2/tf2
         psi = (SPEC.ket(UP, 0) + SPEC.ket(DOWN, 1)) / math.sqrt(2.0)
         rho = pure_density(psi)
-        out = lindblad_rhs(rho, np.zeros((4, 4), dtype=complex), NOISE1, SPEC)
+        out = frame_rhs(rho, PulseSegment(duration=1.0, g_value=0.0), NOISE1)
         i_up0, i_dn1 = SPEC.index(UP, 0), SPEC.index(DOWN, 1)
         expected = -(1.0 / (2.0 * 900.0) + 2.0 / 20.0) * rho[i_up0, i_dn1]
         assert out[i_up0, i_dn1] == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_oracle_rhs_at_the_frame_start(self):
+        # rho = V rho' V^dag with V(0) = 1 gives drho/dt = drho'/dt + i[E N, rho] at t = 0
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = m @ m.conj().T
+        seg = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
+        nx = _Workspace(SPEC).excitation_diag
+        lab = frame_rhs(rho, seg, NOISE1) + 1j * E1 * np.subtract.outer(nx, nx) * rho
+        expected = rk4.lindblad_rhs(rho, interaction_hamiltonian(0.0, seg, SPEC), NOISE1, SPEC)
+        assert np.max(np.abs(lab - expected)) < 1e-12
 
 
 class TestEvolve:
@@ -202,48 +219,49 @@ class TestEvolve:
         assert traj.final_state[i_dn1, i_dn1].real == pytest.approx(0.993, abs=0.005)
 
     def test_dt_halving(self):
-        # a rectangular pulse would ignore dt, so RK4 is checked on a ramped one
+        # dt caps the Magnus step on the ramps; halving the cap moves nothing
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1, shape=SIN2_RAMP, ramp_time=0.02)
         rho0 = pure_density(SPEC.ket(UP, 0))
         i_dn1 = SPEC.index(DOWN, 1)
-        dt = default_dt(pulse)
+        dt = 5e-5  # below the step rule's 0.02/256 = 7.8e-5 ns, so the cap sets the step
         f = evolve(rho0, pulse, NOISE1, SPEC, dt=dt, sample_period=1.0).final_state
         f_half = evolve(rho0, pulse, NOISE1, SPEC, dt=dt / 2, sample_period=1.0).final_state
         f, f_half = f[i_dn1, i_dn1].real, f_half[i_dn1, i_dn1].real
         assert abs(f - f_half) < 1e-7
 
-    def test_step_size_error(self):
-        pulse = make_pulse(g=G1, phase_freq=E1, shape=SIN2_RAMP, ramp_time=0.02)
-        rho0 = pure_density(SPEC.ket(UP, 0))
-        with pytest.raises(IntegrationError):
-            evolve(rho0, pulse, NO_NOISE, SPEC, dt=1e-2, sample_period=pulse.duration / 100)
-
     def test_trace_drift_error(self):
-        # wildly under-resolved Rabi frequency blows up RK4 and must be caught
-        pulse = make_pulse(g=1.0e4, duration=1.0, shape=SIN2_RAMP, ramp_time=0.25)
-        with np.errstate(all="ignore"), pytest.raises(IntegrationError):
-            evolve(pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, SPEC, dt=1e-3, sample_period=1.0)
+        # sigma_f^z is zero on n >= 2, so at 3 levels dephasing drains the
+        # trace: a 25 ns altParams pulse loses 3.8e-6 of it
+        raw = scenario_preset("altParams")
+        raw["pulse"]["areaOverPi"] = -101.0
+        raw["hilbert"] = {"fockLevels": 3}
+        scn = resolve(raw)
+        with pytest.raises(IntegrationError, match="trace drift"):
+            evolve(initial_state(scn.spec), build_schedule(scn), scn.noise, scn.spec)
 
     def test_static_divergence_error(self):
-        # evolve_static shares the sampler's finite-state check with evolve
-        h = interaction_hamiltonian(0.0, PulseSegment(1.0, g_value=1.0e4), SPEC)
-        with np.errstate(all="ignore"), pytest.raises(IntegrationError):
-            evolve_static(pure_density(SPEC.ket(UP, 0)), h, 1.0, NO_NOISE, SPEC, dt=1e-3)
+        # a non-finite generator is refused before it is exponentiated, and a
+        # non-finite state by the sampler's finite-state check
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        h = interaction_hamiltonian(0.0, PulseSegment(1.0, g_value=1.0), SPEC)
+        with pytest.raises(IntegrationError):
+            evolve_static(rho0, h * np.nan, 1.0, NO_NOISE, SPEC)
+        with pytest.raises(IntegrationError, match="diverged"):
+            evolve_static(np.full_like(rho0, np.nan), h, 1.0, NO_NOISE, SPEC)
 
     def test_static_matches_evolve_for_rectangular_pulse(self):
-        # g' = 0 and a flat envelope make H constant: evolve propagates it
-        # exactly and evolve_static in RK4 steps.  Both take the same number of
-        # samples, but evolve_static samples at the first step a period after
-        # its last sample, so its times run up to two steps (4.7e-4 ns) late.
+        # g' = 0 and a flat envelope make H constant: evolve propagates it in
+        # the frame exp(i E t N) and evolve_static in the lab frame, both
+        # exactly and at the same sample times
         duration = math.pi / abs(G1)
-        dt = duration / 997
         sample_period = duration / 37
         pulse = make_pulse(duration=duration)
         rho0 = pure_density(SPEC.ket(UP, 0))
-        a = evolve(rho0, pulse, NOISE1, SPEC, dt=dt, sample_period=sample_period)
+        a = evolve(rho0, pulse, NOISE1, SPEC, sample_period=sample_period)
         h = interaction_hamiltonian(0.0, pulse, SPEC)
-        b = evolve_static(rho0, h, duration, NOISE1, SPEC, dt=dt, sample_period=sample_period)
+        b = evolve_static(rho0, h, duration, NOISE1, SPEC, sample_period=sample_period)
         assert len(a) == len(b)
+        assert np.array_equal(a.times, b.times)
         assert np.max(np.abs(a.final_state - b.final_state)) < 1e-10
 
     def test_larger_truncation_matches_two_level(self):
@@ -258,6 +276,36 @@ class TestEvolve:
         assert f4 == pytest.approx(f2, abs=5e-4)
 
 
+def operating_point(name, ramp, levels):
+    """The preset's resolved scenario with a sin^2 ramp, and its pulse.
+
+    A 1 ns ramp needs |area/g| >= 1 ns, so it runs a 5 pi pulse.
+    """
+    raw = scenario_preset(name)
+    area = -5.0 if ramp > 0.5 else -1.0
+    raw["pulse"] = {"areaOverPi": area, "shape": SIN2_RAMP, "rampTime_ns": ramp}
+    raw["hilbert"] = {"fockLevels": levels}
+    scn = resolve(raw)
+    return scn, build_schedule(scn)
+
+
+# (preset, ramp ns, fockLevels, noise on, RK4 step ns).  Each ramp meets both
+# operating points and both noise settings, and every truncation meets both
+# noise settings.  Each RK4 step keeps the oracle's own error within 2e-11
+# (measured against steps 2-4 times shorter); altParams, with g' = 3g, needs
+# 5e-5 ns where fig2a's 1 ns ramp does with 1e-4.
+RAMPED_CASES = [
+    ("fig2a", 0.02, 3, True, 5e-5),
+    ("fig2a", 0.05, 4, False, 5e-5),
+    ("fig2a", 0.2, 3, False, 5e-5),
+    ("fig2a", 1.0, 2, True, 1e-4),
+    ("altParams", 0.02, 2, False, 5e-5),
+    ("altParams", 0.05, 4, True, 5e-5),
+    ("altParams", 0.2, 2, True, 5e-5),
+    ("altParams", 1.0, 2, False, 5e-5),
+]
+
+
 class TestExactPropagation:
     @pytest.mark.parametrize("noise", [NOISE1, NO_NOISE], ids=["noise", "closed"])
     @pytest.mark.parametrize("levels", [2, 3, 4])
@@ -267,9 +315,15 @@ class TestExactPropagation:
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         rho0 = pure_density(spec.ket(UP, 0))
         exact = evolve(rho0, pulse, noise, spec).final_state
-        ws = _Workspace(spec)
-        rk4 = _propagate_pulse(rho0.astype(complex), ws, pulse, None, _lindblad(ws, noise))
-        assert np.max(np.abs(exact - rk4)) < 1e-10
+        assert np.max(np.abs(exact - rk4.final_state(rho0, pulse, noise, spec))) < 1e-10
+
+    @pytest.mark.parametrize("name, ramp, levels, noisy, dt", RAMPED_CASES)
+    def test_ramped_matches_rk4(self, name, ramp, levels, noisy, dt):
+        scn, pulse = operating_point(name, ramp, levels)
+        noise = scn.noise if noisy else NO_NOISE
+        rho0 = initial_state(scn.spec)
+        magnus = evolve(rho0, pulse, noise, scn.spec).final_state
+        assert np.max(np.abs(magnus - rk4.final_state(rho0, pulse, noise, scn.spec, dt))) < 1e-10
 
     def test_sample_times_are_multiples_of_the_period(self):
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
@@ -295,6 +349,12 @@ class TestExactPropagation:
 
 
 class TestPropagator:
+    def test_ramped_matches_rk4(self):
+        _, pulse = operating_point("altParams", 0.05, 3)
+        spec = HilbertSpec(3)
+        u = pulse_propagator(pulse, spec)
+        assert np.max(np.abs(u - rk4.unitary(pulse, spec, dt=5e-5))) < 1e-10
+
     def test_unitary(self):
         u = pulse_propagator(make_pulse(g=G1, g_prime=GP1, phase_freq=E1), SPEC)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-9

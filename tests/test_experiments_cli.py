@@ -10,14 +10,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import topoflux.experiments
 from topoflux.cli import main
 from topoflux.config import resolve
-from topoflux.dynamics import NO_NOISE, PulseSegment, evolve
-from topoflux.experiments import fidelities, run_robustness, run_scenario, run_sweep
+from topoflux.dynamics import MAX_STEPS, NO_NOISE, PulseSegment, _ramp_step, evolve
+from topoflux.errors import TopofluxError
+from topoflux.experiments import (
+    build_schedule,
+    fidelities,
+    run_robustness,
+    run_scenario,
+    run_sweep,
+)
 from topoflux.hilbert import UP, HilbertSpec, pure_density
 from topoflux.output import (
     CSV_COLUMNS,
@@ -37,10 +44,10 @@ def strict_loads(text):
 
 
 def fast_raw(name="fig2a", **blocks):
-    """Preset with a coarse (but still phase-resolving) integration grid.
+    """Preset with ``integration.dt_ns`` set.
 
-    Robustness runs scale the phase frequency up to 1.1x, so the step must
-    resolve that too.
+    The 1.5e-4 ns cap shortens the Magnus steps of a sin^2 ramp and leaves a
+    rectangular pulse as it is.
     """
     raw = scenario_preset(name)
     raw["integration"] = {"dt_ns": 1.5e-4}
@@ -49,9 +56,11 @@ def fast_raw(name="fig2a", **blocks):
     return raw
 
 
-# a ramped fig2a pulse: evolve runs it in RK4 steps of integration.dt_ns
+# a ramped fig2a pulse: evolve runs its ramps in Magnus steps of at most integration.dt_ns
 RAMPED = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.02}
 RUN_PRESETS = ("fig2a", "fig2b", "altParams")
+# 10-25 ms an example: most ramped draws are refused before they evolve
+RAMPED_FUZZ_EXAMPLES = 200
 
 
 # device-scale values half the time, else any finite float (zero, both signs,
@@ -293,11 +302,15 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 3
         assert "strong branch" in capsys.readouterr().err
 
-    def test_integration_error_exit_4(self, tmp_path):
-        raw = fast_raw(pulse=dict(RAMPED))
-        raw["integration"] = {"dt_ns": 0.01}
+    def test_integration_error_exit_4(self, tmp_path, capsys):
+        # dephasing drains the trace at 3 levels (sigma_f^z is zero on n = 2)
+        raw = fast_raw("altParams", hilbert={"fockLevels": 3})
+        raw["pulse"]["areaOverPi"] = -101.0
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "final trace drift 3.8" in captured.err
 
     def test_sweep_command(self, tmp_path):
         raw = fast_raw(
@@ -377,19 +390,40 @@ class TestCli:
     @pytest.mark.parametrize(
         "block, key, value",
         [
-            ("pulse", "areaOverPi", -1e6),  # 1.6e9 steps of 1.5e-4 ns
+            ("pulse", "rampTime_ns", 1e4),  # two ramps of 6.7e7 steps of 1.5e-4 ns
             ("integration", "dt_ns", 1e-300),
-            ("integration", "dt_ns", 1e-320),  # duration/dt overflows to inf
+            ("integration", "dt_ns", 1e-320),  # ramp/dt overflows to inf
         ],
     )
     def test_step_count_bound_exit_4(self, tmp_path, capsys, block, key, value):
-        raw = fast_raw(pulse=dict(RAMPED))
+        # a 2.4e5 ns pulse, so that a 1e4 ns ramp fits
+        raw = fast_raw(pulse=dict(RAMPED, areaOverPi=-1e6))
         raw[block][key] = value
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "RK4 steps" in captured.err
+        assert "samples and ramp steps" in captured.err
+
+    def test_long_ramped_pulse_runs(self, tmp_path, capsys):
+        # the plateau costs one shared exponential and one product per sample
+        raw = fast_raw(pulse=dict(RAMPED, areaOverPi=-1e6))
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(cfg)]) == 0
+        summary = strict_loads(capsys.readouterr().out)
+        assert summary["pulse_duration_ns"] == pytest.approx(2.43e5, rel=1e-3)
+        assert 0.0 <= summary["fidelity"] <= 1.0
+
+    @pytest.mark.parametrize("noise", [True, False], ids=["noise", "closed"])
+    def test_step_too_long_for_double_precision_exit_4(self, tmp_path, capsys, noise):
+        # a 2.4e10 ns pulse: each sample period's generator has 1-norm 7.7e10
+        raw = fast_raw(noise={"enabled": noise})
+        raw["pulse"]["areaOverPi"] = -1e11
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too long for double precision" in captured.err
 
     @pytest.mark.parametrize(
         "blocks, message",
@@ -461,6 +495,26 @@ class TestCli:
         assert "/device" in captured.err
 
     @pytest.mark.parametrize(
+        "device, shown",
+        [
+            # omega L / (1.9 vF) overflows, so the required sine is -inf
+            ({"vF_m_per_s": 1e-300, "EJ_GHz": 1e5}, "sin(phi/2) = beyond float range"),
+            # E(phi) = omega_f, about 2e307 rad/ns, once printed with 308 digits
+            ({"EJ_GHz": 1e307, "delta0_GHz": 1e5}, "E(phi) = 1.98692e+307 rad/ns"),
+        ],
+        ids=["sine-overflows", "huge-target"],
+    )
+    def test_no_resonant_phase_message_exit_3(self, tmp_path, capsys, device, shown):
+        raw = fast_raw()
+        raw["device"].update(device)
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["derive", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert shown in captured.err
+        assert max(len(line) for line in captured.err.splitlines()) < 150
+
+    @pytest.mark.parametrize(
         "raw",
         [
             fast_raw("robustness", robustness={"errorFraction": 0.1, "samples": 10**12}),
@@ -523,10 +577,7 @@ def test_derive_fuzz_exits_cleanly(raw):
         assert out.getvalue() == ""
 
 
-@settings(max_examples=100, deadline=None)
-@given(schema_valid_configs(presets=RUN_PRESETS, shapes=("rectangular",)))
-def test_run_fuzz_exits_cleanly(raw):
-    # rectangular pulses propagate exactly, so each example runs in milliseconds
+def assert_run_exits_cleanly(raw):
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
@@ -540,3 +591,36 @@ def test_run_fuzz_exits_cleanly(raw):
         assert out.getvalue().count("\n") == 1
     else:
         assert out.getvalue() == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(schema_valid_configs(presets=RUN_PRESETS, shapes=("rectangular",)))
+def test_run_fuzz_exits_cleanly(raw):
+    # rectangular pulses propagate exactly, so each example runs in milliseconds
+    assert_run_exits_cleanly(raw)
+
+
+def evolution_size(raw):
+    """Samples plus ramp steps of the config's evolution, and its ramp steps times dim^3.
+
+    Both are 0 when the config is refused before it evolves.
+    """
+    try:
+        scn = resolve(raw)
+    except TopofluxError:
+        return 0, 0
+    pulse = build_schedule(scn)
+    ramp_steps = 2 * pulse.ramp_time / _ramp_step(pulse, scn.dt)
+    period = scn.sample_period or pulse.duration / 200
+    return pulse.duration / period + ramp_steps, ramp_steps * scn.spec.dim**3
+
+
+@settings(max_examples=RAMPED_FUZZ_EXAMPLES, deadline=None)
+@given(schema_valid_configs(presets=RUN_PRESETS, shapes=("sinSquaredRamp",)))
+def test_ramped_run_fuzz_exits_cleanly(raw):
+    # a ramp step is one exponential of a dim^2 x dim^2 generator: 0.13 ms at
+    # 2 levels, 8 ms at 6.  Runs within the MAX_STEPS bound but above this
+    # work (about 1 s) would only be slow, so they are not drawn.
+    steps, work = evolution_size(raw)
+    assume(work <= 2e5 or steps > MAX_STEPS)
+    assert_run_exits_cleanly(raw)
