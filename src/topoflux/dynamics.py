@@ -23,12 +23,13 @@ L0 holds -i[E N, .] and both dissipators, L1 the coupling commutator.  On the
 plateau (env = 1) one matrix exponential (``expm``) carries the state from
 one sample to the next; on a sin^2 ramp, fourth-order Magnus steps (two-point
 Gauss-Legendre; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do,
-each one exponential.  Only the final state is turned back to the working
-frame.  ``evolve_static`` takes one exponential of a static lab-frame
-Liouvillian per sample, and ``pulse_propagator`` runs the same core on the
-Hilbert-space pair (-i E N, -i H_coupling).  The trajectories of ``evolve``
-and ``evolve_static`` come from one recorder, ``_Recorder``, which samples at
-the times k * sample_period (default duration/200) and at the end, rejects a
+each one exponential applied to the state (``_expm_apply``).  Only the final
+state is turned back to the working frame.  ``evolve_static`` takes one
+exponential of a static lab-frame Liouvillian per sample, and
+``pulse_propagator`` runs the same core on the Hilbert-space pair
+(-i E N, -i H_coupling).  The trajectories of ``evolve`` and
+``evolve_static`` come from one recorder, ``_Recorder``, which samples at the
+times k * sample_period (default duration/200) and at the end, rejects a
 non-finite state and assembles the ``Trajectory``.  No renormalization is
 applied, so trace drift measures the propagation's precision directly.
 ``evolve`` is a pure function of its inputs; independent evolutions are safe
@@ -61,14 +62,20 @@ from .hilbert import (
 RECTANGULAR = "rectangular"
 SIN2_RAMP = "sinSquaredRamp"
 
-# Magnus step on a ramp: h = min(ramp_time / RAMP_STEPS, MAX_PHASE_STEP / |E|).
-# On the fig2a and altParams operating points with ramps of 0.02-1 ns, final
-# states then lie within 2e-11 of the same runs at steps 8-24 times shorter
-# (ramp_time/128 and 0.15/|E| left 9e-10 on a 0.1 ns altParams ramp)
+# Magnus step on a ramp: h = min(ramp / RAMP_STEPS, MAX_PHASE_STEP / |E|),
+# times sqrt(COUPLING_SCALE / c) when the larger coupling c = max(|g|, |g'|)
+# exceeds COUPLING_SCALE (rad/ns).  On the fig2a and altParams operating
+# points with ramps of 0.02-1 ns, final states then lie within 2e-11 of the
+# same runs at steps 8-24 times shorter (ramp/128 and 0.15/|E| left 9e-10 on
+# a 0.1 ns altParams ramp).  At a fixed step the error grows about as g' up
+# to E, and faster above it.  The coupling factor leaves both operating
+# points' steps as they are and kept the error below 1e-11 for g' up to
+# 1e4 rad/ns on 0.02-0.2 ns ramps; without it, g' = 300 rad/ns left 2.5e-10.
 RAMP_STEPS = 256
 MAX_PHASE_STEP = 0.05
-# refuse a run that would take hours: samples plus ramp steps, where a ramp
-# step costs one exponential
+COUPLING_SCALE = 40.0
+# refuse a run that would take more than minutes: samples plus ramp steps,
+# where a ramp step costs about 0.4 ms at fockLevels 6
 MAX_STEPS = 1_000_000
 TRACE_DRIFT_LIMIT = 1e-6
 # |rho - rho^dag|_F above twice hilbert.fidelity_pure's 1e-10 bound on an
@@ -106,11 +113,14 @@ class PulseSegment:
                     f"ramp_time {self.ramp_time} exceeds half the duration {self.duration}"
                 )
 
+    @property
+    def ramp(self) -> float:
+        """Length in ns of each sin^2 ramp; 0 for a rectangular pulse, whatever its ramp_time."""
+        return self.ramp_time if self.shape == SIN2_RAMP else 0.0
+
     def envelope(self, tau: float) -> float:
         """Dimensionless envelope at time tau since the pulse start."""
-        if self.shape == RECTANGULAR:
-            return 1.0
-        r = self.ramp_time
+        r = self.ramp
         if tau < r:
             return math.sin(math.pi * tau / (2.0 * r)) ** 2
         if tau > self.duration - r:
@@ -119,10 +129,8 @@ class PulseSegment:
 
     def area(self) -> float:
         """Integral of g(t) over the pulse."""
-        if self.shape == RECTANGULAR:
-            return self.g_value * self.duration
-        # each sin^2 ramp integrates to g * ramp_time / 2
-        return self.g_value * (self.duration - self.ramp_time)
+        # each sin^2 ramp integrates to g * ramp / 2
+        return self.g_value * (self.duration - self.ramp)
 
 
 @dataclass(frozen=True)
@@ -199,9 +207,20 @@ class _Workspace:
 # Pade-13 coefficients b_0..b_13 and the largest 1-norm for which Pade-13 is
 # accurate to double precision without scaling (Higham 2005, Table 2.3)
 _PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
 )
 _THETA13 = 5.371920351148152
 # the largest 1-norm expm accepts.  A step keeps rho Hermitian and its trace
@@ -243,6 +262,25 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _expm_apply(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """exp(a) @ y, without forming exp(a) when a's 1-norm is at most 1.
+
+    There the Taylor series of exp(a) is summed on y, until a term adds less
+    than 1e-17 of the sum's 1-norm (at most 20 terms, since 1/19! < 1e-17):
+    a few products with y, where ``expm`` takes several with a.  A longer
+    step falls back to ``expm``.
+    """
+    if not np.linalg.norm(a, 1) <= 1.0:
+        return expm(a) @ y
+    term = total = y
+    for k in range(1, 21):
+        term = (a @ term) / k
+        total = total + term
+        if np.abs(term).sum() <= 1e-17 * np.abs(total).sum():
+            break
+    return total
+
+
 def _commutator(h: np.ndarray) -> np.ndarray:
     """-i[h, .] on the row-major vec(rho), where vec(A rho B) = (A kron B^T) vec(rho)."""
     eye = np.eye(len(h))
@@ -269,10 +307,14 @@ def _free_generator(ws: _Workspace, energy: float, noise: NoiseParams) -> np.nda
 
 def _ramp_step(pulse: PulseSegment, dt: float | None) -> float:
     """The Magnus step on the pulse's ramps, capped at dt when given."""
-    # a ramp shorter than RAMP_STEPS subnormals still gets a nonzero step
-    h = max(pulse.ramp_time / RAMP_STEPS, math.ulp(0.0))
+    h = pulse.ramp / RAMP_STEPS
     if pulse.phase_freq != 0.0:
         h = min(h, MAX_PHASE_STEP / abs(pulse.phase_freq))
+    coupling = max(abs(pulse.g_value), abs(pulse.g_prime_value))
+    if coupling > COUPLING_SCALE:
+        h *= math.sqrt(COUPLING_SCALE / coupling)
+    # a ramp shorter than RAMP_STEPS subnormals still gets a nonzero step
+    h = max(h, math.ulp(0.0))
     if dt is not None:
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -298,7 +340,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, h: float, record=N
     e1 = e2 and Omega is the exact s (a0 + a1)).  ``record(t, y)``, when
     given, sees y at every sample time k * period before the end.
     """
-    duration, ramp = pulse.duration, pulse.ramp_time
+    duration, ramp = pulse.duration, pulse.ramp
     # compared as a float, so a count that overflows to inf is refused too
     if not duration / period + (2.0 * ramp / h if ramp else 0.0) <= MAX_STEPS:
         raise IntegrationError(
@@ -327,7 +369,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, h: float, record=N
             e1, e2 = pulse.envelope(mid - _GAUSS * s), pulse.envelope(mid + _GAUSS * s)
             omega = s * (a0 + (0.5 * (e1 + e2)) * a1)
             omega += (0.5 * _GAUSS * s * s * (e1 - e2)) * commutator
-            y = expm(omega) @ y
+            y = _expm_apply(omega, y)
         return y
 
     for k in range(n_samples):
@@ -350,7 +392,8 @@ class _Recorder:
 
     def __init__(self, spec: HilbertSpec, duration: float, sample_period: float | None):
         if sample_period is None:
-            sample_period = duration / 200.0
+            # a subnormal duration / 200 underflows to 0: sample the ends only
+            sample_period = duration / 200.0 or duration
         if not sample_period > 0:
             raise ValueError(f"sample_period must be positive, got {sample_period}")
         self.sample_period = sample_period
@@ -366,8 +409,18 @@ class _Recorder:
             raise IntegrationError(f"state diverged by t={t:.4g} ns")
         i, j = self.i_dn1, self.i_up0
         # one row per sample, in Trajectory field order
-        row = (t, rho[i, i], rho[j, j], rho[i, j], rho[j, i], np.real(np.trace(rho)))
-        self.rows.append(row + (purity(rho), min_eigenvalue(rho)))
+        self.rows.append(
+            (
+                t,
+                rho[i, i],
+                rho[j, j],
+                rho[i, j],
+                rho[j, i],
+                np.real(np.trace(rho)),
+                purity(rho),
+                min_eigenvalue(rho),
+            )
+        )
 
     def finish(self, rho, t) -> Trajectory:
         """Record the final state at time t and return the trajectory."""
@@ -388,8 +441,8 @@ def evolve(
 
     The pulse runs in the frame exp(i E t N) through ``_propagate``: one
     matrix exponential per sample period on the plateau (the whole of a
-    rectangular pulse), fourth-order Magnus steps of
-    min(ramp_time/256, 0.05/|E|, dt) on a sin^2 ramp.
+    rectangular pulse), fourth-order Magnus steps of ``_ramp_step`` (capped
+    at dt) on a sin^2 ramp.
 
     Parameters
     ----------

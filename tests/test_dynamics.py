@@ -16,6 +16,7 @@ from topoflux.dynamics import (
     NoiseParams,
     PulseSegment,
     _commutator,
+    _expm_apply,
     _free_generator,
     _Workspace,
     build_lab_hamiltonian,
@@ -276,7 +277,7 @@ class TestEvolve:
         assert f4 == pytest.approx(f2, abs=5e-4)
 
 
-def operating_point(name, ramp, levels):
+def operating_point(name, ramp, levels, overrides=None):
     """The preset's resolved scenario with a sin^2 ramp, and its pulse.
 
     A 1 ns ramp needs |area/g| >= 1 ns, so it runs a 5 pi pulse.
@@ -285,24 +286,29 @@ def operating_point(name, ramp, levels):
     area = -5.0 if ramp > 0.5 else -1.0
     raw["pulse"] = {"areaOverPi": area, "shape": SIN2_RAMP, "rampTime_ns": ramp}
     raw["hilbert"] = {"fockLevels": levels}
+    if overrides:
+        raw["overrides"] = overrides
     scn = resolve(raw)
     return scn, build_schedule(scn)
 
 
-# (preset, ramp ns, fockLevels, noise on, RK4 step ns).  Each ramp meets both
-# operating points and both noise settings, and every truncation meets both
-# noise settings.  Each RK4 step keeps the oracle's own error within 2e-11
-# (measured against steps 2-4 times shorter); altParams, with g' = 3g, needs
-# 5e-5 ns where fig2a's 1 ns ramp does with 1e-4.
+# (preset, ramp ns, fockLevels, noise on, RK4 step ns, overrides).  Each ramp
+# meets both operating points and both noise settings, and every truncation
+# meets both noise settings.  Each RK4 step keeps the oracle's own error
+# within 2e-11 (measured against steps 2-4 times shorter); altParams, with
+# g' = 3g, needs 5e-5 ns where fig2a's 1 ns ramp does with 1e-4.  The last
+# case, g' = 300 rad/ns, checks that the ramp step shrinks with the coupling;
+# its RK4 steps leave about 6e-12.
 RAMPED_CASES = [
-    ("fig2a", 0.02, 3, True, 5e-5),
-    ("fig2a", 0.05, 4, False, 5e-5),
-    ("fig2a", 0.2, 3, False, 5e-5),
-    ("fig2a", 1.0, 2, True, 1e-4),
-    ("altParams", 0.02, 2, False, 5e-5),
-    ("altParams", 0.05, 4, True, 5e-5),
-    ("altParams", 0.2, 2, True, 5e-5),
-    ("altParams", 1.0, 2, False, 5e-5),
+    ("fig2a", 0.02, 3, True, 5e-5, None),
+    ("fig2a", 0.05, 4, False, 5e-5, None),
+    ("fig2a", 0.2, 3, False, 5e-5, None),
+    ("fig2a", 1.0, 2, True, 1e-4, None),
+    ("altParams", 0.02, 2, False, 5e-5, None),
+    ("altParams", 0.05, 4, True, 5e-5, None),
+    ("altParams", 0.2, 2, True, 5e-5, None),
+    ("altParams", 1.0, 2, False, 5e-5, None),
+    ("fig2a", 0.05, 2, False, 1.25e-5, {"gPrime_GHz": -300.0 / ghz_to_angular(1.0)}),
 ]
 
 
@@ -317,9 +323,9 @@ class TestExactPropagation:
         exact = evolve(rho0, pulse, noise, spec).final_state
         assert np.max(np.abs(exact - rk4.final_state(rho0, pulse, noise, spec))) < 1e-10
 
-    @pytest.mark.parametrize("name, ramp, levels, noisy, dt", RAMPED_CASES)
-    def test_ramped_matches_rk4(self, name, ramp, levels, noisy, dt):
-        scn, pulse = operating_point(name, ramp, levels)
+    @pytest.mark.parametrize("name, ramp, levels, noisy, dt, overrides", RAMPED_CASES)
+    def test_ramped_matches_rk4(self, name, ramp, levels, noisy, dt, overrides):
+        scn, pulse = operating_point(name, ramp, levels, overrides)
         noise = scn.noise if noisy else NO_NOISE
         rho0 = initial_state(scn.spec)
         magnus = evolve(rho0, pulse, noise, scn.spec).final_state
@@ -341,6 +347,15 @@ class TestExactPropagation:
         h *= norm / np.linalg.norm(h, 1)
         w, v = np.linalg.eigh(h)
         assert np.max(np.abs(expm(-1j * h) - (v * np.exp(-1j * w)) @ v.conj().T)) < 1e-10
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.3, 1.0, 3.0])
+    def test_expm_apply_matches_expm(self, norm):
+        # a Taylor series on the vector up to 1-norm 1, expm above
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        a *= norm / np.linalg.norm(a, 1)
+        y = rng.normal(size=16) + 1j * rng.normal(size=16)
+        assert np.max(np.abs(_expm_apply(a, y) - expm(a) @ y)) < 1e-14
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
     def test_expm_refuses_non_finite_generator(self, value):

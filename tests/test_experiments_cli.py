@@ -84,7 +84,8 @@ def schema_valid_configs(draw, presets=None, shapes=("rectangular", "sinSquaredR
         overrides["resonanceTarget_GHz"] = draw(POSITIVE)
     shape = draw(st.sampled_from(shapes))
     raw["pulse"] = {"areaOverPi": draw(FINITE.filter(bool)), "shape": shape}
-    if shape == "sinSquaredRamp":
+    # the schema allows a ramp time on a rectangular pulse too
+    if shape == "sinSquaredRamp" or draw(st.booleans()):
         raw["pulse"]["rampTime_ns"] = draw(POSITIVE)
     if "sweep" in raw or draw(st.booleans()):
         raw["sweep"] = {
@@ -414,6 +415,34 @@ class TestCli:
         assert summary["pulse_duration_ns"] == pytest.approx(2.43e5, rel=1e-3)
         assert 0.0 <= summary["fidelity"] <= 1.0
 
+    def test_subnormal_pulse_runs(self, tmp_path, capsys):
+        # found by the ramped fuzz: this phase gives g > 0, so the pulse lasts
+        # 2.5e-323 ns and duration/200 underflows to 0.  Its ends are sampled.
+        raw = scenario_preset("fig2a")
+        raw["device"]["phiC_rad"] = -7298446733626987.0
+        raw["pulse"] = {"areaOverPi": 5e-324, "shape": "sinSquaredRamp", "rampTime_ns": 5e-324}
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(cfg)]) == 0
+        summary = strict_loads(capsys.readouterr().out)
+        assert summary["pulse_duration_ns"] == 2.5e-323
+
+    def test_rectangular_pulse_ignores_ramp_time(self, tmp_path, capsys):
+        # the schema accepts rampTime_ns on a rectangular pulse, which has no ramps
+        runs = []
+        for extra in ({}, {"rampTime_ns": 100}):
+            raw = scenario_preset("fig2a")
+            raw["pulse"].update(extra)
+            out = tmp_path / f"out{len(runs)}"
+            cfg = self.write_cfg(tmp_path, raw)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            summary = strict_loads((out / "fig2a_summary.json").read_text())
+            runs.append((summary, (out / "fig2a.csv").read_bytes()))
+        (plain, plain_csv), (ramped, ramped_csv) = runs
+        assert ramped["parameters"]["pulse"].pop("ramp_time") == 100
+        plain["parameters"]["pulse"].pop("ramp_time")
+        assert ramped == plain
+        assert ramped_csv == plain_csv
+
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "closed"])
     def test_step_too_long_for_double_precision_exit_4(self, tmp_path, capsys, noise):
         # a 2.4e10 ns pulse: each sample period's generator has 1-norm 7.7e10
@@ -601,7 +630,7 @@ def test_run_fuzz_exits_cleanly(raw):
 
 
 def evolution_size(raw):
-    """Samples plus ramp steps of the config's evolution, and its ramp steps times dim^3.
+    """Samples plus ramp steps of the config's evolution, and its ramp steps.
 
     Both are 0 when the config is refused before it evolves.
     """
@@ -610,17 +639,17 @@ def evolution_size(raw):
     except TopofluxError:
         return 0, 0
     pulse = build_schedule(scn)
-    ramp_steps = 2 * pulse.ramp_time / _ramp_step(pulse, scn.dt)
-    period = scn.sample_period or pulse.duration / 200
-    return pulse.duration / period + ramp_steps, ramp_steps * scn.spec.dim**3
+    ramp_steps = 2 * pulse.ramp / _ramp_step(pulse, scn.dt)
+    period = scn.sample_period or pulse.duration / 200 or pulse.duration
+    return pulse.duration / period + ramp_steps, ramp_steps
 
 
 @settings(max_examples=RAMPED_FUZZ_EXAMPLES, deadline=None)
 @given(schema_valid_configs(presets=RUN_PRESETS, shapes=("sinSquaredRamp",)))
 def test_ramped_run_fuzz_exits_cleanly(raw):
-    # a ramp step is one exponential of a dim^2 x dim^2 generator: 0.13 ms at
-    # 2 levels, 8 ms at 6.  Runs within the MAX_STEPS bound but above this
-    # work (about 1 s) would only be slow, so they are not drawn.
-    steps, work = evolution_size(raw)
-    assume(work <= 2e5 or steps > MAX_STEPS)
+    # a ramp step takes 0.15 ms at 2 levels, 0.4 ms at 6.  Runs within the
+    # MAX_STEPS bound but above 2500 ramp steps (about 1 s) would only be
+    # slow, so they are not drawn.
+    steps, ramp_steps = evolution_size(raw)
+    assume(ramp_steps <= 2500 or steps > MAX_STEPS)
     assert_run_exits_cleanly(raw)
