@@ -4,10 +4,11 @@
 The set covers what a refactor that promises unchanged output bytes must
 keep: ``run --format csv,json,svg`` on fig2a, fig2b and altParams,
 ``run --format csv,json`` on fig2a with a 0.05 ns sin^2 ramp at fockLevels 2
-and 4, the ``derive`` report of every preset, ``gates verify``, fig3a and
-fig3b sweeps reduced to 3 points and the ratios [0, 3], and robustness with 2
-samples for seeds 0 and 7.  Run it on two checkouts and compare the printed
-lines:
+and 4 and on fig2a as a rectangular pulse carrying ``rampTime_ns: 100``
+(which it ignores), the ``derive`` report of every preset, ``gates verify``,
+fig3a and fig3b sweeps reduced to 3 points and the ratios [0, 3], and
+robustness with 2 samples for seeds 0 and 7.  Run it on two checkouts and
+compare the printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR
 
@@ -31,6 +32,8 @@ from topoflux.presets import preset_names, scenario_preset
 RUN_PRESETS = ("fig2a", "fig2b", "altParams")
 RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
 RAMP_FOCK_LEVELS = (2, 4)
+# a rectangular pulse has no ramps, whatever its rampTime_ns
+RECT_WITH_RAMP_TIME = {"areaOverPi": -1.0, "shape": "rectangular", "rampTime_ns": 100}
 SWEEP_PRESETS = ("fig3a", "fig3b")
 ROBUSTNESS_SEEDS = (0, 7)
 
@@ -54,11 +57,13 @@ def write_outputs(out: Path):
             if name in RUN_PRESETS:
                 run_out = str(out / "run")
                 _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json,svg")
-        for levels in RAMP_FOCK_LEVELS:
-            raw = {**scenario_preset("fig2a"), "pulse": RAMP, "hilbert": {"fockLevels": levels}}
-            cfg = Path(tmp) / f"ramped_fock{levels}.json"
+        pulses = {f"ramped_fock{levels}": (RAMP, levels) for levels in RAMP_FOCK_LEVELS}
+        pulses["rect_ramp_time"] = (RECT_WITH_RAMP_TIME, 2)
+        for label, (pulse, levels) in pulses.items():
+            raw = {**scenario_preset("fig2a"), "pulse": pulse, "hilbert": {"fockLevels": levels}}
+            cfg = Path(tmp) / f"{label}.json"
             cfg.write_text(json.dumps(raw))
-            run_out = str(out / f"run_ramped_fock{levels}")
+            run_out = str(out / f"run_{label}")
             _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json")
     _cli("gates", "verify", "--out", str(out / "gates"))
 

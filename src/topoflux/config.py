@@ -26,7 +26,7 @@ from importlib import resources
 import jsonschema
 
 from . import device as dev
-from .dynamics import RECTANGULAR, NoiseParams, PulseSegment, pulse_duration_for_area
+from .dynamics import NoiseParams, PulseSegment, pulse_duration_for_area
 from .errors import ConfigError, ValidityError
 from .hilbert import HilbertSpec
 
@@ -95,8 +95,8 @@ class Scenario:
     pulse_area: float  # rad
     pulse_shape: str
     ramp_time: float
+    pulse: PulseSegment  # the nominal pulse, timed for the nominal g
     noise: NoiseParams
-    dt: float | None
     sample_period: float | None
     phi_c: float | None  # None when full overrides replace an unsolvable resonance
     g: float
@@ -151,10 +151,7 @@ def _cross_checks(raw: dict):
         raise ConfigError(f"experiment {exp!r} needs a sweep block", pointer="/sweep")
     if exp == "robustness" and "robustness" not in raw:
         raise ConfigError("experiment 'robustness' needs a robustness block", pointer="/robustness")
-    pulse = raw["pulse"]
-    if pulse.get("shape") == "sinSquaredRamp" and "rampTime_ns" not in pulse:
-        raise ConfigError("sinSquaredRamp needs rampTime_ns", pointer="/pulse/rampTime_ns")
-    if pulse.get("areaOverPi") == 0:
+    if raw["pulse"].get("areaOverPi") == 0:
         raise ConfigError("pulse area must be nonzero", pointer="/pulse/areaOverPi")
 
 
@@ -225,7 +222,9 @@ def resolve(raw: dict) -> Scenario:
     """Validate and resolve a raw config into internal units.
 
     The device pipeline runs here; explicit overrides of g, g' and E make a
-    pipeline validity failure non-fatal, otherwise it propagates.
+    pipeline validity failure non-fatal, otherwise it propagates.  The
+    nominal pulse is built here too, once: every runner uses it, or a copy
+    with other couplings that keeps its timing.
     """
     validate_raw(raw)
     params = _device_from_raw(raw["device"])
@@ -266,8 +265,6 @@ def resolve(raw: dict) -> Scenario:
         enabled=noise_raw.get("enabled", True),
     )
 
-    integ = raw.get("integration", {})
-    pulse = raw["pulse"]
     sweep = None
     if "sweep" in raw:
         s = raw["sweep"]
@@ -283,16 +280,27 @@ def resolve(raw: dict) -> Scenario:
         r = raw["robustness"]
         robustness = RobustnessSpec(error_fraction=r["errorFraction"], samples=r["samples"])
 
-    scn = Scenario(
+    pulse = raw["pulse"]
+    area = pulse["areaOverPi"] * math.pi
+    shape = pulse.get("shape", "rectangular")
+    ramp_time = pulse.get("rampTime_ns", 0.0)
+    # a rectangular pulse has no ramps, whatever its rampTime_ns
+    ramp = ramp_time if shape == "sinSquaredRamp" else 0.0
+    try:
+        nominal = PulseSegment(pulse_duration_for_area(area, g, ramp), g, g_prime, phase_freq, ramp)
+    except ValueError as e:
+        raise ConfigError(str(e), pointer="/pulse") from None
+
+    return Scenario(
         experiment=raw["experiment"],
         device=params,
         spec=HilbertSpec(raw.get("hilbert", {}).get("fockLevels", 2)),
-        pulse_area=pulse["areaOverPi"] * math.pi,
-        pulse_shape=pulse.get("shape", RECTANGULAR),
-        ramp_time=pulse.get("rampTime_ns", 0.0),
+        pulse_area=area,
+        pulse_shape=shape,
+        ramp_time=ramp_time,
+        pulse=nominal,
         noise=noise,
-        dt=integ.get("dt_ns"),
-        sample_period=integ.get("samplePeriod_ns"),
+        sample_period=raw.get("integration", {}).get("samplePeriod_ns"),
         phi_c=phi_c,
         g=g,
         g_prime=g_prime,
@@ -302,12 +310,6 @@ def resolve(raw: dict) -> Scenario:
         sweep=sweep,
         robustness=robustness,
     )
-    try:  # the nominal pulse every run builds, so that a config that derives also runs
-        duration = pulse_duration_for_area(scn.pulse_area, g, scn.pulse_shape, scn.ramp_time)
-        PulseSegment(duration, g, shape=scn.pulse_shape, ramp_time=scn.ramp_time)
-    except ValueError as e:
-        raise ConfigError(str(e), pointer="/pulse") from None
-    return scn
 
 
 def _finite_number(text: str, convert=float):

@@ -15,25 +15,27 @@ dephasing (sigma_f^z, rate 1/tf2):
     drho/dt = -i [H, rho] + (1/(2 tf1)) (2 a rho a^dag - a^dag a rho - rho a^dag a)
               + (1/tf2) (sigma_f^z rho sigma_f^z - rho)
 
-A pulse is one ``PulseSegment``, and every pulse is propagated by one core,
-``_propagate``.  In the frame rho = V rho' V^dag with V(t) = exp(i E t N) and
-N = a^dag a + |up><up|, the contamination phase becomes the static term E N,
-both dissipators are unchanged, and the generator is L(t) = L0 + env(t) L1:
-L0 holds -i[E N, .] and both dissipators, L1 the coupling commutator.  On the
-plateau (env = 1) one matrix exponential (``expm``) carries the state from
-one sample to the next; on a sin^2 ramp, fourth-order Magnus steps (two-point
-Gauss-Legendre; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do,
-each one exponential applied to the state (``_expm_apply``).  Only the final
-state is turned back to the working frame.  ``evolve_static`` takes one
-exponential of a static lab-frame Liouvillian per sample, and
-``pulse_propagator`` runs the same core on the Hilbert-space pair
-(-i E N, -i H_coupling).  The trajectories of ``evolve`` and
-``evolve_static`` come from one recorder, ``_Recorder``, which samples at the
-times k * sample_period (default duration/200) and at the end, rejects a
-non-finite state and assembles the ``Trajectory``.  No renormalization is
-applied, so trace drift measures the propagation's precision directly.
-``evolve`` is a pure function of its inputs; independent evolutions are safe
-to run concurrently.
+A pulse is one ``PulseSegment``: its duration, its plateau couplings g and
+g', E, and the length of its sin^2 ramps (0 for a rectangular pulse).  Every
+pulse is propagated by one core, ``_propagate``.  In the frame
+rho = V rho' V^dag with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the
+contamination phase becomes the static term E N, both dissipators are
+unchanged, and the generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .]
+and both dissipators, L1 the coupling commutator.  On the plateau (env = 1)
+one matrix exponential (``expm``) carries the state from one sample to the
+next; on a sin^2 ramp, fourth-order Magnus steps (two-point Gauss-Legendre;
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do, each one
+exponential applied to the state (``_expm_apply``), in steps that the pulse
+alone sets (``_ramp_step``).  Only the final state is turned back to the
+working frame.  ``evolve_static`` takes one exponential of a static
+lab-frame Liouvillian per sample, and ``pulse_propagator`` runs the same
+core on the Hilbert-space pair (-i E N, -i H_coupling).  The trajectories of
+``evolve`` and ``evolve_static`` come from one recorder, ``_Recorder``,
+which samples at the times k * sample_period (default duration/200) and at
+the end, rejects a non-finite state and assembles the ``Trajectory``.  No
+renormalization is applied, so trace drift measures the propagation's
+precision directly.  ``evolve`` is a pure function of its inputs;
+independent evolutions are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ from .hilbert import (
     sigma_plus,
     trace_error,
 )
-
-RECTANGULAR = "rectangular"
-SIN2_RAMP = "sinSquaredRamp"
 
 # Magnus step on a ramp: h = min(ramp / RAMP_STEPS, MAX_PHASE_STEP / |E|),
 # times sqrt(COUPLING_SCALE / c) when the larger coupling c = max(|g|, |g'|)
@@ -90,33 +89,21 @@ class PulseSegment:
     g_value / g_prime_value are the plateau couplings in rad/ns; both follow
     the same envelope since they share one physical origin (the slope of the
     wire energy, switched by the phase controller).  phase_freq is the
-    interaction-picture phase rate E in rad/ns.
+    interaction-picture phase rate E in rad/ns.  ramp is the length in ns of
+    each sin^2 ramp; 0 makes the pulse rectangular.
     """
 
     duration: float
     g_value: float
     g_prime_value: float = 0.0
     phase_freq: float = 0.0
-    shape: str = RECTANGULAR
-    ramp_time: float = 0.0
+    ramp: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.duration < math.inf:
             raise ValueError(f"pulse duration must be positive and finite, got {self.duration}")
-        if self.shape not in (RECTANGULAR, SIN2_RAMP):
-            raise ValueError(f"unknown pulse shape {self.shape!r}")
-        if self.shape == SIN2_RAMP:
-            if self.ramp_time <= 0:
-                raise ValueError("sin^2 ramp needs ramp_time > 0")
-            if self.ramp_time > self.duration / 2:
-                raise ValueError(
-                    f"ramp_time {self.ramp_time} exceeds half the duration {self.duration}"
-                )
-
-    @property
-    def ramp(self) -> float:
-        """Length in ns of each sin^2 ramp; 0 for a rectangular pulse, whatever its ramp_time."""
-        return self.ramp_time if self.shape == SIN2_RAMP else 0.0
+        if not 0 <= self.ramp <= self.duration / 2:
+            raise ValueError(f"ramp {self.ramp} must lie in [0, half the duration {self.duration}]")
 
     def envelope(self, tau: float) -> float:
         """Dimensionless envelope at time tau since the pulse start."""
@@ -305,8 +292,8 @@ def _free_generator(ws: _Workspace, energy: float, noise: NoiseParams) -> np.nda
     return gen
 
 
-def _ramp_step(pulse: PulseSegment, dt: float | None) -> float:
-    """The Magnus step on the pulse's ramps, capped at dt when given."""
+def _ramp_step(pulse: PulseSegment) -> float:
+    """The Magnus step on the pulse's ramps."""
     h = pulse.ramp / RAMP_STEPS
     if pulse.phase_freq != 0.0:
         h = min(h, MAX_PHASE_STEP / abs(pulse.phase_freq))
@@ -314,12 +301,7 @@ def _ramp_step(pulse: PulseSegment, dt: float | None) -> float:
     if coupling > COUPLING_SCALE:
         h *= math.sqrt(COUPLING_SCALE / coupling)
     # a ramp shorter than RAMP_STEPS subnormals still gets a nonzero step
-    h = max(h, math.ulp(0.0))
-    if dt is not None:
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        h = min(h, dt)
-    return h
+    return max(h, math.ulp(0.0))
 
 
 # the two Gauss-Legendre nodes of a step sit at 1/2 -+ _GAUSS of it
@@ -434,15 +416,14 @@ def evolve(
     pulse: PulseSegment,
     noise: NoiseParams,
     spec: HilbertSpec | None = None,
-    dt: float | None = None,
     sample_period: float | None = None,
 ) -> Trajectory:
     """Propagate the master equation over one pulse.
 
     The pulse runs in the frame exp(i E t N) through ``_propagate``: one
     matrix exponential per sample period on the plateau (the whole of a
-    rectangular pulse), fourth-order Magnus steps of ``_ramp_step`` (capped
-    at dt) on a sin^2 ramp.
+    rectangular pulse), fourth-order Magnus steps of ``_ramp_step`` on a
+    sin^2 ramp.  The step follows from the pulse alone: no argument sets it.
 
     Parameters
     ----------
@@ -455,10 +436,6 @@ def evolve(
         Relaxation / dephasing times; pass NO_NOISE for closed evolution.
     spec : HilbertSpec, optional
         Defaults to the two-level flux truncation.
-    dt : float, optional
-        Cap in ns on the Magnus step of a sin^2 ramp; each ramp piece runs in
-        the largest equal steps no longer than the cap.  A rectangular pulse
-        has no ramp steps.
     sample_period : float, optional
         Time between samples in ns; defaults to 1/200 of the pulse duration.
 
@@ -473,8 +450,8 @@ def evolve(
     ramp steps, a step's generator is non-finite or too long for double
     precision (``EXPM_MAX_NORM``), the state is not finite, the final trace
     drifts by more than ``TRACE_DRIFT_LIMIT`` or the final state is not
-    Hermitian to ``HERMITICITY_LIMIT``.  ValueError if ``sample_period`` or
-    ``dt`` is not positive.
+    Hermitian to ``HERMITICITY_LIMIT``.  ValueError if ``sample_period`` is
+    not positive.
     """
     spec = spec or HilbertSpec()
     if rho0.shape != (spec.dim, spec.dim):
@@ -482,7 +459,7 @@ def evolve(
     ws = _Workspace(spec)
     recorder = _Recorder(spec, pulse.duration, sample_period)
     y = np.array(rho0, dtype=complex).reshape(-1)
-    h = _ramp_step(pulse, dt)
+    h = _ramp_step(pulse)
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
         l0 = _free_generator(ws, pulse.phase_freq, noise)
@@ -569,19 +546,17 @@ def pulse_propagator(pulse: PulseSegment, spec: HilbertSpec | None = None) -> np
         -1j * ws.coupling(pulse),
         pulse,
         pulse.duration,
-        _ramp_step(pulse, None),
+        _ramp_step(pulse),
     )
     return np.exp((1j * pulse.phase_freq * pulse.duration) * nx)[:, None] * u
 
 
-def pulse_duration_for_area(
-    area: float, g_value: float, shape: str = RECTANGULAR, ramp_time: float = 0.0
-) -> float:
-    """Duration making the time integral of the shaped g(t) equal ``area``.
+def pulse_duration_for_area(area: float, g_value: float, ramp: float = 0.0) -> float:
+    """Duration making the time integral of g(t) equal ``area`` with ramps of ``ramp`` ns.
 
-    Both shapes solve in closed form: each sin^2 ramp carries half the area
-    of a flat ramp of the same length, so a ramped pulse is the rectangular
-    pulse lengthened by one ramp time (``PulseSegment.area``).
+    Each sin^2 ramp carries half the area of a flat ramp of the same length,
+    so a ramped pulse is the rectangular pulse (ramp 0) lengthened by one
+    ramp time (``PulseSegment.area``).
     """
     if g_value == 0.0:
         raise ValueError("g_value must be nonzero")
@@ -589,18 +564,10 @@ def pulse_duration_for_area(
         raise ValueError("area must be nonzero")
     if math.copysign(1.0, area) != math.copysign(1.0, g_value):
         raise ValueError(f"area {area} and g {g_value} must have the same sign")
-    if shape == RECTANGULAR:
-        return area / g_value
-    if shape != SIN2_RAMP:
-        raise ValueError(f"unknown pulse shape {shape!r}")
-    if ramp_time <= 0:
-        raise ValueError("sin^2 ramp needs ramp_time > 0")
     flat_equiv = abs(area / g_value)
-    if flat_equiv < ramp_time:
-        raise ValueError(
-            f"|area/g| = {flat_equiv:.4f} ns is shorter than the ramp time {ramp_time} ns"
-        )
-    return area / g_value + ramp_time
+    if flat_equiv < ramp:
+        raise ValueError(f"|area/g| = {flat_equiv:.4f} ns is shorter than the ramp time {ramp} ns")
+    return area / g_value + ramp
 
 
 def trajectory_checks(traj: Trajectory) -> dict:

@@ -1,29 +1,26 @@
 """Experiment orchestration: single scenarios, decoherence sweeps, error Monte Carlo.
 
 Every runner is deterministic given (config, seed) and writes self-describing
-summaries that echo the fully resolved parameter set.  Sweep and Monte Carlo
-points are mutually independent (nothing shared but immutable inputs); both
-runners list them as ``run_evolution`` overrides and evaluate them through
-``fidelities``, which returns results in list order.
+summaries that echo the fully resolved parameter set.  Every run uses the
+scenario's nominal pulse (``Scenario.pulse``), or a copy of it with other
+couplings, which keeps the timing calibrated to the nominal g.  Sweep and
+Monte Carlo points are mutually independent (nothing shared but immutable
+inputs); both runners give them as (pulse, noise) pairs to ``fidelities``,
+which returns results in the order it reads them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import Scenario
-from .dynamics import (
-    NoiseParams,
-    PulseSegment,
-    Trajectory,
-    evolve,
-    pulse_duration_for_area,
-    trajectory_checks,
-)
+from .dynamics import NoiseParams, PulseSegment, Trajectory, evolve, trajectory_checks
 from .errors import ConfigError
 from .gates import ideal_pulse_unitary
 from .hilbert import DOWN, UP, HilbertSpec, fidelity_pure, pure_density
@@ -31,28 +28,6 @@ from .output import emit_outputs, write_json, write_matrix_csv
 
 # gate-basis index -> (spin, fock) of the computational states
 _GATE_BASIS = ((DOWN, 0), (DOWN, 1), (UP, 0), (UP, 1))
-
-
-def build_schedule(scn: Scenario, g=None, g_prime=None, phase_freq=None) -> PulseSegment:
-    """The scenario's pulse.
-
-    The duration is calibrated against the *scenario's* nominal g, so
-    perturbation studies keep the nominal pulse timing.
-    """
-    g = scn.g if g is None else g
-    g_prime = scn.g_prime if g_prime is None else g_prime
-    phase_freq = scn.phase_freq if phase_freq is None else phase_freq
-    duration = pulse_duration_for_area(
-        scn.pulse_area, scn.g, shape=scn.pulse_shape, ramp_time=scn.ramp_time
-    )
-    return PulseSegment(
-        duration=duration,
-        g_value=g,
-        g_prime_value=g_prime,
-        phase_freq=phase_freq,
-        shape=scn.pulse_shape,
-        ramp_time=scn.ramp_time,
-    )
 
 
 def initial_state(spec: HilbertSpec) -> np.ndarray:
@@ -70,28 +45,30 @@ def target_state(scn: Scenario) -> np.ndarray:
     return psi
 
 
-def run_evolution(scn: Scenario, g=None, g_prime=None, phase_freq=None, noise=None) -> Trajectory:
-    pulse = build_schedule(scn, g=g, g_prime=g_prime, phase_freq=phase_freq)
+def run_evolution(scn: Scenario, pulse=None, noise=None) -> Trajectory:
+    """Evolve |up,0> under ``pulse`` and ``noise``, by default the scenario's own."""
+    pulse = scn.pulse if pulse is None else pulse
     noise = scn.noise if noise is None else noise
-    return evolve(
-        initial_state(scn.spec), pulse, noise, scn.spec, dt=scn.dt, sample_period=scn.sample_period
-    )
+    return evolve(initial_state(scn.spec), pulse, noise, scn.spec, sample_period=scn.sample_period)
 
 
 def scenario_fidelity(scn: Scenario, traj: Trajectory) -> float:
     return fidelity_pure(target_state(scn), traj.final_state)
 
 
-def fidelities(scn: Scenario, points: list[dict]) -> list[float]:
-    """Final-state fidelity against ``target_state(scn)`` for each point.
+def fidelities(scn: Scenario, points: Iterable[tuple[PulseSegment, NoiseParams]]) -> list[float]:
+    """Final-state fidelity against ``target_state(scn)`` for each (pulse, noise) point.
 
-    A point is a dict of ``run_evolution`` keyword overrides (g, g_prime,
-    phase_freq, noise); the pulse timing stays calibrated to the nominal g.
-    Only the final state is read, so each evolution samples just its two ends.
+    The points are read one at a time, so a generator of them is never held
+    in memory whole.  Only the final state is read, so each evolution samples
+    just its two ends.
     """
     target = target_state(scn)
-    ends_only = replace(scn, sample_period=build_schedule(scn).duration)
-    return [fidelity_pure(target, run_evolution(ends_only, **p).final_state) for p in points]
+    ends_only = replace(scn, sample_period=scn.pulse.duration)
+    return [
+        fidelity_pure(target, run_evolution(ends_only, pulse, noise).final_state)
+        for pulse, noise in points
+    ]
 
 
 def _summary(scn: Scenario, **fields) -> dict:
@@ -106,13 +83,12 @@ def _summary(scn: Scenario, **fields) -> dict:
 
 def run_scenario(scn: Scenario, out_dir=None, formats=("csv", "json", "svg")) -> dict:
     """Run one pulse scenario; returns (and optionally writes) the summary."""
-    pulse = build_schedule(scn)
     traj = run_evolution(scn)
     fid = scenario_fidelity(scn, traj)
     summary = _summary(
         scn,
         fidelity=fid,
-        pulse_duration_ns=pulse.duration,
+        pulse_duration_ns=scn.pulse.duration,
         diagnostics=trajectory_checks(traj),
     )
     if out_dir is not None:
@@ -138,11 +114,11 @@ def run_sweep(scn: Scenario, out_dir=None) -> dict:
         raise ConfigError("scenario has no sweep block", pointer="/sweep")
     sweep = scn.sweep
     etas = [float(eta) for eta in sweep.values()]
-    points = [
-        {"g_prime": ratio * scn.g, "noise": _noise_for_axis(scn.noise, sweep.axis, eta)}
+    points = (
+        (replace(scn.pulse, g_prime_value=r * scn.g), _noise_for_axis(scn.noise, sweep.axis, eta))
         for eta in etas
-        for ratio in sweep.ratios
-    ]
+        for r in sweep.ratios
+    )
     flat = fidelities(scn, points)
     width = len(sweep.ratios)
     grid = [flat[i * width : (i + 1) * width] for i in range(len(etas))]
@@ -156,7 +132,7 @@ def run_sweep(scn: Scenario, out_dir=None) -> dict:
         axis_values=etas,
         ratios=list(sweep.ratios),
         fidelities=grid,
-        pulse_duration_ns=build_schedule(scn).duration,
+        pulse_duration_ns=scn.pulse.duration,
     )
     if out_dir is not None:
         out = Path(out_dir)
@@ -182,15 +158,23 @@ def run_robustness(scn: Scenario, seed: int = 0, out_dir=None) -> dict:
     spread = (1.0 - frac, 1.0 + frac)
     corner_factors = [(fg, fgp, fe) for fg in spread for fgp in spread for fe in spread]
     rng = np.random.default_rng(seed)
-    sample_factors = [
+    # each sample is drawn only when it is evaluated, after the nominal point and the corners
+    draws = (
         tuple(float(x) for x in rng.uniform(1.0 - frac, 1.0 + frac, size=3))
         for _ in range(n_samples)
-    ]
-
-    points = [
-        {"g": scn.g * fg, "g_prime": scn.g_prime * fgp, "phase_freq": scn.phase_freq * fe}
-        for fg, fgp, fe in [(1.0, 1.0, 1.0)] + corner_factors + sample_factors
-    ]
+    )
+    points = (
+        (
+            replace(
+                scn.pulse,
+                g_value=scn.g * fg,
+                g_prime_value=scn.g_prime * fgp,
+                phase_freq=scn.phase_freq * fe,
+            ),
+            scn.noise,
+        )
+        for fg, fgp, fe in itertools.chain([(1.0, 1.0, 1.0)], corner_factors, draws)
+    )
     nominal, *fids = fidelities(scn, points)
     corners = [
         {"factors": {"g": fg, "g_prime": fgp, "E": fe}, "fidelity": fid}

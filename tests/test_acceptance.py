@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from topoflux import dynamics
 from topoflux.config import resolve
 from topoflux.device import angular_to_ghz, de_dphi, energy_of_phi, ghz_to_angular, ratio_formula, solve_resonant_phase
 from topoflux.dynamics import (
@@ -19,7 +20,6 @@ from topoflux.dynamics import (
     pulse_propagator,
 )
 from topoflux.experiments import (
-    build_schedule,
     initial_state,
     run_robustness,
     run_scenario,
@@ -132,7 +132,6 @@ def test_criterion_05_alt_parameter_fidelity():
 def test_criterion_06_robustness():
     raw = scenario_preset("robustness")
     raw["robustness"]["samples"] = 32
-    raw["integration"] = {"dt_ns": 1.5e-4}
     summary = run_robustness(resolve(raw), seed=0)
     worst = summary["worst_corner"]["fidelity"]
     mean = summary["monte_carlo"]["mean"]
@@ -158,7 +157,6 @@ def test_criterion_07_decoherence_sweep_shape():
     for preset, sweep in base["axis_cfgs"]:
         raw = scenario_preset(preset)
         raw["sweep"] = sweep
-        raw["integration"] = {"dt_ns": 1.5e-4}
         summary = run_sweep(resolve(raw))
         for row in summary["fidelities"]:
             for a, b in zip(row, row[1:]):
@@ -170,7 +168,6 @@ def test_criterion_07_decoherence_sweep_shape():
     raw = scenario_preset("fig3a")
     raw["noise"] = {"enabled": True, "Tf2_ns": 1.0e30}
     raw["sweep"] = {"axis": "eta1", "lo": 0.0, "hi": 1e-4, "points": 2, "gPrimeOverG": [0]}
-    raw["integration"] = {"dt_ns": 1.5e-4}
     limit = run_sweep(resolve(raw))["fidelities"][0][0]
     limit_ok = abs(limit - 1.0) <= 1e-4
 
@@ -184,7 +181,7 @@ def test_criterion_07_decoherence_sweep_shape():
     )
 
 
-def test_criterion_08_property_suite(scn_fig2a, fig2a_run):
+def test_criterion_08_property_suite(scn_fig2a, fig2a_run, monkeypatch):
     t0 = time.perf_counter()
     spec = HilbertSpec(2)
     g, gp, e_freq = scn_fig2a.g, scn_fig2a.g_prime, scn_fig2a.phase_freq
@@ -197,7 +194,7 @@ def test_criterion_08_property_suite(scn_fig2a, fig2a_run):
     results["hermiticity"] = diag["final_hermiticity_error"] < 1e-9
     results["positivity"] = diag["min_eigenvalue"] > -1e-8
 
-    pulse = build_schedule(scn_fig2a)
+    pulse = scn_fig2a.pulse
     traj_free = evolve(rho_up0, pulse, NO_NOISE, spec)
     results["purity_noise_free"] = np.max(np.abs(traj_free.purity - 1.0)) < 1e-7
 
@@ -213,10 +210,15 @@ def test_criterion_08_property_suite(scn_fig2a, fig2a_run):
     dark_dev = np.max(np.abs(dark_traj.final_state - dark0))
     results["dark_state"] = dark_dev < 1e-9
 
+    # halving the Magnus step on a 0.05 ns sin^2 ramp moves the transfer by < 1e-7
+    raw = scenario_preset("fig2a")
+    raw["pulse"] = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
+    ramped = resolve(raw).pulse
     i_dn1 = spec.index(DOWN, 1)
-    dt = pulse.duration / 10_000
-    f_full = evolve(rho_up0, pulse, noise, spec, dt=dt).final_state[i_dn1, i_dn1].real
-    f_half = evolve(rho_up0, pulse, noise, spec, dt=dt / 2).final_state[i_dn1, i_dn1].real
+    f_full = evolve(rho_up0, ramped, noise, spec).final_state[i_dn1, i_dn1].real
+    monkeypatch.setattr(dynamics, "RAMP_STEPS", 2 * dynamics.RAMP_STEPS)
+    monkeypatch.setattr(dynamics, "MAX_PHASE_STEP", dynamics.MAX_PHASE_STEP / 2)
+    f_half = evolve(rho_up0, ramped, noise, spec).final_state[i_dn1, i_dn1].real
     results["dt_halving"] = abs(f_full - f_half) < 1e-7
 
     dev = scn_fig2a.device
@@ -321,7 +323,6 @@ def test_criterion_09_gate_suite(scn_fig2a):
 
 def test_criterion_10_determinism(tmp_path):
     raw = scenario_preset("fig2a")
-    raw["integration"] = {"dt_ns": 1.5e-4}
     dirs = (tmp_path / "a", tmp_path / "b")
     for d in dirs:
         run_scenario(resolve(raw), out_dir=d, formats=("csv", "json", "svg"))
@@ -332,7 +333,6 @@ def test_criterion_10_determinism(tmp_path):
 
     rraw = scenario_preset("robustness")
     rraw["robustness"]["samples"] = 2
-    rraw["integration"] = {"dt_ns": 1.5e-4}
     for d in dirs:
         run_robustness(resolve(rraw), seed=5, out_dir=d)
     same_rob = (dirs[0] / "robustness_summary.json").read_bytes() == (

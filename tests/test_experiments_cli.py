@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ from topoflux.config import resolve
 from topoflux.dynamics import MAX_STEPS, NO_NOISE, PulseSegment, _ramp_step, evolve
 from topoflux.errors import TopofluxError
 from topoflux.experiments import (
-    build_schedule,
     fidelities,
+    initial_state,
     run_robustness,
     run_scenario,
     run_sweep,
@@ -43,20 +44,7 @@ def strict_loads(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
-def fast_raw(name="fig2a", **blocks):
-    """Preset with ``integration.dt_ns`` set.
-
-    The 1.5e-4 ns cap shortens the Magnus steps of a sin^2 ramp and leaves a
-    rectangular pulse as it is.
-    """
-    raw = scenario_preset(name)
-    raw["integration"] = {"dt_ns": 1.5e-4}
-    for key, val in blocks.items():
-        raw[key] = val
-    return raw
-
-
-# a ramped fig2a pulse: evolve runs its ramps in Magnus steps of at most integration.dt_ns
+# a ramped fig2a pulse: evolve runs its ramps in Magnus steps of 0.02/256 = 7.8e-5 ns
 RAMPED = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.02}
 RUN_PRESETS = ("fig2a", "fig2b", "altParams")
 # 10-25 ms an example: most ramped draws are refused before they evolve
@@ -102,13 +90,13 @@ def schema_valid_configs(draw, presets=None, shapes=("rectangular", "sinSquaredR
 
 
 @pytest.fixture(scope="module")
-def fig2a_fast():
-    return resolve(fast_raw())
+def fig2a_scn():
+    return resolve(scenario_preset("fig2a"))
 
 
 class TestOutputs:
     def test_csv_contract(self, tmp_path):
-        scn = resolve(fast_raw())
+        scn = resolve(scenario_preset("fig2a"))
         run_scenario(scn, out_dir=tmp_path, formats=("csv", "json", "svg"))
         lines = (tmp_path / "fig2a.csv").read_text().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
@@ -132,16 +120,9 @@ class TestOutputs:
         assert len(path.read_text().strip().split("\n")) == 3
 
     def test_csv_round_trip_exact(self, tmp_path):
-        scn = resolve(fast_raw())
-        from topoflux.experiments import build_schedule, initial_state
-
+        scn = resolve(scenario_preset("fig2a"))
         traj = evolve(
-            initial_state(scn.spec),
-            build_schedule(scn),
-            scn.noise,
-            scn.spec,
-            scn.dt,
-            sample_period=scn.sample_period,
+            initial_state(scn.spec), scn.pulse, scn.noise, scn.spec, sample_period=scn.sample_period
         )
         path = write_trajectory_csv(traj, tmp_path / "t.csv")
         cols = read_trajectory_csv(path)
@@ -152,7 +133,7 @@ class TestOutputs:
         assert np.array_equal(cols["min_eig"], traj.min_eigenvalue)
 
     def test_summary_echoes_resolved_parameters(self):
-        scn = resolve(fast_raw())
+        scn = resolve(scenario_preset("fig2a"))
         summary = run_scenario(scn)
         params = summary["parameters"]
         assert params["device"]["ej"] == pytest.approx(2 * math.pi * 158.0)
@@ -164,13 +145,13 @@ class TestOutputs:
 class TestDeterminism:
     def test_scenario_outputs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        run_scenario(resolve(fast_raw()), out_dir=a, formats=("csv", "json", "svg"))
-        run_scenario(resolve(fast_raw()), out_dir=b, formats=("csv", "json", "svg"))
+        run_scenario(resolve(scenario_preset("fig2a")), out_dir=a, formats=("csv", "json", "svg"))
+        run_scenario(resolve(scenario_preset("fig2a")), out_dir=b, formats=("csv", "json", "svg"))
         for name in ("fig2a.csv", "fig2a_summary.json", "fig2a.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_robustness_byte_identical_with_seed(self, tmp_path):
-        raw = fast_raw("robustness", robustness={"errorFraction": 0.1, "samples": 3})
+        raw = dict(scenario_preset("robustness"), robustness={"errorFraction": 0.1, "samples": 3})
         a, b = tmp_path / "a", tmp_path / "b"
         run_robustness(resolve(raw), seed=42, out_dir=a)
         run_robustness(resolve(raw), seed=42, out_dir=b)
@@ -179,7 +160,7 @@ class TestDeterminism:
         ).read_bytes()
 
     def test_different_seed_changes_samples(self):
-        raw = fast_raw("robustness", robustness={"errorFraction": 0.1, "samples": 3})
+        raw = dict(scenario_preset("robustness"), robustness={"errorFraction": 0.1, "samples": 3})
         s1 = run_robustness(resolve(raw), seed=1)
         s2 = run_robustness(resolve(raw), seed=2)
         assert s1["monte_carlo"]["fidelities"] != s2["monte_carlo"]["fidelities"]
@@ -189,12 +170,12 @@ class TestDeterminism:
 
 class TestSweep:
     def test_single_point_matches_scenario(self):
-        scn = resolve(fast_raw())
+        scn = resolve(scenario_preset("fig2a"))
         base = run_scenario(scn)["fidelity"]
         eta1 = 1.0 / (2.0 * 900.0)
         ratio = scn.g_prime / scn.g
-        raw = fast_raw(
-            "fig3a",
+        raw = dict(
+            scenario_preset("fig3a"),
             sweep={
                 "axis": "eta1",
                 "lo": eta1,
@@ -206,7 +187,7 @@ class TestSweep:
         summary = run_sweep(resolve(raw))
         assert summary["fidelities"][0][0] == pytest.approx(base, abs=1e-12)
 
-    def test_fidelities_sample_only_the_ends(self, fig2a_fast, monkeypatch):
+    def test_fidelities_sample_only_the_ends(self, fig2a_scn, monkeypatch):
         lengths = []
 
         def counting_evolve(*args, **kwargs):
@@ -215,13 +196,15 @@ class TestSweep:
             return traj
 
         monkeypatch.setattr(topoflux.experiments, "evolve", counting_evolve)
-        fidelities(fig2a_fast, [{}, {"g_prime": 0.0}])
+        scn = fig2a_scn
+        points = [(scn.pulse, scn.noise), (replace(scn.pulse, g_prime_value=0.0), scn.noise)]
+        fidelities(scn, points)
         assert lengths == [2, 2]
 
     def test_sweep_csv_layout(self, tmp_path):
         # base dephasing effectively off so the eta1 = 0, ratio 0 corner is noise-free
-        raw = fast_raw(
-            "fig3a",
+        raw = dict(
+            scenario_preset("fig3a"),
             sweep={"axis": "eta1", "lo": 0.0, "hi": 0.002, "points": 3, "gPrimeOverG": [0, 2]},
             noise={"enabled": True, "Tf2_ns": 1.0e30},
         )
@@ -234,8 +217,8 @@ class TestSweep:
         assert first[1] == pytest.approx(1.0, abs=1e-4)  # no decoherence, no contamination
 
     def test_eta2_axis_drives_dephasing(self):
-        raw = fast_raw(
-            "fig3b",
+        raw = dict(
+            scenario_preset("fig3b"),
             sweep={"axis": "eta2", "lo": 0.0, "hi": 0.05, "points": 2, "gPrimeOverG": [0]},
         )
         summary = run_sweep(resolve(raw))
@@ -245,7 +228,7 @@ class TestSweep:
 
 class TestRobustness:
     def test_zero_fraction_degenerate(self):
-        raw = fast_raw("robustness", robustness={"errorFraction": 0.0, "samples": 2})
+        raw = dict(scenario_preset("robustness"), robustness={"errorFraction": 0.0, "samples": 2})
         s = run_robustness(resolve(raw), seed=0)
         nominal = s["nominal_fidelity"]
         assert s["monte_carlo"]["min"] == pytest.approx(nominal, abs=1e-12)
@@ -253,7 +236,7 @@ class TestRobustness:
         assert s["worst_corner"]["fidelity"] == pytest.approx(nominal, abs=1e-12)
 
     def test_corner_count(self):
-        raw = fast_raw("robustness", robustness={"errorFraction": 0.1, "samples": 0})
+        raw = dict(scenario_preset("robustness"), robustness={"errorFraction": 0.1, "samples": 0})
         s = run_robustness(resolve(raw), seed=0)
         assert len(s["corners"]) == 8
         factors = {tuple(sorted(c["factors"].items())) for c in s["corners"]}
@@ -267,37 +250,37 @@ class TestCli:
         return path
 
     def test_run_ok(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, fast_raw())
+        cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "fig2a.csv").exists()
         assert (tmp_path / "out" / "fig2a_summary.json").exists()
         assert "fidelity" in capsys.readouterr().out
 
     def test_run_svg_format(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, fast_raw())
+        cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--format", "csv,svg,json"]) == 0
         assert (out / "fig2a.svg").exists()
 
     def test_derive_prints_json(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, fast_raw())
+        cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
         assert main(["derive", "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["parameters"]["validity"]["all_passed"] is True
 
     def test_config_error_exit_2(self, tmp_path, capsys):
-        raw = fast_raw()
+        raw = scenario_preset("fig2a")
         raw["pulse"]["areaOverPi"] = 0
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_experiment_command_mismatch_exit_2(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, fast_raw())
+        cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
         assert main(["sweep", "--config", str(cfg)]) == 2
 
     def test_validity_error_exit_3(self, tmp_path, capsys):
-        raw = fast_raw()
+        raw = scenario_preset("fig2a")
         raw["device"]["phiC_rad"] = -0.1
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 3
@@ -305,7 +288,7 @@ class TestCli:
 
     def test_integration_error_exit_4(self, tmp_path, capsys):
         # dephasing drains the trace at 3 levels (sigma_f^z is zero on n = 2)
-        raw = fast_raw("altParams", hilbert={"fockLevels": 3})
+        raw = dict(scenario_preset("altParams"), hilbert={"fockLevels": 3})
         raw["pulse"]["areaOverPi"] = -101.0
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 4
@@ -314,8 +297,8 @@ class TestCli:
         assert "final trace drift 3.8" in captured.err
 
     def test_sweep_command(self, tmp_path):
-        raw = fast_raw(
-            "fig3a",
+        raw = dict(
+            scenario_preset("fig3a"),
             sweep={"axis": "eta1", "lo": 0.0, "hi": 0.002, "points": 2, "gPrimeOverG": [0]},
         )
         cfg = self.write_cfg(tmp_path, raw)
@@ -324,7 +307,7 @@ class TestCli:
         assert (out / "fig3a_sweep.csv").exists()
 
     def test_robustness_command_with_seed(self, tmp_path):
-        raw = fast_raw("robustness", robustness={"errorFraction": 0.1, "samples": 2})
+        raw = dict(scenario_preset("robustness"), robustness={"errorFraction": 0.1, "samples": 2})
         cfg = self.write_cfg(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["robustness", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
@@ -340,7 +323,7 @@ class TestCli:
     def test_unsolved_phase_emits_strict_json(self, tmp_path, capsys):
         # full overrides keep an unsolvable resonance target from being fatal;
         # phi_c stays unresolved and must come out as null, not NaN
-        raw = fast_raw()
+        raw = scenario_preset("fig2a")
         raw["overrides"] = {
             "g_GHz": -2.0595918,
             "gPrime_GHz": -1.0439816,
@@ -365,7 +348,7 @@ class TestCli:
     )
     def test_non_finite_number_exit_2(self, tmp_path, capsys, block, key, literal):
         # json.dumps cannot write these, so splice the literal into the text
-        raw = fast_raw()
+        raw = scenario_preset("fig2a")
         raw.setdefault(block, {})[key] = "PLACEHOLDER"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw).replace('"PLACEHOLDER"', literal))
@@ -375,8 +358,8 @@ class TestCli:
         assert "non-finite" in captured.err
 
     def test_format_only_on_run(self, tmp_path):
-        raw = fast_raw(
-            "fig3a",
+        raw = dict(
+            scenario_preset("fig3a"),
             sweep={"axis": "eta1", "lo": 0.0, "hi": 0.002, "points": 2, "gPrimeOverG": [0]},
         )
         cfg = self.write_cfg(tmp_path, raw)
@@ -385,30 +368,40 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_bad_format_exit_2(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, fast_raw())
+        cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
         assert main(["run", "--config", str(cfg), "--format", "pdf"]) == 2
 
     @pytest.mark.parametrize(
-        "block, key, value",
+        "overrides",
         [
-            ("pulse", "rampTime_ns", 1e4),  # two ramps of 6.7e7 steps of 1.5e-4 ns
-            ("integration", "dt_ns", 1e-300),
-            ("integration", "dt_ns", 1e-320),  # ramp/dt overflows to inf
+            # two ramps of 6.3e7 Magnus steps of 1.6e-4 ns
+            pytest.param({}, id="pulse-rampTime_ns-10000.0"),
+            # E = 6.3e307 rad/ns sets steps of 8e-310 ns, whose count overflows to inf
+            pytest.param({"E_GHz": 1e307}, id="overrides-E_GHz-1e307"),
         ],
     )
-    def test_step_count_bound_exit_4(self, tmp_path, capsys, block, key, value):
+    def test_step_count_bound_exit_4(self, tmp_path, capsys, overrides):
         # a 2.4e5 ns pulse, so that a 1e4 ns ramp fits
-        raw = fast_raw(pulse=dict(RAMPED, areaOverPi=-1e6))
-        raw[block][key] = value
+        pulse = dict(RAMPED, areaOverPi=-1e6, rampTime_ns=1e4)
+        raw = dict(scenario_preset("fig2a"), pulse=pulse, overrides=overrides)
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "samples and ramp steps" in captured.err
 
+    def test_integration_dt_ns_exit_2(self, tmp_path, capsys):
+        # the Magnus step follows from the pulse alone; no key sets or caps it
+        raw = dict(scenario_preset("fig2a"), integration={"dt_ns": 1.5e-4})
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unexpected" in captured.err and "/integration" in captured.err
+
     def test_long_ramped_pulse_runs(self, tmp_path, capsys):
         # the plateau costs one shared exponential and one product per sample
-        raw = fast_raw(pulse=dict(RAMPED, areaOverPi=-1e6))
+        raw = dict(scenario_preset("fig2a"), pulse=dict(RAMPED, areaOverPi=-1e6))
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 0
         summary = strict_loads(capsys.readouterr().out)
@@ -446,7 +439,7 @@ class TestCli:
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "closed"])
     def test_step_too_long_for_double_precision_exit_4(self, tmp_path, capsys, noise):
         # a 2.4e10 ns pulse: each sample period's generator has 1-norm 7.7e10
-        raw = fast_raw(noise={"enabled": noise})
+        raw = dict(scenario_preset("fig2a"), noise={"enabled": noise})
         raw["pulse"]["areaOverPi"] = -1e11
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 4
@@ -464,7 +457,7 @@ class TestCli:
         ids=["sample-count", "hermiticity"],
     )
     def test_exact_propagation_refusals_exit_4(self, tmp_path, capsys, blocks, message):
-        cfg = self.write_cfg(tmp_path, fast_raw(**blocks))
+        cfg = self.write_cfg(tmp_path, dict(scenario_preset("fig2a"), **blocks))
         assert main(["run", "--config", str(cfg)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -472,7 +465,7 @@ class TestCli:
 
     def test_long_rectangular_pulse_runs(self, tmp_path, capsys):
         # a 2.4e5 ns pulse costs the same 200 samples as a short one
-        raw = fast_raw()
+        raw = scenario_preset("fig2a")
         raw["pulse"]["areaOverPi"] = -1e6
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["run", "--config", str(cfg)]) == 0
@@ -514,7 +507,7 @@ class TestCli:
         ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x:g}" for k, x in v.items()),
     )
     def test_device_overflow_exit_2(self, tmp_path, capsys, preset, device):
-        raw = fast_raw(preset)
+        raw = scenario_preset(preset)
         raw["device"].update(device)
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["derive", "--config", str(cfg)]) == 2
@@ -534,7 +527,7 @@ class TestCli:
         ids=["sine-overflows", "huge-target"],
     )
     def test_no_resonant_phase_message_exit_3(self, tmp_path, capsys, device, shown):
-        raw = fast_raw()
+        raw = scenario_preset("fig2a")
         raw["device"].update(device)
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["derive", "--config", str(cfg)]) == 3
@@ -546,9 +539,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "raw",
         [
-            fast_raw("robustness", robustness={"errorFraction": 0.1, "samples": 10**12}),
-            fast_raw(
-                "fig3a",
+            dict(
+                scenario_preset("robustness"), robustness={"errorFraction": 0.1, "samples": 10**12}
+            ),
+            dict(
+                scenario_preset("fig3a"),
                 sweep={"axis": "eta1", "lo": 0.0, "hi": 0.2, "points": 10**5, "gPrimeOverG": [0, 1]},
             ),
         ],
@@ -564,16 +559,16 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, raw",
         [
-            ("run", fast_raw(overrides={"g_GHz": 2.0})),
-            ("run", fast_raw(overrides={"g_GHz": 0})),
+            ("run", dict(scenario_preset("fig2a"), overrides={"g_GHz": 2.0})),
+            ("run", dict(scenario_preset("fig2a"), overrides={"g_GHz": 0})),
             (
                 "run",
-                fast_raw(pulse={"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 1.0}),
+                dict(scenario_preset("fig2a"), pulse=dict(RAMPED, rampTime_ns=1.0)),
             ),
             (
                 "sweep",
-                fast_raw(
-                    "fig3a",
+                dict(
+                    scenario_preset("fig3a"),
                     sweep={"axis": "eta1", "lo": 0.2, "hi": 0.2, "points": 2, "gPrimeOverG": [0]},
                 ),
             ),
@@ -606,13 +601,32 @@ def test_derive_fuzz_exits_cleanly(raw):
         assert out.getvalue() == ""
 
 
+def evolution_size(raw):
+    """Samples plus ramp steps that the config's run needs, and its ramp steps.
+
+    Both come from the raw config: ramp steps count only for a
+    ``sinSquaredRamp`` pulse, whatever rampTime_ns a rectangular one carries.
+    None when the config is refused before it evolves.
+    """
+    try:
+        scn = resolve(raw)
+    except TopofluxError:
+        return None
+    pulse = raw["pulse"]
+    ramp = pulse["rampTime_ns"] if pulse.get("shape") == "sinSquaredRamp" else 0.0
+    ramp_steps = 2.0 * ramp / _ramp_step(scn.pulse) if ramp else 0.0
+    duration = scn.pulse.duration
+    period = scn.sample_period or duration / 200 or duration
+    return duration / period + ramp_steps, ramp_steps
+
+
 def assert_run_exits_cleanly(raw):
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(raw))
         argv = ["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2, 3, 4)
     if code == 0:
@@ -620,6 +634,11 @@ def assert_run_exits_cleanly(raw):
         assert out.getvalue().count("\n") == 1
     else:
         assert out.getvalue() == ""
+    size = evolution_size(raw)
+    if size is not None:
+        # the step bound refuses exactly the runs that need more than MAX_STEPS
+        refused = "samples and ramp steps" in err.getvalue()
+        assert refused == (not size[0] <= MAX_STEPS), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
@@ -629,27 +648,12 @@ def test_run_fuzz_exits_cleanly(raw):
     assert_run_exits_cleanly(raw)
 
 
-def evolution_size(raw):
-    """Samples plus ramp steps of the config's evolution, and its ramp steps.
-
-    Both are 0 when the config is refused before it evolves.
-    """
-    try:
-        scn = resolve(raw)
-    except TopofluxError:
-        return 0, 0
-    pulse = build_schedule(scn)
-    ramp_steps = 2 * pulse.ramp / _ramp_step(pulse, scn.dt)
-    period = scn.sample_period or pulse.duration / 200 or pulse.duration
-    return pulse.duration / period + ramp_steps, ramp_steps
-
-
 @settings(max_examples=RAMPED_FUZZ_EXAMPLES, deadline=None)
 @given(schema_valid_configs(presets=RUN_PRESETS, shapes=("sinSquaredRamp",)))
 def test_ramped_run_fuzz_exits_cleanly(raw):
     # a ramp step takes 0.15 ms at 2 levels, 0.4 ms at 6.  Runs within the
     # MAX_STEPS bound but above 2500 ramp steps (about 1 s) would only be
     # slow, so they are not drawn.
-    steps, ramp_steps = evolution_size(raw)
-    assume(ramp_steps <= 2500 or steps > MAX_STEPS)
+    size = evolution_size(raw)
+    assume(size is None or size[1] <= 2500 or size[0] > MAX_STEPS)
     assert_run_exits_cleanly(raw)
