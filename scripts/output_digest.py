@@ -5,10 +5,12 @@ The set covers what a refactor that promises unchanged output bytes must
 keep: ``run --format csv,json,svg`` on fig2a, fig2b and altParams,
 ``run --format csv,json`` on fig2a with a 0.05 ns sin^2 ramp at fockLevels 2
 and 4 and on fig2a as a rectangular pulse carrying ``rampTime_ns: 100``
-(which it ignores), the ``derive`` report of every preset, ``gates verify``,
-fig3a and fig3b sweeps reduced to 3 points and the ratios [0, 3], and
-robustness with 2 samples for seeds 0 and 7.  Run it on two checkouts and
-compare the printed lines:
+(which it ignores), the ``derive`` report of every preset, ``derive`` and
+``run --format json`` on fig2a with full overrides of g, g' and E (once with
+the pipeline's operating point echoed, once with ``phi_c: null`` because no
+phase meets the resonance target), ``gates verify``, fig3a and fig3b sweeps
+reduced to 3 points and the ratios [0, 3], and robustness with 2 samples for
+seeds 0 and 7.  Run it on two checkouts and compare the printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR
 
@@ -34,6 +36,12 @@ RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
 RAMP_FOCK_LEVELS = (2, 4)
 # a rectangular pulse has no ramps, whatever its rampTime_ns
 RECT_WITH_RAMP_TIME = {"areaOverPi": -1.0, "shape": "rectangular", "rampTime_ns": 100}
+FULL_OVERRIDES = {"g_GHz": -2.0, "gPrime_GHz": -1.0, "E_GHz": 50.0}
+OVERRIDE_CONFIGS = {
+    "overrides": FULL_OVERRIDES,
+    # no phase gives E = 1e6 GHz, so phi_c is null and no derived or validity block is echoed
+    "overrides_unsolved": {**FULL_OVERRIDES, "resonanceTarget_GHz": 1e6},
+}
 SWEEP_PRESETS = ("fig3a", "fig3b")
 ROBUSTNESS_SEEDS = (0, 7)
 
@@ -65,6 +73,12 @@ def write_outputs(out: Path):
             cfg.write_text(json.dumps(raw))
             run_out = str(out / f"run_{label}")
             _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json")
+        for label, overrides in OVERRIDE_CONFIGS.items():
+            cfg = Path(tmp) / f"{label}.json"
+            cfg.write_text(json.dumps({**scenario_preset("fig2a"), "overrides": overrides}))
+            derived = _cli("derive", "--config", str(cfg))
+            (out / "derive" / f"fig2a_{label}.json").write_text(derived)
+            _cli("run", "--config", str(cfg), "--out", str(out / f"run_{label}"), "--format", "json")
     _cli("gates", "verify", "--out", str(out / "gates"))
 
     for name in SWEEP_PRESETS:

@@ -12,8 +12,8 @@ Without ``--out`` each command prints its JSON summary or report.  ``--format``
 belongs to ``run`` only and picks which of its csv, svg and json files go to
 ``--out``.
 
-Exit codes: 0 success, 2 configuration error, 3 validity-regime error,
-4 integration failure.
+Exit codes: 0 success, 2 configuration or output error, 3 validity-regime
+error, 4 integration failure.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ _RUN_EXPERIMENTS = ("fig2a", "fig2b", "altParams", "custom")
 _SWEEP_EXPERIMENTS = ("fig3a", "fig3b", "custom")
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="topoflux",
@@ -57,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     common(sub.add_parser("sweep", help="run a decoherence sweep"))
     common(sub.add_parser("robustness", help="run the unknown-error analysis")).add_argument(
-        "--seed", type=int, default=0, help="PRNG seed (default 0)"
+        "--seed", type=_seed, default=0, help="PRNG seed, >= 0 (default 0)"
     )
 
     gates = sub.add_parser("gates", help="gate-level tools")
@@ -135,6 +142,9 @@ def main(argv=None) -> int:
     except IntegrationError as e:
         print(f"integration error: {e}", file=sys.stderr)
         return EXIT_INTEGRATION
+    except OSError as e:  # load_config reports its own; this is writing the outputs
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

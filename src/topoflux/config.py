@@ -93,15 +93,11 @@ class Scenario:
     device: dev.DeviceParams
     spec: HilbertSpec
     pulse_area: float  # rad
-    pulse_shape: str
     ramp_time: float
-    pulse: PulseSegment  # the nominal pulse, timed for the nominal g
+    pulse: PulseSegment  # the nominal pulse and operating point, timed for the nominal g
     noise: NoiseParams
     sample_period: float | None
     phi_c: float | None  # None when full overrides replace an unsolvable resonance
-    g: float
-    g_prime: float
-    phase_freq: float
     derived: dev.DerivedCouplings | None
     validity: dev.ValidityReport | None
     sweep: SweepSpec | None
@@ -116,15 +112,15 @@ class Scenario:
             "hilbert": asdict(self.spec),
             "pulse": {
                 "area": self.pulse_area,
-                "shape": self.pulse_shape,
+                "shape": "sinSquaredRamp" if self.pulse.ramp else "rectangular",
                 "ramp_time": self.ramp_time,
             },
             "noise": asdict(self.noise),
             "operating_point": {
                 "phi_c": self.phi_c,
-                "g": self.g,
-                "g_prime": self.g_prime,
-                "phase_freq": self.phase_freq,
+                "g": self.pulse.g_value,
+                "g_prime": self.pulse.g_prime_value,
+                "phase_freq": self.pulse.phase_freq,
             },
         }
         if self.derived is not None:
@@ -137,7 +133,10 @@ class Scenario:
 def validate_raw(raw: dict):
     """Schema-validate a raw config dict; unknown keys are rejected."""
     validator = jsonschema.Draft202012Validator(load_schema())
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    try:
+        errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    except RecursionError:  # its error messages repr the offending value
+        raise ConfigError("config nests too deeply to validate") from None
     if errors:
         e = errors[0]
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)
@@ -245,7 +244,7 @@ def resolve(raw: dict) -> Scenario:
         if phi_c is None:
             phi_c = dev.solve_resonant_phase(params, omega_res)
         derived = dev.derive_couplings(params, phi_c)
-        validity = dev.validity_report(params, phi_c)
+        validity = dev.validity_report(params, derived)
     except ValidityError:
         if not full_override:
             raise
@@ -272,20 +271,19 @@ def resolve(raw: dict) -> Scenario:
             axis=s["axis"],
             lo=s["lo"],
             hi=s["hi"],
-            points=s["points"],
+            points=int(s["points"]),  # the schema's integers include 3.0
             ratios=tuple(s["gPrimeOverG"]),
         )
     robustness = None
     if "robustness" in raw:
         r = raw["robustness"]
-        robustness = RobustnessSpec(error_fraction=r["errorFraction"], samples=r["samples"])
+        robustness = RobustnessSpec(error_fraction=r["errorFraction"], samples=int(r["samples"]))
 
     pulse = raw["pulse"]
     area = pulse["areaOverPi"] * math.pi
-    shape = pulse.get("shape", "rectangular")
     ramp_time = pulse.get("rampTime_ns", 0.0)
     # a rectangular pulse has no ramps, whatever its rampTime_ns
-    ramp = ramp_time if shape == "sinSquaredRamp" else 0.0
+    ramp = ramp_time if pulse.get("shape") == "sinSquaredRamp" else 0.0
     try:
         nominal = PulseSegment(pulse_duration_for_area(area, g, ramp), g, g_prime, phase_freq, ramp)
     except ValueError as e:
@@ -294,17 +292,13 @@ def resolve(raw: dict) -> Scenario:
     return Scenario(
         experiment=raw["experiment"],
         device=params,
-        spec=HilbertSpec(raw.get("hilbert", {}).get("fockLevels", 2)),
+        spec=HilbertSpec(int(raw.get("hilbert", {}).get("fockLevels", 2))),
         pulse_area=area,
-        pulse_shape=shape,
         ramp_time=ramp_time,
         pulse=nominal,
         noise=noise,
         sample_period=raw.get("integration", {}).get("samplePeriod_ns"),
         phi_c=phi_c,
-        g=g,
-        g_prime=g_prime,
-        phase_freq=phase_freq,
         derived=derived,
         validity=validity,
         sweep=sweep,
@@ -321,9 +315,9 @@ def _finite_number(text: str, convert=float):
 
 
 def load_config(path) -> Scenario:
-    """Read a JSON scenario file and resolve it."""
+    """Read a UTF-8 JSON scenario file and resolve it."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(
                 f,
                 parse_float=_finite_number,
@@ -332,8 +326,10 @@ def load_config(path) -> Scenario:
             )
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    except RecursionError:
+        raise ConfigError("config is not valid JSON: it nests too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return resolve(raw)

@@ -166,13 +166,6 @@ def de_dphi(p: DeviceParams, phi: float) -> float:
     return -0.95 * p.delta0 * math.cos(phi / 2.0)
 
 
-def couplings_at(p: DeviceParams, phi_c: float) -> tuple[float, float]:
-    """(g, g_prime) at the controller setpoint phi_c, both in rad/ns."""
-    theta, zeta, _ = derive_statics(p)
-    slope = de_dphi(p, phi_c)
-    return zeta / math.sqrt(2.0) * slope, theta * slope
-
-
 def ratio_formula(p: DeviceParams) -> float:
     """g/g' from the closed form, independent of the operating phase."""
     return (
@@ -204,18 +197,14 @@ def solve_resonant_phase(p: DeviceParams, omega_target: float) -> float:
     return phi
 
 
-def validity_report(p: DeviceParams, phi_c: float) -> ValidityReport:
-    """Assemble regime checks at the operating point phi_c."""
-    g, g_prime = couplings_at(p, phi_c)
-    energy = energy_of_phi(p, phi_c)
-    lam = lambda_of_phi(p, phi_c)
-    _, _, omega_f = derive_statics(p)
-
-    tunneling_rate = omega_f * math.exp(-math.sqrt(p.ej_over_ec))
-    tunneling_error = (tunneling_rate / g) ** 2
+def validity_report(p: DeviceParams, derived: DerivedCouplings) -> ValidityReport:
+    """Assemble regime checks at the operating point of ``derived``."""
+    lam = derived.lambda_phi
+    tunneling_rate = derived.omega_f * math.exp(-math.sqrt(p.ej_over_ec))
+    tunneling_error = (tunneling_rate / derived.g) ** 2
     thermal = math.exp(-p.v_fermi / (p.temperature * p.length))
-    ratio = g / g_prime
-    e_over_g = abs(energy / g)
+    ratio = derived.g / derived.g_prime
+    e_over_g = abs(derived.energy / derived.g)
 
     checks = (
         # the scheme tolerates contamination down to g/g' = 1/3
@@ -238,7 +227,6 @@ def derive_couplings(p: DeviceParams, phi_c: float) -> DerivedCouplings:
     theta, zeta, omega_f = derive_statics(p)
     energy = energy_of_phi(p, phi_c)
     slope = de_dphi(p, phi_c)
-    g, g_prime = couplings_at(p, phi_c)
     return DerivedCouplings(
         theta=theta,
         zeta=zeta,
@@ -246,8 +234,8 @@ def derive_couplings(p: DeviceParams, phi_c: float) -> DerivedCouplings:
         lambda_phi=lambda_of_phi(p, phi_c),
         energy=energy,
         de_dphi=slope,
-        g=g,
-        g_prime=g_prime,
+        g=zeta / math.sqrt(2.0) * slope,
+        g_prime=theta * slope,
     )
 
 

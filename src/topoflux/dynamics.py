@@ -308,13 +308,14 @@ def _ramp_step(pulse: PulseSegment) -> float:
 _GAUSS = math.sqrt(3.0) / 6.0
 
 
-def _propagate(y, a0, a1, pulse: PulseSegment, period: float, h: float, record=None):
+def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     """Carry y over the pulse under dy/dt = (a0 + env(t) a1) y; returns y at its end.
 
     The pulse is walked in sample intervals [k period, (k+1) period], the last
     one ending at the pulse's end, each cut at the ramp ends.  A plateau piece
     takes one exponential, shared by every piece of the same length; a ramp
-    piece takes ceil(length/h) equal fourth-order Magnus steps
+    piece takes ceil(length/h) equal fourth-order Magnus steps, h the pulse's
+    ``_ramp_step``,
 
         Omega = s (a0 + (e1 + e2)/2 a1) + (sqrt(3)/12) s^2 (e1 - e2) [a0, a1]
 
@@ -322,7 +323,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, h: float, record=N
     e1 = e2 and Omega is the exact s (a0 + a1)).  ``record(t, y)``, when
     given, sees y at every sample time k * period before the end.
     """
-    duration, ramp = pulse.duration, pulse.ramp
+    duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
     if not duration / period + (2.0 * ramp / h if ramp else 0.0) <= MAX_STEPS:
         raise IntegrationError(
@@ -459,12 +460,11 @@ def evolve(
     ws = _Workspace(spec)
     recorder = _Recorder(spec, pulse.duration, sample_period)
     y = np.array(rho0, dtype=complex).reshape(-1)
-    h = _ramp_step(pulse)
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
         l0 = _free_generator(ws, pulse.phase_freq, noise)
         l1 = _commutator(ws.coupling(pulse))
-        y = _propagate(y, l0, l1, pulse, recorder.sample_period, h, recorder.record)
+        y = _propagate(y, l0, l1, pulse, recorder.sample_period, recorder.record)
         nx = ws.excitation_diag
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
         rho = frame * y.reshape(spec.dim, spec.dim)
@@ -526,7 +526,7 @@ def evolve_static(
     gen = _commutator(hamiltonian) + _free_generator(_Workspace(spec), 0.0, noise)
     y = np.array(rho0, dtype=complex).reshape(-1)
     flat = PulseSegment(duration, g_value=0.0)
-    y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, 0.0, recorder.record)
+    y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, recorder.record)
     return recorder.finish(y.reshape(spec.dim, spec.dim), duration)
 
 
@@ -546,7 +546,6 @@ def pulse_propagator(pulse: PulseSegment, spec: HilbertSpec | None = None) -> np
         -1j * ws.coupling(pulse),
         pulse,
         pulse.duration,
-        _ramp_step(pulse),
     )
     return np.exp((1j * pulse.phase_freq * pulse.duration) * nx)[:, None] * u
 

@@ -114,8 +114,9 @@ def run_sweep(scn: Scenario, out_dir=None) -> dict:
         raise ConfigError("scenario has no sweep block", pointer="/sweep")
     sweep = scn.sweep
     etas = [float(eta) for eta in sweep.values()]
+    g = scn.pulse.g_value
     points = (
-        (replace(scn.pulse, g_prime_value=r * scn.g), _noise_for_axis(scn.noise, sweep.axis, eta))
+        (replace(scn.pulse, g_prime_value=r * g), _noise_for_axis(scn.noise, sweep.axis, eta))
         for eta in etas
         for r in sweep.ratios
     )
@@ -167,9 +168,9 @@ def run_robustness(scn: Scenario, seed: int = 0, out_dir=None) -> dict:
         (
             replace(
                 scn.pulse,
-                g_value=scn.g * fg,
-                g_prime_value=scn.g_prime * fgp,
-                phase_freq=scn.phase_freq * fe,
+                g_value=scn.pulse.g_value * fg,
+                g_prime_value=scn.pulse.g_prime_value * fgp,
+                phase_freq=scn.pulse.phase_freq * fe,
             ),
             scn.noise,
         )

@@ -184,7 +184,8 @@ def test_criterion_07_decoherence_sweep_shape():
 def test_criterion_08_property_suite(scn_fig2a, fig2a_run, monkeypatch):
     t0 = time.perf_counter()
     spec = HilbertSpec(2)
-    g, gp, e_freq = scn_fig2a.g, scn_fig2a.g_prime, scn_fig2a.phase_freq
+    pulse = scn_fig2a.pulse
+    g, gp, e_freq = pulse.g_value, pulse.g_prime_value, pulse.phase_freq
     noise = NoiseParams(tf1=900.0, tf2=20.0)
     rho_up0 = pure_density(spec.ket(UP, 0))
     results = {}
@@ -194,7 +195,6 @@ def test_criterion_08_property_suite(scn_fig2a, fig2a_run, monkeypatch):
     results["hermiticity"] = diag["final_hermiticity_error"] < 1e-9
     results["positivity"] = diag["min_eigenvalue"] > -1e-8
 
-    pulse = scn_fig2a.pulse
     traj_free = evolve(rho_up0, pulse, NO_NOISE, spec)
     results["purity_noise_free"] = np.max(np.abs(traj_free.purity - 1.0)) < 1e-7
 
@@ -268,7 +268,7 @@ def test_criterion_09_gate_suite(scn_fig2a):
         )
     results["area_additivity"] = add_err < 1e-12
 
-    g = scn_fig2a.g
+    g = scn_fig2a.pulse.g_value
     duration = math.pi / abs(g)
     u_dyn = pulse_propagator(PulseSegment(duration=duration, g_value=g), HilbertSpec(2))
     dyn_fid = gate_fidelity(ideal_pulse_unitary(-math.pi), u_dyn)

@@ -89,10 +89,10 @@ class TestResolution:
     def test_resonance_solved_when_phi_absent(self):
         scn = resolve(scenario_preset("fig2a"))
         assert scn.phi_c == pytest.approx(-1.73, abs=0.01)
-        assert angular_to_ghz(scn.g) == pytest.approx(-2.06, abs=0.01)
-        assert angular_to_ghz(scn.g_prime) == pytest.approx(-1.04, abs=0.01)
+        assert angular_to_ghz(scn.pulse.g_value) == pytest.approx(-2.06, abs=0.01)
+        assert angular_to_ghz(scn.pulse.g_prime_value) == pytest.approx(-1.04, abs=0.01)
         # on resonance the phase frequency equals the plasma frequency
-        assert scn.phase_freq == pytest.approx(scn.derived.omega_f, rel=1e-12)
+        assert scn.pulse.phase_freq == pytest.approx(scn.derived.omega_f, rel=1e-12)
 
     def test_explicit_phi_wins(self):
         raw = scenario_preset("fig2a")
@@ -102,17 +102,17 @@ class TestResolution:
 
     def test_resonance_target_override(self):
         scn = resolve(scenario_preset("altParams"))
-        assert angular_to_ghz(scn.phase_freq) == pytest.approx(50.0, rel=1e-12)
+        assert angular_to_ghz(scn.pulse.phase_freq) == pytest.approx(50.0, rel=1e-12)
         assert scn.phi_c == pytest.approx(-0.646, abs=0.01)
-        assert scn.g_prime / scn.g == pytest.approx(3.0, rel=0.02)
+        assert scn.pulse.g_prime_value / scn.pulse.g_value == pytest.approx(3.0, rel=0.02)
 
     def test_coupling_overrides_bypass_pipeline(self):
         raw = scenario_preset("fig2a")
         raw["overrides"] = {"g_GHz": -2.0, "gPrime_GHz": -1.0, "E_GHz": 50.0}
         scn = resolve(raw)
-        assert scn.g == pytest.approx(TWO_PI * -2.0)
-        assert scn.g_prime == pytest.approx(TWO_PI * -1.0)
-        assert scn.phase_freq == pytest.approx(TWO_PI * 50.0)
+        assert scn.pulse.g_value == pytest.approx(TWO_PI * -2.0)
+        assert scn.pulse.g_prime_value == pytest.approx(TWO_PI * -1.0)
+        assert scn.pulse.phase_freq == pytest.approx(TWO_PI * 50.0)
         # pipeline still ran and is echoed
         assert scn.derived is not None
 
@@ -122,7 +122,7 @@ class TestResolution:
         raw["overrides"] = {"g_GHz": -2.0, "gPrime_GHz": -1.0, "E_GHz": 50.0}
         scn = resolve(raw)
         assert scn.derived is None
-        assert scn.g == pytest.approx(TWO_PI * -2.0)
+        assert scn.pulse.g_value == pytest.approx(TWO_PI * -2.0)
 
     def test_off_branch_without_overrides_raises(self):
         raw = scenario_preset("fig2a")
@@ -147,7 +147,7 @@ class TestResolution:
         scn = resolve(scenario_preset("fig2a"))
         echo = scn.parameter_echo()
         assert echo["device"]["ej"] == pytest.approx(TWO_PI * 158.0)
-        assert echo["operating_point"]["g"] == scn.g
+        assert echo["operating_point"]["g"] == scn.pulse.g_value
         assert echo["derived"]["omega_f"] == scn.derived.omega_f
         assert echo["validity"]["all_passed"] is True
         assert {c["name"] for c in echo["validity"]["checks"]} == {

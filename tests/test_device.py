@@ -9,7 +9,6 @@ from topoflux.device import (
     DeviceParams,
     angular_to_ghz,
     coupling_shorthand,
-    couplings_at,
     de_dphi,
     derive_couplings,
     derive_statics,
@@ -158,13 +157,15 @@ class TestResonanceAndCouplings:
     def test_couplings_set1(self, set1):
         _, _, omega_f = derive_statics(set1)
         phi = solve_resonant_phase(set1, omega_f)
-        g, gp = couplings_at(set1, phi)
+        d = derive_couplings(set1, phi)
+        g, gp = d.g, d.g_prime
         assert -2.1 <= angular_to_ghz(g) <= -2.0
         assert -1.05 <= angular_to_ghz(gp) <= -1.0
 
     def test_couplings_set2(self, set2):
         phi = solve_resonant_phase(set2, ghz_to_angular(50.0))
-        g, gp = couplings_at(set2, phi)
+        d = derive_couplings(set2, phi)
+        g, gp = d.g, d.g_prime
         assert angular_to_ghz(gp) == pytest.approx(-6.0, rel=0.02)
         assert gp / g == pytest.approx(3.0, rel=0.02)
 
@@ -188,13 +189,14 @@ class TestResonanceAndCouplings:
 
     def test_couplings_match_ratio_formula(self, set1):
         phi = solve_resonant_phase(set1, ghz_to_angular(50.0))
-        g, gp = couplings_at(set1, phi)
+        d = derive_couplings(set1, phi)
+        g, gp = d.g, d.g_prime
         assert g / gp == pytest.approx(ratio_formula(set1), rel=1e-12)
 
     def test_shorthand_cross_check(self, set1):
         # the shorthand drops the 0.95 branch-law slope factor
         phi = solve_resonant_phase(set1, ghz_to_angular(50.0))
-        g, _ = couplings_at(set1, phi)
+        g = derive_couplings(set1, phi).g
         approx = coupling_shorthand(set1, phi)
         assert 0.95 * approx == pytest.approx(g, rel=1e-12)
         assert abs(approx - g) / abs(approx) == pytest.approx(0.05, abs=1e-6)
@@ -203,7 +205,7 @@ class TestResonanceAndCouplings:
 class TestValidityReport:
     def test_set1_numbers(self, set1):
         phi = solve_resonant_phase(set1, ghz_to_angular(50.0))
-        rep = validity_report(set1, phi)
+        rep = validity_report(set1, derive_couplings(set1, phi))
         # omega_f exp(-sqrt(80)) ~ 6.5 MHz
         assert angular_to_ghz(rep.tunneling_rate) * 1e3 == pytest.approx(6.52, abs=0.05)
         assert rep.tunneling_error_prob == pytest.approx(1.0e-5, rel=0.05)
@@ -217,7 +219,7 @@ class TestValidityReport:
 
     def test_set2_ratio_check_passes_at_one_third(self, set2):
         phi = solve_resonant_phase(set2, ghz_to_angular(50.0))
-        rep = validity_report(set2, phi)
+        rep = validity_report(set2, derive_couplings(set2, phi))
         ratio_check = next(c for c in rep.checks if c.name == "coupling_ratio")
         # g/g' = 1/3 sits exactly on the tolerated boundary
         assert ratio_check.value == pytest.approx(1.0 / 3.0, rel=1e-3)

@@ -85,7 +85,9 @@ def schema_valid_configs(draw, presets=None, shapes=("rectangular", "sinSquaredR
         }
     if draw(st.booleans()):
         raw["device"]["phiC_rad"] = draw(FINITE)
-    raw["hilbert"] = {"fockLevels": draw(st.integers(min_value=2, max_value=6))}
+    levels = draw(st.integers(min_value=2, max_value=6))
+    # the schema counts an integer-valued float such as 3.0 as an integer
+    raw["hilbert"] = {"fockLevels": float(levels) if draw(st.booleans()) else levels}
     return raw
 
 
@@ -137,7 +139,7 @@ class TestOutputs:
         summary = run_scenario(scn)
         params = summary["parameters"]
         assert params["device"]["ej"] == pytest.approx(2 * math.pi * 158.0)
-        assert params["operating_point"]["g"] == scn.g
+        assert params["operating_point"]["g"] == scn.pulse.g_value
         assert params["validity"]["all_passed"] is True
         assert summary["diagnostics"]["max_trace_error"] < 1e-7
 
@@ -173,7 +175,7 @@ class TestSweep:
         scn = resolve(scenario_preset("fig2a"))
         base = run_scenario(scn)["fidelity"]
         eta1 = 1.0 / (2.0 * 900.0)
-        ratio = scn.g_prime / scn.g
+        ratio = scn.pulse.g_prime_value / scn.pulse.g_value
         raw = dict(
             scenario_preset("fig3a"),
             sweep={
@@ -584,6 +586,96 @@ class TestCli:
             assert "config error" in captured.err
 
 
+def _preset_with(name, block, key, value):
+    raw = scenario_preset(name)
+    raw.setdefault(block, {})[key] = value
+    return raw
+
+
+# argv (CFG, OUT, FILE and FILE/x stand for paths made per test), the config
+# written at CFG, and the documented exit code
+CLI_PROBES = {
+    "config-not-utf-8": (
+        ["derive", "--config", "CFG"],
+        b"\xff\xfe" + json.dumps(scenario_preset("fig2a")).encode(),
+        2,
+    ),
+    "config-nested-200000-deep": (["derive", "--config", "CFG"], b"[" * 200_000, 2),
+    "fockLevels-3.0": (
+        ["run", "--config", "CFG", "--out", "OUT"],
+        _preset_with("fig2a", "hilbert", "fockLevels", 3.0),
+        0,
+    ),
+    "sweep-points-3.0": (
+        ["sweep", "--config", "CFG", "--out", "OUT"],
+        _preset_with("fig3a", "sweep", "points", 3.0),
+        0,
+    ),
+    "robustness-samples-2.0": (
+        ["robustness", "--config", "CFG", "--out", "OUT"],
+        _preset_with("robustness", "robustness", "samples", 2.0),
+        0,
+    ),
+    "seed-negative": (
+        ["robustness", "--config", "CFG", "--seed", "-1"],
+        scenario_preset("robustness"),
+        2,
+    ),
+    "run-out-is-a-file": (["run", "--config", "CFG", "--out", "FILE"], scenario_preset("fig2a"), 2),
+    "gates-out-is-a-file": (["gates", "verify", "--out", "FILE"], scenario_preset("fig2a"), 2),
+    "derive-out-under-a-file": (
+        ["derive", "--config", "CFG", "--out", "FILE/x"],
+        scenario_preset("fig2a"),
+        2,
+    ),
+}
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``main(argv)``; an argparse refusal gives its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("probe", CLI_PROBES)
+def test_cli_probe_exits_with_documented_code(tmp_path, probe):
+    template, config, expected = CLI_PROBES[probe]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    a_file = tmp_path / "afile"
+    a_file.write_text("not a directory")
+    paths = {"CFG": cfg, "OUT": tmp_path / "out", "FILE": a_file, "FILE/x": a_file / "x"}
+    code, out, err = run_cli([str(paths.get(arg, arg)) for arg in template])
+    assert code == expected, err
+    assert "Traceback" not in err
+    if expected == 0:
+        assert out.count("\n") == 1 and "outputs in" in out
+    else:
+        assert out == ""
+        assert err
+
+
+def test_nesting_near_recursion_limit_exit_2(tmp_path):
+    # the schema validator reprs the value deeper in the stack than the JSON
+    # parser reads it, so a band of depths just below the parser's limit
+    # reaches the validator's
+    cfg = tmp_path / "cfg.json"
+    text = json.dumps(_preset_with("fig2a", "hilbert", "fockLevels", "X"))
+    limit = sys.getrecursionlimit()
+    refusals = set()
+    for depth in range(limit - 150, limit + 1):
+        cfg.write_text(text.replace('"X"', "[" * depth + "]" * depth))
+        code, out, err = run_cli(["derive", "--config", str(cfg)])
+        assert (code, out) == (2, ""), (depth, err)
+        refusals.add("to validate" in err)
+    assert refusals == {True, False}
+
+
 @settings(max_examples=200, deadline=None)
 @given(schema_valid_configs())
 def test_derive_fuzz_exits_cleanly(raw):
@@ -634,6 +726,9 @@ def assert_run_exits_cleanly(raw):
         assert out.getvalue().count("\n") == 1
     else:
         assert out.getvalue() == ""
+    if raw["pulse"]["shape"] == "rectangular":
+        # a rectangular pulse has no ramps, so no refusal may blame its rampTime_ns
+        assert "ramp time" not in err.getvalue(), err.getvalue()
     size = evolution_size(raw)
     if size is not None:
         # the step bound refuses exactly the runs that need more than MAX_STEPS
