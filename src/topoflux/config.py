@@ -140,7 +140,11 @@ def validate_raw(raw: dict):
     if errors:
         e = errors[0]
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise ConfigError(e.message, pointer=pointer)
+        # the message repeats the offending value: keep only the two ends of a long one
+        message = e.message
+        if len(message) > 200:
+            message = f"{message[:100]} ... {message[-100:]}"
+        raise ConfigError(message, pointer=pointer)
     _cross_checks(raw)
 
 

@@ -17,25 +17,27 @@ dephasing (sigma_f^z, rate 1/tf2):
 
 A pulse is one ``PulseSegment``: its duration, its plateau couplings g and
 g', E, and the length of its sin^2 ramps (0 for a rectangular pulse).  Every
-pulse is propagated by one core, ``_propagate``.  In the frame
-rho = V rho' V^dag with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the
-contamination phase becomes the static term E N, both dissipators are
-unchanged, and the generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .]
-and both dissipators, L1 the coupling commutator.  On the plateau (env = 1)
-one matrix exponential (``expm``) carries the state from one sample to the
-next; on a sin^2 ramp, fourth-order Magnus steps (two-point Gauss-Legendre;
-Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do, each one
-exponential applied to the state (``_expm_apply``), in steps that the pulse
-alone sets (``_ramp_step``).  Only the final state is turned back to the
+pulse is propagated by one core, ``_propagate``.  In the frame rho = V rho'
+V^dag with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the contamination
+phase becomes the static term E N, both dissipators are unchanged, and the
+generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .] and both
+dissipators, L1 the coupling commutator.  On the plateau (env = 1) one
+matrix exponential (``expm``) carries the state from one sample to the next;
+on a sin^2 ramp, fourth-order Magnus steps (two-point Gauss-Legendre;
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do, in steps that
+the pulse alone sets (``_ramp_step``).  Each step's exponential is applied
+to the state as a Taylor polynomial (``_taylor_apply``) of one degree per
+piece (``_taylor_degree``).  Only the final state is turned back to the
 working frame.  ``evolve_static`` takes one exponential of a static
 lab-frame Liouvillian per sample, and ``pulse_propagator`` runs the same
 core on the Hilbert-space pair (-i E N, -i H_coupling).  The trajectories of
 ``evolve`` and ``evolve_static`` come from one recorder, ``_Recorder``,
 which samples at the times k * sample_period (default duration/200) and at
-the end, rejects a non-finite state and assembles the ``Trajectory``.  No
-renormalization is applied, so trace drift measures the propagation's
-precision directly.  ``evolve`` is a pure function of its inputs;
-independent evolutions are safe to run concurrently.
+the end.  It keeps up to ``SAMPLE_BLOCK`` states and then checks them for
+finite entries and reduces them to trajectory columns, one numpy call per
+diagnostic for the whole block.  No renormalization is applied, so trace
+drift measures the propagation's precision directly.  ``evolve`` is a pure
+function of its inputs; independent evolutions are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -105,14 +107,14 @@ class PulseSegment:
         if not 0 <= self.ramp <= self.duration / 2:
             raise ValueError(f"ramp {self.ramp} must lie in [0, half the duration {self.duration}]")
 
-    def envelope(self, tau: float) -> float:
-        """Dimensionless envelope at time tau since the pulse start."""
+    def envelope(self, tau):
+        """Dimensionless envelope at the time (or array of times) tau since the pulse start."""
         r = self.ramp
-        if tau < r:
-            return math.sin(math.pi * tau / (2.0 * r)) ** 2
-        if tau > self.duration - r:
-            return math.sin(math.pi * (self.duration - tau) / (2.0 * r)) ** 2
-        return 1.0
+        if not r:
+            return np.ones(np.shape(tau))
+        # the time to the nearer end, capped at the ramp, where sin^2 reaches 1
+        edge = np.minimum(np.minimum(tau, self.duration - tau), r)
+        return np.sin(np.pi * edge / (2.0 * r)) ** 2
 
     def area(self) -> float:
         """Integral of g(t) over the pulse."""
@@ -249,23 +251,23 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _expm_apply(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """exp(a) @ y, without forming exp(a) when a's 1-norm is at most 1.
+def _taylor_degree(theta: float) -> int:
+    """The smallest m with theta^(m+1)/(m+1)! e^theta <= 1e-17, which bounds the remainder of
+    exp(a)'s degree-m Taylor series at 1-norms up to theta: m = 10 at theta = 0.1 and 19 at
+    theta = 1 (as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011)."""
+    m, remainder = 0, theta * math.exp(theta)
+    while remainder > 1e-17:
+        m += 1
+        remainder *= theta / (m + 1)
+    return m
 
-    There the Taylor series of exp(a) is summed on y, until a term adds less
-    than 1e-17 of the sum's 1-norm (at most 20 terms, since 1/19! < 1e-17):
-    a few products with y, where ``expm`` takes several with a.  A longer
-    step falls back to ``expm``.
-    """
-    if not np.linalg.norm(a, 1) <= 1.0:
-        return expm(a) @ y
-    term = total = y
-    for k in range(1, 21):
-        term = (a @ term) / k
-        total = total + term
-        if np.abs(term).sum() <= 1e-17 * np.abs(total).sum():
-            break
-    return total
+
+def _taylor_apply(a: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """exp(a) @ y by the degree-m Taylor series, y + a (y + a/2 (y + ... (y + a/m y)))."""
+    p = y
+    for k in range(m, 0, -1):
+        p = y + (a @ p) / k
+    return p
 
 
 def _commutator(h: np.ndarray) -> np.ndarray:
@@ -320,15 +322,17 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
         Omega = s (a0 + (e1 + e2)/2 a1) + (sqrt(3)/12) s^2 (e1 - e2) [a0, a1]
 
     with e1, e2 the envelope at the step's Gauss nodes (on the plateau,
-    e1 = e2 and Omega is the exact s (a0 + a1)).  ``record(t, y)``, when
-    given, sees y at every sample time k * period before the end.
+    e1 = e2 and Omega is the exact s (a0 + a1)), applied to y as a Taylor
+    polynomial of one degree per piece.  ``record(t, y)``, when given, sees y
+    at every sample time k * period before the end.
     """
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
     if not duration / period + (2.0 * ramp / h if ramp else 0.0) <= MAX_STEPS:
+        steps = f", with ramp steps of {h:.3e} ns," if ramp else ""
         raise IntegrationError(
-            f"a {duration:.4g} ns pulse sampled every {period:.3e} ns, with ramp steps of "
-            f"{h:.3e} ns, needs more than {MAX_STEPS} samples and ramp steps"
+            f"a {duration:.4g} ns pulse sampled every {period:.3e} ns{steps} needs more than "
+            f"{MAX_STEPS} samples and ramp steps"
         )
     # sample times k * period strictly before the end; the tolerance keeps a
     # period that divides the duration from adding a sample at the end
@@ -336,7 +340,10 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     rest = duration - (n_samples - 1) * period
     if math.isclose(rest, period, rel_tol=1e-12):
         rest = period
-    commutator = a0 @ a1 - a1 @ a0 if ramp else None
+    if ramp:
+        commutator = a0 @ a1 - a1 @ a0
+        stacked = np.stack((a1, commutator)).reshape(2, -1)
+        norms = np.array([np.linalg.norm(m, 1) for m in (a0, a1, commutator)])
     cache = {}
 
     def plateau(y, length):
@@ -347,12 +354,17 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     def magnus(y, a, b):
         n_steps = math.ceil((b - a) / h)
         s = (b - a) / n_steps
-        for j in range(n_steps):
-            mid = a + (j + 0.5) * s
-            e1, e2 = pulse.envelope(mid - _GAUSS * s), pulse.envelope(mid + _GAUSS * s)
-            omega = s * (a0 + (0.5 * (e1 + e2)) * a1)
-            omega += (0.5 * _GAUSS * s * s * (e1 - e2)) * commutator
-            y = _expm_apply(omega, y)
+        mid = a + (np.arange(n_steps) + 0.5) * s
+        e1, e2 = pulse.envelope(mid - _GAUSS * s), pulse.envelope(mid + _GAUSS * s)
+        # Omega_j = s a0 + alpha_j a1 + beta_j [a0, a1]
+        coef = np.stack(((0.5 * s) * (e1 + e2), (0.5 * _GAUSS * s * s) * (e1 - e2)), axis=1)
+        sa0 = s * a0
+        omegas = (sa0 + (c @ stacked).reshape(sa0.shape) for c in coef.astype(complex))
+        # theta bounds every step's 1-norm; above 1 each step takes expm instead
+        theta = s * norms[0] + np.max(np.abs(coef) @ norms[1:])
+        m = _taylor_degree(theta) if theta <= 1.0 else None
+        for omega in omegas:
+            y = expm(omega) @ y if m is None else _taylor_apply(omega, y, m)
         return y
 
     for k in range(n_samples):
@@ -370,8 +382,12 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     return y
 
 
+# states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
+SAMPLE_BLOCK = 256
+
+
 class _Recorder:
-    """Samples the state and builds the Trajectory."""
+    """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` and builds the Trajectory."""
 
     def __init__(self, spec: HilbertSpec, duration: float, sample_period: float | None):
         if sample_period is None:
@@ -383,32 +399,35 @@ class _Recorder:
         self.dim = spec.dim
         self.i_dn1 = spec.index(DOWN, 1)
         self.i_up0 = spec.index(UP, 0)
-        self.rows = []
+        self.times, self.states, self.blocks = [], [], []
 
     def record(self, t, y):
         """Sample the state whose row-major vec is ``y`` as the state at time t."""
-        rho = y.reshape(self.dim, self.dim)
-        if not np.all(np.isfinite(rho.view(float))):
-            raise IntegrationError(f"state diverged by t={t:.4g} ns")
+        self.times.append(t)
+        self.states.append(y.reshape(self.dim, self.dim))
+        if len(self.states) == SAMPLE_BLOCK:
+            self._reduce()
+
+    def _reduce(self):
+        """Check the kept states and turn them into one block of trajectory columns."""
+        rho = np.array(self.states)
+        finite = np.isfinite(rho).all(axis=(1, 2))
+        if not finite.all():
+            raise IntegrationError(f"state diverged by t={self.times[np.argmin(finite)]:.4g} ns")
         i, j = self.i_dn1, self.i_up0
-        # one row per sample, in Trajectory field order
-        self.rows.append(
-            (
-                t,
-                rho[i, i],
-                rho[j, j],
-                rho[i, j],
-                rho[j, i],
-                np.real(np.trace(rho)),
-                purity(rho),
-                min_eigenvalue(rho),
-            )
-        )
+        # rho11, rho22, rho12, rho21, copied out so that no column keeps the block alive
+        entries = rho[:, (i, j, i, j), (i, j, j, i)].T
+        trace = np.real(np.trace(rho, axis1=1, axis2=2))
+        # in Trajectory field order
+        self.blocks.append((np.array(self.times), *entries, trace, purity(rho), min_eigenvalue(rho)))
+        self.times, self.states = [], []
 
     def finish(self, rho, t) -> Trajectory:
         """Record the final state at time t and return the trajectory."""
         self.record(t, rho)
-        columns = (np.array(col) for col in zip(*self.rows))
+        if self.states:
+            self._reduce()
+        columns = (np.concatenate(col) for col in zip(*self.blocks))
         return Trajectory(*columns, final_state=rho)
 
 
@@ -424,7 +443,8 @@ def evolve(
     The pulse runs in the frame exp(i E t N) through ``_propagate``: one
     matrix exponential per sample period on the plateau (the whole of a
     rectangular pulse), fourth-order Magnus steps of ``_ramp_step`` on a
-    sin^2 ramp.  The step follows from the pulse alone: no argument sets it.
+    sin^2 ramp, each applied as a fixed-degree Taylor polynomial.  The step
+    follows from the pulse alone: no argument sets it.
 
     Parameters
     ----------
@@ -526,7 +546,8 @@ def evolve_static(
     gen = _commutator(hamiltonian) + _free_generator(_Workspace(spec), 0.0, noise)
     y = np.array(rho0, dtype=complex).reshape(-1)
     flat = PulseSegment(duration, g_value=0.0)
-    y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, recorder.record)
+    with np.errstate(over="ignore", invalid="ignore"):  # the recorder refuses such a state
+        y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, recorder.record)
     return recorder.finish(y.reshape(spec.dim, spec.dim), duration)
 
 

@@ -133,12 +133,14 @@ def hermiticity_error(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def min_eigenvalue(rho: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(rho)[0])
+def min_eigenvalue(rho: np.ndarray):
+    """Smallest eigenvalue of a Hermitian matrix, or of each one in a stack."""
+    return np.linalg.eigvalsh(rho)[..., 0]
 
 
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
+def purity(rho: np.ndarray):
+    """tr(rho^2) of a density matrix, or of each one in a stack."""
+    return np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
 
 
 def pure_density(psi: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from topoflux.config import resolve
 from topoflux.device import ghz_to_angular
 from topoflux.dynamics import (
     NO_NOISE,
+    SAMPLE_BLOCK,
     NoiseParams,
     PulseSegment,
     _commutator,
-    _expm_apply,
     _free_generator,
+    _Recorder,
+    _taylor_apply,
+    _taylor_degree,
     _Workspace,
     build_lab_hamiltonian,
     evolve,
@@ -27,7 +31,15 @@ from topoflux.dynamics import (
 )
 from topoflux.errors import IntegrationError
 from topoflux.experiments import initial_state
-from topoflux.hilbert import DOWN, UP, HilbertSpec, hermiticity_error, pure_density
+from topoflux.hilbert import (
+    DOWN,
+    UP,
+    HilbertSpec,
+    hermiticity_error,
+    min_eigenvalue,
+    pure_density,
+    purity,
+)
 from topoflux.presets import scenario_preset
 
 TWO_PI = 2.0 * math.pi
@@ -227,13 +239,20 @@ class TestEvolve:
 
     def test_static_divergence_error(self):
         # a non-finite generator is refused before it is exponentiated, and a
-        # non-finite state by the sampler's finite-state check
+        # non-finite state by the sampler's finite-state check, which names
+        # the first sample that is not finite
         rho0 = pure_density(SPEC.ket(UP, 0))
         h = interaction_hamiltonian(0.0, PulseSegment(1.0, g_value=1.0), SPEC)
         with pytest.raises(IntegrationError):
             evolve_static(rho0, h * np.nan, 1.0, NO_NOISE, SPEC)
-        with pytest.raises(IntegrationError, match="diverged"):
+        with pytest.raises(IntegrationError, match=r"diverged by t=0 ns"):
             evolve_static(np.full_like(rho0, np.nan), h, 1.0, NO_NOISE, SPEC)
+        # an anti-Hermitian h grows <0|rho|k> as e^{700 t}: 0.5 e^{1.4 k} at
+        # sample k overflows first at k = 508, in the recorder's second block
+        grow = np.diag([700j, 0.0, 0.0, 0.0])
+        rho0 = pure_density((SPEC.ket(DOWN, 0) + SPEC.ket(DOWN, 1)) / math.sqrt(2.0))
+        with pytest.raises(IntegrationError, match=r"diverged by t=1\.016 ns"):
+            evolve_static(rho0, grow, 2.0, NO_NOISE, SPEC, sample_period=0.002)
 
     def test_static_matches_evolve_for_rectangular_pulse(self):
         # g' = 0 and a flat envelope make H constant: evolve propagates it in
@@ -333,19 +352,84 @@ class TestExactPropagation:
         w, v = np.linalg.eigh(h)
         assert np.max(np.abs(expm(-1j * h) - (v * np.exp(-1j * w)) @ v.conj().T)) < 1e-10
 
-    @pytest.mark.parametrize("norm", [1e-3, 0.3, 1.0, 3.0])
-    def test_expm_apply_matches_expm(self, norm):
-        # a Taylor series on the vector up to 1-norm 1, expm above
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0])
+    def test_taylor_series_matches_expm(self, norm):
+        # a ramp step's series, at the degree its 1-norm bound gives
         rng = np.random.default_rng(7)
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a *= norm / np.linalg.norm(a, 1)
         y = rng.normal(size=16) + 1j * rng.normal(size=16)
-        assert np.max(np.abs(_expm_apply(a, y) - expm(a) @ y)) < 1e-14
+        assert np.max(np.abs(_taylor_apply(a, y, _taylor_degree(norm)) - expm(a) @ y)) < 1e-14
+
+    def test_taylor_degree(self):
+        assert [_taylor_degree(t) for t in (0.0, 1e-3, 0.1, 1.0)] == [0, 4, 10, 19]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0])
+    def test_taylor_series_meets_its_bound(self, norm):
+        # a cyclic shift with unit phases keeps |a^k y|_1 = norm^k |y|_1, so the
+        # dropped terms are as large as the degree's bound allows.  Summed in
+        # extended precision, the series stays within 1e-17 |y|_1 of exp(a) y;
+        # two terms fewer miss it by 1.6e-16 |y|_1 at norm 1.
+        n = 16
+        rng = np.random.default_rng(5)
+        phases = np.exp(2j * np.pi * rng.random(n))
+        a = (norm * np.roll(np.eye(n), 1, axis=0) * phases).astype(np.clongdouble)
+        y = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.clongdouble)
+        term, exact = y, y
+        for k in range(1, 60):
+            term = (a @ term) / k
+            exact = exact + term
+        error = np.sum(np.abs(_taylor_apply(a, y, _taylor_degree(norm)) - exact))
+        assert error <= 1e-17 * np.sum(np.abs(y))
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
     def test_expm_refuses_non_finite_generator(self, value):
         with pytest.raises(IntegrationError):
             expm(np.full((2, 2), value))
+
+
+class TestRecorder:
+    @pytest.mark.parametrize("levels", [2, 4])
+    def test_block_diagnostics_match_each_sample(self, levels, monkeypatch):
+        # fig2a sampled 601 times: two full blocks and part of a third
+        scn = resolve(dict(scenario_preset("fig2a"), hilbert={"fockLevels": levels}))
+        states = []
+        record = _Recorder.record
+
+        def keep(recorder, t, y):
+            states.append(y.reshape(recorder.dim, recorder.dim).copy())
+            record(recorder, t, y)
+
+        monkeypatch.setattr(_Recorder, "record", keep)
+        period = scn.pulse.duration / 600
+        traj = evolve(initial_state(scn.spec), scn.pulse, scn.noise, scn.spec, period)
+        assert len(traj) == len(states) == 601 > 2 * SAMPLE_BLOCK
+        i, j = scn.spec.index(DOWN, 1), scn.spec.index(UP, 0)
+        assert np.array_equal(traj.rho11, [rho[i, i] for rho in states])
+        assert np.array_equal(traj.rho21, [rho[j, i] for rho in states])
+        assert np.array_equal(traj.trace, [np.real(np.trace(rho)) for rho in states])
+        assert np.array_equal(traj.purity, [purity(rho) for rho in states])
+        assert np.array_equal(traj.min_eigenvalue, [min_eigenvalue(rho) for rho in states])
+
+    def test_keeps_one_block_of_states(self):
+        # each further sample costs its trajectory row, 8 numbers, and not its
+        # state: 144 complex numbers at 6 levels
+        spec = HilbertSpec(6)
+        rho0 = pure_density(spec.ket(UP, 0))
+        pulse = make_pulse(duration=1.0)
+
+        def peak_bytes(samples):
+            tracemalloc.start()
+            try:
+                evolve(rho0, pulse, NO_NOISE, spec, sample_period=1.0 / samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 8 * SAMPLE_BLOCK
+        per_sample = (peak_bytes(2 * n) - peak_bytes(n)) / n
+        assert per_sample < spec.dim**2 * 16 / 4
 
 
 class TestPropagator:

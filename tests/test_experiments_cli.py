@@ -391,6 +391,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "samples and ramp steps" in captured.err
+        assert "with ramp steps of" in captured.err
+
+    def test_step_count_bound_rectangular_pulse_names_no_ramp_steps(self, tmp_path, capsys):
+        raw = dict(scenario_preset("fig2a"), integration={"samplePeriod_ns": 1e-9})
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "samples and ramp steps" in captured.err
+        assert "with ramp steps of" not in captured.err
+
+    def test_long_offending_value_gives_a_short_message(self, tmp_path, capsys):
+        # the schema's message repeats the value; its two ends are kept
+        raw = dict(scenario_preset("fig2a"), hilbert={"fockLevels": list(range(200_000))})
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["derive", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 1024
+        assert "is not of type 'integer'" in captured.err
+        assert "/hilbert/fockLevels" in captured.err
 
     def test_integration_dt_ns_exit_2(self, tmp_path, capsys):
         # the Magnus step follows from the pulse alone; no key sets or caps it
