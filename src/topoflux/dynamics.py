@@ -17,26 +17,26 @@ dephasing (sigma_f^z, rate 1/tf2):
 
 A pulse is one ``PulseSegment``: its duration, its plateau couplings g and
 g', E, and the length of its sin^2 ramps (0 for a rectangular pulse).  Every
-pulse is propagated by one core, ``_propagate``.  In the frame rho = V rho'
-V^dag with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the contamination
-phase becomes the static term E N, both dissipators are unchanged, and the
-generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .] and both
-dissipators, L1 the coupling commutator.  On the plateau (env = 1) one
-matrix exponential (``expm``) carries the state from one sample to the next;
-on a sin^2 ramp, fourth-order Magnus steps (two-point Gauss-Legendre;
-Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do, in steps that
-the pulse alone sets (``_ramp_step``).  Each step's exponential is applied
-to the state as a Taylor polynomial (``_taylor_apply``) of one degree per
-piece (``_taylor_degree``).  Only the final state is turned back to the
+pulse is propagated by one core, ``_propagate``.  In the frame
+rho = V rho' V^dag with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the
+contamination phase becomes the static term E N, both dissipators are
+unchanged, and the generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .]
+and both dissipators, L1 the coupling commutator.  On the plateau (env = 1)
+one matrix exponential (``expm``) carries the state from one sample to the
+next; on a sin^2 ramp, fourth-order Magnus steps (two-point Gauss-Legendre;
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do, in steps that the
+pulse alone sets (``_ramp_step``).  Each step's exponential is applied to the
+state as a Taylor polynomial (``_taylor_apply``) of one degree per piece
+(``_taylor_degree``).  Only the final state is turned back to the
 working frame.  ``evolve_static`` takes one exponential of a static
 lab-frame Liouvillian per sample, and ``pulse_propagator`` runs the same
 core on the Hilbert-space pair (-i E N, -i H_coupling).  The trajectories of
 ``evolve`` and ``evolve_static`` come from one recorder, ``_Recorder``,
 which samples at the times k * sample_period (default duration/200) and at
-the end.  It keeps up to ``SAMPLE_BLOCK`` states and then checks them for
-finite entries and reduces them to trajectory columns, one numpy call per
-diagnostic for the whole block.  No renormalization is applied, so trace
-drift measures the propagation's precision directly.  ``evolve`` is a pure
+the end.  It keeps up to ``SAMPLE_BLOCK`` states, then checks them for finite
+entries and reduces them to trajectory columns, one numpy call per diagnostic
+for the whole block.  No renormalization is applied, so trace drift
+measures the propagation's precision directly.  ``evolve`` is a pure
 function of its inputs; independent evolutions are safe to run concurrently.
 """
 
@@ -76,8 +76,10 @@ RAMP_STEPS = 256
 MAX_PHASE_STEP = 0.05
 COUPLING_SCALE = 40.0
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs about 0.4 ms at fockLevels 6
+# where a ramp step costs about 0.3 ms at fockLevels 6
 MAX_STEPS = 1_000_000
+# states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
+SAMPLE_BLOCK = 256
 TRACE_DRIFT_LIMIT = 1e-6
 # |rho - rho^dag|_F above twice hilbert.fidelity_pure's 1e-10 bound on an
 # imaginary part could give a fidelity with a larger one
@@ -380,10 +382,6 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
         for a, b in zip([t0, *cuts], [*cuts, t1]):
             y = plateau(y, b - a) if ramp <= a and b <= duration - ramp else magnus(y, a, b)
     return y
-
-
-# states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
-SAMPLE_BLOCK = 256
 
 
 class _Recorder:
