@@ -19,6 +19,7 @@ error, 4 integration failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -44,6 +45,7 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache  # parse_args keeps no state in the tree, so one tree serves every call
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="topoflux",
@@ -77,6 +79,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _formats(arg: str) -> tuple[str, ...]:
     fmts = tuple(f.strip() for f in arg.split(",") if f.strip())
+    if not fmts:
+        raise ConfigError(f"--format {arg!r} names no output; choose from csv, svg, json")
     for f in fmts:
         if f not in ("csv", "svg", "json"):
             raise ConfigError(f"unknown output format {f!r}; choose from csv, svg, json")

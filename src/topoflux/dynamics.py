@@ -28,12 +28,10 @@ Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do, in steps that the
 pulse alone sets (``_ramp_step``).  Each step's exponential is applied to the
 state as a Taylor polynomial (``_taylor_apply``) of one degree per piece
 (``_taylor_degree``).  Only the final state is turned back to the
-working frame.  ``evolve_static`` takes one exponential of a static
-lab-frame Liouvillian per sample, and ``pulse_propagator`` runs the same
-core on the Hilbert-space pair (-i E N, -i H_coupling).  The trajectories of
-``evolve`` and ``evolve_static`` come from one recorder, ``_Recorder``,
-which samples at the times k * sample_period (default duration/200) and at
-the end.  It keeps up to ``SAMPLE_BLOCK`` states, then checks them for finite
+working frame.  ``pulse_propagator`` runs the same core on the
+Hilbert-space pair (-i E N, -i H_coupling).  The trajectory of ``evolve``
+comes from ``_Recorder``, which samples at the times k * sample_period
+(default duration/200) and at the end.  It keeps up to ``SAMPLE_BLOCK`` states, then checks them for finite
 entries and reduces them to trajectory columns, one numpy call per diagnostic
 for the whole block.  No renormalization is applied, so trace drift
 measures the propagation's precision directly.  ``evolve`` is a pure
@@ -498,55 +496,6 @@ def evolve(
             f"{HERMITICITY_LIMIT:.0e}"
         )
     return traj
-
-
-def build_lab_hamiltonian(omega_f, energy, g, g_prime, spec: HilbertSpec | None = None) -> np.ndarray:
-    """Static frame Hamiltonian used to cross-validate the rotating-wave step.
-
-    The topological splitting is diagonal in the simulation basis, |up> sitting
-    at +energy/2, and both couplings act through the transverse operator
-    s+ + s-; taking the interaction picture of this matrix and dropping the
-    doubly-rotating exchange terms reproduces the working Hamiltonian exactly.
-    """
-    spec = spec or HilbertSpec()
-    a = embed(annihilation_op(spec.n_fock), "flux", spec)
-    a_dag = a.conj().T
-    x_t = embed(sigma_plus() + sigma_minus(), "topological", spec)
-    z_t = embed(np.diag([1.0, -1.0]).astype(complex), "topological", spec)  # (down, up)
-    z_f = embed(flux_qubit_z(spec.n_fock), "flux", spec)
-    return (
-        omega_f * (a_dag @ a)
-        - 0.5 * energy * z_t
-        - 0.5 * g * ((a + a_dag) @ x_t)
-        - 0.5 * g_prime * (z_f @ x_t)
-    )
-
-
-def evolve_static(
-    rho0: np.ndarray,
-    hamiltonian: np.ndarray,
-    duration: float,
-    noise: NoiseParams = NO_NOISE,
-    spec: HilbertSpec | None = None,
-    sample_period: float | None = None,
-) -> Trajectory:
-    """Evolve under a fixed Hamiltonian (lab-frame cross-checks).
-
-    The relaxation and dephasing operators commute with the free rotation, so
-    the same dissipators are valid in this frame.  One exponential of the
-    static Liouvillian over a sample period carries the state from sample to
-    sample, and samples follow the same rules as ``evolve`` (default sample
-    period duration/200); a non-finite state or generator raises
-    IntegrationError.
-    """
-    spec = spec or HilbertSpec()
-    recorder = _Recorder(spec, duration, sample_period)
-    gen = _commutator(hamiltonian) + _free_generator(_Workspace(spec), 0.0, noise)
-    y = np.array(rho0, dtype=complex).reshape(-1)
-    flat = PulseSegment(duration, g_value=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # the recorder refuses such a state
-        y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, recorder.record)
-    return recorder.finish(y.reshape(spec.dim, spec.dim), duration)
 
 
 def pulse_propagator(pulse: PulseSegment, spec: HilbertSpec | None = None) -> np.ndarray:

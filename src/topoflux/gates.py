@@ -155,9 +155,8 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.abs(np.trace(u.conj().T @ v)) ** 2 / d**2)
 
 
-def _invariant_entry(u: np.ndarray) -> dict:
+def _invariant_entry(u: np.ndarray, cz: LocalInvariants) -> dict:
     inv = makhlin_invariants(u)
-    cz = makhlin_invariants(CZ)
     return {
         "G1_re": inv.g1.real,
         "G1_im": inv.g1.imag,
@@ -176,22 +175,23 @@ def verification_report() -> dict:
     """
     pulse_root = swap_root_pulse()
     canon_root = canonical_sqrt_swap()
+    cz = makhlin_invariants(CZ)
     report = {
         "basis_order": ["down0", "down1", "up0", "up1"],
         "references": {
-            "identity": _invariant_entry(np.eye(4, dtype=complex)),
-            "cz": _invariant_entry(CZ),
-            "swap": _invariant_entry(SWAP),
-            "iswap": _invariant_entry(ISWAP),
-            "pulse_root": _invariant_entry(pulse_root),
-            "canonical_sqrt_swap": _invariant_entry(canon_root),
+            "identity": _invariant_entry(np.eye(4, dtype=complex), cz),
+            "cz": _invariant_entry(CZ, cz),
+            "swap": _invariant_entry(SWAP, cz),
+            "iswap": _invariant_entry(ISWAP, cz),
+            "pulse_root": _invariant_entry(pulse_root, cz),
+            "canonical_sqrt_swap": _invariant_entry(canon_root, cz),
         },
         "synthesis": {},
     }
     for root_name, root in (("pulse_root", pulse_root), ("canonical_sqrt_swap", canon_root)):
         for order in ("right_to_left", "left_to_right"):
             u = synthesize_cp(root=root, order=order)
-            entry = _invariant_entry(u)
+            entry = _invariant_entry(u, cz)
             entry["fidelity_vs_cz"] = gate_fidelity(CZ, u)
             report["synthesis"][f"{root_name}__{order}"] = entry
     report["verdict"] = {

@@ -36,30 +36,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def trajectory_rows(traj: Trajectory):
-    for i in range(len(traj)):
-        yield (
-            traj.times[i],
-            traj.rho11[i].real,
-            traj.rho11[i].imag,
-            traj.rho22[i].real,
-            traj.rho22[i].imag,
-            traj.rho12[i].real,
-            traj.rho12[i].imag,
-            traj.rho21[i].real,
-            traj.rho21[i].imag,
-            traj.trace[i],
-            traj.purity[i],
-            traj.min_eigenvalue[i],
-        )
+def trajectory_rows(traj: Trajectory) -> list[list[float]]:
+    """The CSV rows of a trajectory, in ``CSV_COLUMNS`` order."""
+    columns = [traj.times]
+    for z in (traj.rho11, traj.rho22, traj.rho12, traj.rho21):
+        columns += (z.real, z.imag)
+    return np.column_stack((*columns, traj.trace, traj.purity, traj.min_eigenvalue)).tolist()
 
 
 def _write_csv(header, rows, path) -> Path:
     # private: perfbench tracing wraps the public writers, one span per file written
     path = Path(path)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -108,13 +97,9 @@ def write_trajectory_svg(traj: Trajectory, path) -> Path:
     ]
     margin = 50
     t_span = max(t[-1] - t[0], 1e-30)
-
-    def x_px(tv):
-        return margin + (tv - t[0]) / t_span * (width - 2 * margin)
-
-    def y_px(v):
-        return height - margin - v * (height - 2 * margin)
-
+    # keep this order of operations: another one moves the pixels that sit on a
+    # rounding tie of the two-decimal output (tests/test_output.py has some)
+    x_px = (margin + (t - t[0]) / t_span * (width - 2 * margin)).tolist()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -129,9 +114,9 @@ def write_trajectory_svg(traj: Trajectory, path) -> Path:
         f'transform="rotate(-90 14 {height // 2})">population / coherence</text>',
     ]
     for idx, (label, color, values) in enumerate(series):
-        pts = " ".join(
-            f"{x_px(tv):.2f},{y_px(min(max(v, 0.0), 1.0)):.2f}" for tv, v in zip(t, values)
-        )
+        # np.clip keeps a NaN value, which prints as "nan"
+        y_px = height - margin - np.clip(values, 0.0, 1.0) * (height - 2 * margin)
+        pts = " ".join(map("{:.2f},{:.2f}".format, x_px, y_px.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 16 * idx + 10}" '

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rk4_oracle as rk4
+from lab_oracle import build_lab_hamiltonian, evolve_static
 from rk4_oracle import interaction_hamiltonian
 from topoflux.config import resolve
 from topoflux.device import ghz_to_angular
@@ -21,9 +22,7 @@ from topoflux.dynamics import (
     _taylor_apply,
     _taylor_degree,
     _Workspace,
-    build_lab_hamiltonian,
     evolve,
-    evolve_static,
     expm,
     pulse_duration_for_area,
     pulse_propagator,

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import topoflux.experiments
+from topoflux import cli
 from topoflux.cli import main
 from topoflux.config import resolve
 from topoflux.dynamics import MAX_STEPS, NO_NOISE, PulseSegment, _ramp_step, evolve
@@ -372,6 +373,44 @@ class TestCli:
     def test_bad_format_exit_2(self, tmp_path):
         cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
         assert main(["run", "--config", str(cfg), "--format", "pdf"]) == 2
+
+    @pytest.mark.parametrize("fmt", [",", "", " , "])
+    def test_empty_format_exit_2(self, tmp_path, capsys, fmt):
+        cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "names no output" in captured.err
+        assert not out.exists()
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path):
+        assert cli._parser() is cli._parser()
+        raw = dict(scenario_preset("robustness"), robustness={"errorFraction": 0.1, "samples": 2})
+        rob = str(self.write_cfg(tmp_path, raw, "robustness.json"))
+        run = str(self.write_cfg(tmp_path, scenario_preset("fig2a"), "fig2a.json"))
+
+        def seed_of_run(name, *extra):
+            out = tmp_path / name
+            assert main(["robustness", "--config", rob, "--out", str(out), *extra]) == 0
+            return json.loads((out / "robustness_summary.json").read_text())["seed"]
+
+        def files_of_run(name, *extra):
+            out = tmp_path / name
+            assert main(["run", "--config", run, "--out", str(out), *extra]) == 0
+            return sorted(path.name for path in out.iterdir())
+
+        assert seed_of_run("rob1", "--seed", "7") == 7
+        assert seed_of_run("rob2") == 0
+        assert files_of_run("run1", "--format", "svg") == ["fig2a.svg"]
+        assert files_of_run("run2") == ["fig2a.csv", "fig2a_summary.json"]
+        for bad in (["robustness", "--config", rob, "--seed", "-1"], ["run", "--format"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            # the next call still gets the defaults
+            assert seed_of_run(f"rob-after-{bad[0]}") == 0
+            assert files_of_run(f"run-after-{bad[0]}") == ["fig2a.csv", "fig2a_summary.json"]
 
     @pytest.mark.parametrize(
         "overrides",

@@ -1,0 +1,129 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from topoflux.config import resolve
+from topoflux.dynamics import Trajectory
+from topoflux.experiments import run_evolution
+from topoflux.output import write_trajectory_csv, write_trajectory_svg
+from topoflux.presets import scenario_preset
+from writer_oracle import trajectory_csv_text, trajectory_svg_text
+
+SUBNORMAL = 5e-324
+
+
+def make_trajectory(times, rho11, rho22, rho12, rho21, trace, purity, min_eig):
+    return Trajectory(
+        times=np.array(times, dtype=float),
+        rho11=np.array(rho11, dtype=complex),
+        rho22=np.array(rho22, dtype=complex),
+        rho12=np.array(rho12, dtype=complex),
+        rho21=np.array(rho21, dtype=complex),
+        trace=np.array(trace, dtype=float),
+        purity=np.array(purity, dtype=float),
+        min_eigenvalue=np.array(min_eig, dtype=float),
+        final_state=np.eye(4, dtype=complex) / 4,
+    )
+
+
+def assert_writers_match_oracle(traj, tmp_path):
+    csv = write_trajectory_csv(traj, tmp_path / "traj.csv")
+    svg = write_trajectory_svg(traj, tmp_path / "traj.svg")
+    assert csv.read_bytes() == trajectory_csv_text(traj).encode()
+    assert svg.read_bytes() == trajectory_svg_text(traj).encode()
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "altParams"])
+def test_preset_files_match_oracle(tmp_path, name):
+    assert_writers_match_oracle(run_evolution(resolve(scenario_preset(name))), tmp_path)
+
+
+EDGE_CASES = {
+    # one sample: t_span falls back to 1e-30 and the point sits on the axis
+    "single-sample": make_trajectory(
+        [0.25], [0.5 + 0.1j], [0.5], [0.25j], [-0.25j], [1.0], [0.75], [-1e-17]
+    ),
+    "negative-zero": make_trajectory(
+        [-0.0, 0.5, 1.0],
+        [complex(-0.0, -0.0), 0.5, 1.0],
+        [1.0, 0.5, complex(-0.0, 0.0)],
+        [complex(-0.0, -0.0), 0.5j, -0.0],
+        [0.0, -0.5j, complex(0.0, -0.0)],
+        [1.0, -0.0, 1.0],
+        [1.0, 0.5, -0.0],
+        [-0.0, 0.0, -0.0],
+    ),
+    # the SVG clamps populations and |rho12| to [0, 1]; the CSV keeps them
+    "out-of-range": make_trajectory(
+        [0.0, 0.1, 0.2, 0.3],
+        [-0.3, 1.7, -1e-12, 1.0 + 1e-12],
+        [2.0, -2.0, 0.999999, 1e-7],
+        [1.5 + 1.5j, -0.2, 0.3 - 0.4j, -3.0j],
+        [1.5 - 1.5j, -0.2, 0.3 + 0.4j, 3.0j],
+        [1.0000001, 0.9999999, 1.0, 1.0],
+        [1.2, -0.1, 1.0, 0.5],
+        [-0.2, -1e-9, 0.0, 0.3],
+    ),
+    "subnormal-and-huge": make_trajectory(
+        [0.0, SUBNORMAL, 1e-300, 1e300],
+        [SUBNORMAL, 1e300, -SUBNORMAL, complex(1e-310, -1e300)],
+        [1e300, SUBNORMAL, complex(0.0, SUBNORMAL), -1e300],
+        [complex(SUBNORMAL, SUBNORMAL), 1e300j, 2.2250738585072014e-308, 1e-320],
+        [complex(-SUBNORMAL, 1e300), 0.0, 1e300, -1e-320],
+        [1e300, SUBNORMAL, 1.0, -SUBNORMAL],
+        [SUBNORMAL, 1e300, 1.0, 0.5],
+        [-1e300, -SUBNORMAL, 0.0, 1e-310],
+    ),
+    # x pixels 83.075 and 94.415 lie on rounding ties: computing (t - t0) * 540 / t_span
+    # instead of (t - t0) / t_span * 540 moves each by one ulp and prints it .01 apart
+    "pixel-ties": make_trajectory(
+        [0.0, 14.88375, 19.98675, 243.0],
+        [0.25, 0.5, 0.75, 1.0],
+        [0.75, 0.5, 0.25, 0.0],
+        [0.0, 0.5, 0.5j, 0.0],
+        [0.0, 0.5, -0.5j, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
+        [1.0, 0.5, 0.5, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ),
+    # a NaN in the values prints as "nan" in the CSV and the SVG alike
+    "nan": make_trajectory(
+        [0.0, 0.5, 1.0],
+        [0.0, complex(math.nan, 0.0), 1.0],
+        [1.0, 0.5, math.nan],
+        [0.0, 0.5j, complex(math.nan, math.nan)],
+        [0.0, -0.5j, 0.0],
+        [1.0, 1.0, math.nan],
+        [1.0, math.nan, 0.5],
+        [0.0, math.nan, -0.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_values_match_oracle(tmp_path, case):
+    assert_writers_match_oracle(EDGE_CASES[case], tmp_path)
+
+
+# finite floats of every magnitude, subnormals and both zeros included; times
+# stay below 1e300 so that t[-1] - t[0] cannot overflow
+VALUE = st.floats(-1e300, 1e300)
+COMPLEX = st.builds(complex, VALUE, VALUE)
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.integers(1, 8))
+    complex_columns = [draw(st.lists(COMPLEX, min_size=n, max_size=n)) for _ in range(4)]
+    real_columns = [draw(st.lists(VALUE, min_size=n, max_size=n)) for _ in range(3)]
+    times = sorted(draw(st.lists(VALUE, min_size=n, max_size=n)))
+    return make_trajectory(times, *complex_columns, *real_columns)
+
+
+@given(trajectories())
+@settings(max_examples=100, deadline=None)
+def test_finite_values_match_oracle(tmp_path_factory, traj):
+    assert_writers_match_oracle(traj, tmp_path_factory.mktemp("writers"))
