@@ -14,15 +14,24 @@ seeds 0 and 7.  Run it on two checkouts and compare the printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR
 
+When some files differ, ``--compare`` prints, for each file of two such
+directories, the largest absolute difference over its CSV cells or JSON
+numbers (``identical`` when the bytes agree; ``differs`` for other files,
+or when the text, keys or shapes disagree):
+
+    PYTHONPATH=src python scripts/output_digest.py --compare OUT_A OUT_B
+
 It only uses the CLI, ``resolve``, ``run_sweep`` and ``run_robustness``, so
 older checkouts run it too.  A run takes under a minute on one core.
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -92,12 +101,75 @@ def write_outputs(out: Path):
         run_robustness(resolve(raw), seed=seed, out_dir=out / f"robustness_seed{seed}")
 
 
+def _number(x):
+    """x as a float when it is a number (not a bool) or a numeric CSV cell, else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def _max_difference(a, b) -> float:
+    """The largest |a - b| over the numbers of two parsed files; NaN where their text,
+    keys or shapes disagree."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return math.nan
+        a, b = list(a.values()), list(b.values())
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.nan
+        # max() would drop a NaN that is not its first argument
+        diffs = [_max_difference(x, y) for x, y in zip(a, b)]
+        return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return 0.0 if a == b else math.nan
+    # equal non-finite values (a NaN column entry, say) agree
+    return 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+
+
+def _parse(path: Path):
+    if path.suffix == ".csv":
+        with path.open(newline="") as f:
+            return list(csv.reader(f))
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    return None
+
+
+def compare(a_dir: Path, b_dir: Path):
+    """Print one line per file of either directory: how far apart its two copies are."""
+    names = sorted(
+        {p.relative_to(d) for d in (a_dir, b_dir) for p in d.rglob("*") if p.is_file()}
+    )
+    for name in names:
+        a, b = a_dir / name, b_dir / name
+        if not (a.is_file() and b.is_file()):
+            status = f"only in {a_dir if a.is_file() else b_dir}"
+        elif a.read_bytes() == b.read_bytes():
+            status = "identical"
+        else:
+            parsed = _parse(a), _parse(b)
+            diff = math.nan if parsed[0] is None else _max_difference(*parsed)
+            status = "differs" if math.isnan(diff) else f"{diff:.3e}"
+        print(f"{status:>10}  {name}")
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    ap.add_argument("out_dir", type=Path)
+    ap.add_argument("out_dir", type=Path, nargs="?")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("OUT_A", "OUT_B"))
     args = ap.parse_args()
+    if (args.out_dir is None) == (args.compare is None):
+        ap.error("give either OUT_DIR or --compare OUT_A OUT_B")
+    if args.compare:
+        compare(*args.compare)
+        return
     write_outputs(args.out_dir)
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -23,10 +23,11 @@ contamination phase becomes the static term E N, both dissipators are
 unchanged, and the generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .]
 and both dissipators, L1 the coupling commutator.  On the plateau (env = 1)
 one matrix exponential (``expm``) carries the state from one sample to the
-next; on a sin^2 ramp, fourth-order Magnus steps (two-point Gauss-Legendre;
-Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) do, in steps that the
-pulse alone sets (``_ramp_step``).  Each step's exponential is applied to the
-state as a Taylor polynomial (``_taylor_apply``) of one degree per piece
+next; on a sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre;
+Blanes, Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone
+sets (``_ramp_step``).  Each step's Omega combines 10 fixed matrices
+(``_magnus_basis``), and its exponential is applied to the state as a Taylor
+polynomial (``_taylor_apply``) of one degree per block of steps
 (``_taylor_degree``).  Only the final state is turned back to the
 working frame.  ``pulse_propagator`` runs the same core on the
 Hilbert-space pair (-i E N, -i H_coupling).  The trajectory of ``evolve``
@@ -61,20 +62,19 @@ from .hilbert import (
     trace_error,
 )
 
-# Magnus step on a ramp: h = min(ramp / RAMP_STEPS, MAX_PHASE_STEP / |E|),
-# times sqrt(COUPLING_SCALE / c) when the larger coupling c = max(|g|, |g'|)
-# exceeds COUPLING_SCALE (rad/ns).  On the fig2a and altParams operating
-# points with ramps of 0.02-1 ns, final states then lie within 2e-11 of the
-# same runs at steps 8-24 times shorter (ramp/128 and 0.15/|E| left 9e-10 on
-# a 0.1 ns altParams ramp).  At a fixed step the error grows about as g' up
-# to E, and faster above it.  The coupling factor leaves both operating
-# points' steps as they are and kept the error below 1e-11 for g' up to
-# 1e4 rad/ns on 0.02-0.2 ns ramps; without it, g' = 300 rad/ns left 2.5e-10.
-RAMP_STEPS = 256
-MAX_PHASE_STEP = 0.05
-COUPLING_SCALE = 40.0
+# Magnus step on a ramp: h = min(ramp / RAMP_STEPS, MAX_PHASE_STEP / (|E| + c)),
+# c = max(|g|, |g'|) in rad/ns, so that no step turns the phase E t plus the
+# coupling by more than MAX_PHASE_STEP rad.  With sixth-order steps, ramped
+# states at the fig2a and altParams operating points (0.02-1 ns ramps, 2-6
+# levels) lie within 3e-11 of RK4; MAX_PHASE_STEP = 0.25 left 1.2e-10 on a
+# 0.02 ns altParams ramp.  On 0.02-0.2 ns ramps with g up to 3000 rad/ns, g'
+# up to 1e4 and E down to 3, states lay within 3e-11 of runs at a quarter of
+# the step; the fourth-order rule's sqrt(40/c) coupling factor instead of c
+# in the rate left 8e-6 at g' = 1e4 and E = 3.
+RAMP_STEPS = 16
+MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs about 0.3 ms at fockLevels 6
+# where a ramp step costs about 0.35 ms at fockLevels 6
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
 SAMPLE_BLOCK = 256
@@ -297,17 +297,72 @@ def _free_generator(ws: _Workspace, energy: float, noise: NoiseParams) -> np.nda
 def _ramp_step(pulse: PulseSegment) -> float:
     """The Magnus step on the pulse's ramps."""
     h = pulse.ramp / RAMP_STEPS
-    if pulse.phase_freq != 0.0:
-        h = min(h, MAX_PHASE_STEP / abs(pulse.phase_freq))
-    coupling = max(abs(pulse.g_value), abs(pulse.g_prime_value))
-    if coupling > COUPLING_SCALE:
-        h *= math.sqrt(COUPLING_SCALE / coupling)
+    rate = abs(pulse.phase_freq) + max(abs(pulse.g_value), abs(pulse.g_prime_value))
+    if rate:
+        h = min(h, MAX_PHASE_STEP / rate)
     # a ramp shorter than RAMP_STEPS subnormals still gets a nonzero step
     return max(h, math.ulp(0.0))
 
 
-# the two Gauss-Legendre nodes of a step sit at 1/2 -+ _GAUSS of it
-_GAUSS = math.sqrt(3.0) / 6.0
+# the three Gauss-Legendre nodes of a step sit at 1/2 - _GAUSS, 1/2 and 1/2 + _GAUSS of it
+_GAUSS = math.sqrt(15.0) / 10.0
+# the largest 1-norm bound at which a ramp step's exponential is a Taylor
+# series (degree 25 at 2); longer steps take expm
+TAYLOR_MAX_NORM = 2.0
+# the ramp steps whose Omega are formed at once hold at most this many entries (4 MB)
+OMEGA_BLOCK_ENTRIES = 2**18
+
+
+def _commutator_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x @ y - y @ x
+
+
+def _magnus_basis(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """The 10 fixed matrices that every sixth-order Magnus step of a0 + env(t) a1
+    combines, flattened into the rows of one array (order as in ``_magnus_coefficients``)."""
+    basis = np.empty((10, *a0.shape), dtype=complex)
+    basis[0], basis[1] = a0, a1
+    c = basis[2] = _commutator_of(a0, a1)
+    d0 = basis[3] = _commutator_of(a0, c)
+    d1 = basis[4] = _commutator_of(a1, c)
+    # [a1, [a0, C]] = [a0, [a1, C]] by the Jacobi identity
+    for k, (x, y) in enumerate(((a0, d0), (a0, d1), (a1, d1), (c, d0), (c, d1)), start=5):
+        basis[k] = _commutator_of(x, y)
+    return basis.reshape(10, -1)
+
+
+def _magnus_coefficients(s: float, e1, e2, e3) -> np.ndarray:
+    """The (n_steps, 10) coefficients of Omega over ``_magnus_basis`` for steps of length s.
+
+    e1, e2, e3 are the envelope at each step's three Gauss nodes.  The scheme is
+    Blanes, Casas & Ros, BIT 40, 434 (2000):
+
+        alpha1 = s A2,  alpha2 = (sqrt(15)/3) s (A3 - A1),  alpha3 = (10/3) s (A3 - 2 A2 + A1)
+        C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1] / 60
+        Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240
+
+    With A = a0 + e a1, alpha2 = q a1 and alpha3 = r a1, so the outer commutator
+    is [x0 a0 + x1 a1 + xc C, y1 a1 + yc C + ya [a0, C] + yb [a1, C]].
+    """
+    q = (math.sqrt(15.0) / 3.0) * s * (e3 - e1)
+    r = (10.0 / 3.0) * s * (e3 - 2.0 * e2 + e1)
+    x0, x1, xc = -20.0 * s, -20.0 * s * e2 - r, s * q
+    y1, yc, ya, yb = q, (-s / 30.0) * r, (-s * s / 60.0) * q, (-s * s / 60.0) * e2 * q
+    return np.stack(
+        (
+            np.full_like(q, 240.0 * s),
+            240.0 * s * e2 + 20.0 * r,
+            x0 * y1,
+            x0 * yc,
+            x1 * yc - xc * y1,
+            x0 * ya,
+            x0 * yb + x1 * ya,
+            x1 * yb,
+            xc * ya,
+            xc * yb,
+        ),
+        axis=1,
+    ) / 240.0
 
 
 def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
@@ -316,15 +371,14 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     The pulse is walked in sample intervals [k period, (k+1) period], the last
     one ending at the pulse's end, each cut at the ramp ends.  A plateau piece
     takes one exponential, shared by every piece of the same length; a ramp
-    piece takes ceil(length/h) equal fourth-order Magnus steps, h the pulse's
-    ``_ramp_step``,
-
-        Omega = s (a0 + (e1 + e2)/2 a1) + (sqrt(3)/12) s^2 (e1 - e2) [a0, a1]
-
-    with e1, e2 the envelope at the step's Gauss nodes (on the plateau,
-    e1 = e2 and Omega is the exact s (a0 + a1)), applied to y as a Taylor
-    polynomial of one degree per piece.  ``record(t, y)``, when given, sees y
-    at every sample time k * period before the end.
+    piece takes ceil(length/h) equal sixth-order Magnus steps
+    (``_magnus_coefficients``), h the pulse's ``_ramp_step``.  Because the
+    generator is a0 + env(t) a1, each step's Omega is a combination of the 10
+    fixed matrices of ``_magnus_basis`` with coefficients from the envelope at
+    the step's three Gauss nodes (on the plateau they are equal and Omega is
+    the exact s (a0 + a1)).  Omega is applied to y as a Taylor polynomial of
+    one degree per block of steps.  ``record(t, y)``, when given, sees y at
+    every sample time k * period before the end.
     """
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
@@ -341,9 +395,9 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     if math.isclose(rest, period, rel_tol=1e-12):
         rest = period
     if ramp:
-        commutator = a0 @ a1 - a1 @ a0
-        stacked = np.stack((a1, commutator)).reshape(2, -1)
-        norms = np.array([np.linalg.norm(m, 1) for m in (a0, a1, commutator)])
+        basis = _magnus_basis(a0, a1)
+        norms = np.linalg.norm(basis.reshape(10, *a0.shape), 1, axis=(1, 2))
+        block = max(1, OMEGA_BLOCK_ENTRIES // a0.size)
     cache = {}
 
     def plateau(y, length):
@@ -355,16 +409,17 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
         n_steps = math.ceil((b - a) / h)
         s = (b - a) / n_steps
         mid = a + (np.arange(n_steps) + 0.5) * s
-        e1, e2 = pulse.envelope(mid - _GAUSS * s), pulse.envelope(mid + _GAUSS * s)
-        # Omega_j = s a0 + alpha_j a1 + beta_j [a0, a1]
-        coef = np.stack(((0.5 * s) * (e1 + e2), (0.5 * _GAUSS * s * s) * (e1 - e2)), axis=1)
-        sa0 = s * a0
-        omegas = (sa0 + (c @ stacked).reshape(sa0.shape) for c in coef.astype(complex))
-        # theta bounds every step's 1-norm; above 1 each step takes expm instead
-        theta = s * norms[0] + np.max(np.abs(coef) @ norms[1:])
-        m = _taylor_degree(theta) if theta <= 1.0 else None
-        for omega in omegas:
-            y = expm(omega) @ y if m is None else _taylor_apply(omega, y, m)
+        nodes = (pulse.envelope(mid + c * s) for c in (-_GAUSS, 0.0, _GAUSS))
+        coef = _magnus_coefficients(s, *nodes)
+        # bounds on each step's 1-norm; above TAYLOR_MAX_NORM a block's steps take expm
+        thetas = np.abs(coef) @ norms
+        for j in range(0, n_steps, block):
+            # real coefficients times the real and imaginary parts of the basis
+            omegas = (coef[j : j + block] @ basis.view(float)).view(complex)
+            theta = thetas[j : j + block].max()
+            m = _taylor_degree(theta) if theta <= TAYLOR_MAX_NORM else None
+            for omega in omegas.reshape(-1, *a0.shape):
+                y = expm(omega) @ y if m is None else _taylor_apply(omega, y, m)
         return y
 
     for k in range(n_samples):
@@ -438,7 +493,7 @@ def evolve(
 
     The pulse runs in the frame exp(i E t N) through ``_propagate``: one
     matrix exponential per sample period on the plateau (the whole of a
-    rectangular pulse), fourth-order Magnus steps of ``_ramp_step`` on a
+    rectangular pulse), sixth-order Magnus steps of ``_ramp_step`` on a
     sin^2 ramp, each applied as a fixed-degree Taylor polynomial.  The step
     follows from the pulse alone: no argument sets it.
 

@@ -210,15 +210,17 @@ def test_criterion_08_property_suite(scn_fig2a, fig2a_run, monkeypatch):
     dark_dev = np.max(np.abs(dark_traj.final_state - dark0))
     results["dark_state"] = dark_dev < 1e-9
 
-    # halving the Magnus step on a 0.05 ns sin^2 ramp moves the transfer by < 1e-7
+    # halving the Magnus step on a 0.05 ns sin^2 ramp moves the transfer by < 1e-7.
+    # Sampled once, each ramp is one piece, so its steps halve with the step rule's.
     raw = scenario_preset("fig2a")
     raw["pulse"] = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
     ramped = resolve(raw).pulse
     i_dn1 = spec.index(DOWN, 1)
-    f_full = evolve(rho_up0, ramped, noise, spec).final_state[i_dn1, i_dn1].real
+    once = ramped.duration
+    f_full = evolve(rho_up0, ramped, noise, spec, once).final_state[i_dn1, i_dn1].real
     monkeypatch.setattr(dynamics, "RAMP_STEPS", 2 * dynamics.RAMP_STEPS)
     monkeypatch.setattr(dynamics, "MAX_PHASE_STEP", dynamics.MAX_PHASE_STEP / 2)
-    f_half = evolve(rho_up0, ramped, noise, spec).final_state[i_dn1, i_dn1].real
+    f_half = evolve(rho_up0, ramped, noise, spec, once).final_state[i_dn1, i_dn1].real
     results["dt_halving"] = abs(f_full - f_half) < 1e-7
 
     dev = scn_fig2a.device

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import rk4_oracle as rk4
 from lab_oracle import build_lab_hamiltonian, evolve_static
 from rk4_oracle import interaction_hamiltonian
+from topoflux import dynamics
 from topoflux.config import resolve
 from topoflux.device import ghz_to_angular
 from topoflux.dynamics import (
@@ -18,6 +19,8 @@ from topoflux.dynamics import (
     PulseSegment,
     _commutator,
     _free_generator,
+    _magnus_basis,
+    _magnus_coefficients,
     _Recorder,
     _taylor_apply,
     _taylor_degree,
@@ -299,9 +302,10 @@ def operating_point(name, ramp, levels, overrides=None):
 # meets both operating points and both noise settings, and every truncation
 # meets both noise settings.  Each RK4 step keeps the oracle's own error
 # within 2e-11 (measured against steps 2-4 times shorter); altParams, with
-# g' = 3g, needs 5e-5 ns where fig2a's 1 ns ramp does with 1e-4.  The last
-# case, g' = 300 rad/ns, checks that the ramp step shrinks with the coupling;
-# its RK4 steps leave about 6e-12.
+# g' = 3g, needs 5e-5 ns where fig2a's 1 ns ramp does with 1e-4.  The
+# g' = 300 rad/ns case checks that the ramp step shrinks with the coupling;
+# its RK4 steps leave about 6e-12.  At 6 levels every ramp step's 1-norm
+# bound lies above 1, so the last case checks the Taylor series up to 2.
 RAMPED_CASES = [
     ("fig2a", 0.02, 3, True, 5e-5, None),
     ("fig2a", 0.05, 4, False, 5e-5, None),
@@ -312,6 +316,7 @@ RAMPED_CASES = [
     ("altParams", 0.2, 2, True, 5e-5, None),
     ("altParams", 1.0, 2, False, 5e-5, None),
     ("fig2a", 0.05, 2, False, 1.25e-5, {"gPrime_GHz": -300.0 / ghz_to_angular(1.0)}),
+    ("fig2a", 0.05, 6, True, 5e-5, None),
 ]
 
 
@@ -334,6 +339,43 @@ class TestExactPropagation:
         magnus = evolve(rho0, pulse, noise, scn.spec).final_state
         assert np.max(np.abs(magnus - rk4.final_state(rho0, pulse, noise, scn.spec, dt))) < 1e-10
 
+    def test_magnus_expansion_matches_the_scheme(self):
+        # Omega over the 10 fixed matrices equals the scheme's matrix form
+        rng = np.random.default_rng(11)
+        a0, a1 = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(2))
+        s = 0.3
+        e = rng.random(3)
+        a = [a0 + ei * a1 for ei in e]
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        alpha1 = s * a[1]
+        alpha2 = (math.sqrt(15.0) / 3.0) * s * (a[2] - a[0])
+        alpha3 = (10.0 / 3.0) * s * (a[2] - 2.0 * a[1] + a[0])
+        c1 = comm(alpha1, alpha2)
+        c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
+        omega = alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+        coef = _magnus_coefficients(s, *(np.array([ei]) for ei in e))
+        expanded = (coef @ _magnus_basis(a0, a1)).reshape(6, 6)
+        assert np.max(np.abs(expanded - omega)) <= 1e-14 * np.max(np.abs(omega))
+
+    def test_ramp_steps_are_sixth_order(self, monkeypatch):
+        # one sample, so each ramp is one piece of exactly RAMP_STEPS steps:
+        # halving the step cuts the error 63-fold; a fourth-order step gives 16
+        scn, pulse = operating_point("fig2a", 0.05, 2)
+        rho0 = initial_state(scn.spec)
+        monkeypatch.setattr(dynamics, "MAX_PHASE_STEP", math.inf)
+
+        def final_state(steps):
+            monkeypatch.setattr(dynamics, "RAMP_STEPS", steps)
+            return evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state
+
+        reference = final_state(256)
+        coarse, fine = (np.max(np.abs(final_state(n) - reference)) for n in (16, 32))
+        assert fine > 1e-11
+        assert coarse >= 32.0 * fine
+
     def test_sample_times_are_multiples_of_the_period(self):
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         period = pulse.duration / 7.5  # a remainder of half a period
@@ -351,7 +393,7 @@ class TestExactPropagation:
         w, v = np.linalg.eigh(h)
         assert np.max(np.abs(expm(-1j * h) - (v * np.exp(-1j * w)) @ v.conj().T)) < 1e-10
 
-    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0, 2.0])
     def test_taylor_series_matches_expm(self, norm):
         # a ramp step's series, at the degree its 1-norm bound gives
         rng = np.random.default_rng(7)
@@ -361,10 +403,10 @@ class TestExactPropagation:
         assert np.max(np.abs(_taylor_apply(a, y, _taylor_degree(norm)) - expm(a) @ y)) < 1e-14
 
     def test_taylor_degree(self):
-        assert [_taylor_degree(t) for t in (0.0, 1e-3, 0.1, 1.0)] == [0, 4, 10, 19]
+        assert [_taylor_degree(t) for t in (0.0, 1e-3, 0.1, 1.0, 2.0)] == [0, 4, 10, 19, 25]
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
-    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0, 2.0])
     def test_taylor_series_meets_its_bound(self, norm):
         # a cyclic shift with unit phases keeps |a^k y|_1 = norm^k |y|_1, so the
         # dropped terms are as large as the degree's bound allows.  Summed in

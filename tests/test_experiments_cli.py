@@ -45,7 +45,7 @@ def strict_loads(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
-# a ramped fig2a pulse: evolve runs its ramps in Magnus steps of 0.02/256 = 7.8e-5 ns
+# a ramped fig2a pulse: evolve runs its ramps in Magnus steps of 0.2/(|E| + |g|) = 6.1e-4 ns
 RAMPED = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.02}
 RUN_PRESETS = ("fig2a", "fig2b", "altParams")
 # 10-25 ms an example: most ramped draws are refused before they evolve
@@ -415,9 +415,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "overrides",
         [
-            # two ramps of 6.3e7 Magnus steps of 1.6e-4 ns
+            # two ramps of 1.6e7 Magnus steps of 6.1e-4 ns
             pytest.param({}, id="pulse-rampTime_ns-10000.0"),
-            # E = 6.3e307 rad/ns sets steps of 8e-310 ns, whose count overflows to inf
+            # E = 6.3e307 rad/ns sets steps of 3.2e-309 ns, whose count overflows to inf
             pytest.param({"E_GHz": 1e307}, id="overrides-E_GHz-1e307"),
         ],
     )
