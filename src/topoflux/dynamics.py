@@ -69,8 +69,8 @@ from .hilbert import (
 # levels) lie within 3e-11 of RK4; MAX_PHASE_STEP = 0.25 left 1.2e-10 on a
 # 0.02 ns altParams ramp.  On 0.02-0.2 ns ramps with g up to 3000 rad/ns, g'
 # up to 1e4 and E down to 3, states lay within 3e-11 of runs at a quarter of
-# the step; the fourth-order rule's sqrt(40/c) coupling factor instead of c
-# in the rate left 8e-6 at g' = 1e4 and E = 3.
+# the step.  c belongs in the rate: steps of ramp/16 shortened only by
+# sqrt(40/c) left 8e-6 at g' = 1e4 and E = 3.
 RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,

@@ -304,8 +304,9 @@ def operating_point(name, ramp, levels, overrides=None):
 # within 2e-11 (measured against steps 2-4 times shorter); altParams, with
 # g' = 3g, needs 5e-5 ns where fig2a's 1 ns ramp does with 1e-4.  The
 # g' = 300 rad/ns case checks that the ramp step shrinks with the coupling;
-# its RK4 steps leave about 6e-12.  At 6 levels every ramp step's 1-norm
-# bound lies above 1, so the last case checks the Taylor series up to 2.
+# its RK4 steps leave about 6e-12.  In the last case every ramp step's
+# 1-norm bound lies in 1.08-1.14, so it checks the Taylor series above 1
+# (a 0.05 ns ramp's 3-step sample pieces keep the bound below 0.94).
 RAMPED_CASES = [
     ("fig2a", 0.02, 3, True, 5e-5, None),
     ("fig2a", 0.05, 4, False, 5e-5, None),
@@ -316,7 +317,7 @@ RAMPED_CASES = [
     ("altParams", 0.2, 2, True, 5e-5, None),
     ("altParams", 1.0, 2, False, 5e-5, None),
     ("fig2a", 0.05, 2, False, 1.25e-5, {"gPrime_GHz": -300.0 / ghz_to_angular(1.0)}),
-    ("fig2a", 0.05, 6, True, 5e-5, None),
+    ("fig2a", 0.1, 6, True, 5e-5, None),
 ]
 
 
@@ -375,6 +376,16 @@ class TestExactPropagation:
         coarse, fine = (np.max(np.abs(final_state(n) - reference)) for n in (16, 32))
         assert fine > 1e-11
         assert coarse >= 32.0 * fine
+
+    def test_omega_blocks_split_a_piece(self, monkeypatch):
+        # one sample, so each ramp is one piece of 82 steps; blocks of 3 steps
+        # (the last one of 1) give the state of one block per piece
+        scn, pulse = operating_point("fig2a", 0.05, 2)
+        rho0 = initial_state(scn.spec)
+        whole = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state
+        monkeypatch.setattr(dynamics, "OMEGA_BLOCK_ENTRIES", 3 * scn.spec.dim**4)
+        split = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state
+        assert np.max(np.abs(split - whole)) < 1e-14
 
     def test_sample_times_are_multiples_of_the_period(self):
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
