@@ -17,10 +17,17 @@ from topoflux.output import write_json
 from topoflux.presets import scenario_preset
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out"))
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0, help="PRNG seed, >= 0 (default 0)")
     ap.add_argument("--quick", action="store_true", help="smaller sweeps and Monte Carlo")
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)

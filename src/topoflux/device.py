@@ -35,10 +35,6 @@ def ghz_to_angular(f_ghz: float) -> float:
     return TWO_PI * f_ghz
 
 
-def angular_to_ghz(omega: float) -> float:
-    return omega / TWO_PI
-
-
 def mk_to_angular(t_mk: float) -> float:
     """Temperature in mK -> energy-equivalent angular frequency k_B T / hbar in rad/ns."""
     return KB_OVER_HBAR_PER_MK * t_mk
@@ -166,16 +162,6 @@ def de_dphi(p: DeviceParams, phi: float) -> float:
     return -0.95 * p.delta0 * math.cos(phi / 2.0)
 
 
-def ratio_formula(p: DeviceParams) -> float:
-    """g/g' from the closed form, independent of the operating phase."""
-    return (
-        math.sqrt(2.0 * p.beta)
-        * p.alpha
-        / math.sqrt(4.0 * p.alpha**2 - 1.0)
-        * (8.0 / p.ej_over_ec) ** 0.25
-    )
-
-
 def solve_resonant_phase(p: DeviceParams, omega_target: float) -> float:
     """Phase phi_on in (-pi, 0) with E(phi_on) = omega_target, strong branch.
 
@@ -237,13 +223,3 @@ def derive_couplings(p: DeviceParams, phi_c: float) -> DerivedCouplings:
         g=zeta / math.sqrt(2.0) * slope,
         g_prime=theta * slope,
     )
-
-
-def coupling_shorthand(p: DeviceParams, phi_c: float) -> float:
-    """Approximate g as -Delta0 (zeta/sqrt(2)) cos(phi_c/2).
-
-    Cross-check only: drops the 0.95 slope factor of the strong-branch law, so
-    it runs about 5% above the pipeline value.
-    """
-    _, zeta, _ = derive_statics(p)
-    return -p.delta0 * zeta / math.sqrt(2.0) * math.cos(phi_c / 2.0)

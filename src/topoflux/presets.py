@@ -1,110 +1,25 @@
-"""Built-in scenario presets for the bundled experiments.
+"""The bundled scenario presets: the ``configs/*.json`` files, loaded by name.
 
-Two device parameter sets appear throughout: the weak-contamination point
-(g/g' ~ 2) and the alternative strong-contamination point (g' = 3g).  For the
-alternative set the plasma frequency derived from EJ lands at 50.6 GHz while
-its operating point is specified at 50 GHz, so the resonance target is pinned
-explicitly there.
+Those files are the only copy.  ``configs/`` is found beside ``src/``, so this
+needs a source checkout or an editable install.  altParams pins its resonance
+target at 50 GHz, where its EJ alone gives a 50.6 GHz plasma frequency.
 """
 
 from __future__ import annotations
 
-import copy
+import json
+from pathlib import Path
 
-_DEVICE_MAIN = {
-    "alpha": 0.8,
-    "beta": 15.0,
-    "EJ_GHz": 158.0,
-    "EJ_over_EC": 80.0,
-    "delta0_GHz": 32.5,
-    "vF_m_per_s": 1.0e5,
-    "L_um": 5.0,
-    "Tf1_ns": 900.0,
-    "Tf2_ns": 20.0,
-    "temperature_mK": 20.0,
-}
-
-_DEVICE_ALT = {
-    "alpha": 0.97,
-    "beta": 10.0,
-    "EJ_GHz": 3100.0,
-    "EJ_over_EC": 30000.0,
-    "delta0_GHz": 78.0,
-    "vF_m_per_s": 1.0e5,
-    "L_um": 5.0,
-    "Tf1_ns": 900.0,
-    "Tf2_ns": 20.0,
-    "temperature_mK": 20.0,
-}
-
-_PRESETS = {
-    "fig2a": {
-        "schemaVersion": 1,
-        "experiment": "fig2a",
-        "device": _DEVICE_MAIN,
-        "pulse": {"areaOverPi": -1.0, "shape": "rectangular"},
-        "noise": {"enabled": True},
-    },
-    "fig2b": {
-        "schemaVersion": 1,
-        "experiment": "fig2b",
-        "device": _DEVICE_MAIN,
-        "pulse": {"areaOverPi": -0.5, "shape": "rectangular"},
-        "noise": {"enabled": True},
-    },
-    "altParams": {
-        "schemaVersion": 1,
-        "experiment": "altParams",
-        "device": _DEVICE_ALT,
-        "pulse": {"areaOverPi": -1.0, "shape": "rectangular"},
-        "noise": {"enabled": True},
-        "overrides": {"resonanceTarget_GHz": 50.0},
-    },
-    "fig3a": {
-        "schemaVersion": 1,
-        "experiment": "fig3a",
-        "device": _DEVICE_MAIN,
-        "pulse": {"areaOverPi": -1.0, "shape": "rectangular"},
-        "noise": {"enabled": True},
-        "sweep": {
-            "axis": "eta1",
-            "lo": 0.0,
-            "hi": 0.01,
-            "points": 21,
-            "gPrimeOverG": [0, 1, 2, 3, 4, 5, 6],
-        },
-    },
-    "fig3b": {
-        "schemaVersion": 1,
-        "experiment": "fig3b",
-        "device": _DEVICE_MAIN,
-        "pulse": {"areaOverPi": -1.0, "shape": "rectangular"},
-        "noise": {"enabled": True},
-        "sweep": {
-            "axis": "eta2",
-            "lo": 0.0,
-            "hi": 0.1,
-            "points": 21,
-            "gPrimeOverG": [0, 1, 2, 3, 4, 5, 6],
-        },
-    },
-    "robustness": {
-        "schemaVersion": 1,
-        "experiment": "robustness",
-        "device": _DEVICE_MAIN,
-        "pulse": {"areaOverPi": -1.0, "shape": "rectangular"},
-        "noise": {"enabled": True},
-        "robustness": {"errorFraction": 0.1, "samples": 100},
-    },
-}
+_CONFIGS = Path(__file__).resolve().parents[2] / "configs"
+_NAMES = ("fig2a", "fig2b", "altParams", "fig3a", "fig3b", "robustness")
 
 
 def preset_names() -> tuple[str, ...]:
-    return tuple(_PRESETS)
+    return _NAMES
 
 
 def scenario_preset(name: str) -> dict:
-    """Deep copy of a built-in raw scenario config."""
-    if name not in _PRESETS:
-        raise KeyError(f"unknown preset {name!r}; have {', '.join(_PRESETS)}")
-    return copy.deepcopy(_PRESETS[name])
+    """A fresh copy of the raw scenario config ``configs/<name>.json``."""
+    if name not in _NAMES:
+        raise KeyError(f"unknown preset {name!r}; have {', '.join(_NAMES)}")
+    return json.loads((_CONFIGS / f"{name}.json").read_text())

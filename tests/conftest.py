@@ -1,37 +1,16 @@
 import pytest
 
-from topoflux.device import DeviceParams, ghz_to_angular, mk_to_angular
+from topoflux.config import resolve
+from topoflux.presets import scenario_preset
 
 
 @pytest.fixture
 def set1():
-    """Weak-contamination operating point (g/g' ~ 2)."""
-    return DeviceParams(
-        alpha=0.8,
-        beta=15.0,
-        ej=ghz_to_angular(158.0),
-        ej_over_ec=80.0,
-        delta0=ghz_to_angular(32.5),
-        v_fermi=100.0,  # 1e5 m/s
-        length=5.0,
-        tf1=900.0,
-        tf2=20.0,
-        temperature=mk_to_angular(20.0),
-    )
+    """Weak-contamination operating point (g/g' ~ 2): the fig2a device."""
+    return resolve(scenario_preset("fig2a")).device
 
 
 @pytest.fixture
 def set2():
-    """Strong-contamination operating point (g' = 3g)."""
-    return DeviceParams(
-        alpha=0.97,
-        beta=10.0,
-        ej=ghz_to_angular(3100.0),
-        ej_over_ec=30000.0,
-        delta0=ghz_to_angular(78.0),
-        v_fermi=100.0,
-        length=5.0,
-        tf1=900.0,
-        tf2=20.0,
-        temperature=mk_to_angular(20.0),
-    )
+    """Strong-contamination operating point (g' = 3g): the altParams device."""
+    return resolve(scenario_preset("altParams")).device

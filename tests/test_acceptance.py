@@ -9,9 +9,10 @@ import time
 import numpy as np
 import pytest
 
+from device_oracle import angular_to_ghz, ratio_formula
 from topoflux import dynamics
 from topoflux.config import resolve
-from topoflux.device import angular_to_ghz, de_dphi, energy_of_phi, ghz_to_angular, ratio_formula, solve_resonant_phase
+from topoflux.device import de_dphi, energy_of_phi, ghz_to_angular, solve_resonant_phase
 from topoflux.dynamics import (
     NO_NOISE,
     NoiseParams,

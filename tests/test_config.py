@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from device_oracle import angular_to_ghz
 from topoflux.config import load_config, load_schema, resolve, validate_raw
-from topoflux.device import angular_to_ghz
 from topoflux.errors import ConfigError, ValidityError
 from topoflux.presets import preset_names, scenario_preset
 
@@ -196,11 +197,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_shipped_configs_match_presets(self):
-        # the files in configs/ are the presets, verbatim
-        from pathlib import Path
 
-        cfg_dir = Path(__file__).resolve().parent.parent / "configs"
+class TestPresets:
+    def test_names_are_the_shipped_configs(self):
+        cfg_dir = Path(__file__).resolve().parents[1] / "configs"
+        assert sorted(preset_names()) == sorted(p.stem for p in cfg_dir.glob("*.json"))
+
+    @pytest.mark.parametrize("name", ["nope", "../pyproject", "fig2a.json"])
+    def test_unknown_name(self, name):
+        with pytest.raises(KeyError):
+            scenario_preset(name)
+
+    def test_each_call_returns_a_fresh_copy(self):
+        raw = scenario_preset("fig2a")
+        raw["device"]["alpha"] = 0.9
+        assert scenario_preset("fig2a")["device"]["alpha"] == 0.8
+
+    def test_every_preset_resolves(self):
         for name in preset_names():
-            on_disk = json.loads((cfg_dir / f"{name}.json").read_text())
-            assert on_disk == scenario_preset(name)
+            assert resolve(scenario_preset(name)).experiment == name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from device_oracle import angular_to_ghz, coupling_shorthand, ratio_formula
+from topoflux.config import resolve
 from topoflux.device import (
-    DeviceParams,
-    angular_to_ghz,
-    coupling_shorthand,
     de_dphi,
     derive_couplings,
     derive_statics,
@@ -17,28 +17,20 @@ from topoflux.device import (
     lambda_of_phi,
     m_per_s_to_um_per_ns,
     mk_to_angular,
-    ratio_formula,
     solve_resonant_phase,
     validity_report,
 )
 from topoflux.errors import NoSolutionError, ValidityError
+from topoflux.presets import scenario_preset
 
 TWO_PI = 2.0 * math.pi
 
 
+FIG2A_DEVICE = resolve(scenario_preset("fig2a")).device
+
+
 def any_params(alpha=0.8, beta=15.0, ej_over_ec=80.0):
-    return DeviceParams(
-        alpha=alpha,
-        beta=beta,
-        ej=ghz_to_angular(158.0),
-        ej_over_ec=ej_over_ec,
-        delta0=ghz_to_angular(32.5),
-        v_fermi=100.0,
-        length=5.0,
-        tf1=900.0,
-        tf2=20.0,
-        temperature=mk_to_angular(20.0),
-    )
+    return dataclasses.replace(FIG2A_DEVICE, alpha=alpha, beta=beta, ej_over_ec=ej_over_ec)
 
 
 class TestUnits:

@@ -554,6 +554,20 @@ class TestCli:
         )
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_reproduce_script_rejects_negative_seed(self, tmp_path):
+        # argparse refuses the seed before any scenario runs or --out is made
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+        src = Path(topoflux.experiments.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, str(script), "--seed", "-1", "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 2
+        assert "argument --seed: must be >= 0, got -1" in done.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "preset, device",
         [
