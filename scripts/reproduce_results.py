@@ -10,18 +10,12 @@ import argparse
 import time
 from pathlib import Path
 
+from topoflux.cli import _seed
 from topoflux.config import resolve
 from topoflux.experiments import run_robustness, run_scenario, run_sweep
 from topoflux.gates import verification_report
 from topoflux.output import write_json
 from topoflux.presets import scenario_preset
-
-
-def _seed(text):
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
 
 
 def main():

@@ -39,7 +39,11 @@ _SWEEP_EXPERIMENTS = ("fig3a", "fig3b", "custom")
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
+    """A --seed value: an integer >= 0, else an error that argparse reports as it is."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed

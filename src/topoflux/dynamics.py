@@ -26,10 +26,12 @@ one matrix exponential (``expm``) carries the state from one sample to the
 next; on a sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre;
 Blanes, Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone
 sets (``_ramp_step``).  Each step's Omega combines 10 fixed matrices
-(``_magnus_basis``), and its exponential is applied to the state as a Taylor
-polynomial (``_taylor_apply``) of one degree per block of steps
-(``_taylor_degree``).  Only the final state is turned back to the
-working frame.  ``pulse_propagator`` runs the same core on the
+(``_magnus_basis``); the coefficients of a block of steps, which may span
+many sample times, are formed at once, and their Omega in a few chunks.
+Each step's exponential is applied to the state as a Taylor polynomial
+(``_taylor_apply``: one matmul per power of Omega, then one sum over the
+powers) of the degree its own norm bound needs (``_taylor_degree``).  Only
+the final state is turned back to the working frame.  ``pulse_propagator`` runs the same core on the
 Hilbert-space pair (-i E N, -i H_coupling).  The trajectory of ``evolve``
 comes from ``_Recorder``, which samples at the times k * sample_period
 (default duration/200) and at the end.  It keeps up to ``SAMPLE_BLOCK`` states, then checks them for finite
@@ -41,6 +43,8 @@ function of its inputs; independent evolutions are safe to run concurrently.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -251,23 +255,41 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _taylor_degree(theta: float) -> int:
+def _taylor_degree(theta):
     """The smallest m with theta^(m+1)/(m+1)! e^theta <= 1e-17, which bounds the remainder of
     exp(a)'s degree-m Taylor series at 1-norms up to theta: m = 10 at theta = 0.1 and 19 at
-    theta = 1 (as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011)."""
-    m, remainder = 0, theta * math.exp(theta)
-    while remainder > 1e-17:
-        m += 1
-        remainder *= theta / (m + 1)
-    return m
+    theta = 1 (as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).
+
+    theta is a float or an array of them, each at most ``TAYLOR_MAX_NORM``.  The
+    remainders r_m = theta^(m+1)/(m+1)! e^theta shrink by theta/(m+1) <= 1 from one m to
+    the next, so m is the number of them above 1e-17.
+    """
+    theta = np.asarray(theta, dtype=float)[..., None]
+    factors = theta / np.arange(2.0, _MAX_DEGREE + 2.0)
+    remainders = np.cumprod(np.concatenate((theta * np.exp(theta), factors), axis=-1), axis=-1)
+    m = np.count_nonzero(remainders > 1e-17, axis=-1)
+    return int(m) if np.ndim(m) == 0 else m
+
+
+@functools.cache
+def _reciprocal_factorials(m: int, dtype: np.dtype) -> np.ndarray:
+    """1/j! for j = 0..m, computed in the real type of dtype."""
+    return 1 / np.cumprod(np.maximum(np.arange(m + 1, dtype=np.finfo(dtype).dtype), 1))
 
 
 def _taylor_apply(a: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """exp(a) @ y by the degree-m Taylor series, y + a (y + a/2 (y + ... (y + a/m y)))."""
-    p = y
-    for k in range(m, 0, -1):
-        p = y + (a @ p) / k
-    return p
+    """exp(a) @ y by the degree-m Taylor series, sum_j a^j y / j! for j = 0..m.
+
+    Each power a^j y is one matmul into a buffer of all m + 1 of them, which one
+    product with the 1/j! then sums over its leading axis.  y may be a vector or,
+    for ``pulse_propagator``, a matrix; the buffer is flattened to (m + 1) rows
+    for the sum, so that it runs over the powers in either case.
+    """
+    v = np.empty((m + 1, *y.shape), dtype=np.result_type(a, y))
+    v[0] = y
+    for j in range(1, m + 1):
+        np.matmul(a, v[j - 1], out=v[j])
+    return np.dot(_reciprocal_factorials(m, v.dtype), v.reshape(m + 1, -1)).reshape(y.shape)
 
 
 def _commutator(h: np.ndarray) -> np.ndarray:
@@ -309,8 +331,16 @@ _GAUSS = math.sqrt(15.0) / 10.0
 # the largest 1-norm bound at which a ramp step's exponential is a Taylor
 # series (degree 25 at 2); longer steps take expm
 TAYLOR_MAX_NORM = 2.0
-# the ramp steps whose Omega are formed at once hold at most this many entries (4 MB)
-OMEGA_BLOCK_ENTRIES = 2**18
+# the Taylor degree at TAYLOR_MAX_NORM
+_MAX_DEGREE = 25
+# the ramp steps whose envelope nodes, coefficients, norm bounds and Taylor
+# degrees are formed at once, across sample pieces (a few hundred kB)
+RAMP_BLOCK_STEPS = 1024
+# the ramp steps whose Omega are formed at once hold at most this many entries
+# (1 MB), in one buffer that every chunk of steps reuses.  Each chunk reads all
+# 10 basis matrices, so at 6 levels (3 steps a chunk) 2**15 made a ramp step
+# 40% slower; 2**18 raised the benchmark's ramped peak RSS by 4 MB (9%).
+OMEGA_BLOCK_ENTRIES = 2**16
 
 
 def _commutator_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -376,9 +406,13 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     generator is a0 + env(t) a1, each step's Omega is a combination of the 10
     fixed matrices of ``_magnus_basis`` with coefficients from the envelope at
     the step's three Gauss nodes (on the plateau they are equal and Omega is
-    the exact s (a0 + a1)).  Omega is applied to y as a Taylor polynomial of
-    one degree per block of steps.  ``record(t, y)``, when given, sees y at
-    every sample time k * period before the end.
+    the exact s (a0 + a1)).  The walk takes its ramp steps from one stream per
+    pulse, which forms the nodes, coefficients, norm bounds and Taylor degrees
+    of ``RAMP_BLOCK_STEPS`` steps at a time, across sample pieces, and their
+    Omega in chunks of ``OMEGA_BLOCK_ENTRIES // a0.size`` steps; each step's
+    Omega is applied to y as a Taylor polynomial of the degree its own bound
+    needs.  ``record(t, y)``, when given, sees y at every sample time
+    k * period before the end.
     """
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
@@ -394,10 +428,6 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     rest = duration - (n_samples - 1) * period
     if math.isclose(rest, period, rel_tol=1e-12):
         rest = period
-    if ramp:
-        basis = _magnus_basis(a0, a1)
-        norms = np.linalg.norm(basis.reshape(10, *a0.shape), 1, axis=(1, 2))
-        block = max(1, OMEGA_BLOCK_ENTRIES // a0.size)
     cache = {}
 
     def plateau(y, length):
@@ -405,35 +435,77 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
             cache[length] = expm(length * (a0 + a1))
         return cache[length] @ y
 
-    def magnus(y, a, b):
-        n_steps = math.ceil((b - a) / h)
-        s = (b - a) / n_steps
-        mid = a + (np.arange(n_steps) + 0.5) * s
-        nodes = (pulse.envelope(mid + c * s) for c in (-_GAUSS, 0.0, _GAUSS))
-        coef = _magnus_coefficients(s, *nodes)
-        # bounds on each step's 1-norm; above TAYLOR_MAX_NORM a block's steps take expm
-        thetas = np.abs(coef) @ norms
-        for j in range(0, n_steps, block):
-            # real coefficients times the real and imaginary parts of the basis
-            omegas = (coef[j : j + block] @ basis.view(float)).view(complex)
-            theta = thetas[j : j + block].max()
-            m = _taylor_degree(theta) if theta <= TAYLOR_MAX_NORM else None
-            for omega in omegas.reshape(-1, *a0.shape):
-                y = expm(omega) @ y if m is None else _taylor_apply(omega, y, m)
-        return y
+    def intervals():
+        """(t0, pieces) for each sample interval.  A piece is (a, b, length): length is
+        the plateau length its exponential spans, or None for a piece of the ramps."""
+        for k in range(n_samples):
+            t0 = k * period
+            last = k == n_samples - 1
+            t1 = duration if last else t0 + period
+            if ramp <= t0 and t1 <= duration - ramp:
+                yield t0, ((t0, t1, rest if last else period),)
+                continue
+            cuts = [c for c in dict.fromkeys((ramp, duration - ramp)) if t0 < c < t1]
+            yield t0, [
+                (a, b, b - a if ramp <= a and b <= duration - ramp else None)
+                for a, b in zip([t0, *cuts], [*cuts, t1])
+            ]
 
-    for k in range(n_samples):
-        t0 = k * period
+    def ramp_steps():
+        """(omega, m) for each ramp step in walk order, m None where the step takes expm."""
+        basis = _magnus_basis(a0, a1)
+        norms = np.linalg.norm(basis.reshape(10, *a0.shape), 1, axis=(1, 2))
+        chunk = max(1, OMEGA_BLOCK_ENTRIES // a0.size)
+        # the Omega of one chunk of steps, as real and imaginary parts
+        buffer = np.empty((chunk, 2 * a0.size))
+
+        def formed(runs):
+            """The steps of runs (a, s, i, j): steps i..j-1 of the piece from a, of length s."""
+            s = np.concatenate([np.full(j - i, step) for _, step, i, j in runs])
+            mid = np.concatenate([a + (np.arange(i, j) + 0.5) * step for a, step, i, j in runs])
+            nodes = (pulse.envelope(mid + c * s) for c in (-_GAUSS, 0.0, _GAUSS))
+            coef = _magnus_coefficients(s, *nodes)
+            # bounds on each step's 1-norm; above TAYLOR_MAX_NORM a step takes expm
+            thetas = np.abs(coef) @ norms
+            taylor = thetas <= TAYLOR_MAX_NORM
+            degrees = _taylor_degree(np.where(taylor, thetas, 0.0)).tolist()
+            degrees = [m if t else None for m, t in zip(degrees, taylor.tolist())]
+            for j in range(0, len(coef), chunk):
+                # real coefficients times the real and imaginary parts of the basis; the
+                # walk is done with the last chunk's Omega when it asks for the next
+                rows = coef[j : j + chunk]
+                omegas = np.matmul(rows, basis.view(float), out=buffer[: len(rows)])
+                yield from zip(omegas.view(complex).reshape(-1, *a0.shape), degrees[j : j + chunk])
+
+        runs, filled = [], 0
+        for _, pieces in intervals():
+            for a, b, length in pieces:
+                if length is not None:
+                    continue
+                n = math.ceil((b - a) / h)
+                s, i = (b - a) / n, 0
+                # a piece's steps may end one block and start the next
+                while i < n:
+                    j = min(n, i + RAMP_BLOCK_STEPS - filled)
+                    runs.append((a, s, i, j))
+                    filled += j - i
+                    i = j
+                    if filled == RAMP_BLOCK_STEPS:
+                        yield from formed(runs)
+                        runs, filled = [], 0
+        if runs:
+            yield from formed(runs)
+
+    steps = ramp_steps()
+    for t0, pieces in intervals():
         if record is not None:
             record(t0, y)
-        last = k == n_samples - 1
-        t1 = duration if last else t0 + period
-        if ramp <= t0 and t1 <= duration - ramp:
-            y = plateau(y, rest if last else period)
-            continue
-        cuts = [c for c in dict.fromkeys((ramp, duration - ramp)) if t0 < c < t1]
-        for a, b in zip([t0, *cuts], [*cuts, t1]):
-            y = plateau(y, b - a) if ramp <= a and b <= duration - ramp else magnus(y, a, b)
+        for a, b, length in pieces:
+            if length is not None:
+                y = plateau(y, length)
+                continue
+            for omega, m in itertools.islice(steps, math.ceil((b - a) / h)):
+                y = expm(omega) @ y if m is None else _taylor_apply(omega, y, m)
     return y
 
 
@@ -494,8 +566,8 @@ def evolve(
     The pulse runs in the frame exp(i E t N) through ``_propagate``: one
     matrix exponential per sample period on the plateau (the whole of a
     rectangular pulse), sixth-order Magnus steps of ``_ramp_step`` on a
-    sin^2 ramp, each applied as a fixed-degree Taylor polynomial.  The step
-    follows from the pulse alone: no argument sets it.
+    sin^2 ramp, each applied as a Taylor polynomial of the degree its norm
+    bound needs.  The step follows from the pulse alone: no argument sets it.
 
     Parameters
     ----------

@@ -378,13 +378,54 @@ class TestExactPropagation:
         assert coarse >= 32.0 * fine
 
     def test_omega_blocks_split_a_piece(self, monkeypatch):
-        # one sample, so each ramp is one piece of 82 steps; blocks of 3 steps
-        # (the last one of 1) give the state of one block per piece
+        # one sample, so each ramp is one piece of 82 steps; chunks of 3 steps
+        # (the last one of 2) give the state of one chunk per block of steps
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
         whole = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state
         monkeypatch.setattr(dynamics, "OMEGA_BLOCK_ENTRIES", 3 * scn.spec.dim**4)
         split = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state
+        assert np.max(np.abs(split - whole)) < 1e-14
+
+    def test_steps_above_the_taylor_bound_take_expm(self, monkeypatch):
+        # with no step under the bound, every ramp step is an expm, which the
+        # Taylor series matches
+        scn, pulse = operating_point("fig2a", 0.05, 2)
+        rho0 = initial_state(scn.spec)
+        taylor = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        monkeypatch.setattr(dynamics, "TAYLOR_MAX_NORM", 0.0)
+        monkeypatch.setattr(dynamics, "_taylor_apply", None)
+        exponentials = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        assert np.max(np.abs(exponentials - taylor)) < 1e-14
+
+    @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "8-step-block"])
+    def test_ramp_steps_are_formed_a_block_at_a_time(self, block, monkeypatch):
+        # the benchmark's fig2a 0.05 ns ramp at 2 levels, sampled every duration/200:
+        # 70 sample pieces of about 3 steps, 206 steps in all.  Their coefficients
+        # are formed once per block of steps, not once per piece, and blocks that
+        # cut pieces give the same state
+        scn, pulse = operating_point("fig2a", 0.05, 2)
+        rho0 = initial_state(scn.spec)
+        whole = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        if block is not None:
+            monkeypatch.setattr(dynamics, "RAMP_BLOCK_STEPS", block)
+        rows, applied = [], []
+        coefficients, taylor_apply = dynamics._magnus_coefficients, dynamics._taylor_apply
+
+        def count_coefficients(*args):
+            coef = coefficients(*args)
+            rows.append(len(coef))
+            return coef
+
+        def count_taylor_apply(*args):
+            applied.append(1)
+            return taylor_apply(*args)
+
+        monkeypatch.setattr(dynamics, "_magnus_coefficients", count_coefficients)
+        monkeypatch.setattr(dynamics, "_taylor_apply", count_taylor_apply)
+        split = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        assert len(applied) == sum(rows) == 206
+        assert len(rows) == math.ceil(206 / dynamics.RAMP_BLOCK_STEPS)
         assert np.max(np.abs(split - whole)) < 1e-14
 
     def test_sample_times_are_multiples_of_the_period(self):
@@ -411,6 +452,15 @@ class TestExactPropagation:
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a *= norm / np.linalg.norm(a, 1)
         y = rng.normal(size=16) + 1j * rng.normal(size=16)
+        assert np.max(np.abs(_taylor_apply(a, y, _taylor_degree(norm)) - expm(a) @ y)) < 1e-14
+
+    @pytest.mark.parametrize("norm", [0.1, 1.0, 2.0])
+    def test_taylor_series_of_a_matrix_matches_expm(self, norm):
+        # pulse_propagator carries the D x D propagator through the series
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        a *= norm / np.linalg.norm(a, 1)
+        y = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         assert np.max(np.abs(_taylor_apply(a, y, _taylor_degree(norm)) - expm(a) @ y)) < 1e-14
 
     def test_taylor_degree(self):

@@ -568,6 +568,28 @@ class TestCli:
         assert "argument --seed: must be >= 0, got -1" in done.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_reproduce_script_rejects_non_integer_seed(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+        src = Path(topoflux.experiments.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, str(script), "--seed", "abc", "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 2
+        assert "argument --seed: must be an integer, got 'abc'" in done.stderr
+        assert "_seed" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_rejects_non_integer_seed(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, scenario_preset("robustness"), "robustness.json")
+        code, out, err = run_cli(["robustness", "--config", str(cfg), "--seed", "abc"])
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: must be an integer, got 'abc'" in err
+        assert "_seed" not in err
+
     @pytest.mark.parametrize(
         "preset, device",
         [
