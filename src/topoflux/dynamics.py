@@ -78,7 +78,8 @@ from .hilbert import (
 RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs about 0.35 ms at fockLevels 6
+# where a ramp step costs about 0.16 ms at fockLevels 6 (one BLAS thread on a
+# 2-vCPU Xeon)
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
 SAMPLE_BLOCK = 256
@@ -273,8 +274,10 @@ def _taylor_degree(theta):
 
 @functools.cache
 def _reciprocal_factorials(m: int, dtype: np.dtype) -> np.ndarray:
-    """1/j! for j = 0..m, computed in the real type of dtype."""
-    return 1 / np.cumprod(np.maximum(np.arange(m + 1, dtype=np.finfo(dtype).dtype), 1))
+    """1/j! for j = 0..m, computed in the real type of dtype; read-only, as every caller shares it."""
+    c = 1 / np.cumprod(np.maximum(np.arange(m + 1, dtype=np.finfo(dtype).dtype), 1))
+    c.flags.writeable = False
+    return c
 
 
 def _taylor_apply(a: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
@@ -339,7 +342,8 @@ RAMP_BLOCK_STEPS = 1024
 # the ramp steps whose Omega are formed at once hold at most this many entries
 # (1 MB), in one buffer that every chunk of steps reuses.  Each chunk reads all
 # 10 basis matrices, so at 6 levels (3 steps a chunk) 2**15 made a ramp step
-# 40% slower; 2**18 raised the benchmark's ramped peak RSS by 4 MB (9%).
+# 40% slower; 2**18 raised the peak RSS of the ramped workload's evolutions by
+# 4 MB, 9% of a perfbench run's 48 MB.
 OMEGA_BLOCK_ENTRIES = 2**16
 
 
@@ -443,13 +447,22 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
             last = k == n_samples - 1
             t1 = duration if last else t0 + period
             if ramp <= t0 and t1 <= duration - ramp:
-                yield t0, ((t0, t1, rest if last else period),)
+                yield t0, [(t0, t1, rest if last else period)]
                 continue
             cuts = [c for c in dict.fromkeys((ramp, duration - ramp)) if t0 < c < t1]
             yield t0, [
                 (a, b, b - a if ramp <= a and b <= duration - ramp else None)
                 for a, b in zip([t0, *cuts], [*cuts, t1])
             ]
+
+    def step_starts():
+        """(a, s, i) for each ramp step in walk order: step i of the piece from a, of length s."""
+        for _, pieces in intervals():
+            for a, b, length in pieces:
+                if length is None:
+                    n = math.ceil((b - a) / h)
+                    for i in range(n):
+                        yield a, (b - a) / n, i
 
     def ramp_steps():
         """(omega, m) for each ramp step in walk order, m None where the step takes expm."""
@@ -458,11 +471,11 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
         chunk = max(1, OMEGA_BLOCK_ENTRIES // a0.size)
         # the Omega of one chunk of steps, as real and imaginary parts
         buffer = np.empty((chunk, 2 * a0.size))
-
-        def formed(runs):
-            """The steps of runs (a, s, i, j): steps i..j-1 of the piece from a, of length s."""
-            s = np.concatenate([np.full(j - i, step) for _, step, i, j in runs])
-            mid = np.concatenate([a + (np.arange(i, j) + 0.5) * step for a, step, i, j in runs])
+        starts = step_starts()
+        # a block of steps may span many sample pieces, and cut one
+        while block := list(itertools.islice(starts, RAMP_BLOCK_STEPS)):
+            a, s, i = np.array(block).T
+            mid = a + (i + 0.5) * s
             nodes = (pulse.envelope(mid + c * s) for c in (-_GAUSS, 0.0, _GAUSS))
             coef = _magnus_coefficients(s, *nodes)
             # bounds on each step's 1-norm; above TAYLOR_MAX_NORM a step takes expm
@@ -476,25 +489,6 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
                 rows = coef[j : j + chunk]
                 omegas = np.matmul(rows, basis.view(float), out=buffer[: len(rows)])
                 yield from zip(omegas.view(complex).reshape(-1, *a0.shape), degrees[j : j + chunk])
-
-        runs, filled = [], 0
-        for _, pieces in intervals():
-            for a, b, length in pieces:
-                if length is not None:
-                    continue
-                n = math.ceil((b - a) / h)
-                s, i = (b - a) / n, 0
-                # a piece's steps may end one block and start the next
-                while i < n:
-                    j = min(n, i + RAMP_BLOCK_STEPS - filled)
-                    runs.append((a, s, i, j))
-                    filled += j - i
-                    i = j
-                    if filled == RAMP_BLOCK_STEPS:
-                        yield from formed(runs)
-                        runs, filled = [], 0
-        if runs:
-            yield from formed(runs)
 
     steps = ramp_steps()
     for t0, pieces in intervals():
