@@ -78,7 +78,7 @@ from .hilbert import (
 RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs about 0.16 ms at fockLevels 6 (one BLAS thread on a
+# where a ramp step costs about 0.14 ms at fockLevels 6 (one BLAS thread on a
 # 2-vCPU Xeon)
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
@@ -340,11 +340,11 @@ _MAX_DEGREE = 25
 # degrees are formed at once, across sample pieces (a few hundred kB)
 RAMP_BLOCK_STEPS = 1024
 # the ramp steps whose Omega are formed at once hold at most this many entries
-# (1 MB), in one buffer that every chunk of steps reuses.  Each chunk reads all
-# 10 basis matrices, so at 6 levels (3 steps a chunk) 2**15 made a ramp step
-# 40% slower; 2**18 raised the peak RSS of the ramped workload's evolutions by
-# 4 MB, 9% of a perfbench run's 48 MB.
-OMEGA_BLOCK_ENTRIES = 2**16
+# (256 kB), or are 4 steps, in one buffer that every chunk of steps reuses.
+# Each chunk reads all 10 basis matrices, so at 6 levels chunks of one step
+# made a ramp step 40% slower than chunks of 3; 2**18 raised the peak RSS of
+# the ramped workload's evolutions by 4 MB, 9% of a perfbench run's 48 MB.
+OMEGA_BLOCK_ENTRIES = 2**14
 
 
 def _commutator_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -413,10 +413,10 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     the exact s (a0 + a1)).  The walk takes its ramp steps from one stream per
     pulse, which forms the nodes, coefficients, norm bounds and Taylor degrees
     of ``RAMP_BLOCK_STEPS`` steps at a time, across sample pieces, and their
-    Omega in chunks of ``OMEGA_BLOCK_ENTRIES // a0.size`` steps; each step's
-    Omega is applied to y as a Taylor polynomial of the degree its own bound
-    needs.  ``record(t, y)``, when given, sees y at every sample time
-    k * period before the end.
+    Omega in chunks of ``OMEGA_BLOCK_ENTRIES // a0.size`` steps, at least 4;
+    each step's Omega is applied to y as a Taylor polynomial of the degree its
+    own bound needs.  ``record(t, y)``, when given, sees y at every sample
+    time k * period before the end.
     """
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
@@ -468,7 +468,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
         """(omega, m) for each ramp step in walk order, m None where the step takes expm."""
         basis = _magnus_basis(a0, a1)
         norms = np.linalg.norm(basis.reshape(10, *a0.shape), 1, axis=(1, 2))
-        chunk = max(1, OMEGA_BLOCK_ENTRIES // a0.size)
+        chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
         # the Omega of one chunk of steps, as real and imaginary parts
         buffer = np.empty((chunk, 2 * a0.size))
         starts = step_starts()

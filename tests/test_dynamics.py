@@ -378,8 +378,9 @@ class TestExactPropagation:
         assert coarse >= 32.0 * fine
 
     def test_omega_blocks_split_a_piece(self, monkeypatch):
-        # one sample, so each ramp is one piece of 82 steps; chunks of 3 steps
-        # (the last one of 2) give the state of one chunk per block of steps
+        # one sample, so each ramp is one piece of 82 steps; Omega chunks of 4
+        # steps (the floor under the 3 steps' entries set here) give the state
+        # of one chunk per block of steps
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
         whole = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state

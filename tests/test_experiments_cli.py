@@ -842,7 +842,7 @@ def test_run_fuzz_exits_cleanly(raw):
 @settings(max_examples=RAMPED_FUZZ_EXAMPLES, deadline=None)
 @given(schema_valid_configs(presets=RUN_PRESETS, shapes=("sinSquaredRamp",)))
 def test_ramped_run_fuzz_exits_cleanly(raw):
-    # a ramp step takes 0.016 ms at 2 levels, 0.16 ms at 6 (one BLAS thread
+    # a ramp step takes 0.016 ms at 2 levels, 0.14 ms at 6 (one BLAS thread
     # on a 2-vCPU Xeon).  Runs within the MAX_STEPS bound but above 2500 ramp
     # steps (0.4 s at 6 levels) would only be slow, so they are not drawn.
     size = evolution_size(raw)
