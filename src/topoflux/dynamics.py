@@ -31,9 +31,9 @@ many sample times, are formed at once, and their Omega in a few chunks.
 Each step's exponential is applied to the state as a Taylor polynomial
 (``_taylor_apply``: one matmul per power of Omega, then one sum over the
 powers) of the degree its own norm bound needs (``_taylor_degree``).  Only
-the final state is turned back to the working frame.  ``pulse_propagator`` runs the same core on the
-Hilbert-space pair (-i E N, -i H_coupling).  The trajectory of ``evolve``
-comes from ``_Recorder``, which samples at the times k * sample_period
+the final state is turned back to the working frame.  ``pulse_propagator``
+runs the same core on the Hilbert-space pair (-i E N, -i H_coupling).  The
+trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times k * sample_period
 (default duration/200) and at the end.  It keeps up to ``SAMPLE_BLOCK`` states, then checks them for finite
 entries and reduces them to trajectory columns, one numpy call per diagnostic
 for the whole block.  No renormalization is applied, so trace drift
@@ -274,7 +274,7 @@ def _taylor_degree(theta):
 
 @functools.cache
 def _reciprocal_factorials(m: int, dtype: np.dtype) -> np.ndarray:
-    """1/j! for j = 0..m, computed in the real type of dtype; read-only, as every caller shares it."""
+    """1/j! for j = 0..m, computed in the real type of dtype; read-only, as callers share it."""
     c = 1 / np.cumprod(np.maximum(np.arange(m + 1, dtype=np.finfo(dtype).dtype), 1))
     c.flags.writeable = False
     return c
