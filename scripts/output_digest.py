@@ -21,6 +21,11 @@ or when the text, keys or shapes disagree):
 
     PYTHONPATH=src python scripts/output_digest.py --compare OUT_A OUT_B
 
+With ``--tol X`` it also exits 1 when a file differs, is only in one of the
+directories, or moves by more than X:
+
+    PYTHONPATH=src python scripts/output_digest.py --compare OUT_A OUT_B --tol 1e-13
+
 It only uses the CLI, ``resolve``, ``run_sweep`` and ``run_robustness``, so
 older checkouts run it too.  A run takes under a minute on one core.
 """
@@ -32,6 +37,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -140,22 +146,27 @@ def _parse(path: Path):
     return None
 
 
-def compare(a_dir: Path, b_dir: Path):
-    """Print one line per file of either directory: how far apart its two copies are."""
+def compare(a_dir: Path, b_dir: Path) -> float:
+    """Print one line per file of either directory: how far apart its two copies are.
+    Returns the largest of those distances, NaN when a file differs or is missing from one."""
     names = sorted(
         {p.relative_to(d) for d in (a_dir, b_dir) for p in d.rglob("*") if p.is_file()}
     )
+    worst = 0.0
     for name in names:
         a, b = a_dir / name, b_dir / name
         if not (a.is_file() and b.is_file()):
-            status = f"only in {a_dir if a.is_file() else b_dir}"
+            diff, status = math.nan, f"only in {a_dir if a.is_file() else b_dir}"
         elif a.read_bytes() == b.read_bytes():
-            status = "identical"
+            diff, status = 0.0, "identical"
         else:
             parsed = _parse(a), _parse(b)
             diff = math.nan if parsed[0] is None else _max_difference(*parsed)
             status = "differs" if math.isnan(diff) else f"{diff:.3e}"
+        # max() would drop a NaN that is not its first argument
+        worst = diff if math.isnan(diff) else max(worst, diff)
         print(f"{status:>10}  {name}")
+    return worst
 
 
 def main():
@@ -164,11 +175,22 @@ def main():
     )
     ap.add_argument("out_dir", type=Path, nargs="?")
     ap.add_argument("--compare", type=Path, nargs=2, metavar=("OUT_A", "OUT_B"))
+    ap.add_argument(
+        "--tol",
+        type=float,
+        metavar="X",
+        help="with --compare, exit 1 when a file differs, is in one directory only, or moves by more than X",
+    )
     args = ap.parse_args()
     if (args.out_dir is None) == (args.compare is None):
         ap.error("give either OUT_DIR or --compare OUT_A OUT_B")
+    if args.tol is not None and args.compare is None:
+        ap.error("--tol needs --compare")
     if args.compare:
-        compare(*args.compare)
+        worst = compare(*args.compare)
+        # a NaN worst (a file that differs or is missing) fails the comparison too
+        if args.tol is not None and not worst <= args.tol:
+            sys.exit(1)
         return
     write_outputs(args.out_dir)
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):

@@ -43,7 +43,6 @@ function of its inputs; independent evolutions are safe to run concurrently.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -257,42 +256,71 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _taylor_degree(theta):
-    """The smallest m with theta^(m+1)/(m+1)! e^theta <= 1e-17, which bounds the remainder of
-    exp(a)'s degree-m Taylor series at 1-norms up to theta: m = 10 at theta = 0.1 and 19 at
+    """The smallest m with theta^(m+1)/(m+1)! e^theta <= TAYLOR_TOL, which bounds the remainder
+    of exp(a)'s degree-m Taylor series at 1-norms up to theta: m = 10 at theta = 0.1 and 19 at
     theta = 1 (as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).
 
     theta is a float or an array of them, each at most ``TAYLOR_MAX_NORM``.  The
     remainders r_m = theta^(m+1)/(m+1)! e^theta shrink by theta/(m+1) <= 1 from one m to
-    the next, so m is the number of them above 1e-17.
+    the next, so m is the number of them above TAYLOR_TOL.
     """
     theta = np.asarray(theta, dtype=float)[..., None]
     factors = theta / np.arange(2.0, _MAX_DEGREE + 2.0)
     remainders = np.cumprod(np.concatenate((theta * np.exp(theta), factors), axis=-1), axis=-1)
-    m = np.count_nonzero(remainders > 1e-17, axis=-1)
+    m = np.count_nonzero(remainders > TAYLOR_TOL, axis=-1)
     return int(m) if np.ndim(m) == 0 else m
 
 
-@functools.cache
-def _reciprocal_factorials(m: int, dtype: np.dtype) -> np.ndarray:
-    """1/j! for j = 0..m, computed in the real type of dtype; read-only, as callers share it."""
-    c = 1 / np.cumprod(np.maximum(np.arange(m + 1, dtype=np.finfo(dtype).dtype), 1))
-    c.flags.writeable = False
-    return c
+def _stop_scales(theta1, theta_inf, size):
+    """The factor (e^theta2 - 1)^2 size / TAYLOR_TOL^2 of ``_TaylorSeries.apply``'s stop, with
+    theta2 = sqrt(theta1 theta_inf) >= |a|_2 for 1- and inf-norm bounds theta1, theta_inf of a
+    (floats or arrays) and y of ``size`` entries."""
+    return np.expm1(np.sqrt(theta1 * theta_inf)) ** 2 * (size / TAYLOR_TOL**2)
 
 
-def _taylor_apply(a: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """exp(a) @ y by the degree-m Taylor series, sum_j a^j y / j! for j = 0..m.
+class _TaylorSeries:
+    """exp(a) @ y by the Taylor series sum_j a^j y / j!, in one buffer of the powers a^j y
+    that every step of a walk reuses.
 
-    Each power a^j y is one matmul into a buffer of all m + 1 of them, which one
-    product with the 1/j! then sums over its leading axis.  y may be a vector or,
-    for ``pulse_propagator``, a matrix; the buffer is flattened to (m + 1) rows
-    for the sum, so that it runs over the powers in either case.
+    The degree follows y's own terms.  Since |a^(j+i) y|_2 <= theta2^i |a^j y|_2 for
+    theta2 >= |a|_2, the remainder after degree j is at most (e^theta2 - 1) |a^j y|_2 / j!.
+    ``apply`` stops at the first checked j where that is at most TAYLOR_TOL |y|_2 / sqrt(n),
+    n the entries of y, which puts the remainder's 1-norm under TAYLOR_TOL |y|_1; and at
+    the latest at the ceiling m it is given, ``_taylor_degree`` of a's 1-norm bound.  The
+    first check is at the degree where the previous step stopped, so a typical step takes
+    one norm of a power besides |y|_2.  y may be a vector or, for ``pulse_propagator``, a
+    matrix.
     """
-    v = np.empty((m + 1, *y.shape), dtype=np.result_type(a, y))
-    v[0] = y
-    for j in range(1, m + 1):
-        np.matmul(a, v[j - 1], out=v[j])
-    return np.dot(_reciprocal_factorials(m, v.dtype), v.reshape(m + 1, -1)).reshape(y.shape)
+
+    def __init__(self, shape, dtype):
+        self.powers = np.empty((_MAX_DEGREE + 1, *shape), dtype=dtype)
+        self.rows = list(self.powers)
+        # 1/j! in the real type of dtype, then cast to it, so the sum below is one product
+        j = np.arange(_MAX_DEGREE + 1, dtype=np.finfo(dtype).dtype)
+        weights = 1 / np.cumprod(np.maximum(j, 1))
+        self.squared_weights = (weights**2).tolist()
+        flat = self.powers.reshape(_MAX_DEGREE + 1, -1)
+        weights = weights.astype(dtype)
+        self.sums = [(weights[: m + 1], flat[: m + 1]) for m in range(_MAX_DEGREE + 1)]
+        self.degree = 0
+
+    def apply(self, a, y, m, scale):
+        """exp(a) @ y as a fresh array, by the series to degree at most m; scale is
+        ``_stop_scales`` of a's norm bounds and y's size.  ``degree`` is where it stopped."""
+        rows = self.rows
+        np.copyto(rows[0], y)
+        y_squared = np.vdot(y, y).real
+        j, d = 0, min(self.degree, m)
+        while True:
+            for k in range(j, d):
+                np.dot(a, rows[k], out=rows[k + 1])
+            term = rows[d]
+            if d == m or scale * self.squared_weights[d] * np.vdot(term, term).real <= y_squared:
+                break
+            j, d = d, d + 1
+        self.degree = d
+        weights, powers = self.sums[d]
+        return np.dot(weights, powers).reshape(y.shape)
 
 
 def _commutator(h: np.ndarray) -> np.ndarray:
@@ -336,6 +364,8 @@ _GAUSS = math.sqrt(15.0) / 10.0
 TAYLOR_MAX_NORM = 2.0
 # the Taylor degree at TAYLOR_MAX_NORM
 _MAX_DEGREE = 25
+# a Taylor series leaves a remainder of at most TAYLOR_TOL |y|_1
+TAYLOR_TOL = 1e-17
 # the ramp steps whose envelope nodes, coefficients, norm bounds and Taylor
 # degrees are formed at once, across sample pieces (a few hundred kB)
 RAMP_BLOCK_STEPS = 1024
@@ -403,20 +433,23 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     """Carry y over the pulse under dy/dt = (a0 + env(t) a1) y; returns y at its end.
 
     The pulse is walked in sample intervals [k period, (k+1) period], the last
-    one ending at the pulse's end, each cut at the ramp ends.  A plateau piece
-    takes one exponential, shared by every piece of the same length; a ramp
-    piece takes ceil(length/h) equal sixth-order Magnus steps
-    (``_magnus_coefficients``), h the pulse's ``_ramp_step``.  Because the
-    generator is a0 + env(t) a1, each step's Omega is a combination of the 10
-    fixed matrices of ``_magnus_basis`` with coefficients from the envelope at
-    the step's three Gauss nodes (on the plateau they are equal and Omega is
-    the exact s (a0 + a1)).  The walk takes its ramp steps from one stream per
-    pulse, which forms the nodes, coefficients, norm bounds and Taylor degrees
-    of ``RAMP_BLOCK_STEPS`` steps at a time, across sample pieces, and their
-    Omega in chunks of ``OMEGA_BLOCK_ENTRIES // a0.size`` steps, at least 4;
-    each step's Omega is applied to y as a Taylor polynomial of the degree its
-    own bound needs.  ``record(t, y)``, when given, sees y at every sample
-    time k * period before the end.
+    one ending at the pulse's end.  An interval on the plateau takes one
+    exponential, shared by every interval of the same length.  An interval that
+    meets a ramp is cut at the ramp ends: each ramp piece takes ceil(length/h)
+    equal sixth-order Magnus steps (``_magnus_coefficients``), h the pulse's
+    ``_ramp_step``, and a plateau piece, used only once, is one step of the same
+    path.  Because the generator is a0 + env(t) a1, each step's Omega is a
+    combination of the 10 fixed matrices of ``_magnus_basis`` with coefficients
+    from the envelope at the step's three Gauss nodes; on a plateau piece the
+    nodes are 1 and Omega is its length times a0 + a1.  The walk takes these
+    steps from one stream per pulse, which forms the nodes, coefficients, norm
+    bounds and Taylor degree ceilings of ``RAMP_BLOCK_STEPS`` steps at a time,
+    across sample pieces, and their Omega in chunks of
+    ``OMEGA_BLOCK_ENTRIES // a0.size`` steps, at least 4.  A step whose 1-norm
+    bound is at most ``TAYLOR_MAX_NORM`` is applied to y by one
+    ``_TaylorSeries``, which stops on y's own terms; a longer one takes expm.
+    ``record(t, y)``, when given, sees y at every sample time k * period before
+    the end.
     """
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
@@ -432,6 +465,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     rest = duration - (n_samples - 1) * period
     if math.isclose(rest, period, rel_tol=1e-12):
         rest = period
+    size = y.size
     cache = {}
 
     def plateau(y, length):
@@ -440,66 +474,74 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
         return cache[length] @ y
 
     def intervals():
-        """(t0, pieces) for each sample interval.  A piece is (a, b, length): length is
-        the plateau length its exponential spans, or None for a piece of the ramps."""
+        """(t0, length, pieces) for each sample interval: length is the interval's when it
+        lies on the plateau, else None and pieces are its (a, s, n, on_ramp), n steps of
+        length s from a, cut at the ramp ends."""
         for k in range(n_samples):
             t0 = k * period
             last = k == n_samples - 1
             t1 = duration if last else t0 + period
             if ramp <= t0 and t1 <= duration - ramp:
-                yield t0, [(t0, t1, rest if last else period)]
+                yield t0, rest if last else period, None
                 continue
             cuts = [c for c in dict.fromkeys((ramp, duration - ramp)) if t0 < c < t1]
-            yield t0, [
-                (a, b, b - a if ramp <= a and b <= duration - ramp else None)
-                for a, b in zip([t0, *cuts], [*cuts, t1])
-            ]
+            pieces = []
+            for a, b in zip([t0, *cuts], [*cuts, t1]):
+                on_ramp = not (ramp <= a and b <= duration - ramp)
+                n = math.ceil((b - a) / h) if on_ramp else 1
+                pieces.append((a, (b - a) / n, n, on_ramp))
+            yield t0, None, pieces
 
     def step_starts():
-        """(a, s, i) for each ramp step in walk order: step i of the piece from a, of length s."""
-        for _, pieces in intervals():
-            for a, b, length in pieces:
-                if length is None:
-                    n = math.ceil((b - a) / h)
-                    for i in range(n):
-                        yield a, (b - a) / n, i
+        """(a, s, i, on_ramp) for each step in walk order: step i of the piece from a."""
+        for _, _, pieces in intervals():
+            for a, s, n, on_ramp in pieces or ():
+                for i in range(n):
+                    yield a, s, i, on_ramp
 
-    def ramp_steps():
-        """(omega, m) for each ramp step in walk order, m None where the step takes expm."""
+    def steps():
+        """(omega, m, scale) for each step in walk order: m is its Taylor degree ceiling and
+        scale its ``_stop_scales``, or m is None where the step takes expm."""
         basis = _magnus_basis(a0, a1)
-        norms = np.linalg.norm(basis.reshape(10, *a0.shape), 1, axis=(1, 2))
+        square = basis.reshape(10, *a0.shape)
+        norms = np.linalg.norm(square, 1, axis=(1, 2)), np.linalg.norm(square, np.inf, axis=(1, 2))
         chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
         # the Omega of one chunk of steps, as real and imaginary parts
         buffer = np.empty((chunk, 2 * a0.size))
         starts = step_starts()
         # a block of steps may span many sample pieces, and cut one
         while block := list(itertools.islice(starts, RAMP_BLOCK_STEPS)):
-            a, s, i = np.array(block).T
+            a, s, i, on_ramp = np.array(block).T
             mid = a + (i + 0.5) * s
-            nodes = (pulse.envelope(mid + c * s) for c in (-_GAUSS, 0.0, _GAUSS))
+            nodes = (
+                np.where(on_ramp, pulse.envelope(mid + c * s), 1.0) for c in (-_GAUSS, 0.0, _GAUSS)
+            )
             coef = _magnus_coefficients(s, *nodes)
-            # bounds on each step's 1-norm; above TAYLOR_MAX_NORM a step takes expm
-            thetas = np.abs(coef) @ norms
-            taylor = thetas <= TAYLOR_MAX_NORM
-            degrees = _taylor_degree(np.where(taylor, thetas, 0.0)).tolist()
-            degrees = [m if t else None for m, t in zip(degrees, taylor.tolist())]
+            # bounds on each step's 1- and inf-norm; above TAYLOR_MAX_NORM a step takes expm
+            theta1, theta_inf = np.abs(coef) @ norms[0], np.abs(coef) @ norms[1]
+            taylor = theta1 <= TAYLOR_MAX_NORM
+            theta1, theta_inf = np.where(taylor, theta1, 0.0), np.where(taylor, theta_inf, 0.0)
+            ceilings = _taylor_degree(theta1).tolist()
+            ceilings = [m if t else None for m, t in zip(ceilings, taylor.tolist())]
+            scales = _stop_scales(theta1, theta_inf, size).tolist()
             for j in range(0, len(coef), chunk):
                 # real coefficients times the real and imaginary parts of the basis; the
                 # walk is done with the last chunk's Omega when it asks for the next
                 rows = coef[j : j + chunk]
                 omegas = np.matmul(rows, basis.view(float), out=buffer[: len(rows)])
-                yield from zip(omegas.view(complex).reshape(-1, *a0.shape), degrees[j : j + chunk])
+                omegas = omegas.view(complex).reshape(-1, *a0.shape)
+                yield from zip(omegas, ceilings[j : j + chunk], scales[j : j + chunk])
 
-    steps = ramp_steps()
-    for t0, pieces in intervals():
+    stream = steps()
+    apply = _TaylorSeries(y.shape, np.result_type(y, a0, a1)).apply
+    for t0, length, pieces in intervals():
         if record is not None:
             record(t0, y)
-        for a, b, length in pieces:
-            if length is not None:
-                y = plateau(y, length)
-                continue
-            for omega, m in itertools.islice(steps, math.ceil((b - a) / h)):
-                y = expm(omega) @ y if m is None else _taylor_apply(omega, y, m)
+        if length is not None:
+            y = plateau(y, length)
+            continue
+        for omega, m, scale in itertools.islice(stream, sum(n for _, _, n, _ in pieces)):
+            y = expm(omega) @ y if m is None else apply(omega, y, m, scale)
     return y
 
 

@@ -22,8 +22,9 @@ from topoflux.dynamics import (
     _magnus_basis,
     _magnus_coefficients,
     _Recorder,
-    _taylor_apply,
+    _stop_scales,
     _taylor_degree,
+    _TaylorSeries,
     _Workspace,
     evolve,
     expm,
@@ -53,6 +54,15 @@ E1 = ghz_to_angular(49.963987)
 NOISE1 = NoiseParams(tf1=900.0, tf2=20.0)
 
 SPEC = HilbertSpec(2)
+
+
+def taylor_series(a, y, theta1, series=None):
+    """exp(a) @ y by the ramp walk's Taylor series at the 1-norm bound theta1 (and a's own
+    inf-norm), and the degree where it stopped."""
+    series = series or _TaylorSeries(y.shape, np.result_type(a, y))
+    theta_inf = float(np.max(np.sum(np.abs(a), axis=1)))
+    z = series.apply(a, y, _taylor_degree(theta1), _stop_scales(theta1, theta_inf, y.size))
+    return z, series.degree
 
 
 def make_pulse(g=G1, g_prime=0.0, phase_freq=0.0, duration=None, **kw):
@@ -395,38 +405,53 @@ class TestExactPropagation:
         rho0 = initial_state(scn.spec)
         taylor = evolve(rho0, pulse, scn.noise, scn.spec).final_state
         monkeypatch.setattr(dynamics, "TAYLOR_MAX_NORM", 0.0)
-        monkeypatch.setattr(dynamics, "_taylor_apply", None)
+        monkeypatch.setattr(_TaylorSeries, "apply", None)
         exponentials = evolve(rho0, pulse, scn.noise, scn.spec).final_state
         assert np.max(np.abs(exponentials - taylor)) < 1e-14
 
     @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "8-step-block"])
     def test_ramp_steps_are_formed_a_block_at_a_time(self, block, monkeypatch):
         # the benchmark's fig2a 0.05 ns ramp at 2 levels, sampled every duration/200:
-        # 70 sample pieces of about 3 steps, 206 steps in all.  Their coefficients
-        # are formed once per block of steps, not once per piece, and blocks that
-        # cut pieces give the same state
+        # 70 sample pieces of about 3 steps, 206 steps in all, plus the two plateau
+        # pieces that share a sample interval with a ramp, one step each.  Their
+        # coefficients are formed once per block of steps, not once per piece, and
+        # blocks that cut pieces give the same state.  The Taylor series stops on
+        # the state's own terms, at 10.5 powers a step (13 at the 1-norm bounds),
+        # and the plateau's sample intervals share the one expm
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
         whole = evolve(rho0, pulse, scn.noise, scn.spec).final_state
         if block is not None:
             monkeypatch.setattr(dynamics, "RAMP_BLOCK_STEPS", block)
-        rows, applied = [], []
-        coefficients, taylor_apply = dynamics._magnus_coefficients, dynamics._taylor_apply
+        rows, degrees, exponentials = [], [], []
+        coefficients, apply, exponential = (
+            dynamics._magnus_coefficients,
+            _TaylorSeries.apply,
+            dynamics.expm,
+        )
 
         def count_coefficients(*args):
             coef = coefficients(*args)
             rows.append(len(coef))
             return coef
 
-        def count_taylor_apply(*args):
-            applied.append(1)
-            return taylor_apply(*args)
+        def count_apply(series, *args):
+            y = apply(series, *args)
+            degrees.append(series.degree)
+            return y
+
+        def count_expm(a):
+            exponentials.append(1)
+            return exponential(a)
 
         monkeypatch.setattr(dynamics, "_magnus_coefficients", count_coefficients)
-        monkeypatch.setattr(dynamics, "_taylor_apply", count_taylor_apply)
+        monkeypatch.setattr(_TaylorSeries, "apply", count_apply)
+        monkeypatch.setattr(dynamics, "expm", count_expm)
         split = evolve(rho0, pulse, scn.noise, scn.spec).final_state
-        assert len(applied) == sum(rows) == 206
-        assert len(rows) == math.ceil(206 / dynamics.RAMP_BLOCK_STEPS)
+        assert len(degrees) == sum(rows) == 206 + 2
+        assert len(rows) == math.ceil((206 + 2) / dynamics.RAMP_BLOCK_STEPS)
+        assert np.mean(degrees) <= 11
+        assert len(exponentials) == 1
         assert np.max(np.abs(split - whole)) < 1e-14
 
     def test_sample_times_are_multiples_of_the_period(self):
@@ -448,12 +473,14 @@ class TestExactPropagation:
 
     @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0, 2.0])
     def test_taylor_series_matches_expm(self, norm):
-        # a ramp step's series, at the degree its 1-norm bound gives
+        # a ramp step's series, stopped on its own terms under its 1-norm bound's degree
         rng = np.random.default_rng(7)
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a *= norm / np.linalg.norm(a, 1)
         y = rng.normal(size=16) + 1j * rng.normal(size=16)
-        assert np.max(np.abs(_taylor_apply(a, y, _taylor_degree(norm)) - expm(a) @ y)) < 1e-14
+        z, degree = taylor_series(a, y, norm)
+        assert degree <= _taylor_degree(norm)
+        assert np.max(np.abs(z - expm(a) @ y)) < 1e-14
 
     @pytest.mark.parametrize("norm", [0.1, 1.0, 2.0])
     def test_taylor_series_of_a_matrix_matches_expm(self, norm):
@@ -462,7 +489,9 @@ class TestExactPropagation:
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         a *= norm / np.linalg.norm(a, 1)
         y = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        assert np.max(np.abs(_taylor_apply(a, y, _taylor_degree(norm)) - expm(a) @ y)) < 1e-14
+        z, degree = taylor_series(a, y, norm)
+        assert degree <= _taylor_degree(norm)
+        assert np.max(np.abs(z - expm(a) @ y)) < 1e-14
 
     def test_taylor_degree(self):
         assert [_taylor_degree(t) for t in (0.0, 1e-3, 0.1, 1.0, 2.0)] == [0, 4, 10, 19, 25]
@@ -483,8 +512,39 @@ class TestExactPropagation:
         for k in range(1, 60):
             term = (a @ term) / k
             exact = exact + term
-        error = np.sum(np.abs(_taylor_apply(a, y, _taylor_degree(norm)) - exact))
+        z, degree = taylor_series(a, y, norm)
+        assert degree <= _taylor_degree(norm)
+        error = np.sum(np.abs(z - exact))
         assert error <= 1e-17 * np.sum(np.abs(y))
+
+    def test_taylor_series_stops_on_fast_decaying_terms(self):
+        # a has 1-norm 1 (degree 19), but y lies where a is 1e-6: the terms fall
+        # under the bound at degree 3.  A step that starts where it stopped checks
+        # there first, and a step that needs more goes on past it
+        a = np.diag([1.0, 1e-6, 1e-6, 1.0]).astype(complex)
+        y = np.array([0.0, 1.0, 1j, 0.0])
+        series = _TaylorSeries(y.shape, complex)
+        z, degree = taylor_series(a, y, 1.0, series)
+        assert 0 < degree < _taylor_degree(1.0)
+        assert np.max(np.abs(z - np.exp(np.diag(a)) * y)) < 1e-15
+        w = np.array([1.0, 0.0, 0.0, 1.0j])
+        z, slow = taylor_series(a, w, 1.0, series)
+        assert degree < slow <= _taylor_degree(1.0)
+        assert np.max(np.abs(z - np.exp(np.diag(a)) * w)) < 1e-15
+
+    @pytest.mark.parametrize("theta", [0.0, 5e-324], ids=["zero", "subnormal"])
+    def test_taylor_series_of_a_vanishing_step(self, theta):
+        # Omega = 0, or one of subnormal norm, is degree 0: y comes back unchanged,
+        # as a fresh array, after a step that stopped at a higher degree
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=16) + 1j * rng.normal(size=16)
+        series = _TaylorSeries(y.shape, complex)
+        series.degree = 9
+        a = theta * np.roll(np.eye(16), 1, axis=0).astype(complex)
+        z, degree = taylor_series(a, y, theta, series)
+        assert degree == 0
+        assert np.array_equal(z, y)
+        assert not np.shares_memory(z, y) and not np.shares_memory(z, series.powers)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
     def test_expm_refuses_non_finite_generator(self, value):

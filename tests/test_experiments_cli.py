@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -848,3 +849,56 @@ def test_ramped_run_fuzz_exits_cleanly(raw):
     size = evolution_size(raw)
     assume(size is None or size[1] <= 2500 or size[0] > MAX_STEPS)
     assert_run_exits_cleanly(raw)
+
+
+def _output_digest():
+    """scripts/output_digest.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "value, extra, tol, code, status",
+    [
+        ("0.5", None, 1e-13, 0, "identical"),
+        ("0.50000000000002", None, 1e-13, 0, "e-14"),
+        ("0.500000000001", None, 1e-13, 1, "e-12"),
+        ("0.500000000001", None, None, 0, "e-12"),
+        ("half", None, 1e-13, 1, "differs"),
+        ("0.5", "extra.json", 1e-13, 1, "only in"),
+    ],
+    ids=["identical", "within", "beyond", "no-tol", "differs", "only-in-one"],
+)
+def test_output_digest_compare_exit_code(tmp_path, monkeypatch, capsys, value, extra, tol, code, status):
+    # --compare --tol X exits 1 when a file differs, is in one directory only, or
+    # moves by more than X; without --tol it only reports
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, cell in ((a, "0.5"), (b, value)):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "fig2a.csv").write_text(f"t,rho11\n0.0,{cell}\n")
+        (root / "same.json").write_text('{"fidelity": 0.25}')
+    if extra:
+        (b / extra).write_text("{}")
+    argv = ["output_digest.py", "--compare", str(a), str(b)]
+    monkeypatch.setattr(sys, "argv", argv + ([] if tol is None else ["--tol", str(tol)]))
+    try:
+        _output_digest().main()
+        exited = 0
+    except SystemExit as e:
+        exited = e.code
+    assert exited == code
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert "identical  same.json" in lines
+    assert any(status in line for line in lines if "same.json" not in line)
+
+
+def test_output_digest_tol_needs_compare(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", str(tmp_path / "out"), "--tol", "1e-13"])
+    with pytest.raises(SystemExit) as exited:
+        _output_digest().main()
+    assert exited.value.code == 2
+    assert "--tol needs --compare" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
