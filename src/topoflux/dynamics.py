@@ -533,7 +533,8 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
                 yield from zip(omegas, ceilings[j : j + chunk], scales[j : j + chunk])
 
     stream = steps()
-    apply = _TaylorSeries(y.shape, np.result_type(y, a0, a1)).apply
+    # a rectangular pulse takes no step
+    apply = _TaylorSeries(y.shape, np.result_type(y, a0, a1)).apply if ramp else None
     for t0, length, pieces in intervals():
         if record is not None:
             record(t0, y)
