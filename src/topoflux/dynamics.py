@@ -25,15 +25,18 @@ and both dissipators, L1 the coupling commutator.  On the plateau (env = 1)
 one matrix exponential (``expm``) carries the state from one sample to the
 next; on a sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre;
 Blanes, Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone
-sets (``_ramp_step``).  Each step's Omega combines 10 fixed matrices
-(``_magnus_basis``); the coefficients of a block of steps, which may span
-many sample times, are formed at once, and their Omega in a few chunks.
+sets (``_ramp_step``), and a piece of plateau that shares a sample interval
+with a ramp is one more such step.  Each step's Omega combines 10 fixed
+matrices (``_magnus_basis``); the coefficients of a block of steps, which may
+span many sample times, are formed at once, and their Omega in a few chunks.
 Each step's exponential is applied to the state as a Taylor polynomial
-(``_taylor_apply``: one matmul per power of Omega, then one sum over the
-powers) of the degree its own norm bound needs (``_taylor_degree``).  Only
-the final state is turned back to the working frame.  ``pulse_propagator``
-runs the same core on the Hilbert-space pair (-i E N, -i H_coupling).  The
-trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times k * sample_period
+(``_TaylorSeries``: one product per power of Omega into one buffer that the
+walk reuses, then one sum over the powers), which stops once the state's own
+terms bound the rest under 1e-17 of its norm, and at the latest at the degree
+its norm bound needs (``_taylor_degree``; Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488, 2011).  Only the final state is turned back to the working
+frame.  ``pulse_propagator`` runs the same core on the Hilbert-space pair
+(-i E N, -i H_coupling).  The trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times k * sample_period
 (default duration/200) and at the end.  It keeps up to ``SAMPLE_BLOCK`` states, then checks them for finite
 entries and reduces them to trajectory columns, one numpy call per diagnostic
 for the whole block.  No renormalization is applied, so trace drift
@@ -77,8 +80,8 @@ from .hilbert import (
 RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs about 0.14 ms at fockLevels 6 (one BLAS thread on a
-# 2-vCPU Xeon)
+# where a ramp step costs about 0.25 ms at fockLevels 6 (a 1 ns fig2a ramp,
+# one BLAS thread on a 2-vCPU Xeon)
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
 SAMPLE_BLOCK = 256
@@ -603,8 +606,9 @@ def evolve(
     The pulse runs in the frame exp(i E t N) through ``_propagate``: one
     matrix exponential per sample period on the plateau (the whole of a
     rectangular pulse), sixth-order Magnus steps of ``_ramp_step`` on a
-    sin^2 ramp, each applied as a Taylor polynomial of the degree its norm
-    bound needs.  The step follows from the pulse alone: no argument sets it.
+    sin^2 ramp, each applied as a Taylor polynomial that stops on the
+    state's own terms.  The step follows from the pulse alone: no argument
+    sets it.
 
     Parameters
     ----------

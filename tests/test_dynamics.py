@@ -423,16 +423,18 @@ class TestExactPropagation:
         whole = evolve(rho0, pulse, scn.noise, scn.spec).final_state
         if block is not None:
             monkeypatch.setattr(dynamics, "RAMP_BLOCK_STEPS", block)
-        rows, degrees, exponentials = [], [], []
+        rows, ramp_rows, degrees, exponentials = [], [], [], []
         coefficients, apply, exponential = (
             dynamics._magnus_coefficients,
             _TaylorSeries.apply,
             dynamics.expm,
         )
 
-        def count_coefficients(*args):
-            coef = coefficients(*args)
+        def count_coefficients(s, e1, e2, e3):
+            coef = coefficients(s, e1, e2, e3)
             rows.append(len(coef))
+            # a plateau step's envelope is 1 at its nodes, a ramp step's is below 1 at its middle one
+            ramp_rows.append(np.count_nonzero(e2 < 1.0))
             return coef
 
         def count_apply(series, *args):
@@ -448,6 +450,7 @@ class TestExactPropagation:
         monkeypatch.setattr(_TaylorSeries, "apply", count_apply)
         monkeypatch.setattr(dynamics, "expm", count_expm)
         split = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        assert sum(ramp_rows) == 206
         assert len(degrees) == sum(rows) == 206 + 2
         assert len(rows) == math.ceil((206 + 2) / dynamics.RAMP_BLOCK_STEPS)
         assert np.mean(degrees) <= 11
@@ -518,19 +521,22 @@ class TestExactPropagation:
         assert error <= 1e-17 * np.sum(np.abs(y))
 
     def test_taylor_series_stops_on_fast_decaying_terms(self):
-        # a has 1-norm 1 (degree 19), but y lies where a is 1e-6: the terms fall
-        # under the bound at degree 3.  A step that starts where it stopped checks
-        # there first, and a step that needs more goes on past it
-        a = np.diag([1.0, 1e-6, 1e-6, 1.0]).astype(complex)
+        # a has 1- and inf-norm 1 (degree 19), but y lies where a is 2.9e-6, so
+        # (e - 1) |a^j y|_2 / j! is 7.0e-18 |y|_2 at j = 3 and 5.1e-24 |y|_2 at 4:
+        # under 1e-17 |y|_2 / sqrt(4) first at degree 4
+        a = np.diag([1.0, 2.9e-6, 2.9e-6, 1.0]).astype(complex)
         y = np.array([0.0, 1.0, 1j, 0.0])
         series = _TaylorSeries(y.shape, complex)
         z, degree = taylor_series(a, y, 1.0, series)
-        assert 0 < degree < _taylor_degree(1.0)
+        assert degree == 4
         assert np.max(np.abs(z - np.exp(np.diag(a)) * y)) < 1e-15
+        # a step whose terms need more goes on past where the last one stopped,
+        # and the next step checks first where that one stopped
         w = np.array([1.0, 0.0, 0.0, 1.0j])
         z, slow = taylor_series(a, w, 1.0, series)
         assert degree < slow <= _taylor_degree(1.0)
         assert np.max(np.abs(z - np.exp(np.diag(a)) * w)) < 1e-15
+        assert taylor_series(a, y, 1.0, series)[1] == slow
 
     @pytest.mark.parametrize("theta", [0.0, 5e-324], ids=["zero", "subnormal"])
     def test_taylor_series_of_a_vanishing_step(self, theta):
