@@ -54,15 +54,6 @@ class LocalInvariants:
         return abs(self.g1 - other.g1) < tol and abs(self.g2 - other.g2) < tol
 
 
-def _assert_unitary(u: np.ndarray, what: str = "gate"):
-    u = np.asarray(u)
-    if u.shape != (4, 4):
-        raise ValueError(f"{what} must be 4x4, got {u.shape}")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(4)))
-    if err >= UNITARITY_TOL:
-        raise ValueError(f"{what} is not unitary (|U^dag U - I| = {err:.3e})")
-
-
 def ideal_pulse_unitary(area: float) -> np.ndarray:
     """Closed-form unitary of a resonant coupling pulse with integral ``area``.
 
@@ -132,17 +123,29 @@ def synthesize_cp(
     return out
 
 
+def _local_invariants(gates) -> list[LocalInvariants]:
+    """Makhlin pairs of a sequence of 4x4 unitaries, computed as one stack."""
+    u = np.asarray(gates)
+    if u.shape[1:] != (4, 4):
+        raise ValueError(f"gate must be 4x4, got {u.shape[1:]}")
+    err = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4)))
+    if err >= UNITARITY_TOL:
+        raise ValueError(f"gate is not unitary (|U^dag U - I| = {err:.3e})")
+    ub = MAGIC.conj().T @ u @ MAGIC
+    m = ub.swapaxes(-1, -2) @ ub
+    det = np.linalg.det(ub)
+    # np.power, not `** 2`: an array `** 2` becomes np.square, whose SIMD loop rounds
+    # the last bit of some squares differently, and G1 and G2 would lose their bytes
+    tr2 = np.power(np.trace(m, axis1=-2, axis2=-1), 2.0)
+    g1 = tr2 / (16.0 * det)
+    g2 = (tr2 - np.trace(m @ m, axis1=-2, axis2=-1)) / (4.0 * det)
+    return [LocalInvariants(g1=complex(a), g2=float(b.real)) for a, b in zip(g1, g2)]
+
+
 def makhlin_invariants(u: np.ndarray) -> LocalInvariants:
     """Local invariants G1 = tr^2(m)/(16 det U), G2 = (tr^2(m) - tr(m^2))/(4 det U)
     with m = U_B^T U_B in the magic basis."""
-    _assert_unitary(u)
-    ub = MAGIC.conj().T @ u @ MAGIC
-    m = ub.T @ ub
-    det = np.linalg.det(ub)
-    tr2 = np.trace(m) ** 2
-    g1 = tr2 / (16.0 * det)
-    g2 = (tr2 - np.trace(m @ m)) / (4.0 * det)
-    return LocalInvariants(g1=complex(g1), g2=float(g2.real))
+    return _local_invariants([u])[0]
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -155,8 +158,7 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.abs(np.trace(u.conj().T @ v)) ** 2 / d**2)
 
 
-def _invariant_entry(u: np.ndarray, cz: LocalInvariants) -> dict:
-    inv = makhlin_invariants(u)
+def _invariant_entry(inv: LocalInvariants, cz: LocalInvariants) -> dict:
     return {
         "G1_re": inv.g1.real,
         "G1_im": inv.g1.imag,
@@ -175,25 +177,28 @@ def verification_report() -> dict:
     """
     pulse_root = swap_root_pulse()
     canon_root = canonical_sqrt_swap()
-    cz = makhlin_invariants(CZ)
+    references = {
+        "identity": np.eye(4, dtype=complex),
+        "cz": CZ,
+        "swap": SWAP,
+        "iswap": ISWAP,
+        "pulse_root": pulse_root,
+        "canonical_sqrt_swap": canon_root,
+    }
+    synthesis = {
+        f"{root_name}__{order}": synthesize_cp(root=root, order=order)
+        for root_name, root in (("pulse_root", pulse_root), ("canonical_sqrt_swap", canon_root))
+        for order in ("right_to_left", "left_to_right")
+    }
+    cz, *invs = _local_invariants([CZ, *references.values(), *synthesis.values()])
+    entries = [_invariant_entry(inv, cz) for inv in invs]
     report = {
         "basis_order": ["down0", "down1", "up0", "up1"],
-        "references": {
-            "identity": _invariant_entry(np.eye(4, dtype=complex), cz),
-            "cz": _invariant_entry(CZ, cz),
-            "swap": _invariant_entry(SWAP, cz),
-            "iswap": _invariant_entry(ISWAP, cz),
-            "pulse_root": _invariant_entry(pulse_root, cz),
-            "canonical_sqrt_swap": _invariant_entry(canon_root, cz),
-        },
-        "synthesis": {},
+        "references": dict(zip(references, entries)),
+        "synthesis": dict(zip(synthesis, entries[len(references) :])),
     }
-    for root_name, root in (("pulse_root", pulse_root), ("canonical_sqrt_swap", canon_root)):
-        for order in ("right_to_left", "left_to_right"):
-            u = synthesize_cp(root=root, order=order)
-            entry = _invariant_entry(u, cz)
-            entry["fidelity_vs_cz"] = gate_fidelity(CZ, u)
-            report["synthesis"][f"{root_name}__{order}"] = entry
+    for name, u in synthesis.items():
+        report["synthesis"][name]["fidelity_vs_cz"] = gate_fidelity(CZ, u)
     report["verdict"] = {
         "pulse_root_right_to_left_is_cp": report["synthesis"]["pulse_root__right_to_left"][
             "cz_equivalent"

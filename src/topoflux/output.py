@@ -2,7 +2,8 @@
 
 Floats print through repr (shortest round-trip form), so re-parsing a CSV
 recovers the in-memory values exactly and identical runs produce identical
-bytes.
+bytes.  The CSV is formatted one column at a time, one ``map(repr, ...)``
+over each column's floats, so ``repr`` itself is the writer's floor.
 """
 
 from __future__ import annotations
@@ -32,29 +33,21 @@ CSV_COLUMNS = (
 SVG_SIZE = (640, 400)  # width, height in px
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def trajectory_rows(traj: Trajectory) -> list[list[float]]:
-    """The CSV rows of a trajectory, in ``CSV_COLUMNS`` order."""
-    columns = [traj.times]
-    for z in (traj.rho11, traj.rho22, traj.rho12, traj.rho21):
-        columns += (z.real, z.imag)
-    return np.column_stack((*columns, traj.trace, traj.purity, traj.min_eigenvalue)).tolist()
-
-
-def _write_csv(header, rows, path) -> Path:
+def _write_csv(header, columns, path) -> Path:
     # private: perfbench tracing wraps the public writers, one span per file written
     path = Path(path)
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
-    return _write_csv(CSV_COLUMNS, trajectory_rows(traj), path)
+    columns = [traj.times]
+    for z in (traj.rho11, traj.rho22, traj.rho12, traj.rho21):
+        columns += (z.real, z.imag)
+    columns += (traj.trace, traj.purity, traj.min_eigenvalue)
+    return _write_csv(CSV_COLUMNS, columns, path)
 
 
 def read_trajectory_csv(path) -> dict:
@@ -82,7 +75,7 @@ def write_json(payload: dict, path) -> Path:
 
 
 def write_matrix_csv(header: list[str], rows: list[list[float]], path) -> Path:
-    return _write_csv(header, rows, path)
+    return _write_csv(header, zip(*rows), path)
 
 
 def write_trajectory_svg(traj: Trajectory, path) -> Path:
@@ -99,7 +92,8 @@ def write_trajectory_svg(traj: Trajectory, path) -> Path:
     t_span = max(t[-1] - t[0], 1e-30)
     # keep this order of operations: another one moves the pixels that sit on a
     # rounding tie of the two-decimal output (tests/test_output.py has some)
-    x_px = (margin + (t - t[0]) / t_span * (width - 2 * margin)).tolist()
+    x_px = margin + (t - t[0]) / t_span * (width - 2 * margin)
+    points_fmt = " ".join(["%.2f,%.2f"] * len(t))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -116,7 +110,7 @@ def write_trajectory_svg(traj: Trajectory, path) -> Path:
     for idx, (label, color, values) in enumerate(series):
         # np.clip keeps a NaN value, which prints as "nan"
         y_px = height - margin - np.clip(values, 0.0, 1.0) * (height - 2 * margin)
-        pts = " ".join(map("{:.2f},{:.2f}".format, x_px, y_px.tolist()))
+        pts = points_fmt % tuple(np.column_stack((x_px, y_px)).ravel().tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 16 * idx + 10}" '

@@ -131,8 +131,13 @@ class TestMakhlin:
             assert makhlin_invariants(dress(base, rng)).close_to(ref, tol=1e-10)
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not unitary"):
             makhlin_invariants(np.ones((4, 4)))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4), (8, 8)])
+    def test_non_4x4_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            makhlin_invariants(np.ones(shape, dtype=complex))
 
 
 class TestGateFidelity:
@@ -240,3 +245,39 @@ class TestVerificationReport:
             canon["G1_im"],
             canon["G2"],
         )
+
+    def test_entries_equal_single_gate_invariants_bit_for_bit(self):
+        # the report computes its pairs as one stack; each entry must hold
+        # exactly what the one-matrix functions give for the same unitary
+        pulse_root = swap_root_pulse()
+        canon_root = canonical_sqrt_swap()
+        references = {
+            "identity": np.eye(4, dtype=complex),
+            "cz": CZ,
+            "swap": SWAP,
+            "iswap": ISWAP,
+            "pulse_root": pulse_root,
+            "canonical_sqrt_swap": canon_root,
+        }
+        synthesis = {
+            f"{name}__{order}": synthesize_cp(root=root, order=order)
+            for name, root in (("pulse_root", pulse_root), ("canonical_sqrt_swap", canon_root))
+            for order in ("right_to_left", "left_to_right")
+        }
+        cz = makhlin_invariants(CZ)
+
+        def expected(u):
+            inv = makhlin_invariants(u)
+            return {
+                "G1_re": inv.g1.real,
+                "G1_im": inv.g1.imag,
+                "G2": inv.g2,
+                "cz_equivalent": inv.close_to(cz),
+            }
+
+        rep = verification_report()
+        assert rep["references"] == {name: expected(u) for name, u in references.items()}
+        assert rep["synthesis"] == {
+            name: {**expected(u), "fidelity_vs_cz": gate_fidelity(CZ, u)}
+            for name, u in synthesis.items()
+        }

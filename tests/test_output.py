@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from topoflux.config import resolve
 from topoflux.dynamics import Trajectory
 from topoflux.experiments import run_evolution
-from topoflux.output import write_trajectory_csv, write_trajectory_svg
+from topoflux.output import write_matrix_csv, write_trajectory_csv, write_trajectory_svg
 from topoflux.presets import scenario_preset
-from writer_oracle import trajectory_csv_text, trajectory_svg_text
+from writer_oracle import matrix_csv_text, trajectory_csv_text, trajectory_svg_text
 
 SUBNORMAL = 5e-324
 
@@ -127,3 +127,34 @@ def trajectories(draw):
 @settings(max_examples=100, deadline=None)
 def test_finite_values_match_oracle(tmp_path_factory, traj):
     assert_writers_match_oracle(traj, tmp_path_factory.mktemp("writers"))
+
+
+MATRIX_HEADER = ["eta_per_ns", "F1_gprime_over_g_0", "F1_gprime_over_g_3"]
+MATRIX_CASES = {
+    # an int cell prints as a float (0 -> 0.0), as repr(float(x)) does
+    "mixed": [
+        [0, 0.9871234567890123, -0.0],
+        [0.5, math.nan, SUBNORMAL],
+        [1e300, 1.0, 0.1],
+    ],
+    "zero-rows": [],
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES)
+def test_matrix_csv_matches_oracle(tmp_path, case):
+    rows = MATRIX_CASES[case]
+    path = write_matrix_csv(MATRIX_HEADER, rows, tmp_path / "sweep.csv")
+    assert path.read_bytes() == matrix_csv_text(MATRIX_HEADER, rows).encode()
+
+
+def test_matrix_csv_cells(tmp_path):
+    mixed = write_matrix_csv(MATRIX_HEADER, MATRIX_CASES["mixed"], tmp_path / "mixed.csv")
+    assert mixed.read_text().splitlines() == [
+        "eta_per_ns,F1_gprime_over_g_0,F1_gprime_over_g_3",
+        "0.0,0.9871234567890123,-0.0",
+        "0.5,nan,5e-324",
+        "1e+300,1.0,0.1",
+    ]
+    empty = write_matrix_csv(MATRIX_HEADER, [], tmp_path / "empty.csv")
+    assert empty.read_text() == ",".join(MATRIX_HEADER) + "\n"

@@ -1,10 +1,10 @@
-"""Trajectory CSV and SVG text, one value at a time: the tests' reference formatting.
+"""CSV and SVG text, one value at a time: the tests' reference formatting.
 
-``topoflux.output`` builds its rows and pixels as numpy arrays and formats
-them with one ``map`` per line.  This module formats each float on its own,
-``repr(float(x))`` per CSV cell and one f-string per SVG point with the
-clamp written as ``min(max(v, 0), 1)``, so the tests can require the
-writers' files to equal these strings byte for byte.
+``topoflux.output`` formats its CSVs one column at a time and each SVG
+polyline with one ``%``-format.  This module formats each value on its own,
+``repr(float(x))`` per cell of a trajectory or matrix CSV and one f-string
+per SVG point with the clamp written as ``min(max(v, 0), 1)``, so the tests
+can require the writers' files to equal these strings byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +32,13 @@ def trajectory_csv_text(traj: Trajectory) -> str:
             traj.purity[i],
             traj.min_eigenvalue[i],
         )
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def matrix_csv_text(header, rows) -> str:
+    lines = [",".join(header)]
+    for row in rows:
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
 
