@@ -21,23 +21,32 @@ pulse is propagated by one core, ``_propagate``.  In the frame
 rho = V rho' V^dag with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the
 contamination phase becomes the static term E N, both dissipators are
 unchanged, and the generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .]
-and both dissipators, L1 the coupling commutator.  On the plateau (env = 1)
-one matrix exponential (``expm``) carries the state from one sample to the
-next; on a sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre;
-Blanes, Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone
-sets (``_ramp_step``), and a piece of plateau that shares a sample interval
-with a ramp is one more such step.  Each step's Omega combines 10 fixed
-matrices (``_magnus_basis``); the coefficients of a block of steps, which may
-span many sample times, are formed at once, and their Omega in a few chunks.
-Each step's exponential is applied to the state as a Taylor polynomial
+and both dissipators, L1 the coupling commutator.  Each of them maps a
+Hermitian rho to a Hermitian one, so ``evolve`` carries rho as its D^2 real
+coordinates in an orthonormal Hermitian basis (``_HermitianBasis``), where
+L0, L1 and every step built from them are real matrices.  On the plateau
+(env = 1) one matrix exponential (``expm``) carries the state from one sample
+to the next; it is formed on the row-major generator and turned into the
+Hermitian coordinates once per length, and the imaginary part that this
+drops, the anti-Hermitian round-off of the exponential, bounds how far from
+Hermitian the complex walk would have strayed (``_Plateau``).  On a sin^2
+ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes, Casas &
+Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
+(``_ramp_step``), and a piece of plateau that shares a sample interval with a
+ramp is one more such step.  Each step's Omega combines 10 fixed matrices
+(``_magnus_basis``); the coefficients of a block of steps, which may span many
+sample times, are formed at once, and their Omega in a few chunks.  Each
+step's exponential is applied to the state as a Taylor polynomial
 (``_TaylorSeries``: one product per power of Omega into one buffer that the
 walk reuses, then one sum over the powers), which stops once the state's own
 terms bound the rest under 1e-17 of its norm, and at the latest at the degree
 its norm bound needs (``_taylor_degree``; Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488, 2011).  Only the final state is turned back to the working
-frame.  ``pulse_propagator`` runs the same core on the Hilbert-space pair
-(-i E N, -i H_coupling).  The trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times k * sample_period
-(default duration/200) and at the end.  It keeps up to ``SAMPLE_BLOCK`` states, then checks them for finite
+Comput. 33, 488, 2011).  Only the final state is turned back to a matrix in
+the working frame.  ``pulse_propagator`` runs the same core on the complex
+Hilbert-space pair (-i E N, -i H_coupling).  The trajectory of ``evolve``
+comes from ``_Recorder``, which samples at the times k * sample_period
+(default duration/200) and at the end.  It keeps up to ``SAMPLE_BLOCK``
+states, then turns them into matrices in one scatter, checks them for finite
 entries and reduces them to trajectory columns, one numpy call per diagnostic
 for the whole block.  No renormalization is applied, so trace drift
 measures the propagation's precision directly.  ``evolve`` is a pure
@@ -46,6 +55,7 @@ function of its inputs; independent evolutions are safe to run concurrently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,6 +71,7 @@ from .hilbert import (
     embed,
     flux_qubit_z,
     hermiticity_error,
+    kron,
     min_eigenvalue,
     purity,
     sigma_minus,
@@ -87,7 +98,9 @@ MAX_STEPS = 1_000_000
 SAMPLE_BLOCK = 256
 TRACE_DRIFT_LIMIT = 1e-6
 # |rho - rho^dag|_F above twice hilbert.fidelity_pure's 1e-10 bound on an
-# imaginary part could give a fidelity with a larger one
+# imaginary part could give a fidelity with a larger one; the same bound
+# applies to rho0 and to the anti-Hermitian round-off of the plateau
+# exponentials (``_Plateau.dropped``)
 HERMITICITY_LIMIT = 2e-10
 
 
@@ -290,9 +303,10 @@ class _TaylorSeries:
     ``apply`` stops at the first checked j where that is at most TAYLOR_TOL |y|_2 / sqrt(n),
     n the entries of y, which puts the remainder's 1-norm under TAYLOR_TOL |y|_1; and at
     the latest at the ceiling m it is given, ``_taylor_degree`` of a's 1-norm bound.  The
-    first check is at the degree where the previous step stopped, so a typical step takes
-    one norm of a power besides |y|_2.  y may be a vector or, for ``pulse_propagator``, a
-    matrix.
+    norms are those of the coordinates y is given in: for ``evolve``, the real coordinates
+    of rho in ``_HermitianBasis``, whose 2-norm is rho's Frobenius norm.  The first check is
+    at the degree where the previous step stopped, so a typical step takes one norm of a
+    power besides |y|_2.  y may be a vector or, for ``pulse_propagator``, a matrix.
     """
 
     def __init__(self, shape, dtype):
@@ -326,10 +340,103 @@ class _TaylorSeries:
         return np.dot(weights, powers).reshape(y.shape)
 
 
+class _HermitianBasis:
+    """The orthonormal Hermitian basis B_k of D x D matrices, a generalized Gell-Mann basis
+    (Bertlmann & Krammer, J. Phys. A 41, 235303, 2008): the D diagonal units E_kk, then
+    (E_ij + E_ji)/sqrt(2) for each i < j, then i(E_ji - E_ij)/sqrt(2) in the same order.
+
+    A Hermitian rho has the real coordinates x_k = tr(B_k rho), and a superoperator L that
+    maps Hermitian matrices to Hermitian ones the real matrix T^dag L T, T the unitary whose
+    columns are the row-major vec(B_k).  Each column of T has at most two nonzero entries,
+    so every change of basis here is one index gather and one product.  ``_hermitian_basis``
+    keeps one per dimension.
+    """
+
+    def __init__(self, dim: int):
+        i, j = np.triu_indices(dim, 1)
+        diag, upper, lower = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
+        n, r = len(i), math.sqrt(0.5)
+        self.dim = dim
+        # the two row-major vec(rho) entries of each column of T, and their weights; a
+        # diagonal unit splits its 1 in halves
+        self.entries = np.stack(
+            (np.concatenate((diag, upper, upper)), np.concatenate((diag, lower, lower)))
+        )
+        half, ones = np.full(dim, 0.5), np.ones(n)
+        self.weights = np.stack(
+            (
+                np.concatenate((half, r * ones, -1j * r * ones)),
+                np.concatenate((half, r * ones, 1j * r * ones)),
+            )
+        )
+        self.left = self.weights.conj()[:, :, None]
+        # the real and imaginary parts of the row-major vec(rho), as one gather of x times
+        # one scale: E_kk's are x_k and 0 x_k, E_ij's (i < j) r x_S and -r x_A, E_ji's
+        # r x_S and r x_A
+        pick, scale = np.zeros((dim * dim, 2), dtype=int), np.zeros((dim * dim, 2))
+        pick[diag], scale[diag, 0] = np.arange(dim)[:, None], 1.0
+        pick[upper] = pick[lower] = np.stack((dim + np.arange(n), dim + n + np.arange(n)), axis=1)
+        scale[upper], scale[lower] = (r, -r), (r, r)
+        self.pick, self.scale = pick.ravel(), scale.ravel()
+        self.diag, self.upper = diag, upper
+
+    def coordinates(self, rho: np.ndarray) -> np.ndarray:
+        """The coordinates of a Hermitian rho, from its diagonal and upper triangle."""
+        flat = rho.reshape(-1)
+        upper = math.sqrt(2.0) * flat[self.upper]
+        return np.concatenate((flat[self.diag].real, upper.real, -upper.imag))
+
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian matrices (..., D, D) whose coordinates are the rows of x (..., D^2)."""
+        d = self.dim
+        flat = np.empty((*x.shape[:-1], d * d), dtype=complex)
+        np.multiply(x[..., self.pick], self.scale, out=flat.view(float))
+        return flat.reshape(*x.shape[:-1], d, d)
+
+    def superoperator(self, gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """T^dag gen T for a superoperator, or a stack of them, on the row-major vec(rho):
+        its real part, and the 1-norm of the imaginary part that this drops (round-off, for
+        a map that keeps rho Hermitian)."""
+        right = (gen[..., self.entries] * self.weights).sum(axis=-2)
+        both = (self.left * right[..., self.entries, :]).sum(axis=-3)
+        return both.real.copy(), np.abs(both.imag).sum(axis=-2).max(axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _hermitian_basis(dim: int) -> _HermitianBasis:
+    """The ``_HermitianBasis`` of D x D matrices, built once per dimension."""
+    return _HermitianBasis(dim)
+
+
+class _Plateau:
+    """The plateau propagators exp(length gen), one per length, for ``_propagate``.
+
+    With a ``basis``, each is formed on the row-major gen and turned into the basis's real
+    coordinates.  ``dropped`` then sums, over every application, the 1-norm of the
+    imaginary part that this drops: the anti-Hermitian round-off that a walk on the
+    complex vec(rho) would have carried.
+    """
+
+    def __init__(self, gen: np.ndarray, basis: _HermitianBasis | None = None):
+        self.gen, self.basis = gen, basis
+        self.cache = {}
+        self.dropped = 0.0
+
+    def __call__(self, length: float) -> np.ndarray:
+        if length not in self.cache:
+            propagator = expm(length * self.gen)
+            self.cache[length] = (
+                self.basis.superoperator(propagator) if self.basis else (propagator, 0.0)
+            )
+        propagator, dropped = self.cache[length]
+        self.dropped += dropped
+        return propagator
+
+
 def _commutator(h: np.ndarray) -> np.ndarray:
     """-i[h, .] on the row-major vec(rho), where vec(A rho B) = (A kron B^T) vec(rho)."""
     eye = np.eye(len(h))
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    return -1j * (kron(h, eye) - kron(eye, h.T))
 
 
 def _free_generator(ws: _Workspace, energy: float, noise: NoiseParams) -> np.ndarray:
@@ -346,7 +453,7 @@ def _free_generator(ws: _Workspace, energy: float, noise: NoiseParams) -> np.nda
     )
     gen = np.diag(diagonal.ravel())
     if gamma1 > 0.0:
-        gen += gamma1 * np.kron(ws.a, ws.a.conj())
+        gen += gamma1 * kron(ws.a, ws.a.conj())
     return gen
 
 
@@ -387,7 +494,7 @@ def _commutator_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _magnus_basis(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """The 10 fixed matrices that every sixth-order Magnus step of a0 + env(t) a1
     combines, flattened into the rows of one array (order as in ``_magnus_coefficients``)."""
-    basis = np.empty((10, *a0.shape), dtype=complex)
+    basis = np.empty((10, *a0.shape), dtype=np.result_type(a0, a1))
     basis[0], basis[1] = a0, a1
     c = basis[2] = _commutator_of(a0, a1)
     d0 = basis[3] = _commutator_of(a0, c)
@@ -432,25 +539,28 @@ def _magnus_coefficients(s: float, e1, e2, e3) -> np.ndarray:
     ) / 240.0
 
 
-def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
+def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plateau=None):
     """Carry y over the pulse under dy/dt = (a0 + env(t) a1) y; returns y at its end.
 
     The pulse is walked in sample intervals [k period, (k+1) period], the last
     one ending at the pulse's end.  An interval on the plateau takes one
-    exponential, shared by every interval of the same length.  An interval that
+    exponential, ``plateau(length)``, which is shared by every interval of the
+    same length; it defaults to a ``_Plateau`` of a0 + a1.  An interval that
     meets a ramp is cut at the ramp ends: each ramp piece takes ceil(length/h)
     equal sixth-order Magnus steps (``_magnus_coefficients``), h the pulse's
     ``_ramp_step``, and a plateau piece, used only once, is one step of the same
     path.  Because the generator is a0 + env(t) a1, each step's Omega is a
     combination of the 10 fixed matrices of ``_magnus_basis`` with coefficients
     from the envelope at the step's three Gauss nodes; on a plateau piece the
-    nodes are 1 and Omega is its length times a0 + a1.  The walk takes these
-    steps from one stream per pulse, which forms the nodes, coefficients, norm
-    bounds and Taylor degree ceilings of ``RAMP_BLOCK_STEPS`` steps at a time,
-    across sample pieces, and their Omega in chunks of
+    nodes are 1 and Omega is its length times a0 + a1.  The walk goes through
+    the intervals once, and takes its steps from one stream per pulse that reads
+    the same intervals ahead of it.  The stream forms the nodes, coefficients,
+    norm bounds and Taylor degree ceilings of ``RAMP_BLOCK_STEPS`` steps at a
+    time, across sample pieces, and their Omega in chunks of
     ``OMEGA_BLOCK_ENTRIES // a0.size`` steps, at least 4.  A step whose 1-norm
     bound is at most ``TAYLOR_MAX_NORM`` is applied to y by one
-    ``_TaylorSeries``, which stops on y's own terms; a longer one takes expm.
+    ``_TaylorSeries``, which stops on y's own terms; a longer one takes expm,
+    or ``plateau`` on a plateau piece.  y, a0 and a1 may be real or complex.
     ``record(t, y)``, when given, sees y at every sample time k * period before
     the end.
     """
@@ -469,12 +579,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
     if math.isclose(rest, period, rel_tol=1e-12):
         rest = period
     size = y.size
-    cache = {}
-
-    def plateau(y, length):
-        if length not in cache:
-            cache[length] = expm(length * (a0 + a1))
-        return cache[length] @ y
+    plateau = plateau or _Plateau(a0 + a1)
 
     def intervals():
         """(t0, length, pieces) for each sample interval: length is the interval's when it
@@ -495,23 +600,23 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
                 pieces.append((a, (b - a) / n, n, on_ramp))
             yield t0, None, pieces
 
-    def step_starts():
-        """(a, s, i, on_ramp) for each step in walk order: step i of the piece from a."""
-        for _, _, pieces in intervals():
-            for a, s, n, on_ramp in pieces or ():
-                for i in range(n):
-                    yield a, s, i, on_ramp
-
-    def steps():
-        """(omega, m, scale) for each step in walk order: m is its Taylor degree ceiling and
-        scale its ``_stop_scales``, or m is None where the step takes expm."""
+    def steps(ahead):
+        """(omega, m, scale) for each step of the intervals ``ahead``, in walk order: m is
+        its Taylor degree ceiling and scale its ``_stop_scales``, or m is None where the
+        step takes an exponential."""
+        starts = (
+            (a, s, i, on_ramp)
+            for _, _, pieces in ahead
+            for a, s, n, on_ramp in pieces or ()
+            for i in range(n)
+        )
         basis = _magnus_basis(a0, a1)
         square = basis.reshape(10, *a0.shape)
         norms = np.linalg.norm(square, 1, axis=(1, 2)), np.linalg.norm(square, np.inf, axis=(1, 2))
         chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
-        # the Omega of one chunk of steps, as real and imaginary parts
-        buffer = np.empty((chunk, 2 * a0.size))
-        starts = step_starts()
+        # real coefficients times the basis as reals: a complex basis as real and imaginary parts
+        flat = basis.view(float)
+        buffer = np.empty((chunk, flat.shape[1]))
         # a block of steps may span many sample pieces, and cut one
         while block := list(itertools.islice(starts, RAMP_BLOCK_STEPS)):
             a, s, i, on_ramp = np.array(block).T
@@ -528,31 +633,46 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None):
             ceilings = [m if t else None for m, t in zip(ceilings, taylor.tolist())]
             scales = _stop_scales(theta1, theta_inf, size).tolist()
             for j in range(0, len(coef), chunk):
-                # real coefficients times the real and imaginary parts of the basis; the
-                # walk is done with the last chunk's Omega when it asks for the next
+                # the walk is done with the last chunk's Omega when it asks for the next
                 rows = coef[j : j + chunk]
-                omegas = np.matmul(rows, basis.view(float), out=buffer[: len(rows)])
-                omegas = omegas.view(complex).reshape(-1, *a0.shape)
+                omegas = np.matmul(rows, flat, out=buffer[: len(rows)])
+                omegas = omegas.view(basis.dtype).reshape(-1, *a0.shape)
                 yield from zip(omegas, ceilings[j : j + chunk], scales[j : j + chunk])
 
-    stream = steps()
+    walk = intervals()
     # a rectangular pulse takes no step
-    apply = _TaylorSeries(y.shape, np.result_type(y, a0, a1)).apply if ramp else None
-    for t0, length, pieces in intervals():
+    if ramp:
+        walk, ahead = itertools.tee(walk)
+        stream = steps(ahead)
+        apply = _TaylorSeries(y.shape, np.result_type(y, a0, a1)).apply
+    for t0, length, pieces in walk:
         if record is not None:
             record(t0, y)
         if length is not None:
-            y = plateau(y, length)
+            y = plateau(length) @ y
             continue
-        for omega, m, scale in itertools.islice(stream, sum(n for _, _, n, _ in pieces)):
-            y = expm(omega) @ y if m is None else apply(omega, y, m, scale)
+        for _, s, n, on_ramp in pieces:
+            for omega, m, scale in itertools.islice(stream, n):
+                if m is not None:
+                    y = apply(omega, y, m, scale)
+                else:
+                    y = (expm(omega) if on_ramp else plateau(s)) @ y
     return y
 
 
 class _Recorder:
-    """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` and builds the Trajectory."""
+    """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` and builds the Trajectory.
 
-    def __init__(self, spec: HilbertSpec, duration: float, sample_period: float | None):
+    The sampled states are coordinates in ``basis``, or row-major vec(rho) when it is None.
+    """
+
+    def __init__(
+        self,
+        spec: HilbertSpec,
+        duration: float,
+        sample_period: float | None,
+        basis: _HermitianBasis | None,
+    ):
         if sample_period is None:
             # a subnormal duration / 200 underflows to 0: sample the ends only
             sample_period = duration / 200.0 or duration
@@ -560,20 +680,26 @@ class _Recorder:
             raise ValueError(f"sample_period must be positive, got {sample_period}")
         self.sample_period = sample_period
         self.dim = spec.dim
+        self.basis = basis
         self.i_dn1 = spec.index(DOWN, 1)
         self.i_up0 = spec.index(UP, 0)
         self.times, self.states, self.blocks = [], [], []
 
     def record(self, t, y):
-        """Sample the state whose row-major vec is ``y`` as the state at time t."""
+        """Sample the state ``y`` as the state at time t."""
         self.times.append(t)
-        self.states.append(y.reshape(self.dim, self.dim))
+        self.states.append(y)
         if len(self.states) == SAMPLE_BLOCK:
             self._reduce()
 
-    def _reduce(self):
-        """Check the kept states and turn them into one block of trajectory columns."""
-        rho = np.array(self.states)
+    def _reduce(self, final=None):
+        """Check the kept states, and the matrix ``final`` after them when given, and turn
+        them into one block of trajectory columns."""
+        d = self.dim
+        rho = np.array(self.states).reshape(len(self.states), d * d)
+        rho = self.basis.matrices(rho) if self.basis else rho.reshape(-1, d, d)
+        if final is not None:
+            rho = np.concatenate((rho, final[None]))
         finite = np.isfinite(rho).all(axis=(1, 2))
         if not finite.all():
             raise IntegrationError(f"state diverged by t={self.times[np.argmin(finite)]:.4g} ns")
@@ -586,10 +712,9 @@ class _Recorder:
         self.times, self.states = [], []
 
     def finish(self, rho, t) -> Trajectory:
-        """Record the final state at time t and return the trajectory."""
-        self.record(t, rho)
-        if self.states:
-            self._reduce()
+        """Record the final state, the matrix rho, at time t and return the trajectory."""
+        self.times.append(t)
+        self._reduce(final=rho)
         columns = (np.concatenate(col) for col in zip(*self.blocks))
         return Trajectory(*columns, final_state=rho)
 
@@ -603,17 +728,18 @@ def evolve(
 ) -> Trajectory:
     """Propagate the master equation over one pulse.
 
-    The pulse runs in the frame exp(i E t N) through ``_propagate``: one
-    matrix exponential per sample period on the plateau (the whole of a
-    rectangular pulse), sixth-order Magnus steps of ``_ramp_step`` on a
-    sin^2 ramp, each applied as a Taylor polynomial that stops on the
-    state's own terms.  The step follows from the pulse alone: no argument
-    sets it.
+    The pulse runs in the frame exp(i E t N) through ``_propagate``, on rho's
+    real coordinates in ``_HermitianBasis``: one matrix exponential per sample
+    period on the plateau (the whole of a rectangular pulse), sixth-order
+    Magnus steps of ``_ramp_step`` on a sin^2 ramp, each applied as a Taylor
+    polynomial that stops on the state's own terms.  The step follows from the
+    pulse alone: no argument sets it.
 
     Parameters
     ----------
     rho0 : ndarray
-        Initial density matrix on the composite space.
+        Initial density matrix on the composite space, Hermitian to
+        ``HERMITICITY_LIMIT``.
     pulse : PulseSegment
         The coupling pulse; its interaction-picture phase starts at 0 when
         the pulse starts.
@@ -634,29 +760,45 @@ def evolve(
     IntegrationError if the pulse needs more than ``MAX_STEPS`` samples and
     ramp steps, a step's generator is non-finite or too long for double
     precision (``EXPM_MAX_NORM``), the state is not finite, the final trace
-    drifts by more than ``TRACE_DRIFT_LIMIT`` or the final state is not
-    Hermitian to ``HERMITICITY_LIMIT``.  ValueError if ``sample_period`` is
-    not positive.
+    drifts by more than ``TRACE_DRIFT_LIMIT``, or the plateau exponentials'
+    anti-Hermitian round-off (``_Plateau.dropped``) or the final state is not
+    Hermitian to ``HERMITICITY_LIMIT``.  ValueError if ``rho0`` has the wrong
+    shape or is not Hermitian to ``HERMITICITY_LIMIT``, or ``sample_period``
+    is not positive.
     """
     spec = spec or HilbertSpec()
     if rho0.shape != (spec.dim, spec.dim):
         raise ValueError(f"rho0 must be {spec.dim}x{spec.dim}, got {rho0.shape}")
+    # the Hermitian coordinates would drop an anti-Hermitian part without notice
+    skew = np.linalg.norm(rho0 - rho0.conj().T)
+    if not skew <= HERMITICITY_LIMIT:
+        raise ValueError(
+            f"rho0 is not Hermitian: |rho0 - rho0^dag| = {skew:.3e} exceeds {HERMITICITY_LIMIT:.0e}"
+        )
     ws = _Workspace(spec)
-    recorder = _Recorder(spec, pulse.duration, sample_period)
-    y = np.array(rho0, dtype=complex).reshape(-1)
+    basis = _hermitian_basis(spec.dim)
+    recorder = _Recorder(spec, pulse.duration, sample_period, basis)
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
         l0 = _free_generator(ws, pulse.phase_freq, noise)
         l1 = _commutator(ws.coupling(pulse))
-        y = _propagate(y, l0, l1, pulse, recorder.sample_period, recorder.record)
+        plateau = _Plateau(l0 + l1, basis)
+        (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
+        x = basis.coordinates(np.asarray(rho0, dtype=complex))
+        x = _propagate(x, a0, a1, pulse, recorder.sample_period, recorder.record, plateau)
         nx = ws.excitation_diag
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
-        rho = frame * y.reshape(spec.dim, spec.dim)
+        rho = frame * basis.matrices(x)
     traj = recorder.finish(rho, pulse.duration)
 
     drift = trace_error(rho)
     if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
         raise IntegrationError(f"final trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:.0e}")
+    if not plateau.dropped <= HERMITICITY_LIMIT:
+        raise IntegrationError(
+            f"state is not Hermitian: the plateau exponentials drop an anti-Hermitian part "
+            f"of up to {plateau.dropped:.3e}, above {HERMITICITY_LIMIT:.0e}"
+        )
     skew = np.linalg.norm(rho - rho.conj().T)
     if not skew <= HERMITICITY_LIMIT:
         raise IntegrationError(

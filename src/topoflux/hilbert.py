@@ -49,8 +49,12 @@ class HilbertSpec:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with complex dtype, (A (x) B)[p*dB+q, r*dB+s] = A[p,r] B[q,s]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Tensor product with complex dtype, (A (x) B)[p*dB+q, r*dB+s] = A[p,r] B[q,s].
+
+    The same products as ``np.kron``, in one broadcast product of square matrices.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def annihilation_op(n_levels: int) -> np.ndarray:

@@ -75,7 +75,7 @@ def evolve_static(
     IntegrationError.
     """
     spec = spec or HilbertSpec()
-    recorder = _Recorder(spec, duration, sample_period)
+    recorder = _Recorder(spec, duration, sample_period, basis=None)
     gen = _commutator(hamiltonian) + _free_generator(_Workspace(spec), 0.0, noise)
     y = np.array(rho0, dtype=complex).reshape(-1)
     flat = PulseSegment(duration, g_value=0.0)

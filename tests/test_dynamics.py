@@ -561,18 +561,20 @@ class TestExactPropagation:
 class TestRecorder:
     @pytest.mark.parametrize("levels", [2, 4])
     def test_block_diagnostics_match_each_sample(self, levels, monkeypatch):
-        # fig2a sampled 601 times: two full blocks and part of a third
+        # fig2a sampled 601 times: two full blocks and part of a third.  The recorder
+        # sees 600 samples as Hermitian coordinates, and the final state as a matrix
         scn = resolve(dict(scenario_preset("fig2a"), hilbert={"fockLevels": levels}))
         states = []
         record = _Recorder.record
 
         def keep(recorder, t, y):
-            states.append(y.reshape(recorder.dim, recorder.dim).copy())
+            states.append(recorder.basis.matrices(y))
             record(recorder, t, y)
 
         monkeypatch.setattr(_Recorder, "record", keep)
         period = scn.pulse.duration / 600
         traj = evolve(initial_state(scn.spec), scn.pulse, scn.noise, scn.spec, period)
+        states.append(traj.final_state)
         assert len(traj) == len(states) == 601 > 2 * SAMPLE_BLOCK
         i, j = scn.spec.index(DOWN, 1), scn.spec.index(UP, 0)
         assert np.array_equal(traj.rho11, [rho[i, i] for rho in states])
