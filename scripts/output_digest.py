@@ -22,7 +22,9 @@ or when the text, keys or shapes disagree):
     PYTHONPATH=src python scripts/output_digest.py --compare OUT_A OUT_B
 
 With ``--tol X`` it also exits 1 when a file differs, is only in one of the
-directories, or moves by more than X:
+directories, or moves by more than X; ``--tol 0`` asks for the same bytes, so
+it also exits 1 when a file's numbers agree but its text does not (``1.0``
+against ``1.00``):
 
     PYTHONPATH=src python scripts/output_digest.py --compare OUT_A OUT_B --tol 1e-13
 
@@ -146,13 +148,14 @@ def _parse(path: Path):
     return None
 
 
-def compare(a_dir: Path, b_dir: Path) -> float:
+def compare(a_dir: Path, b_dir: Path) -> tuple[float, bool]:
     """Print one line per file of either directory: how far apart its two copies are.
-    Returns the largest of those distances, NaN when a file differs or is missing from one."""
+    Returns the largest of those distances, NaN when a file differs or is missing from one,
+    and whether every file is identical."""
     names = sorted(
         {p.relative_to(d) for d in (a_dir, b_dir) for p in d.rglob("*") if p.is_file()}
     )
-    worst = 0.0
+    worst, identical = 0.0, True
     for name in names:
         a, b = a_dir / name, b_dir / name
         if not (a.is_file() and b.is_file()):
@@ -165,8 +168,9 @@ def compare(a_dir: Path, b_dir: Path) -> float:
             status = "differs" if math.isnan(diff) else f"{diff:.3e}"
         # max() would drop a NaN that is not its first argument
         worst = diff if math.isnan(diff) else max(worst, diff)
+        identical = identical and status == "identical"
         print(f"{status:>10}  {name}")
-    return worst
+    return worst, identical
 
 
 def main():
@@ -179,7 +183,8 @@ def main():
         "--tol",
         type=float,
         metavar="X",
-        help="with --compare, exit 1 when a file differs, is in one directory only, or moves by more than X",
+        help="with --compare, exit 1 when a file differs, is in one directory only, or moves "
+        "by more than X; with X = 0, also when its bytes differ at all",
     )
     args = ap.parse_args()
     if (args.out_dir is None) == (args.compare is None):
@@ -187,9 +192,10 @@ def main():
     if args.tol is not None and args.compare is None:
         ap.error("--tol needs --compare")
     if args.compare:
-        worst = compare(*args.compare)
-        # a NaN worst (a file that differs or is missing) fails the comparison too
-        if args.tol is not None and not worst <= args.tol:
+        worst, identical = compare(*args.compare)
+        # a NaN worst (a file that differs or is missing) fails the comparison too, and
+        # under --tol 0 so does a file whose text alone moved
+        if args.tol is not None and not (worst <= args.tol and (identical or args.tol > 0)):
             sys.exit(1)
         return
     write_outputs(args.out_dir)

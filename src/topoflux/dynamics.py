@@ -369,7 +369,7 @@ class _HermitianBasis:
                 np.concatenate((half, r * ones, 1j * r * ones)),
             )
         )
-        self.left = self.weights.conj()[:, :, None]
+        self.conj = self.weights.conj()
         # the real and imaginary parts of the row-major vec(rho), as one gather of x times
         # one scale: E_kk's are x_k and 0 x_k, E_ij's (i < j) r x_S and -r x_A, E_ji's
         # r x_S and r x_A
@@ -378,13 +378,10 @@ class _HermitianBasis:
         pick[upper] = pick[lower] = np.stack((dim + np.arange(n), dim + n + np.arange(n)), axis=1)
         scale[upper], scale[lower] = (r, -r), (r, r)
         self.pick, self.scale = pick.ravel(), scale.ravel()
-        self.diag, self.upper = diag, upper
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
-        """The coordinates of a Hermitian rho, from its diagonal and upper triangle."""
-        flat = rho.reshape(-1)
-        upper = math.sqrt(2.0) * flat[self.upper]
-        return np.concatenate((flat[self.diag].real, upper.real, -upper.imag))
+        """The coordinates x = T^dag vec(rho) of rho's Hermitian part."""
+        return (self.conj * rho.reshape(-1)[self.entries]).sum(axis=0).real
 
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """The Hermitian matrices (..., D, D) whose coordinates are the rows of x (..., D^2)."""
@@ -398,7 +395,7 @@ class _HermitianBasis:
         its real part, and the 1-norm of the imaginary part that this drops (round-off, for
         a map that keeps rho Hermitian)."""
         right = (gen[..., self.entries] * self.weights).sum(axis=-2)
-        both = (self.left * right[..., self.entries, :]).sum(axis=-3)
+        both = (self.conj[:, :, None] * right[..., self.entries, :]).sum(axis=-3)
         return both.real.copy(), np.abs(both.imag).sum(axis=-2).max(axis=-1)
 
 
@@ -640,7 +637,8 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
                 yield from zip(omegas, ceilings[j : j + chunk], scales[j : j + chunk])
 
     walk = intervals()
-    # a rectangular pulse takes no step
+    # a rectangular pulse takes no step.  The stream reads the intervals up to a block of
+    # steps ahead of the walk, whose copy of them keeps those it has not reached yet
     if ramp:
         walk, ahead = itertools.tee(walk)
         stream = steps(ahead)
@@ -784,7 +782,7 @@ def evolve(
         l1 = _commutator(ws.coupling(pulse))
         plateau = _Plateau(l0 + l1, basis)
         (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
-        x = basis.coordinates(np.asarray(rho0, dtype=complex))
+        x = basis.coordinates(rho0)
         x = _propagate(x, a0, a1, pulse, recorder.sample_period, recorder.record, plateau)
         nx = ws.excitation_diag
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))

@@ -13,12 +13,14 @@ from topoflux import dynamics
 from topoflux.config import resolve
 from topoflux.device import ghz_to_angular
 from topoflux.dynamics import (
+    HERMITICITY_LIMIT,
     NO_NOISE,
     SAMPLE_BLOCK,
     NoiseParams,
     PulseSegment,
     _commutator,
     _free_generator,
+    _hermitian_basis,
     _magnus_basis,
     _magnus_coefficients,
     _Recorder,
@@ -248,6 +250,31 @@ class TestEvolve:
         scn = resolve(raw)
         with pytest.raises(IntegrationError, match="trace drift"):
             evolve(initial_state(scn.spec), scn.pulse, scn.noise, scn.spec)
+
+    def test_rho0_must_be_hermitian(self):
+        # the Hermitian coordinates would drop rho0's anti-Hermitian part
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        pulse = make_pulse()
+        rho0[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve(rho0, pulse, NO_NOISE, SPEC)
+        rho0[0, 1] = 1e-10  # |rho0 - rho0^dag|_F = 1.4e-10
+        assert len(evolve(rho0, pulse, NO_NOISE, SPEC)) == 201
+
+    @pytest.mark.parametrize("share, refused", [(0.9, False), (1.1, True)])
+    def test_plateau_round_off_is_refused(self, share, refused, monkeypatch):
+        # i eps 1 added to each plateau exponential is imaginary in the Hermitian basis,
+        # with 1-norm eps; the pulse applies it once per sample, 200 times in all
+        pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        eps = share * HERMITICITY_LIMIT / 200
+        exact = dynamics.expm
+        monkeypatch.setattr(dynamics, "expm", lambda a: exact(a) + 1j * eps * np.eye(len(a)))
+        if refused:
+            with pytest.raises(IntegrationError, match="not Hermitian"):
+                evolve(rho0, pulse, NOISE1, SPEC)
+        else:
+            assert len(evolve(rho0, pulse, NOISE1, SPEC)) == 201
 
     def test_static_divergence_error(self):
         # a non-finite generator is refused before it is exponentiated, and a
@@ -556,6 +583,59 @@ class TestExactPropagation:
     def test_expm_refuses_non_finite_generator(self, value):
         with pytest.raises(IntegrationError):
             expm(np.full((2, 2), value))
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("dim", [4, 6, 12])
+    def test_orthonormal_hermitian_basis(self, dim):
+        basis = _hermitian_basis(dim)
+        b = basis.matrices(np.eye(dim * dim))
+        assert np.array_equal(b, b.conj().transpose(0, 2, 1))
+        t = b.reshape(dim * dim, -1).T
+        assert np.max(np.abs(t.conj().T @ t - np.eye(dim * dim))) < 1e-15
+
+    @pytest.mark.parametrize("dim", [4, 8, 12])
+    def test_hermitian_matrices_round_trip(self, dim):
+        rng = np.random.default_rng(dim)
+        basis = _hermitian_basis(dim)
+        b = basis.matrices(np.eye(dim * dim))
+        for _ in range(20):
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = m @ m.conj().T
+            rho /= np.trace(rho)
+            x = basis.coordinates(rho)
+            assert x.dtype == float
+            # x_k = tr(B_k rho)
+            assert np.max(np.abs(np.einsum("kij,ji->k", b, rho) - x)) < 1e-15
+            assert np.max(np.abs(basis.matrices(x) - rho)) < 1e-15
+
+    def test_superoperator_is_the_dense_change_of_basis(self):
+        dim = 6
+        rng = np.random.default_rng(2)
+        gen = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
+        basis = _hermitian_basis(dim)
+        t = basis.matrices(np.eye(dim * dim)).reshape(dim * dim, -1).T
+        dense = t.conj().T @ gen @ t
+        real, dropped = basis.superoperator(gen)
+        assert np.max(np.abs(real - dense.real)) < 1e-13
+        assert dropped == pytest.approx(np.linalg.norm(dense.imag, 1), rel=1e-13)
+        # a stack converts as its members do
+        stacked, norms = basis.superoperator(np.stack((gen, gen.conj())))
+        assert np.array_equal(stacked[0], real) and norms[0] == dropped
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "closed"])
+    @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "altParams"])
+    def test_generators_are_real_in_the_basis(self, name, levels, noisy):
+        # L0 and L1 keep rho Hermitian, so the imaginary part the change of basis
+        # drops is round-off against their 1-norms
+        scn = resolve(dict(scenario_preset(name), hilbert={"fockLevels": levels}))
+        ws = _Workspace(scn.spec)
+        l0 = _free_generator(ws, scn.pulse.phase_freq, scn.noise if noisy else NO_NOISE)
+        l1 = _commutator(ws.coupling(scn.pulse))
+        _, dropped = _hermitian_basis(scn.spec.dim).superoperator(np.stack((l0, l1)))
+        norms = np.linalg.norm(l0, 1), np.linalg.norm(l1, 1)
+        assert np.all(dropped <= 1e-13 * np.array(norms))
 
 
 class TestRecorder:

@@ -870,12 +870,16 @@ def _output_digest():
         ("0.500000000001", None, None, 0, "e-12"),
         ("half", None, 1e-13, 1, "differs"),
         ("0.5", "extra.json", 1e-13, 1, "only in"),
+        # the same number in other text is byte-different, which --tol 0 refuses
+        ("0.50", None, 0, 1, "0.000e+00"),
+        ("0.50", None, 1e-13, 0, "0.000e+00"),
     ],
-    ids=["identical", "within", "beyond", "no-tol", "differs", "only-in-one"],
+    ids=["identical", "within", "beyond", "no-tol", "differs", "only-in-one", "text-tol-0", "text-tol"],
 )
 def test_output_digest_compare_exit_code(tmp_path, monkeypatch, capsys, value, extra, tol, code, status):
     # --compare --tol X exits 1 when a file differs, is in one directory only, or
-    # moves by more than X; without --tol it only reports
+    # moves by more than X, and --tol 0 also when its bytes differ; without --tol
+    # it only reports
     a, b = tmp_path / "a", tmp_path / "b"
     for root, cell in ((a, "0.5"), (b, value)):
         (root / "run").mkdir(parents=True)
