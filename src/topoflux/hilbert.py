@@ -51,7 +51,7 @@ class HilbertSpec:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with complex dtype, (A (x) B)[p*dB+q, r*dB+s] = A[p,r] B[q,s].
 
-    The same products as ``np.kron``, in one broadcast product of square matrices.
+    The same products as ``np.kron`` of two matrices, in one broadcast product.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
