@@ -5,12 +5,15 @@ The set covers what a refactor that promises unchanged output bytes must
 keep: ``run --format csv,json,svg`` on fig2a, fig2b and altParams,
 ``run --format csv,json`` on fig2a with a 0.05 ns sin^2 ramp at fockLevels 2
 and 4 and on fig2a as a rectangular pulse carrying ``rampTime_ns: 100``
-(which it ignores), the ``derive`` report of every preset, ``derive`` and
-``run --format json`` on fig2a with full overrides of g, g' and E (once with
-the pipeline's operating point echoed, once with ``phi_c: null`` because no
-phase meets the resonance target), ``gates verify``, fig3a and fig3b sweeps
-reduced to 3 points and the ratios [0, 3], and robustness with 2 samples for
-seeds 0 and 7.  Run it on two checkouts and compare the printed lines:
+(which it ignores), ``run --format csv,json`` on fig2a sampled every
+0.0004 ns (608 samples, three of the recorder's 256-sample blocks, so that
+block boundaries are in the check), the ``derive`` report of every preset,
+``derive`` and ``run --format json`` on fig2a with full overrides of g, g'
+and E (once with the pipeline's operating point echoed, once with
+``phi_c: null`` because no phase meets the resonance target), ``gates
+verify``, fig3a and fig3b sweeps reduced to 3 points and the ratios [0, 3],
+and robustness with 2 samples for seeds 0 and 7 (34 files).  Run it on two
+checkouts and compare the printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR
 
@@ -53,6 +56,8 @@ RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
 RAMP_FOCK_LEVELS = (2, 4)
 # a rectangular pulse has no ramps, whatever its rampTime_ns
 RECT_WITH_RAMP_TIME = {"areaOverPi": -1.0, "shape": "rectangular", "rampTime_ns": 100}
+# fig2a sampled 608 times fills three of the recorder's 256-sample blocks
+MULTI_BLOCK = {"samplePeriod_ns": 0.0004}
 FULL_OVERRIDES = {"g_GHz": -2.0, "gPrime_GHz": -1.0, "E_GHz": 50.0}
 OVERRIDE_CONFIGS = {
     "overrides": FULL_OVERRIDES,
@@ -82,10 +87,14 @@ def write_outputs(out: Path):
             if name in RUN_PRESETS:
                 run_out = str(out / "run")
                 _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json,svg")
-        pulses = {f"ramped_fock{levels}": (RAMP, levels) for levels in RAMP_FOCK_LEVELS}
-        pulses["rect_ramp_time"] = (RECT_WITH_RAMP_TIME, 2)
-        for label, (pulse, levels) in pulses.items():
-            raw = {**scenario_preset("fig2a"), "pulse": pulse, "hilbert": {"fockLevels": levels}}
+        runs = {
+            f"ramped_fock{levels}": {"pulse": RAMP, "hilbert": {"fockLevels": levels}}
+            for levels in RAMP_FOCK_LEVELS
+        }
+        runs["rect_ramp_time"] = {"pulse": RECT_WITH_RAMP_TIME, "hilbert": {"fockLevels": 2}}
+        runs["multi_block"] = {"integration": MULTI_BLOCK}
+        for label, changes in runs.items():
+            raw = {**scenario_preset("fig2a"), **changes}
             cfg = Path(tmp) / f"{label}.json"
             cfg.write_text(json.dumps(raw))
             run_out = str(out / f"run_{label}")

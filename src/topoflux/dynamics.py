@@ -25,13 +25,14 @@ and both dissipators, L1 the coupling commutator.  Each of them maps a
 Hermitian rho to a Hermitian one, so ``evolve`` carries rho as its D^2 real
 coordinates in an orthonormal Hermitian basis (``_HermitianBasis``), where
 L0, L1 and every step built from them are real matrices.  On the plateau
-(env = 1) one matrix exponential (``expm``) carries the state from one sample
-to the next; it is formed on the row-major generator and turned into the
-Hermitian coordinates once per length, and the imaginary part that this
+(env = 1) one matrix exponential P (``expm``) carries the state from one
+sample to the next; it is formed on the row-major generator and turned into
+the Hermitian coordinates once per length, and the imaginary part that this
 drops, the anti-Hermitian round-off of the exponential, bounds how far from
-Hermitian the complex walk would have strayed (``_Plateau``).  On a sin^2
-ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes, Casas &
-Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
+Hermitian the complex walk would have strayed (``_Plateau``).  A run of
+plateau samples fills the recorder's block by products with P's powers.  On a
+sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes,
+Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
 (``_ramp_step``), and a piece of plateau that shares a sample interval with a
 ramp is one more such step.  Each step's Omega combines 10 fixed matrices
 (``_magnus_basis``); the coefficients of a block of steps, which may span many
@@ -45,16 +46,17 @@ Comput. 33, 488, 2011).  Only the final state is turned back to a matrix in
 the working frame.  ``pulse_propagator`` runs the same core on the complex
 Hilbert-space pair (-i E N, -i H_coupling).  The trajectory of ``evolve``
 comes from ``_Recorder``, which samples at the times k * sample_period
-(default duration/200) and at the end.  It keeps up to ``SAMPLE_BLOCK``
-states, then turns them into matrices in one scatter, checks them for finite
-entries and reduces them to trajectory columns, one numpy call per diagnostic
-for the whole block.  No renormalization is applied, so trace drift
-measures the propagation's precision directly.  ``evolve`` is a pure
-function of its inputs; independent evolutions are safe to run concurrently.
+(default duration/200) and at the end.  Its block holds ``SAMPLE_BLOCK``
+states; a full one is turned into matrices in one scatter, checked for finite
+entries and reduced to trajectory columns, one numpy call per diagnostic for
+the whole block.  No renormalization is applied, so trace drift measures the
+propagation's precision directly.  ``evolve`` is a pure function of its
+inputs; independent evolutions are safe to run concurrently.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -94,7 +96,8 @@ MAX_PHASE_STEP = 0.2
 # where a ramp step costs about 0.25 ms at fockLevels 6 (a 1 ns fig2a ramp,
 # one BLAS thread on a 2-vCPU Xeon)
 MAX_STEPS = 1_000_000
-# states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
+# states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS
+# samples.  A power of 2, the doubling's last step in ``_propagate``
 SAMPLE_BLOCK = 256
 TRACE_DRIFT_LIMIT = 1e-6
 # |rho - rho^dag|_F above twice hilbert.fidelity_pure's 1e-10 bound on an
@@ -409,24 +412,23 @@ class _Plateau:
     """The plateau propagators exp(length gen), one per length, for ``_propagate``.
 
     With a ``basis``, each is formed on the row-major gen and turned into the basis's real
-    coordinates.  ``dropped`` then sums, over every application, the 1-norm of the
-    imaginary part that this drops: the anti-Hermitian round-off that a walk on the
-    complex vec(rho) would have carried.
+    coordinates.  ``dropped`` then sums, over every application (``applications`` per call),
+    the 1-norm of the imaginary part that this drops: the anti-Hermitian round-off that a
+    walk on the complex vec(rho) would have carried.
     """
 
     def __init__(self, gen: np.ndarray, basis: _HermitianBasis | None = None):
         self.gen, self.basis = gen, basis
-        self.cache = {}
-        self.dropped = 0.0
+        self.cache, self.dropped = {}, 0.0
 
-    def __call__(self, length: float) -> np.ndarray:
+    def __call__(self, length: float, applications: int = 1) -> np.ndarray:
         if length not in self.cache:
             propagator = expm(length * self.gen)
             self.cache[length] = (
                 self.basis.superoperator(propagator) if self.basis else (propagator, 0.0)
             )
         propagator, dropped = self.cache[length]
-        self.dropped += dropped
+        self.dropped += applications * dropped
         return propagator
 
 
@@ -540,26 +542,22 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
     """Carry y over the pulse under dy/dt = (a0 + env(t) a1) y; returns y at its end.
 
     The pulse is walked in sample intervals [k period, (k+1) period], the last
-    one ending at the pulse's end.  An interval on the plateau takes one
-    exponential, ``plateau(length)``, which is shared by every interval of the
-    same length; it defaults to a ``_Plateau`` of a0 + a1.  An interval that
-    meets a ramp is cut at the ramp ends: each ramp piece takes ceil(length/h)
-    equal sixth-order Magnus steps (``_magnus_coefficients``), h the pulse's
-    ``_ramp_step``, and a plateau piece, used only once, is one step of the same
-    path.  Because the generator is a0 + env(t) a1, each step's Omega is a
-    combination of the 10 fixed matrices of ``_magnus_basis`` with coefficients
-    from the envelope at the step's three Gauss nodes; on a plateau piece the
-    nodes are 1 and Omega is its length times a0 + a1.  The walk goes through
-    the intervals once, and takes its steps from one stream per pulse that reads
-    the same intervals ahead of it.  The stream forms the nodes, coefficients,
-    norm bounds and Taylor degree ceilings of ``RAMP_BLOCK_STEPS`` steps at a
-    time, across sample pieces, and their Omega in chunks of
-    ``OMEGA_BLOCK_ENTRIES // a0.size`` steps, at least 4.  A step whose 1-norm
+    one ending at the pulse's end.  The intervals on the plateau before the last
+    form one run, which ``run`` carries with the powers of P = ``plateau(period)``;
+    ``plateau`` defaults to a ``_Plateau`` of a0 + a1, and the last interval, when
+    on the plateau, takes ``plateau(rest)``.  An interval that meets a ramp is cut
+    at the ramp ends: each ramp piece takes ceil(length/h) equal sixth-order
+    Magnus steps (``_magnus_coefficients``), h the pulse's ``_ramp_step``, and a
+    plateau piece, used only once, is one step of the same path, its three Gauss
+    nodes set to 1.  Each step's Omega combines the 10 fixed matrices of
+    ``_magnus_basis``; ``steps`` forms them a block at a time, from one stream
+    per pulse that reads the intervals ahead of the walk.  A step whose 1-norm
     bound is at most ``TAYLOR_MAX_NORM`` is applied to y by one
     ``_TaylorSeries``, which stops on y's own terms; a longer one takes expm,
     or ``plateau`` on a plateau piece.  y, a0 and a1 may be real or complex.
-    ``record(t, y)``, when given, sees y at every sample time k * period before
-    the end.
+    ``record(n)``, when given, returns the rows for y at the next samples, at
+    most n of them, which the walk fills: y at every time k * period before the
+    end.
     """
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
@@ -575,27 +573,56 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
     rest = duration - (n_samples - 1) * period
     if math.isclose(rest, period, rel_tol=1e-12):
         rest = period
-    size = y.size
+    size, last, end = y.size, n_samples - 1, duration - ramp
     plateau = plateau or _Plateau(a0 + a1)
+    # the run [start, stop): the intervals before the last that lie on the plateau
+    start = bisect.bisect_left(range(last), True, key=lambda k: ramp <= k * period)
+    stop = bisect.bisect_left(range(last), True, key=lambda k: k * period + period > end)
 
     def intervals():
-        """(t0, length, pieces) for each sample interval: length is the interval's when it
-        lies on the plateau, else None and pieces are its (a, s, n, on_ramp), n steps of
-        length s from a, cut at the ramp ends."""
-        for k in range(n_samples):
+        """(n, length, pieces) in walk order: the plateau run as n intervals of this length;
+        every other interval once, with its length if on the plateau (only the last can be),
+        else None and its (a, s, n, on_ramp), n steps of length s from a, cut at the ramps."""
+        for k in itertools.chain(range(start), range(max(start, stop), n_samples)):
+            if k == stop > start:
+                yield stop - start, period, None
             t0 = k * period
-            last = k == n_samples - 1
-            t1 = duration if last else t0 + period
-            if ramp <= t0 and t1 <= duration - ramp:
-                yield t0, rest if last else period, None
+            t1 = duration if k == last else t0 + period
+            if ramp <= t0 and t1 <= end:
+                yield 1, rest, None
                 continue
-            cuts = [c for c in dict.fromkeys((ramp, duration - ramp)) if t0 < c < t1]
+            cuts = [c for c in dict.fromkeys((ramp, end)) if t0 < c < t1]
             pieces = []
             for a, b in zip([t0, *cuts], [*cuts, t1]):
-                on_ramp = not (ramp <= a and b <= duration - ramp)
+                on_ramp = not (ramp <= a and b <= end)
                 n = math.ceil((b - a) / h) if on_ramp else 1
                 pieces.append((a, (b - a) / n, n, on_ramp))
-            yield t0, None, pieces
+            yield 1, None, pieces
+
+    def run(y, n, length):
+        """y after n plateau intervals of this length, recording y and the states after it.
+        Each chunk of rows from ``record`` is filled by doubling, rows[m:2m] = rows[:m]
+        (P^m)^T, P = plateau(length); one after a whole block is it times (P^SAMPLE_BLOCK)^T."""
+        step = plateau(length, n)
+        if record is None:
+            return np.linalg.matrix_power(step, n) @ y
+        # P^(2^j) as far as doubling n rows needs, up to P^SAMPLE_BLOCK for the block shift
+        powers = [step]
+        while len(powers) < min(n - 1, SAMPLE_BLOCK).bit_length():
+            powers.append(powers[-1] @ powers[-1])
+        rows = None
+        while n:
+            out = record(n)
+            if rows is not None and len(rows) == SAMPLE_BLOCK:
+                # out holds the block of rows, which numpy reads before it writes out
+                np.matmul(rows[: len(out)], powers[-1].T, out=out)
+            else:
+                out[0] = y if rows is None else step @ rows[-1]
+                for j in range((len(out) - 1).bit_length()):
+                    head = out[: min(1 << j, len(out) - (1 << j))]
+                    np.matmul(head, powers[j].T, out=out[1 << j : (1 << j) + len(head)])
+            rows, n = out, n - len(out)
+        return step @ rows[-1]
 
     def steps(ahead):
         """(omega, m, scale) for each step of the intervals ``ahead``, in walk order: m is
@@ -603,7 +630,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
         step takes an exponential."""
         starts = (
             (a, s, i, on_ramp)
-            for _, _, pieces in ahead
+            for *_, pieces in ahead
             for a, s, n, on_ramp in pieces or ()
             for i in range(n)
         )
@@ -643,12 +670,12 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
         walk, ahead = itertools.tee(walk)
         stream = steps(ahead)
         apply = _TaylorSeries(y.shape, np.result_type(y, a0, a1)).apply
-    for t0, length, pieces in walk:
-        if record is not None:
-            record(t0, y)
+    for count, length, pieces in walk:
         if length is not None:
-            y = plateau(length) @ y
+            y = run(y, count, length)
             continue
+        if record is not None:
+            record(1)[0] = y
         for _, s, n, on_ramp in pieces:
             for omega, m, scale in itertools.islice(stream, n):
                 if m is not None:
@@ -661,7 +688,8 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
 class _Recorder:
     """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` and builds the Trajectory.
 
-    The sampled states are coordinates in ``basis``, or row-major vec(rho) when it is None.
+    ``_propagate`` writes the sampled states straight into the rows of one preallocated
+    block (``rows``): coordinates in ``basis``, or row-major vec(rho) when it is None.
     """
 
     def __init__(
@@ -677,42 +705,43 @@ class _Recorder:
         if not sample_period > 0:
             raise ValueError(f"sample_period must be positive, got {sample_period}")
         self.sample_period = sample_period
-        self.dim = spec.dim
-        self.basis = basis
-        self.i_dn1 = spec.index(DOWN, 1)
-        self.i_up0 = spec.index(UP, 0)
-        self.times, self.states, self.blocks = [], [], []
+        self.dim, self.basis = spec.dim, basis
+        self.i_dn1, self.i_up0 = spec.index(DOWN, 1), spec.index(UP, 0)
+        self.block = np.empty((SAMPLE_BLOCK, spec.dim**2), dtype=float if basis else complex)
+        # the samples in the block, and those reduced before it
+        self.filled, self.reduced, self.blocks = 0, 0, []
 
-    def record(self, t, y):
-        """Sample the state ``y`` as the state at time t."""
-        self.times.append(t)
-        self.states.append(y)
-        if len(self.states) == SAMPLE_BLOCK:
+    def rows(self, n):
+        """The block's rows for the next samples, at most n, for the caller to fill.  A full
+        block is reduced first and keeps its states: the next rows still hold its first ones."""
+        if self.filled == SAMPLE_BLOCK:
             self._reduce()
+        start = self.filled
+        self.filled = min(start + n, SAMPLE_BLOCK)
+        return self.block[start : self.filled]
 
-    def _reduce(self, final=None):
-        """Check the kept states, and the matrix ``final`` after them when given, and turn
-        them into one block of trajectory columns."""
-        d = self.dim
-        rho = np.array(self.states).reshape(len(self.states), d * d)
-        rho = self.basis.matrices(rho) if self.basis else rho.reshape(-1, d, d)
+    def _reduce(self, final=None, t=None):
+        """Check the filled rows, and the matrix ``final`` at time t after them when given,
+        and turn them into one block of trajectory columns."""
+        d, n = self.dim, self.filled
+        rho = self.basis.matrices(self.block[:n]) if self.basis else self.block[:n].reshape(n, d, d)
+        times = np.arange(self.reduced, self.reduced + n) * self.sample_period
         if final is not None:
-            rho = np.concatenate((rho, final[None]))
+            rho, times = np.concatenate((rho, final[None])), np.append(times, t)
         finite = np.isfinite(rho).all(axis=(1, 2))
         if not finite.all():
-            raise IntegrationError(f"state diverged by t={self.times[np.argmin(finite)]:.4g} ns")
+            raise IntegrationError(f"state diverged by t={times[np.argmin(finite)]:.4g} ns")
         i, j = self.i_dn1, self.i_up0
         # rho11, rho22, rho12, rho21, copied out so that no column keeps the block alive
         entries = rho[:, (i, j, i, j), (i, j, j, i)].T
         trace = np.real(np.trace(rho, axis1=1, axis2=2))
         # in Trajectory field order
-        self.blocks.append((np.array(self.times), *entries, trace, purity(rho), min_eigenvalue(rho)))
-        self.times, self.states = [], []
+        self.blocks.append((times, *entries, trace, purity(rho), min_eigenvalue(rho)))
+        self.filled, self.reduced = 0, self.reduced + n
 
     def finish(self, rho, t) -> Trajectory:
         """Record the final state, the matrix rho, at time t and return the trajectory."""
-        self.times.append(t)
-        self._reduce(final=rho)
+        self._reduce(rho, t)
         columns = (np.concatenate(col) for col in zip(*self.blocks))
         return Trajectory(*columns, final_state=rho)
 
@@ -727,11 +756,11 @@ def evolve(
     """Propagate the master equation over one pulse.
 
     The pulse runs in the frame exp(i E t N) through ``_propagate``, on rho's
-    real coordinates in ``_HermitianBasis``: one matrix exponential per sample
-    period on the plateau (the whole of a rectangular pulse), sixth-order
-    Magnus steps of ``_ramp_step`` on a sin^2 ramp, each applied as a Taylor
-    polynomial that stops on the state's own terms.  The step follows from the
-    pulse alone: no argument sets it.
+    real coordinates in ``_HermitianBasis``: on the plateau (the whole of a
+    rectangular pulse) a block of samples at a time, by the powers of one matrix
+    exponential per sample period; sixth-order Magnus steps of ``_ramp_step`` on a
+    sin^2 ramp, each applied as a Taylor polynomial that stops on the state's own
+    terms.  The step follows from the pulse alone: no argument sets it.
 
     Parameters
     ----------
@@ -783,7 +812,7 @@ def evolve(
         plateau = _Plateau(l0 + l1, basis)
         (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
         x = basis.coordinates(rho0)
-        x = _propagate(x, a0, a1, pulse, recorder.sample_period, recorder.record, plateau)
+        x = _propagate(x, a0, a1, pulse, recorder.sample_period, recorder.rows, plateau)
         nx = ws.excitation_diag
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
         rho = frame * basis.matrices(x)

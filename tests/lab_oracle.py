@@ -80,5 +80,5 @@ def evolve_static(
     y = np.array(rho0, dtype=complex).reshape(-1)
     flat = PulseSegment(duration, g_value=0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # the recorder refuses such a state
-        y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, recorder.record)
+        y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, recorder.rows)
     return recorder.finish(y.reshape(spec.dim, spec.dim), duration)

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -642,18 +643,24 @@ class TestRecorder:
     @pytest.mark.parametrize("levels", [2, 4])
     def test_block_diagnostics_match_each_sample(self, levels, monkeypatch):
         # fig2a sampled 601 times: two full blocks and part of a third.  The recorder
-        # sees 600 samples as Hermitian coordinates, and the final state as a matrix
+        # hands out rows for 600 samples as Hermitian coordinates, and gets the final
+        # state as a matrix.  Rows it handed out are filled by the time it is asked for
+        # more, and a reduced block keeps its rows, so each is read at the next call
         scn = resolve(dict(scenario_preset("fig2a"), hilbert={"fockLevels": levels}))
-        states = []
-        record = _Recorder.record
+        basis = _hermitian_basis(scn.spec.dim)
+        states, handed = [], []
+        rows = _Recorder.rows
 
-        def keep(recorder, t, y):
-            states.append(recorder.basis.matrices(y))
-            record(recorder, t, y)
+        def keep(recorder, n):
+            if handed:
+                states.extend(basis.matrices(handed.pop()))
+            handed.append(rows(recorder, n))
+            return handed[-1]
 
-        monkeypatch.setattr(_Recorder, "record", keep)
+        monkeypatch.setattr(_Recorder, "rows", keep)
         period = scn.pulse.duration / 600
         traj = evolve(initial_state(scn.spec), scn.pulse, scn.noise, scn.spec, period)
+        states.extend(basis.matrices(handed.pop()))
         states.append(traj.final_state)
         assert len(traj) == len(states) == 601 > 2 * SAMPLE_BLOCK
         i, j = scn.spec.index(DOWN, 1), scn.spec.index(UP, 0)
@@ -681,6 +688,70 @@ class TestRecorder:
         n = 8 * SAMPLE_BLOCK
         per_sample = (peak_bytes(2 * n) - peak_bytes(n)) / n
         assert per_sample < spec.dim**2 * 16 / 4
+
+
+def rectangular(name, levels):
+    """The preset's resolved scenario at this many Fock levels, and its pulse."""
+    scn = resolve(dict(scenario_preset(name), hilbert={"fockLevels": levels}))
+    return scn, scn.pulse
+
+
+def walk_each_sample(monkeypatch, *args):
+    """evolve(*args) with the recorder handing out one row at a time, so that the walk
+    applies plateau(period) once per sample."""
+    rows = _Recorder.rows
+    with monkeypatch.context() as patch:
+        patch.setattr(_Recorder, "rows", lambda recorder, n: rows(recorder, 1))
+        return evolve(*args)
+
+
+def largest_difference(a, b):
+    """The largest difference between two trajectories' state columns and final states."""
+    names = ("rho11", "rho22", "rho12", "rho21", "trace", "purity", "min_eigenvalue")
+    return max(np.max(np.abs(getattr(a, name) - getattr(b, name))) for name in names + ("final_state",))
+
+
+class TestPlateauRuns:
+    @pytest.mark.parametrize("levels, ramp", [(2, 0.0), (4, 0.0), (4, 0.05)])
+    def test_block_matches_each_sample(self, levels, ramp, monkeypatch):
+        # fig2a with noise sampled 601 times, three recorder blocks.  The rectangular
+        # pulse's run fills the first block by doubling and each next one from the block
+        # before; the ramped pulse's run starts and ends inside blocks
+        scn, pulse = operating_point("fig2a", ramp, levels) if ramp else rectangular("fig2a", levels)
+        period = pulse.duration / 600
+        args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, period)
+        block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
+        assert len(block) == len(each) == 601
+        assert np.array_equal(block.times[:-1], np.arange(600) * period)
+        assert np.array_equal(block.times, each.times)
+        assert block.times[-1] == pulse.duration
+        assert largest_difference(block, each) < 1e-13
+
+    @pytest.mark.parametrize("ramp", [0.0, 0.05])
+    def test_leaves_no_reference_cycles(self, ramp):
+        # a cycle keeps a run's powers of P alive until the cyclic collector runs: powers
+        # kept by a cached function that called itself raised the peak RSS of 300 ramped
+        # evolutions at 2 to 4 levels from 37.7 to 43.9 MB
+        scn, pulse = operating_point("fig2a", ramp, 4) if ramp else rectangular("fig2a", 4)
+        gc.collect()
+        gc.disable()
+        try:
+            evolve(initial_state(scn.spec), pulse, scn.noise, scn.spec, pulse.duration / 600)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_long_run(self, monkeypatch):
+        # altParams sampled 2e4 times: 78 blocks, each formed from the one before.  The
+        # block walk measured 7.1e-13 from the walk of one sample at a time, and a trace
+        # drift of 4.4e-12 against its 4.5e-12
+        scn, pulse = rectangular("altParams", 2)
+        args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, pulse.duration / 2e4)
+        block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
+        assert len(block) == 20001
+        assert largest_difference(block, each) < 1e-11
+        drift = np.max(np.abs(block.trace - 1.0)), np.max(np.abs(each.trace - 1.0))
+        assert drift[0] <= 2 * drift[1]
 
 
 class TestPropagator:
