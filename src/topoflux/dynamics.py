@@ -614,7 +614,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
         while n:
             out = record(n)
             if rows is not None and len(rows) == SAMPLE_BLOCK:
-                # out holds the block of rows, which numpy reads before it writes out
+                # out is the start of the block that held rows: numpy reads them before it writes
                 np.matmul(rows[: len(out)], powers[-1].T, out=out)
             else:
                 out[0] = y if rows is None else step @ rows[-1]

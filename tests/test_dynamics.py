@@ -707,8 +707,8 @@ def walk_each_sample(monkeypatch, *args):
 
 def largest_difference(a, b):
     """The largest difference between two trajectories' state columns and final states."""
-    names = ("rho11", "rho22", "rho12", "rho21", "trace", "purity", "min_eigenvalue")
-    return max(np.max(np.abs(getattr(a, name) - getattr(b, name))) for name in names + ("final_state",))
+    names = "rho11", "rho22", "rho12", "rho21", "trace", "purity", "min_eigenvalue", "final_state"
+    return max(np.max(np.abs(getattr(a, name) - getattr(b, name))) for name in names)
 
 
 class TestPlateauRuns:
@@ -742,9 +742,9 @@ class TestPlateauRuns:
             gc.enable()
 
     def test_long_run(self, monkeypatch):
-        # altParams sampled 2e4 times: 78 blocks, each formed from the one before.  The
-        # block walk measured 7.1e-13 from the walk of one sample at a time, and a trace
-        # drift of 4.4e-12 against its 4.5e-12
+        # altParams sampled 2e4 times: 79 blocks, each after the first formed from the one
+        # before (the last in part).  The block walk measured 7.1e-13 from the walk of one
+        # sample at a time, and a trace drift of 4.4e-12 against its 4.5e-12
         scn, pulse = rectangular("altParams", 2)
         args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, pulse.duration / 2e4)
         block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
