@@ -96,9 +96,12 @@ MAX_PHASE_STEP = 0.2
 # where a ramp step costs about 0.25 ms at fockLevels 6 (a 1 ns fig2a ramp,
 # one BLAS thread on a 2-vCPU Xeon)
 MAX_STEPS = 1_000_000
-# states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS
-# samples.  A power of 2, the doubling's last step in ``_propagate``
+# states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
 SAMPLE_BLOCK = 256
+# the largest power of the plateau propagator P (a power of 2) that a run of samples forms:
+# at 6 levels a squaring of P costs about 25 of its products with a state, and squaring up
+# to P^128 made a 200-sample walk there slower than one product per sample
+PLATEAU_STRIDE = 8
 TRACE_DRIFT_LIMIT = 1e-6
 # |rho - rho^dag|_F above twice hilbert.fidelity_pure's 1e-10 bound on an
 # imaginary part could give a fidelity with a larger one; the same bound
@@ -601,28 +604,26 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
 
     def run(y, n, length):
         """y after n plateau intervals of this length, recording y and the states after it.
-        Each chunk of rows from ``record`` is filled by doubling, rows[m:2m] = rows[:m]
-        (P^m)^T, P = plateau(length); one after a whole block is it times (P^SAMPLE_BLOCK)^T."""
+        Each chunk of rows from ``record`` starts from the state and is filled by products
+        with P = plateau(length) and its squares, rows[m:m+k] = rows[m-k:m] (P^k)^T: k = m
+        (doubling) up to ``PLATEAU_STRIDE``, then k = PLATEAU_STRIDE, cut at the chunk's end."""
         step = plateau(length, n)
         if record is None:
             return np.linalg.matrix_power(step, n) @ y
-        # P^(2^j) as far as doubling n rows needs, up to P^SAMPLE_BLOCK for the block shift
+        # P^(2^j), as far as a chunk of up to min(n, SAMPLE_BLOCK) rows needs
         powers = [step]
-        while len(powers) < min(n - 1, SAMPLE_BLOCK).bit_length():
+        while len(powers) < min(n - 1, SAMPLE_BLOCK - 1, PLATEAU_STRIDE).bit_length():
             powers.append(powers[-1] @ powers[-1])
-        rows = None
         while n:
             out = record(n)
-            if rows is not None and len(rows) == SAMPLE_BLOCK:
-                # out is the start of the block that held rows: numpy reads them before it writes
-                np.matmul(rows[: len(out)], powers[-1].T, out=out)
-            else:
-                out[0] = y if rows is None else step @ rows[-1]
-                for j in range((len(out) - 1).bit_length()):
-                    head = out[: min(1 << j, len(out) - (1 << j))]
-                    np.matmul(head, powers[j].T, out=out[1 << j : (1 << j) + len(head)])
-            rows, n = out, n - len(out)
-        return step @ rows[-1]
+            out[0], m = y, 1
+            while m < len(out):
+                j = min(m.bit_length(), len(powers)) - 1
+                k = min(1 << j, len(out) - m)
+                np.matmul(out[m - (1 << j) : m - (1 << j) + k], powers[j].T, out=out[m : m + k])
+                m += k
+            y, n = step @ out[-1], n - len(out)
+        return y
 
     def steps(ahead):
         """(omega, m, scale) for each step of the intervals ``ahead``, in walk order: m is

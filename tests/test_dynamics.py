@@ -715,8 +715,8 @@ class TestPlateauRuns:
     @pytest.mark.parametrize("levels, ramp", [(2, 0.0), (4, 0.0), (4, 0.05)])
     def test_block_matches_each_sample(self, levels, ramp, monkeypatch):
         # fig2a with noise sampled 601 times, three recorder blocks.  The rectangular
-        # pulse's run fills the first block by doubling and each next one from the block
-        # before; the ramped pulse's run starts and ends inside blocks
+        # pulse's run fills each block from its first state, by doubling and then strides
+        # of PLATEAU_STRIDE; the ramped pulse's run starts and ends inside blocks
         scn, pulse = operating_point("fig2a", ramp, levels) if ramp else rectangular("fig2a", levels)
         period = pulse.duration / 600
         args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, period)
@@ -726,6 +726,16 @@ class TestPlateauRuns:
         assert np.array_equal(block.times, each.times)
         assert block.times[-1] == pulse.duration
         assert largest_difference(block, each) < 1e-13
+
+    def test_short_runs(self, monkeypatch):
+        # runs of 0 to 39 samples: doubling stops short of PLATEAU_STRIDE, reaches it, and
+        # ends on a partial stride
+        scn, pulse = rectangular("fig2a", 2)
+        for samples in range(1, 41):
+            args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, pulse.duration / samples)
+            block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
+            assert len(block) == samples + 1
+            assert largest_difference(block, each) < 1e-13
 
     @pytest.mark.parametrize("ramp", [0.0, 0.05])
     def test_leaves_no_reference_cycles(self, ramp):
@@ -742,9 +752,9 @@ class TestPlateauRuns:
             gc.enable()
 
     def test_long_run(self, monkeypatch):
-        # altParams sampled 2e4 times: 79 blocks, each after the first formed from the one
-        # before (the last in part).  The block walk measured 7.1e-13 from the walk of one
-        # sample at a time, and a trace drift of 4.4e-12 against its 4.5e-12
+        # altParams sampled 2e4 times: 79 blocks, each started from the last state of the
+        # one before (the last in part).  The block walk measured 7.6e-13 from the walk of
+        # one sample at a time, and a trace drift of 4.3e-12 against its 4.5e-12
         scn, pulse = rectangular("altParams", 2)
         args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, pulse.duration / 2e4)
         block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
