@@ -610,7 +610,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
         step = plateau(length, n)
         if record is None:
             return np.linalg.matrix_power(step, n) @ y
-        # P^(2^j), as far as a chunk of up to min(n, SAMPLE_BLOCK) rows needs
+        # P^(2^j) up to P^PLATEAU_STRIDE, as far as a chunk of min(n, SAMPLE_BLOCK) rows needs
         powers = [step]
         while len(powers) < min(n - 1, SAMPLE_BLOCK - 1, PLATEAU_STRIDE).bit_length():
             powers.append(powers[-1] @ powers[-1])

@@ -737,6 +737,17 @@ class TestPlateauRuns:
             assert len(block) == samples + 1
             assert largest_difference(block, each) < 1e-13
 
+    def test_run_without_recorder(self):
+        # with no recorder, the run of 599 samples is one power of P applied to the state
+        scn, pulse = rectangular("fig2a", 2)
+        ws, basis = _Workspace(scn.spec), _hermitian_basis(scn.spec.dim)
+        l0, l1 = _free_generator(ws, pulse.phase_freq, scn.noise), _commutator(ws.coupling(pulse))
+        (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
+        x, period = basis.coordinates(initial_state(scn.spec)), pulse.duration / 600
+        rows = _Recorder(scn.spec, pulse.duration, period, basis).rows
+        recorded = dynamics._propagate(x, a0, a1, pulse, period, rows)
+        assert np.max(np.abs(dynamics._propagate(x, a0, a1, pulse, period) - recorded)) < 1e-13
+
     @pytest.mark.parametrize("ramp", [0.0, 0.05])
     def test_leaves_no_reference_cycles(self, ramp):
         # a cycle keeps a run's powers of P alive until the cyclic collector runs: powers
