@@ -35,17 +35,12 @@ sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes,
 Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
 (``_ramp_step``), and a piece of plateau that shares a sample interval with a
 ramp is one more such step.  Each step's Omega combines 10 fixed matrices
-(``_magnus_basis``); the coefficients of a block of steps, which may span many
-sample times, are formed at once, and their Omega in a few chunks.  Each
-step's exponential is applied to the state as a Taylor polynomial
-(``_TaylorSeries``: one product per power of Omega into one buffer that the
-walk reuses, then one sum over the powers), which stops once the state's own
-terms bound the rest under 1e-17 of its norm, and at the latest at the degree
-its norm bound needs (``_taylor_degree``; Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488, 2011).  Only the final state is turned back to a matrix in
-the working frame.  ``pulse_propagator`` runs the same core on the complex
-Hilbert-space pair (-i E N, -i H_coupling).  The trajectory of ``evolve``
-comes from ``_Recorder``, which samples at the times k * sample_period
+(``_magnus_basis``), and its exponential is applied to the state as a Taylor
+polynomial that stops on the state's own terms (``_TaylorSeries``; Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488, 2011).  Only the final state is turned
+back to a matrix in the working frame.  ``pulse_propagator`` gives a rectangular pulse's unitary
+as one exponential in the same frame.  The trajectory of ``evolve`` comes
+from ``_Recorder``, which samples at the times k * sample_period
 (default duration/200) and at the end.  Its block holds ``SAMPLE_BLOCK``
 states; a full one is turned into matrices in one scatter, checked for finite
 entries and reduced to trajectory columns, one numpy call per diagnostic for
@@ -93,8 +88,9 @@ from .hilbert import (
 RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs about 0.25 ms at fockLevels 6 (a 1 ns fig2a ramp,
-# one BLAS thread on a 2-vCPU Xeon)
+# where a ramp step costs at most about 0.11 ms at fockLevels 6 (a whole 1 ns
+# fig2a ramp evolution, 3436 steps, took 0.35-0.39 s on one BLAS thread of a
+# 2-vCPU Xeon)
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
 SAMPLE_BLOCK = 256
@@ -312,7 +308,7 @@ class _TaylorSeries:
     norms are those of the coordinates y is given in: for ``evolve``, the real coordinates
     of rho in ``_HermitianBasis``, whose 2-norm is rho's Frobenius norm.  The first check is
     at the degree where the previous step stopped, so a typical step takes one norm of a
-    power besides |y|_2.  y may be a vector or, for ``pulse_propagator``, a matrix.
+    power besides |y|_2.
     """
 
     def __init__(self, shape, dtype):
@@ -414,22 +410,19 @@ def _hermitian_basis(dim: int) -> _HermitianBasis:
 class _Plateau:
     """The plateau propagators exp(length gen), one per length, for ``_propagate``.
 
-    With a ``basis``, each is formed on the row-major gen and turned into the basis's real
-    coordinates.  ``dropped`` then sums, over every application (``applications`` per call),
-    the 1-norm of the imaginary part that this drops: the anti-Hermitian round-off that a
-    walk on the complex vec(rho) would have carried.
+    Each is formed on the row-major gen and turned into the basis's real coordinates.
+    ``dropped`` sums, over every application (``applications`` per call), the 1-norm of the
+    imaginary part that this drops: the anti-Hermitian round-off that a walk on the complex
+    vec(rho) would have carried.
     """
 
-    def __init__(self, gen: np.ndarray, basis: _HermitianBasis | None = None):
+    def __init__(self, gen: np.ndarray, basis: _HermitianBasis):
         self.gen, self.basis = gen, basis
         self.cache, self.dropped = {}, 0.0
 
     def __call__(self, length: float, applications: int = 1) -> np.ndarray:
         if length not in self.cache:
-            propagator = expm(length * self.gen)
-            self.cache[length] = (
-                self.basis.superoperator(propagator) if self.basis else (propagator, 0.0)
-            )
+            self.cache[length] = self.basis.superoperator(expm(length * self.gen))
         propagator, dropped = self.cache[length]
         self.dropped += applications * dropped
         return propagator
@@ -541,26 +534,25 @@ def _magnus_coefficients(s: float, e1, e2, e3) -> np.ndarray:
     ) / 240.0
 
 
-def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plateau=None):
-    """Carry y over the pulse under dy/dt = (a0 + env(t) a1) y; returns y at its end.
+def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record, plateau: _Plateau):
+    """Carry y over the pulse under dy/dt = (a0 + env(t) a1) y, all real; returns y at its end.
 
     The pulse is walked in sample intervals [k period, (k+1) period], the last
     one ending at the pulse's end.  The intervals on the plateau before the last
-    form one run, which ``run`` carries with the powers of P = ``plateau(period)``;
-    ``plateau`` defaults to a ``_Plateau`` of a0 + a1, and the last interval, when
-    on the plateau, takes ``plateau(rest)``.  An interval that meets a ramp is cut
-    at the ramp ends: each ramp piece takes ceil(length/h) equal sixth-order
-    Magnus steps (``_magnus_coefficients``), h the pulse's ``_ramp_step``, and a
-    plateau piece, used only once, is one step of the same path, its three Gauss
-    nodes set to 1.  Each step's Omega combines the 10 fixed matrices of
+    form one run, which ``run`` carries with the powers of P = ``plateau(period)``,
+    ``plateau`` being the ``_Plateau`` of a0 + a1; the last interval, when on the
+    plateau, takes ``plateau(rest)``.  An interval that meets a ramp is cut at
+    the ramp ends: each ramp piece takes ceil(length/h) equal sixth-order Magnus
+    steps (``_magnus_coefficients``), h the pulse's ``_ramp_step``, and a plateau
+    piece, used only once, is one step of the same path, its three Gauss nodes
+    set to 1.  Each step's Omega combines the 10 fixed matrices of
     ``_magnus_basis``; ``steps`` forms them a block at a time, from one stream
     per pulse that reads the intervals ahead of the walk.  A step whose 1-norm
     bound is at most ``TAYLOR_MAX_NORM`` is applied to y by one
     ``_TaylorSeries``, which stops on y's own terms; a longer one takes expm,
-    or ``plateau`` on a plateau piece.  y, a0 and a1 may be real or complex.
-    ``record(n)``, when given, returns the rows for y at the next samples, at
-    most n of them, which the walk fills: y at every time k * period before the
-    end.
+    or ``plateau`` on a plateau piece.  ``record(n)`` returns the rows for y at
+    the next samples, at most n of them, which the walk fills: y at every time
+    k * period before the end.
     """
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
@@ -577,7 +569,6 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
     if math.isclose(rest, period, rel_tol=1e-12):
         rest = period
     size, last, end = y.size, n_samples - 1, duration - ramp
-    plateau = plateau or _Plateau(a0 + a1)
     # the run [start, stop): the intervals before the last that lie on the plateau
     start = bisect.bisect_left(range(last), True, key=lambda k: ramp <= k * period)
     stop = bisect.bisect_left(range(last), True, key=lambda k: k * period + period > end)
@@ -608,8 +599,6 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
         with P = plateau(length) and its squares, rows[m:m+k] = rows[m-k:m] (P^k)^T: k = m
         (doubling) up to ``PLATEAU_STRIDE``, then k = PLATEAU_STRIDE, cut at the chunk's end."""
         step = plateau(length, n)
-        if record is None:
-            return np.linalg.matrix_power(step, n) @ y
         # P^(2^j) up to P^PLATEAU_STRIDE, as far as a chunk of min(n, SAMPLE_BLOCK) rows needs
         powers = [step]
         while len(powers) < min(n - 1, SAMPLE_BLOCK - 1, PLATEAU_STRIDE).bit_length():
@@ -639,9 +628,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
         square = basis.reshape(10, *a0.shape)
         norms = np.linalg.norm(square, 1, axis=(1, 2)), np.linalg.norm(square, np.inf, axis=(1, 2))
         chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
-        # real coefficients times the basis as reals: a complex basis as real and imaginary parts
-        flat = basis.view(float)
-        buffer = np.empty((chunk, flat.shape[1]))
+        buffer = np.empty((chunk, basis.shape[1]))
         # a block of steps may span many sample pieces, and cut one
         while block := list(itertools.islice(starts, RAMP_BLOCK_STEPS)):
             a, s, i, on_ramp = np.array(block).T
@@ -660,8 +647,7 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
             for j in range(0, len(coef), chunk):
                 # the walk is done with the last chunk's Omega when it asks for the next
                 rows = coef[j : j + chunk]
-                omegas = np.matmul(rows, flat, out=buffer[: len(rows)])
-                omegas = omegas.view(basis.dtype).reshape(-1, *a0.shape)
+                omegas = np.matmul(rows, basis, out=buffer[: len(rows)]).reshape(-1, *a0.shape)
                 yield from zip(omegas, ceilings[j : j + chunk], scales[j : j + chunk])
 
     walk = intervals()
@@ -670,13 +656,12 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record=None, plate
     if ramp:
         walk, ahead = itertools.tee(walk)
         stream = steps(ahead)
-        apply = _TaylorSeries(y.shape, np.result_type(y, a0, a1)).apply
+        apply = _TaylorSeries(y.shape, float).apply
     for count, length, pieces in walk:
         if length is not None:
             y = run(y, count, length)
             continue
-        if record is not None:
-            record(1)[0] = y
+        record(1)[0] = y
         for _, s, n, on_ramp in pieces:
             for omega, m, scale in itertools.islice(stream, n):
                 if m is not None:
@@ -690,25 +675,19 @@ class _Recorder:
     """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` and builds the Trajectory.
 
     ``_propagate`` writes the sampled states straight into the rows of one preallocated
-    block (``rows``): coordinates in ``basis``, or row-major vec(rho) when it is None.
+    block (``rows``), as their coordinates in ``_HermitianBasis``.
     """
 
-    def __init__(
-        self,
-        spec: HilbertSpec,
-        duration: float,
-        sample_period: float | None,
-        basis: _HermitianBasis | None,
-    ):
+    def __init__(self, spec: HilbertSpec, duration: float, sample_period: float | None):
         if sample_period is None:
             # a subnormal duration / 200 underflows to 0: sample the ends only
             sample_period = duration / 200.0 or duration
         if not sample_period > 0:
             raise ValueError(f"sample_period must be positive, got {sample_period}")
         self.sample_period = sample_period
-        self.dim, self.basis = spec.dim, basis
+        self.basis = _hermitian_basis(spec.dim)
         self.i_dn1, self.i_up0 = spec.index(DOWN, 1), spec.index(UP, 0)
-        self.block = np.empty((SAMPLE_BLOCK, spec.dim**2), dtype=float if basis else complex)
+        self.block = np.empty((SAMPLE_BLOCK, spec.dim**2))
         # the samples in the block, and those reduced before it
         self.filled, self.reduced, self.blocks = 0, 0, []
 
@@ -724,8 +703,8 @@ class _Recorder:
     def _reduce(self, final=None, t=None):
         """Check the filled rows, and the matrix ``final`` at time t after them when given,
         and turn them into one block of trajectory columns."""
-        d, n = self.dim, self.filled
-        rho = self.basis.matrices(self.block[:n]) if self.basis else self.block[:n].reshape(n, d, d)
+        n = self.filled
+        rho = self.basis.matrices(self.block[:n])
         times = np.arange(self.reduced, self.reduced + n) * self.sample_period
         if final is not None:
             rho, times = np.concatenate((rho, final[None])), np.append(times, t)
@@ -804,8 +783,8 @@ def evolve(
             f"rho0 is not Hermitian: |rho0 - rho0^dag| = {skew:.3e} exceeds {HERMITICITY_LIMIT:.0e}"
         )
     ws = _Workspace(spec)
-    basis = _hermitian_basis(spec.dim)
-    recorder = _Recorder(spec, pulse.duration, sample_period, basis)
+    recorder = _Recorder(spec, pulse.duration, sample_period)
+    basis = recorder.basis
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
         l0 = _free_generator(ws, pulse.phase_freq, noise)
@@ -837,22 +816,18 @@ def evolve(
 
 
 def pulse_propagator(pulse: PulseSegment, spec: HilbertSpec | None = None) -> np.ndarray:
-    """Closed-system propagator U of a pulse, dU/dt = -i H(t) U.
+    """Closed-system propagator U of a rectangular pulse, dU/dt = -i H U.
 
     Gives the unitary actually generated by the pulse, for comparison against
-    closed-form gate constructions: ``_propagate`` runs it in the frame
-    exp(i E t N) from the identity, and the frame factor V(T) turns it back.
+    closed-form gate constructions.  In the frame V(t) = exp(i E t N) the pulse's
+    Hamiltonian is the static E N + H_c, so U = V(T) expm(T (-i E N - i H_c)).
+    A ramped pulse raises ValueError.
     """
-    spec = spec or HilbertSpec()
-    ws = _Workspace(spec)
+    if pulse.ramp:
+        raise ValueError(f"pulse_propagator needs a rectangular pulse, got a {pulse.ramp} ns ramp")
+    ws = _Workspace(spec or HilbertSpec())
     nx = ws.excitation_diag
-    u = _propagate(
-        np.eye(spec.dim, dtype=complex),
-        np.diag(-1j * pulse.phase_freq * nx),
-        -1j * ws.coupling(pulse),
-        pulse,
-        pulse.duration,
-    )
+    u = expm(pulse.duration * (np.diag(-1j * pulse.phase_freq * nx) - 1j * ws.coupling(pulse)))
     return np.exp((1j * pulse.phase_freq * pulse.duration) * nx)[:, None] * u
 
 

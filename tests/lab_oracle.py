@@ -5,31 +5,36 @@ the frame exp(i E t N).  This module writes the same pair in the lab frame,
 with the flux oscillator at omega_f, the topological splitting E and both
 couplings through the transverse operator s+ + s-, counter-rotating terms
 included, and evolves it under one fixed Liouvillian.  It shares the
-operator builders of ``topoflux.hilbert`` and the sampling and propagation
-core of ``topoflux.dynamics`` (``_Recorder``, ``_propagate``) with the code
-it checks; the Hamiltonian and the frame are its own.
+operator builders of ``topoflux.hilbert``, the dissipators and ``expm`` with
+the code it checks; the Hamiltonian, the frame, the walk over the samples and
+the trajectory columns are its own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from topoflux.dynamics import (
     NO_NOISE,
     NoiseParams,
-    PulseSegment,
     Trajectory,
     _commutator,
     _free_generator,
-    _propagate,
-    _Recorder,
     _Workspace,
+    expm,
 )
+from topoflux.errors import IntegrationError
 from topoflux.hilbert import (
+    DOWN,
+    UP,
     HilbertSpec,
     annihilation_op,
     embed,
     flux_qubit_z,
+    min_eigenvalue,
+    purity,
     sigma_minus,
     sigma_plus,
 )
@@ -70,15 +75,39 @@ def evolve_static(
     The relaxation and dephasing operators commute with the free rotation, so
     the same dissipators are valid in this frame.  One exponential of the
     static Liouvillian over a sample period carries the state from sample to
-    sample, and samples follow the same rules as ``evolve`` (default sample
-    period duration/200); a non-finite state or generator raises
-    IntegrationError.
+    sample, and one over the rest to the end.  Samples follow the same rules as
+    ``evolve``: the times k * sample_period before the end (default period
+    duration/200, or the duration when that underflows to 0) and the end.  A
+    non-positive sample period raises ValueError, and a non-finite state or
+    generator IntegrationError.
     """
     spec = spec or HilbertSpec()
-    recorder = _Recorder(spec, duration, sample_period, basis=None)
+    if sample_period is None:
+        sample_period = duration / 200.0 or duration
+    if not sample_period > 0:
+        raise ValueError(f"sample_period must be positive, got {sample_period}")
+    n = max(1, math.ceil(duration / sample_period - 1e-9))
     gen = _commutator(hamiltonian) + _free_generator(_Workspace(spec), 0.0, noise)
-    y = np.array(rho0, dtype=complex).reshape(-1)
-    flat = PulseSegment(duration, g_value=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # the recorder refuses such a state
-        y = _propagate(y, gen, np.zeros_like(gen), flat, recorder.sample_period, recorder.rows)
-    return recorder.finish(y.reshape(spec.dim, spec.dim), duration)
+    states = [np.array(rho0, dtype=complex).reshape(-1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is refused below
+        step = expm(sample_period * gen)
+        for _ in range(n - 1):
+            states.append(step @ states[-1])
+        states.append(expm((duration - (n - 1) * sample_period) * gen) @ states[-1])
+    rho = np.reshape(states, (n + 1, spec.dim, spec.dim))
+    times = np.append(np.arange(n) * sample_period, duration)
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    if not finite.all():
+        raise IntegrationError(f"state diverged by t={times[np.argmin(finite)]:.4g} ns")
+    i, j = spec.index(DOWN, 1), spec.index(UP, 0)
+    return Trajectory(
+        times,
+        rho[:, i, i],
+        rho[:, j, j],
+        rho[:, i, j],
+        rho[:, j, i],
+        np.real(np.trace(rho, axis1=1, axis2=2)),
+        purity(rho),
+        min_eigenvalue(rho),
+        final_state=rho[-1],
+    )

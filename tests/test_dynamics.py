@@ -279,7 +279,7 @@ class TestEvolve:
 
     def test_static_divergence_error(self):
         # a non-finite generator is refused before it is exponentiated, and a
-        # non-finite state by the sampler's finite-state check, which names
+        # non-finite state by the oracle's finite-state check, which names
         # the first sample that is not finite
         rho0 = pure_density(SPEC.ket(UP, 0))
         h = interaction_hamiltonian(0.0, PulseSegment(1.0, g_value=1.0), SPEC)
@@ -287,12 +287,6 @@ class TestEvolve:
             evolve_static(rho0, h * np.nan, 1.0, NO_NOISE, SPEC)
         with pytest.raises(IntegrationError, match=r"diverged by t=0 ns"):
             evolve_static(np.full_like(rho0, np.nan), h, 1.0, NO_NOISE, SPEC)
-        # an anti-Hermitian h grows <0|rho|k> as e^{700 t}: 0.5 e^{1.4 k} at
-        # sample k overflows first at k = 508, in the recorder's second block
-        grow = np.diag([700j, 0.0, 0.0, 0.0])
-        rho0 = pure_density((SPEC.ket(DOWN, 0) + SPEC.ket(DOWN, 1)) / math.sqrt(2.0))
-        with pytest.raises(IntegrationError, match=r"diverged by t=1\.016 ns"):
-            evolve_static(rho0, grow, 2.0, NO_NOISE, SPEC, sample_period=0.002)
 
     def test_static_matches_evolve_for_rectangular_pulse(self):
         # g' = 0 and a flat envelope make H constant: evolve propagates it in
@@ -515,7 +509,7 @@ class TestExactPropagation:
 
     @pytest.mark.parametrize("norm", [0.1, 1.0, 2.0])
     def test_taylor_series_of_a_matrix_matches_expm(self, norm):
-        # pulse_propagator carries the D x D propagator through the series
+        # the series takes y of any shape: here a D x D matrix
         rng = np.random.default_rng(9)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         a *= norm / np.linalg.norm(a, 1)
@@ -670,6 +664,24 @@ class TestRecorder:
         assert np.array_equal(traj.purity, [purity(rho) for rho in states])
         assert np.array_equal(traj.min_eigenvalue, [min_eigenvalue(rho) for rho in states])
 
+    @pytest.mark.parametrize(
+        "first, time", [(0, "0"), (508, r"1\.016")], ids=["first-block", "second-block"]
+    )
+    def test_names_the_first_sample_that_is_not_finite(self, first, time):
+        # 1000 samples every 0.002 ns, overflowed from sample 0, or from sample 508 in
+        # the second block; evolve's errstate hides the inf * 0 of turning them into matrices
+        x = _hermitian_basis(SPEC.dim).coordinates(pure_density(SPEC.ket(UP, 0)))
+        recorder = _Recorder(SPEC, 2.0, 0.002)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match=rf"diverged by t={time} ns"):
+                filled = 0
+                while filled < 1000:
+                    rows = recorder.rows(1000 - filled)
+                    rows[:] = x
+                    rows[max(first - filled, 0) :] = np.inf
+                    filled += len(rows)
+                recorder.finish(np.full((SPEC.dim, SPEC.dim), np.inf), 2.0)
+
     def test_keeps_one_block_of_states(self):
         # each further sample costs its trajectory row, 8 numbers, and not its
         # state: 144 complex numbers at 6 levels
@@ -737,17 +749,6 @@ class TestPlateauRuns:
             assert len(block) == samples + 1
             assert largest_difference(block, each) < 1e-13
 
-    def test_run_without_recorder(self):
-        # with no recorder, the run of 599 samples is one power of P applied to the state
-        scn, pulse = rectangular("fig2a", 2)
-        ws, basis = _Workspace(scn.spec), _hermitian_basis(scn.spec.dim)
-        l0, l1 = _free_generator(ws, pulse.phase_freq, scn.noise), _commutator(ws.coupling(pulse))
-        (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
-        x, period = basis.coordinates(initial_state(scn.spec)), pulse.duration / 600
-        rows = _Recorder(scn.spec, pulse.duration, period, basis).rows
-        recorded = dynamics._propagate(x, a0, a1, pulse, period, rows)
-        assert np.max(np.abs(dynamics._propagate(x, a0, a1, pulse, period) - recorded)) < 1e-13
-
     @pytest.mark.parametrize("ramp", [0.0, 0.05])
     def test_leaves_no_reference_cycles(self, ramp):
         # a cycle keeps a run's powers of P alive until the cyclic collector runs: powers
@@ -776,11 +777,17 @@ class TestPlateauRuns:
 
 
 class TestPropagator:
-    def test_ramped_matches_rk4(self):
-        _, pulse = operating_point("altParams", 0.05, 3)
+    def test_matches_rk4(self):
+        # the weak-contamination pi pulse, RK4 at its default step
         spec = HilbertSpec(3)
+        pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         u = pulse_propagator(pulse, spec)
-        assert np.max(np.abs(u - rk4.unitary(pulse, spec, dt=5e-5))) < 1e-10
+        assert np.max(np.abs(u - rk4.unitary(pulse, spec))) < 1e-10
+
+    def test_refuses_a_ramped_pulse(self):
+        _, pulse = operating_point("altParams", 0.05, 3)
+        with pytest.raises(ValueError, match="rectangular"):
+            pulse_propagator(pulse, HilbertSpec(3))
 
     def test_unitary(self):
         u = pulse_propagator(make_pulse(g=G1, g_prime=GP1, phase_freq=E1), SPEC)
