@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Rewrite the stored exit codes and summary numbers that tier-1 checks.
 
-Each config of ``configs()`` is written to ``tests/corpus/<name>.json`` and
-run through the CLI with its summary on stdout: ``sweep`` for fig3a and
-fig3b, ``robustness`` (seed 0) for robustness, ``run`` for the rest.
-``tests/corpus/expected.json`` keeps, for each, the command, the exit code,
-the first stderr line up to its first digit, and every number of the summary
-under its JSON path.  ``tests/test_corpus.py`` runs the same configs and
-compares.  Rewrite the corpus only with a change that means to move these
-values, and name every value that moved; the script prints them:
+Each config of ``configs()`` is written to ``tests/corpus/<name>.json``, and
+each entry of ``entries()`` runs one of them (or none) through the CLI with
+its summary or report on stdout: every config under its own command
+(``sweep`` for fig3a and fig3b, ``robustness`` at seed 0 for robustness,
+``run`` for the rest), then the ``derive`` report of the six presets and of
+both override configs, robustness at seed 7 and ``gates verify``.
+``tests/corpus/expected.json`` keeps, for each entry, its config, the command,
+the exit code, the first stderr line up to its first digit, and every number
+of the summary under its JSON path.  ``tests/test_corpus.py`` runs the same
+entries and compares.  Rewrite the corpus only with a change that means to
+move these values, and name every value that moved; the script prints them:
 
     PYTHONPATH=src python scripts/write_corpus.py
 """
@@ -26,6 +29,12 @@ CORPUS = Path(__file__).resolve().parents[1] / "tests" / "corpus"
 RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
 # the command of each config by name; ``run`` for the others
 COMMANDS = {"fig3a": ["sweep"], "fig3b": ["sweep"], "robustness": ["robustness", "--seed", "0"]}
+FULL_OVERRIDES = {"g_GHz": -2.0, "gPrime_GHz": -1.0, "E_GHz": 50.0}
+OVERRIDE_CONFIGS = {
+    "fig2a_overrides": FULL_OVERRIDES,
+    # no phase gives E = 1e6 GHz, so phi_c is null and no derived or validity block is echoed
+    "fig2a_overrides_unsolved": {**FULL_OVERRIDES, "resonanceTarget_GHz": 1e6},
+}
 # fockLevels nested this deep, near the recursion limit, is refused by the JSON parser
 # or by the schema validator, depending on the stack depth of the call
 NESTING_DEPTH = 990
@@ -38,8 +47,14 @@ def _fig2a(**blocks):
 def configs() -> dict[str, str]:
     """The corpus: config text by name."""
     raws = {name: scenario_preset(name) for name in preset_names()}
-    for levels in (2, 4):
+    # at 6 levels the two plateau pieces that share a sample interval with a ramp are Magnus
+    # steps whose 1-norm bound is above the Taylor series' limit
+    for levels in (2, 4, 6):
         raws[f"fig2a_ramped_fock{levels}"] = _fig2a(pulse=RAMP, hilbert={"fockLevels": levels})
+    # 608 samples, three of the recorder's 256-sample blocks
+    raws["fig2a_sample_period_0.0004"] = _fig2a(integration={"samplePeriod_ns": 0.0004})
+    for name, overrides in OVERRIDE_CONFIGS.items():
+        raws[name] = _fig2a(overrides=overrides)
     # a rectangular pulse has no ramps, whatever its rampTime_ns
     raws["fig2a_rect_ramp_time_100"] = _fig2a(
         pulse={"areaOverPi": -1.0, "shape": "rectangular", "rampTime_ns": 100}
@@ -66,6 +81,17 @@ def configs() -> dict[str, str]:
     return texts
 
 
+def entries(names) -> dict[str, tuple[str | None, list[str]]]:
+    """The corpus's runs by name, each its config's name (None for none) and command: every
+    config of ``names`` under its own command, named after it, then the extra runs."""
+    runs = {name: (name, COMMANDS.get(name, ["run"])) for name in names}
+    for name in (*preset_names(), *OVERRIDE_CONFIGS):
+        runs[f"derive_{name}"] = (name, ["derive"])
+    runs["robustness_seed7"] = ("robustness", ["robustness", "--seed", "7"])
+    runs["gates_verify"] = (None, ["gates", "verify"])
+    return runs
+
+
 def numbers(value, path=""):
     """Every number in a parsed JSON value (bools excepted), by its path."""
     if isinstance(value, dict):
@@ -78,12 +104,15 @@ def numbers(value, path=""):
     return {p: v for key, item in items for p, v in numbers(item, f"{path}/{key}").items()}
 
 
-def record(argv: list[str], config: Path) -> dict:
-    """Run ``topoflux <argv> --config <config>``: its exit code, the first line of its
-    stderr up to the first digit, and the numbers of the summary it prints."""
+def record(argv: list[str], config: str | None) -> dict:
+    """Run ``topoflux <argv>``, with ``--config`` the corpus's config of that name when one
+    is given: its exit code, the first line of its stderr up to the first digit, and the
+    numbers of the summary it prints."""
+    if config is not None:
+        argv = [*argv, "--config", str(CORPUS / f"{config}.json")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([*argv, "--config", str(config)])
+        code = cli.main(argv)
     first_line = err.getvalue().partition("\n")[0]
     summary = numbers(json.loads(out.getvalue())) if code == 0 else {}
     return {"exit": code, "stderr": re.split(r"\d", first_line)[0], "numbers": summary}
@@ -93,12 +122,12 @@ def main():
     path = CORPUS / "expected.json"
     before = json.loads(path.read_text()) if path.exists() else {}
     CORPUS.mkdir(exist_ok=True)
+    texts = configs()
+    for name, text in texts.items():
+        (CORPUS / f"{name}.json").write_text(text)
     expected = {}
-    for name, text in configs().items():
-        config = CORPUS / f"{name}.json"
-        config.write_text(text)
-        argv = COMMANDS.get(name, ["run"])
-        expected[name] = {"argv": argv, **record(argv, config)}
+    for name, (config, argv) in entries(texts).items():
+        expected[name] = {"config": config, "argv": argv, **record(argv, config)}
         old = before.get(name, {})
         for key in ("exit", "stderr"):
             if key in old and old[key] != expected[name][key]:
@@ -108,7 +137,7 @@ def main():
             if w is not None and w != v:
                 print(f"{name}{p}: {w!r} -> {v!r}")
     path.write_text(json.dumps(expected, indent=1) + "\n")
-    print(f"wrote {len(expected)} configs and {path}")
+    print(f"wrote {len(texts)} configs and the {len(expected)} runs of {path}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Stored exit codes and summary numbers of a corpus of configs (``tests/corpus``).
 
 ``scripts/write_corpus.py`` writes the configs and ``expected.json``, and only
-it does.  Each config runs through the CLI as it did there: the exit code and
-the start of the stderr line must match exactly, and every number of the
-summary to a relative 1e-12.  Two numbers within 1e-14 of each other also
-match: round-off-level diagnostics, such as a trace error of 1e-16, keep no
-stable relative digits across BLAS builds.
+it does.  Each stored run, a command with one of the configs or with none,
+runs through the CLI as it did there: the exit code and the start of the
+stderr line must match exactly, and every number of the summary to a
+relative 1e-12.  Two numbers within 1e-14 of each other also match:
+round-off-level diagnostics, such as a trace error of 1e-16, keep no stable
+relative digits across BLAS builds.
 """
 
 import importlib.util
@@ -33,7 +34,8 @@ WRITER = _writer()
 
 def test_corpus_holds_the_written_configs():
     texts = WRITER.configs()
-    assert texts.keys() == EXPECTED.keys()
+    assert {e["config"] for e in EXPECTED.values()} - {None} == texts.keys()
+    assert {n: (e["config"], e["argv"]) for n, e in EXPECTED.items()} == WRITER.entries(texts)
     for name, text in texts.items():
         assert (CORPUS / f"{name}.json").read_text() == text, name
 
@@ -41,7 +43,7 @@ def test_corpus_holds_the_written_configs():
 @pytest.mark.parametrize("name", EXPECTED)
 def test_config_keeps_its_exit_code_and_numbers(name):
     expected = EXPECTED[name]
-    got = WRITER.record(expected["argv"], CORPUS / f"{name}.json")
+    got = WRITER.record(expected["argv"], expected["config"])
     assert (got["exit"], got["stderr"]) == (expected["exit"], expected["stderr"])
     assert got["numbers"].keys() == expected["numbers"].keys()
     moved = {
