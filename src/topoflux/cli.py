@@ -23,7 +23,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import COMMAND_EXPERIMENTS, load_config
 from .errors import ConfigError, IntegrationError, ValidityError
 from .experiments import derive_report, run_robustness, run_scenario, run_sweep
 from .gates import verification_report
@@ -33,9 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDITY = 3
 EXIT_INTEGRATION = 4
-
-_RUN_EXPERIMENTS = ("fig2a", "fig2b", "altParams", "custom")
-_SWEEP_EXPERIMENTS = ("fig3a", "fig3b", "custom")
 
 
 def _seed(text: str) -> int:
@@ -100,7 +97,8 @@ def _emit(payload: dict, out_dir: Path | None, name: str):
         print(f"wrote {path}")
 
 
-def _check_experiment(scn, allowed, command):
+def _check_experiment(scn, command):
+    allowed = COMMAND_EXPERIMENTS[command]
     if scn.experiment not in allowed:
         raise ConfigError(
             f"experiment {scn.experiment!r} does not run under '{command}' "
@@ -120,16 +118,14 @@ def main(argv=None) -> int:
         if args.command == "derive":
             _emit(derive_report(scn), args.out, f"{scn.experiment}_derive.json")
             return EXIT_OK
+        _check_experiment(scn, args.command)
         if args.command == "run":
-            _check_experiment(scn, _RUN_EXPERIMENTS, "run")
             summary = run_scenario(scn, out_dir=args.out, formats=_formats(args.format))
             done = f"fidelity = {summary['fidelity']:.6f}"
         elif args.command == "sweep":
-            _check_experiment(scn, _SWEEP_EXPERIMENTS, "sweep")
             summary = run_sweep(scn, out_dir=args.out)
             done = "sweep complete"
         else:
-            _check_experiment(scn, ("robustness",), "robustness")
             summary = run_robustness(scn, seed=args.seed, out_dir=args.out)
             done = f"worst-corner fidelity = {summary['worst_corner']['fidelity']:.6f}"
         if args.out is None:

@@ -30,7 +30,13 @@ from .dynamics import NoiseParams, PulseSegment, pulse_duration_for_area
 from .errors import ConfigError, ValidityError
 from .hilbert import HilbertSpec
 
-SWEEP_EXPERIMENTS = ("fig3a", "fig3b")
+# the experiments each command runs, in the order its refusal lists them; under sweep and
+# robustness, each but custom needs the block named after the command
+COMMAND_EXPERIMENTS = {
+    "run": ("fig2a", "fig2b", "altParams", "custom"),
+    "sweep": ("fig3a", "fig3b", "custom"),
+    "robustness": ("robustness",),
+}
 # evolutions one sweep (points x ratios) or Monte Carlo (9 + samples) may ask
 # for; the presets ask for 147 and 109
 MAX_EVALUATIONS = 100_000
@@ -150,10 +156,9 @@ def validate_raw(raw: dict):
 
 def _cross_checks(raw: dict):
     exp = raw["experiment"]
-    if exp in SWEEP_EXPERIMENTS and "sweep" not in raw:
-        raise ConfigError(f"experiment {exp!r} needs a sweep block", pointer="/sweep")
-    if exp == "robustness" and "robustness" not in raw:
-        raise ConfigError("experiment 'robustness' needs a robustness block", pointer="/robustness")
+    for block in ("sweep", "robustness"):
+        if exp != "custom" and exp in COMMAND_EXPERIMENTS[block] and block not in raw:
+            raise ConfigError(f"experiment {exp!r} needs a {block} block", pointer=f"/{block}")
     if raw["pulse"].get("areaOverPi") == 0:
         raise ConfigError("pulse area must be nonzero", pointer="/pulse/areaOverPi")
 

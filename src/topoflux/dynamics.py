@@ -37,16 +37,17 @@ Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
 ramp is one more such step.  Each step's Omega combines 10 fixed matrices
 (``_magnus_basis``), and its exponential is applied to the state as a Taylor
 polynomial that stops on the state's own terms (``_TaylorSeries``; Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488, 2011).  Only the final state is turned
-back to a matrix in the working frame.  ``pulse_propagator`` gives a rectangular pulse's unitary
-as one exponential in the same frame.  The trajectory of ``evolve`` comes
-from ``_Recorder``, which samples at the times k * sample_period
-(default duration/200) and at the end.  Its block holds ``SAMPLE_BLOCK``
-states; a full one is turned into matrices in one scatter, checked for finite
-entries and reduced to trajectory columns, one numpy call per diagnostic for
-the whole block.  No renormalization is applied, so trace drift measures the
-propagation's precision directly.  ``evolve`` is a pure function of its
-inputs; independent evolutions are safe to run concurrently.
+Higham, SIAM J. Sci. Comput. 33, 488, 2011), or, for a step too long for the
+series, is the real ``expm`` of Omega.  Only the final state is turned back to
+a matrix in the working frame.  ``pulse_propagator`` gives a rectangular
+pulse's unitary as one exponential in the same frame.  The trajectory of
+``evolve`` comes from ``_Recorder``, which samples at the times
+k * sample_period (default duration/200) and at the end.  Its block holds
+``SAMPLE_BLOCK`` states; a full one is turned into matrices in one scatter,
+checked for finite entries and reduced to trajectory columns, one numpy call
+per diagnostic for the whole block.  No renormalization is applied, so trace
+drift measures the propagation's precision directly.  ``evolve`` is a pure
+function of its inputs; independent evolutions are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -408,7 +409,7 @@ def _hermitian_basis(dim: int) -> _HermitianBasis:
 
 
 class _Plateau:
-    """The plateau propagators exp(length gen), one per length, for ``_propagate``.
+    """The plateau propagators exp(length gen), one per length, for ``_propagate``'s runs.
 
     Each is formed on the row-major gen and turned into the basis's real coordinates.
     ``dropped`` sums, over every application (``applications`` per call), the 1-norm of the
@@ -420,7 +421,7 @@ class _Plateau:
         self.gen, self.basis = gen, basis
         self.cache, self.dropped = {}, 0.0
 
-    def __call__(self, length: float, applications: int = 1) -> np.ndarray:
+    def __call__(self, length: float, applications: int) -> np.ndarray:
         if length not in self.cache:
             self.cache[length] = self.basis.superoperator(expm(length * self.gen))
         propagator, dropped = self.cache[length]
@@ -534,25 +535,23 @@ def _magnus_coefficients(s: float, e1, e2, e3) -> np.ndarray:
     ) / 240.0
 
 
-def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record, plateau: _Plateau):
-    """Carry y over the pulse under dy/dt = (a0 + env(t) a1) y, all real; returns y at its end.
+def _propagate(y, l0, l1, basis: _HermitianBasis, pulse: PulseSegment, period: float, record):
+    """Carry y, rho's real coordinates in ``basis``, over the pulse under
+    drho/dt = (l0 + env(t) l1) rho, l0 and l1 on the row-major vec(rho); returns y at the
+    end and the plateau exponentials' ``_Plateau.dropped``.
 
-    The pulse is walked in sample intervals [k period, (k+1) period], the last
-    one ending at the pulse's end.  The intervals on the plateau before the last
-    form one run, which ``run`` carries with the powers of P = ``plateau(period)``,
-    ``plateau`` being the ``_Plateau`` of a0 + a1; the last interval, when on the
-    plateau, takes ``plateau(rest)``.  An interval that meets a ramp is cut at
-    the ramp ends: each ramp piece takes ceil(length/h) equal sixth-order Magnus
-    steps (``_magnus_coefficients``), h the pulse's ``_ramp_step``, and a plateau
-    piece, used only once, is one step of the same path, its three Gauss nodes
-    set to 1.  Each step's Omega combines the 10 fixed matrices of
-    ``_magnus_basis``; ``steps`` forms them a block at a time, from one stream
-    per pulse that reads the intervals ahead of the walk.  A step whose 1-norm
-    bound is at most ``TAYLOR_MAX_NORM`` is applied to y by one
-    ``_TaylorSeries``, which stops on y's own terms; a longer one takes expm,
-    or ``plateau`` on a plateau piece.  ``record(n)`` returns the rows for y at
-    the next samples, at most n of them, which the walk fills: y at every time
-    k * period before the end.
+    The walk goes by sample intervals [k period, (k+1) period], the last one ending at the
+    pulse's end; ``record(n)`` returns the rows it fills with y at the next samples, at most
+    n of them.  The intervals on the plateau before the last form one run, which ``run``
+    carries with the powers of P, the ``_Plateau`` of l0 + l1; on a rectangular pulse, one
+    interval of the length left follows.  On a ramped pulse one loop walks the other
+    intervals, cut at the ramp ends, in sixth-order Magnus steps: ceil(length/h) equal ones
+    per ramp piece, h the pulse's ``_ramp_step``, and one per plateau piece, its Gauss nodes
+    set to 1.  It records y at each interval's first step and calls ``run`` before interval
+    ``stop``.  Each step's Omega combines the 10 ``_magnus_basis`` matrices of l0 and l1 in
+    ``basis``, formed a block of steps at a time.  A step whose 1-norm bound is at most
+    ``TAYLOR_MAX_NORM`` is applied by one ``_TaylorSeries``, which stops on y's own terms;
+    a longer one, on a ramp piece or a plateau piece, takes the real expm of its Omega.
     """
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
@@ -565,33 +564,8 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record, plateau: _
     # sample times k * period strictly before the end; the tolerance keeps a
     # period that divides the duration from adding a sample at the end
     n_samples = max(1, math.ceil(duration / period - 1e-9))
-    rest = duration - (n_samples - 1) * period
-    if math.isclose(rest, period, rel_tol=1e-12):
-        rest = period
-    size, last, end = y.size, n_samples - 1, duration - ramp
-    # the run [start, stop): the intervals before the last that lie on the plateau
-    start = bisect.bisect_left(range(last), True, key=lambda k: ramp <= k * period)
-    stop = bisect.bisect_left(range(last), True, key=lambda k: k * period + period > end)
-
-    def intervals():
-        """(n, length, pieces) in walk order: the plateau run as n intervals of this length;
-        every other interval once, with its length if on the plateau (only the last can be),
-        else None and its (a, s, n, on_ramp), n steps of length s from a, cut at the ramps."""
-        for k in itertools.chain(range(start), range(max(start, stop), n_samples)):
-            if k == stop > start:
-                yield stop - start, period, None
-            t0 = k * period
-            t1 = duration if k == last else t0 + period
-            if ramp <= t0 and t1 <= end:
-                yield 1, rest, None
-                continue
-            cuts = [c for c in dict.fromkeys((ramp, end)) if t0 < c < t1]
-            pieces = []
-            for a, b in zip([t0, *cuts], [*cuts, t1]):
-                on_ramp = not (ramp <= a and b <= end)
-                n = math.ceil((b - a) / h) if on_ramp else 1
-                pieces.append((a, (b - a) / n, n, on_ramp))
-            yield 1, None, pieces
+    last = n_samples - 1
+    plateau = _Plateau(l0 + l1, basis)
 
     def run(y, n, length):
         """y after n plateau intervals of this length, recording y and the states after it.
@@ -614,61 +588,67 @@ def _propagate(y, a0, a1, pulse: PulseSegment, period: float, record, plateau: _
             y, n = step @ out[-1], n - len(out)
         return y
 
-    def steps(ahead):
-        """(omega, m, scale) for each step of the intervals ``ahead``, in walk order: m is
-        its Taylor degree ceiling and scale its ``_stop_scales``, or m is None where the
-        step takes an exponential."""
-        starts = (
-            (a, s, i, on_ramp)
-            for *_, pieces in ahead
-            for a, s, n, on_ramp in pieces or ()
-            for i in range(n)
-        )
-        basis = _magnus_basis(a0, a1)
-        square = basis.reshape(10, *a0.shape)
-        norms = np.linalg.norm(square, 1, axis=(1, 2)), np.linalg.norm(square, np.inf, axis=(1, 2))
-        chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
-        buffer = np.empty((chunk, basis.shape[1]))
-        # a block of steps may span many sample pieces, and cut one
-        while block := list(itertools.islice(starts, RAMP_BLOCK_STEPS)):
-            a, s, i, on_ramp = np.array(block).T
-            mid = a + (i + 0.5) * s
-            nodes = (
-                np.where(on_ramp, pulse.envelope(mid + c * s), 1.0) for c in (-_GAUSS, 0.0, _GAUSS)
-            )
-            coef = _magnus_coefficients(s, *nodes)
-            # bounds on each step's 1- and inf-norm; above TAYLOR_MAX_NORM a step takes expm
-            theta1, theta_inf = np.abs(coef) @ norms[0], np.abs(coef) @ norms[1]
-            taylor = theta1 <= TAYLOR_MAX_NORM
-            theta1, theta_inf = np.where(taylor, theta1, 0.0), np.where(taylor, theta_inf, 0.0)
-            ceilings = _taylor_degree(theta1).tolist()
-            ceilings = [m if t else None for m, t in zip(ceilings, taylor.tolist())]
-            scales = _stop_scales(theta1, theta_inf, size).tolist()
-            for j in range(0, len(coef), chunk):
-                # the walk is done with the last chunk's Omega when it asks for the next
-                rows = coef[j : j + chunk]
-                omegas = np.matmul(rows, basis, out=buffer[: len(rows)]).reshape(-1, *a0.shape)
-                yield from zip(omegas, ceilings[j : j + chunk], scales[j : j + chunk])
+    if not ramp:
+        rest = duration - last * period
+        if math.isclose(rest, period, rel_tol=1e-12):
+            rest = period
+        if last:
+            y = run(y, last, period)
+        return run(y, 1, rest), plateau.dropped
 
-    walk = intervals()
-    # a rectangular pulse takes no step.  The stream reads the intervals up to a block of
-    # steps ahead of the walk, whose copy of them keeps those it has not reached yet
-    if ramp:
-        walk, ahead = itertools.tee(walk)
-        stream = steps(ahead)
-        apply = _TaylorSeries(y.shape, float).apply
-    for count, length, pieces in walk:
-        if length is not None:
-            y = run(y, count, length)
-            continue
-        record(1)[0] = y
-        for _, s, n, on_ramp in pieces:
-            for omega, m, scale in itertools.islice(stream, n):
-                if m is not None:
-                    y = apply(omega, y, m, scale)
-                else:
-                    y = (expm(omega) if on_ramp else plateau(s)) @ y
-    return y
+    end = duration - ramp
+    # the run [start, stop): the intervals before the last that lie on the plateau
+    start = bisect.bisect_left(range(last), True, key=lambda k: ramp <= k * period)
+    stop = bisect.bisect_left(range(last), True, key=lambda k: k * period + period > end)
+
+    def starts():
+        """(k, a, s, i, on_ramp) of each step in walk order, step i of length s from a: k for
+        the first step of sample interval k, else -1."""
+        for k in itertools.chain(range(start), range(max(start, stop), n_samples)):
+            t0 = k * period
+            t1 = duration if k == last else t0 + period
+            cuts = [c for c in dict.fromkeys((ramp, end)) if t0 < c < t1]
+            for a, b in zip([t0, *cuts], [*cuts, t1]):
+                on_ramp = not (ramp <= a and b <= end)
+                n = math.ceil((b - a) / h) if on_ramp else 1
+                for i in range(n):
+                    yield k, a, (b - a) / n, i, on_ramp
+                    k = -1
+
+    (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
+    matrices = _magnus_basis(a0, a1)
+    norms = [np.linalg.norm(matrices.reshape(10, *a0.shape), p, axis=(1, 2)) for p in (1, np.inf)]
+    chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
+    buffer = np.empty((chunk, matrices.shape[1]))
+    apply = _TaylorSeries(y.shape, float).apply
+    stream = starts()
+    # a block of steps may span many sample intervals, and cut one
+    while block := list(itertools.islice(stream, RAMP_BLOCK_STEPS)):
+        first, a, s, i, on_ramp = np.array(block).T
+        mid = a + (i + 0.5) * s
+        nodes = (
+            np.where(on_ramp, pulse.envelope(mid + c * s), 1.0) for c in (-_GAUSS, 0.0, _GAUSS)
+        )
+        coef = _magnus_coefficients(s, *nodes)
+        # bounds on each step's 1- and inf-norm; above TAYLOR_MAX_NORM a step takes expm
+        theta1, theta_inf = np.abs(coef) @ norms[0], np.abs(coef) @ norms[1]
+        taylor = theta1 <= TAYLOR_MAX_NORM
+        theta1, theta_inf = np.where(taylor, theta1, 0.0), np.where(taylor, theta_inf, 0.0)
+        ceilings = _taylor_degree(theta1).tolist()
+        ceilings = [m if t else None for m, t in zip(ceilings, taylor.tolist())]
+        scales = _stop_scales(theta1, theta_inf, y.size).tolist()
+        firsts = first.astype(int).tolist()
+        for j in range(0, len(coef), chunk):
+            cut = slice(j, j + chunk)
+            rows = coef[cut]
+            omegas = np.matmul(rows, matrices, out=buffer[: len(rows)]).reshape(-1, *a0.shape)
+            for k, omega, m, scale in zip(firsts[cut], omegas, ceilings[cut], scales[cut]):
+                if k >= 0:
+                    if k == stop > start:
+                        y = run(y, stop - start, period)
+                    record(1)[0] = y
+                y = apply(omega, y, m, scale) if m is not None else expm(omega) @ y
+    return y, plateau.dropped
 
 
 class _Recorder:
@@ -789,10 +769,8 @@ def evolve(
     with np.errstate(over="ignore", invalid="ignore"):
         l0 = _free_generator(ws, pulse.phase_freq, noise)
         l1 = _commutator(ws.coupling(pulse))
-        plateau = _Plateau(l0 + l1, basis)
-        (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
         x = basis.coordinates(rho0)
-        x = _propagate(x, a0, a1, pulse, recorder.sample_period, recorder.rows, plateau)
+        x, dropped = _propagate(x, l0, l1, basis, pulse, recorder.sample_period, recorder.rows)
         nx = ws.excitation_diag
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
         rho = frame * basis.matrices(x)
@@ -801,10 +779,10 @@ def evolve(
     drift = trace_error(rho)
     if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
         raise IntegrationError(f"final trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:.0e}")
-    if not plateau.dropped <= HERMITICITY_LIMIT:
+    if not dropped <= HERMITICITY_LIMIT:
         raise IntegrationError(
             f"state is not Hermitian: the plateau exponentials drop an anti-Hermitian part "
-            f"of up to {plateau.dropped:.3e}, above {HERMITICITY_LIMIT:.0e}"
+            f"of up to {dropped:.3e}, above {HERMITICITY_LIMIT:.0e}"
         )
     skew = np.linalg.norm(rho - rho.conj().T)
     if not skew <= HERMITICITY_LIMIT:

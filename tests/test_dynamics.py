@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -330,6 +331,12 @@ def operating_point(name, ramp, levels, overrides=None):
     return scn, scn.pulse
 
 
+def ramps_that_meet(levels):
+    """fig2a's 0.05 ns ramped pulse with ramp = duration / 2: all ramp, no plateau."""
+    scn, pulse = operating_point("fig2a", 0.05, levels)
+    return scn, dataclasses.replace(pulse, ramp=pulse.duration / 2)
+
+
 # (preset, ramp ns, fockLevels, noise on, RK4 step ns, overrides).  Each ramp
 # meets both operating points and both noise settings, and every truncation
 # meets both noise settings.  Each RK4 step keeps the oracle's own error
@@ -371,6 +378,17 @@ class TestExactPropagation:
         rho0 = initial_state(scn.spec)
         magnus = evolve(rho0, pulse, noise, scn.spec).final_state
         assert np.max(np.abs(magnus - rk4.final_state(rho0, pulse, noise, scn.spec, dt))) < 1e-10
+
+    @pytest.mark.parametrize("samples", [600, 7.5])
+    @pytest.mark.parametrize("levels", [2, 4])
+    def test_ramps_that_meet_match_rk4(self, levels, samples):
+        # all ramp, so no plateau run: the ramps meet at the 300th of 600 samples, or inside
+        # the fourth of 7.5 sample intervals
+        scn, pulse = ramps_that_meet(levels)
+        rho0 = initial_state(scn.spec)
+        magnus = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration / samples).final_state
+        oracle = rk4.final_state(rho0, pulse, scn.noise, scn.spec, 5e-5)
+        assert np.max(np.abs(magnus - oracle)) < 1e-10
 
     def test_magnus_expansion_matches_the_scheme(self):
         # Omega over the 10 fixed matrices equals the scheme's matrix form
@@ -430,6 +448,22 @@ class TestExactPropagation:
         monkeypatch.setattr(_TaylorSeries, "apply", None)
         exponentials = evolve(rho0, pulse, scn.noise, scn.spec).final_state
         assert np.max(np.abs(exponentials - taylor)) < 1e-14
+
+    def test_steps_above_the_taylor_bound_take_a_real_expm(self, monkeypatch):
+        # at 6 levels the two plateau pieces that share a sample interval with a ramp of the
+        # fig2a 0.05 ns pulse have 1-norm bounds above TAYLOR_MAX_NORM: each takes the real
+        # expm of its Omega, as a ramp step would, and the plateau's sample intervals share
+        # the one complex expm
+        scn, pulse = operating_point("fig2a", 0.05, 6)
+        exponential, kinds = dynamics.expm, []
+
+        def spy(a):
+            kinds.append(a.dtype.kind)
+            return exponential(a)
+
+        monkeypatch.setattr(dynamics, "expm", spy)
+        evolve(initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        assert sorted(kinds) == ["c", "f", "f"]
 
     @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "8-step-block"])
     def test_ramp_steps_are_formed_a_block_at_a_time(self, block, monkeypatch):
@@ -724,12 +758,18 @@ def largest_difference(a, b):
 
 
 class TestPlateauRuns:
-    @pytest.mark.parametrize("levels, ramp", [(2, 0.0), (4, 0.0), (4, 0.05)])
+    @pytest.mark.parametrize("levels, ramp", [(2, 0.0), (4, 0.0), (4, 0.05), (4, "meet")])
     def test_block_matches_each_sample(self, levels, ramp, monkeypatch):
         # fig2a with noise sampled 601 times, three recorder blocks.  The rectangular
         # pulse's run fills each block from its first state, by doubling and then strides
-        # of PLATEAU_STRIDE; the ramped pulse's run starts and ends inside blocks
-        scn, pulse = operating_point("fig2a", ramp, levels) if ramp else rectangular("fig2a", levels)
+        # of PLATEAU_STRIDE; the ramped pulse's run starts and ends inside blocks; ramps
+        # that meet leave no whole plateau interval, so no run
+        if ramp == "meet":
+            scn, pulse = ramps_that_meet(levels)
+        elif ramp:
+            scn, pulse = operating_point("fig2a", ramp, levels)
+        else:
+            scn, pulse = rectangular("fig2a", levels)
         period = pulse.duration / 600
         args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, period)
         block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
