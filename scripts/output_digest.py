@@ -3,8 +3,8 @@
 
 The set covers what a refactor that promises unchanged output bytes must
 keep: ``run --format csv,json,svg`` on fig2a, fig2b and altParams,
-``run --format csv,json`` on fig2a with a 0.05 ns sin^2 ramp at fockLevels 2
-and 4 and on fig2a as a rectangular pulse carrying ``rampTime_ns: 100``
+``run --format csv,json`` on fig2a with a 0.05 ns sin^2 ramp at fockLevels 2,
+3, 4 and 6 and on fig2a as a rectangular pulse carrying ``rampTime_ns: 100``
 (which it ignores), ``run --format csv,json`` on fig2a sampled every
 0.0004 ns (608 samples, three of the recorder's 256-sample blocks, so that
 block boundaries are in the check), the ``derive`` report of every preset,
@@ -12,7 +12,7 @@ block boundaries are in the check), the ``derive`` report of every preset,
 and E (once with the pipeline's operating point echoed, once with
 ``phi_c: null`` because no phase meets the resonance target), ``gates
 verify``, fig3a and fig3b sweeps reduced to 3 points and the ratios [0, 3],
-and robustness with 2 samples for seeds 0 and 7 (34 files).  Run it on two
+and robustness with 2 samples for seeds 0 and 7 (38 files).  Run it on two
 checkouts and compare the printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR
@@ -53,7 +53,7 @@ from topoflux.presets import preset_names, scenario_preset
 
 RUN_PRESETS = ("fig2a", "fig2b", "altParams")
 RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
-RAMP_FOCK_LEVELS = (2, 4)
+RAMP_FOCK_LEVELS = (2, 3, 4, 6)
 # a rectangular pulse has no ramps, whatever its rampTime_ns
 RECT_WITH_RAMP_TIME = {"areaOverPi": -1.0, "shape": "rectangular", "rampTime_ns": 100}
 # fig2a sampled 608 times fills three of the recorder's 256-sample blocks

@@ -89,8 +89,8 @@ from .hilbert import (
 RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs at most about 0.11 ms at fockLevels 6 (a whole 1 ns
-# fig2a ramp evolution, 3436 steps, took 0.35-0.39 s on one BLAS thread of a
+# where a ramp step costs at most about 0.09 ms at fockLevels 6 (a whole 1 ns
+# fig2a ramp evolution, 3436 steps, took 0.25-0.31 s on one BLAS thread of a
 # 2-vCPU Xeon)
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
@@ -309,7 +309,11 @@ class _TaylorSeries:
     norms are those of the coordinates y is given in: for ``evolve``, the real coordinates
     of rho in ``_HermitianBasis``, whose 2-norm is rho's Frobenius norm.  The first check is
     at the degree where the previous step stopped, so a typical step takes one norm of a
-    power besides |y|_2.
+    power besides |y|_2.  Each squared norm is the dot of a buffer row's entries, viewed as
+    reals, with themselves: |row|_2^2 for real and complex rows of any shape.
+
+    A step calls ndarray methods only: on states of 16 to 64 reals numpy's function
+    dispatch costs about as much as a product.
     """
 
     def __init__(self, shape, dtype):
@@ -320,6 +324,8 @@ class _TaylorSeries:
         weights = 1 / np.cumprod(np.maximum(j, 1))
         self.squared_weights = (weights**2).tolist()
         flat = self.powers.reshape(_MAX_DEGREE + 1, -1)
+        # each row's entries as reals, whose dot with themselves is the row's squared 2-norm
+        self.reals = list(flat.view(weights.dtype))
         weights = weights.astype(dtype)
         self.sums = [(weights[: m + 1], flat[: m + 1]) for m in range(_MAX_DEGREE + 1)]
         self.degree = 0
@@ -327,20 +333,20 @@ class _TaylorSeries:
     def apply(self, a, y, m, scale):
         """exp(a) @ y as a fresh array, by the series to degree at most m; scale is
         ``_stop_scales`` of a's norm bounds and y's size.  ``degree`` is where it stopped."""
-        rows = self.rows
-        np.copyto(rows[0], y)
-        y_squared = np.vdot(y, y).real
+        rows, reals = self.rows, self.reals
+        rows[0][...] = y
+        y_squared = reals[0].dot(reals[0])
         j, d = 0, min(self.degree, m)
         while True:
             for k in range(j, d):
-                np.dot(a, rows[k], out=rows[k + 1])
-            term = rows[d]
-            if d == m or scale * self.squared_weights[d] * np.vdot(term, term).real <= y_squared:
+                a.dot(rows[k], rows[k + 1])
+            term = reals[d]
+            if d == m or scale * self.squared_weights[d] * term.dot(term) <= y_squared:
                 break
             j, d = d, d + 1
         self.degree = d
         weights, powers = self.sums[d]
-        return np.dot(weights, powers).reshape(y.shape)
+        return weights.dot(powers).reshape(y.shape)
 
 
 class _HermitianBasis:

@@ -513,6 +513,30 @@ class TestExactPropagation:
         assert len(exponentials) == 1
         assert np.max(np.abs(split - whole)) < 1e-14
 
+    def test_ramp_steps_make_no_numpy_module_calls(self, monkeypatch):
+        # numpy's function dispatch costs about as much as a product on a state of 16 to
+        # 64 reals, so a Taylor step calls ndarray methods only.  The fig2a 0.2 ns ramp at
+        # 2 levels takes 726 Taylor steps; every lookup on the module (block set-up, Omega
+        # chunks, plateau exponentials, the recorder) stays below one per step, where a
+        # step of np.dot, np.vdot and np.copyto calls made about 15 each
+        scn, pulse = operating_point("fig2a", 0.2, 2)
+        lookups, steps, apply = [], [], _TaylorSeries.apply
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                lookups.append(name)
+                return getattr(np, name)
+
+        def count_apply(series, *args):
+            steps.append(1)
+            return apply(series, *args)
+
+        monkeypatch.setattr(dynamics, "np", CountingNumpy())
+        monkeypatch.setattr(_TaylorSeries, "apply", count_apply)
+        evolve(initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        assert len(steps) == 726
+        assert len(lookups) < len(steps)
+
     def test_sample_times_are_multiples_of_the_period(self):
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         period = pulse.duration / 7.5  # a remainder of half a period
