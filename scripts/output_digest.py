@@ -12,8 +12,9 @@ block boundaries are in the check), the ``derive`` report of every preset,
 and E (once with the pipeline's operating point echoed, once with
 ``phi_c: null`` because no phase meets the resonance target), ``gates
 verify``, fig3a and fig3b sweeps reduced to 3 points and the ratios [0, 3],
-and robustness with 2 samples for seeds 0 and 7 (38 files).  Run it on two
-checkouts and compare the printed lines:
+and robustness with 2 samples for seeds 0 and 7 (38 files).  It runs BLAS on
+one thread, whatever the environment says, since the 6-level ramp's last bits
+follow the thread count.  Run it on two checkouts and compare the printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR
 
@@ -42,14 +43,28 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from topoflux import cli
-from topoflux.config import resolve
-from topoflux.experiments import run_robustness, run_sweep
-from topoflux.presets import preset_names, scenario_preset
+if __name__ == "__main__":
+    # the last bits of the 6-level ramp follow the BLAS thread count, so every run uses one
+    # thread and its bytes depend on the code alone; set before numpy is first imported
+    for var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ[var] = "1"
+
+from topoflux import cli  # noqa: E402
+from topoflux.config import resolve  # noqa: E402
+from topoflux.experiments import run_robustness, run_sweep  # noqa: E402
+from topoflux.presets import preset_names, scenario_preset  # noqa: E402
 
 RUN_PRESETS = ("fig2a", "fig2b", "altParams")
 RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}

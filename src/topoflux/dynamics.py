@@ -90,7 +90,7 @@ RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
 # where a ramp step costs at most about 0.09 ms at fockLevels 6 (a whole 1 ns
-# fig2a ramp evolution, 3436 steps, took 0.25-0.31 s on one BLAS thread of a
+# fig2a ramp evolution, 3436 steps, took 0.26-0.31 s on one BLAS thread of a
 # 2-vCPU Xeon)
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
@@ -324,7 +324,6 @@ class _TaylorSeries:
         weights = 1 / np.cumprod(np.maximum(j, 1))
         self.squared_weights = (weights**2).tolist()
         flat = self.powers.reshape(_MAX_DEGREE + 1, -1)
-        # each row's entries as reals, whose dot with themselves is the row's squared 2-norm
         self.reals = list(flat.view(weights.dtype))
         weights = weights.astype(dtype)
         self.sums = [(weights[: m + 1], flat[: m + 1]) for m in range(_MAX_DEGREE + 1)]

@@ -516,9 +516,9 @@ class TestExactPropagation:
     def test_ramp_steps_make_no_numpy_module_calls(self, monkeypatch):
         # numpy's function dispatch costs about as much as a product on a state of 16 to
         # 64 reals, so a Taylor step calls ndarray methods only.  The fig2a 0.2 ns ramp at
-        # 2 levels takes 726 Taylor steps; every lookup on the module (block set-up, Omega
-        # chunks, plateau exponentials, the recorder) stays below one per step, where a
-        # step of np.dot, np.vdot and np.copyto calls made about 15 each
+        # 2 levels takes 726 Taylor steps; the lookups on the module (block set-up, Omega
+        # chunks, plateau exponentials, the recorder) stay fewer than the steps, where
+        # np.dot, np.vdot and np.copyto made about 15 lookups a step
         scn, pulse = operating_point("fig2a", 0.2, 2)
         lookups, steps, apply = [], [], _TaylorSeries.apply
 
