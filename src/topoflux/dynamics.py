@@ -22,9 +22,19 @@ rho = V rho' V^dag with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the
 contamination phase becomes the static term E N, both dissipators are
 unchanged, and the generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .]
 and both dissipators, L1 the coupling commutator.  Each of them maps a
-Hermitian rho to a Hermitian one, so ``evolve`` carries rho as its D^2 real
+Hermitian rho to a Hermitian one, so ``evolve`` carries rho as its D_s^2 real
 coordinates in an orthonormal Hermitian basis (``_HermitianBasis``), where
-L0, L1 and every step built from them are real matrices.  On the plateau
+L0, L1 and every step built from them are real matrices.  D_s counts the
+basis states the walk keeps (``_support``): those where rho0 has a nonzero
+row or column, and |down,1> and |up,0>, which the trajectory records, closed
+under the nonzero pattern of the coupling and, with relaxation on, of the
+jump a.  E N, a^dag a and sigma_f^z are diagonal and add none, so a rho on
+the span of these states stays there exactly.  From |up,0> that is all 4
+states at 2 levels and 5 (|up,0>, |down,0>, |down,1>, |up,1>, |down,2>) at 3
+or more, because sigma_f^z is zero on n >= 2.  The final state is put back
+into D x D; each unreached state adds an exact zero eigenvalue, so when
+states were left out the smallest-eigenvalue column is min(eig(rho_S), 0).
+When every state is kept, nothing is copied.  On the plateau
 (env = 1) one matrix exponential P (``expm``) carries the state from one
 sample to the next; it is formed on the row-major generator and turned into
 the Hermitian coordinates once per length, and the imaginary part that this
@@ -89,9 +99,10 @@ from .hilbert import (
 RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs at most about 0.09 ms at fockLevels 6 (a whole 1 ns
-# fig2a ramp evolution, 3436 steps, took 0.26-0.31 s on one BLAS thread of a
-# 2-vCPU Xeon)
+# where a ramp step costs at most about 0.08 ms at fockLevels 6, on all 12
+# states (a whole 1 ns fig2a ramp evolution from |up,5> without dephasing,
+# 3436 steps, took 0.19-0.28 s on one BLAS thread of a 2-vCPU Xeon); from
+# |up,0>, on 5 states, the same ramp took 0.04-0.07 s at 6 levels, as at 2
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
 SAMPLE_BLOCK = 256
@@ -214,6 +225,40 @@ class _Workspace:
         return (-0.5 * pulse.g_value) * self.exchange - (0.5 * pulse.g_prime_value) * (
             self.contam_up + self.contam_down
         )
+
+    def restricted(self, keep: list[int]) -> _Workspace:
+        """The same operators on the span of the basis states ``keep`` (sorted indices)."""
+        ws = object.__new__(_Workspace)
+        cut = np.ix_(keep, keep)
+        for name, op in vars(self).items():
+            setattr(ws, name, op[cut] if op.ndim == 2 else op[keep])
+        return ws
+
+
+def _support(rho0: np.ndarray, recorded, operators) -> list[int]:
+    """The sorted basis states that ``evolve`` can reach: those where rho0 has a nonzero row
+    or column and the ``recorded`` ones, closed under the nonzero pattern of each operator
+    (a state i joins when op[i, j] != 0 for a state j of the set).
+
+    With the coupling and, when relaxation is on, the jump a among the operators, a rho on
+    the span of the set stays on it: the rest of the generator is diagonal.  A nonzero entry
+    is one that is not exactly 0, so a nan keeps its states.  The closure walks the pattern
+    in plain Python: on matrices this small, a numpy call per step would cost more.
+    """
+    rows, cols = np.nonzero(rho0)
+    keep = {*rows.tolist(), *cols.tolist(), *recorded}
+    reach = {}
+    for op in operators:
+        rows, cols = np.nonzero(op)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            reach.setdefault(j, []).append(i)
+    unvisited = list(keep)
+    while unvisited:
+        for i in reach.get(unvisited.pop(), ()):
+            if i not in keep:
+                keep.add(i)
+                unvisited.append(i)
+    return sorted(keep)
 
 
 # Pade-13 coefficients b_0..b_13 and the largest 1-norm for which Pade-13 is
@@ -660,19 +705,23 @@ class _Recorder:
     """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` and builds the Trajectory.
 
     ``_propagate`` writes the sampled states straight into the rows of one preallocated
-    block (``rows``), as their coordinates in ``_HermitianBasis``.
+    block (``rows``), as their coordinates in the ``_HermitianBasis`` of ``dim`` x ``dim``
+    matrices.  i_dn1 and i_up0 are the positions of |down,1> and |up,0> among the dim
+    basis states that the walk carries.
     """
 
-    def __init__(self, spec: HilbertSpec, duration: float, sample_period: float | None):
+    def __init__(
+        self, dim: int, i_dn1: int, i_up0: int, duration: float, sample_period: float | None
+    ):
         if sample_period is None:
             # a subnormal duration / 200 underflows to 0: sample the ends only
             sample_period = duration / 200.0 or duration
         if not sample_period > 0:
             raise ValueError(f"sample_period must be positive, got {sample_period}")
         self.sample_period = sample_period
-        self.basis = _hermitian_basis(spec.dim)
-        self.i_dn1, self.i_up0 = spec.index(DOWN, 1), spec.index(UP, 0)
-        self.block = np.empty((SAMPLE_BLOCK, spec.dim**2))
+        self.basis = _hermitian_basis(dim)
+        self.i_dn1, self.i_up0 = i_dn1, i_up0
+        self.block = np.empty((SAMPLE_BLOCK, dim**2))
         # the samples in the block, and those reduced before it
         self.filled, self.reduced, self.blocks = 0, 0, []
 
@@ -721,11 +770,13 @@ def evolve(
     """Propagate the master equation over one pulse.
 
     The pulse runs in the frame exp(i E t N) through ``_propagate``, on rho's
-    real coordinates in ``_HermitianBasis``: on the plateau (the whole of a
-    rectangular pulse) a block of samples at a time, by the powers of one matrix
-    exponential per sample period; sixth-order Magnus steps of ``_ramp_step`` on a
-    sin^2 ramp, each applied as a Taylor polynomial that stops on the state's own
-    terms.  The step follows from the pulse alone: no argument sets it.
+    real coordinates in ``_HermitianBasis`` on the basis states that rho0 can
+    reach (``_support``; the final state is put back into D x D): on the plateau
+    (the whole of a rectangular pulse) a block of samples at a time, by the
+    powers of one matrix exponential per sample period; sixth-order Magnus steps
+    of ``_ramp_step`` on a sin^2 ramp, each applied as a Taylor polynomial that
+    stops on the state's own terms.  The step and the states follow from the
+    inputs alone: no argument sets them.
 
     Parameters
     ----------
@@ -768,18 +819,34 @@ def evolve(
             f"rho0 is not Hermitian: |rho0 - rho0^dag| = {skew:.3e} exceeds {HERMITICITY_LIMIT:.0e}"
         )
     ws = _Workspace(spec)
-    recorder = _Recorder(spec, pulse.duration, sample_period)
-    basis = recorder.basis
+    recorded = spec.index(DOWN, 1), spec.index(UP, 0)
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
+        coupling = ws.coupling(pulse)
+        # the walk carries only the states rho0 can reach, and the recorder's two
+        jump = (ws.a,) if noise.relaxation_rate > 0.0 else ()
+        keep = _support(rho0, recorded, (coupling, *jump))
+        whole = len(keep) == spec.dim
+        if not whole:
+            cut = np.ix_(keep, keep)
+            ws, coupling, rho0 = ws.restricted(keep), coupling[cut], rho0[cut]
+        i_dn1, i_up0 = (keep.index(i) for i in recorded)
+        recorder = _Recorder(len(keep), i_dn1, i_up0, pulse.duration, sample_period)
+        basis = recorder.basis
         l0 = _free_generator(ws, pulse.phase_freq, noise)
-        l1 = _commutator(ws.coupling(pulse))
+        l1 = _commutator(coupling)
         x = basis.coordinates(rho0)
         x, dropped = _propagate(x, l0, l1, basis, pulse, recorder.sample_period, recorder.rows)
         nx = ws.excitation_diag
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
         rho = frame * basis.matrices(x)
     traj = recorder.finish(rho, pulse.duration)
+    if not whole:
+        rho = np.zeros((spec.dim, spec.dim), dtype=complex)
+        rho[cut] = traj.final_state
+        traj.final_state = rho
+        # each unreached state adds an exact zero eigenvalue
+        traj.min_eigenvalue = np.minimum(traj.min_eigenvalue, 0.0)
 
     drift = trace_error(rho)
     if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:

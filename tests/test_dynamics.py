@@ -450,20 +450,24 @@ class TestExactPropagation:
         assert np.max(np.abs(exponentials - taylor)) < 1e-14
 
     def test_steps_above_the_taylor_bound_take_a_real_expm(self, monkeypatch):
-        # at 6 levels the two plateau pieces that share a sample interval with a ramp of the
-        # fig2a 0.05 ns pulse have 1-norm bounds above TAYLOR_MAX_NORM: each takes the real
-        # expm of its Omega, as a ramp step would, and the plateau's sample intervals share
-        # the one complex expm
+        # the fig2a 0.05 ns pulse at 6 levels from |up,5>: relaxation and the exchange reach
+        # all 12 states, where the two plateau pieces that share a sample interval with a
+        # ramp have 1-norm bounds above TAYLOR_MAX_NORM (2.33).  Each takes the real expm of
+        # its Omega, as a ramp step would, and the plateau's sample intervals share the one
+        # complex expm.  (From |up,0> the walk keeps 5 states, where they stay under it.)
+        # Dephasing is off: it drains the trace from levels n >= 2
         scn, pulse = operating_point("fig2a", 0.05, 6)
-        exponential, kinds = dynamics.expm, []
+        noise = dataclasses.replace(scn.noise, tf2=math.inf)
+        exponential, norms = dynamics.expm, {}
 
         def spy(a):
-            kinds.append(a.dtype.kind)
+            norms.setdefault(a.dtype.kind, []).append(np.linalg.norm(a, 1))
             return exponential(a)
 
         monkeypatch.setattr(dynamics, "expm", spy)
-        evolve(initial_state(scn.spec), pulse, scn.noise, scn.spec)
-        assert sorted(kinds) == ["c", "f", "f"]
+        evolve(pure_density(scn.spec.ket(UP, 5)), pulse, noise, scn.spec)
+        assert len(norms["c"]) == 1 and len(norms["f"]) == 2
+        assert min(norms["f"]) > dynamics.TAYLOR_MAX_NORM
 
     @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "8-step-block"])
     def test_ramp_steps_are_formed_a_block_at_a_time(self, block, monkeypatch):
@@ -638,6 +642,114 @@ class TestExactPropagation:
             expm(np.full((2, 2), value))
 
 
+def kept_states(monkeypatch, rho0, pulse, noise, spec):
+    """The basis states that evolve(rho0, pulse, noise, spec) walks on, as (spin, n)
+    pairs, and its trajectory."""
+    support, kept = dynamics._support, []
+
+    def spy(*args):
+        kept.append(support(*args))
+        return kept[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_support", spy)
+        traj = evolve(rho0, pulse, noise, spec)
+    return {divmod(i, spec.n_fock) for i in kept[0]}, traj
+
+
+def relaxation_only(noise):
+    """noise without dephasing, which drains the trace from levels n >= 2."""
+    return dataclasses.replace(noise, tf2=math.inf)
+
+
+# the states the exchange, the contamination and the jump a reach from |up,0>
+FROM_UP0 = {(UP, 0), (DOWN, 0), (DOWN, 1), (UP, 1), (DOWN, 2)}
+
+
+class TestSupport:
+    @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6])
+    def test_five_states_from_up0(self, levels, monkeypatch):
+        scn, pulse = operating_point("fig2a", 0.05, levels)
+        kept, _ = kept_states(monkeypatch, initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        assert kept == {(s, n) for s, n in FROM_UP0 if n < levels}
+
+    @pytest.mark.parametrize(
+        "g_prime, noise, kept",
+        [
+            (GP1, NO_NOISE, FROM_UP0),
+            (GP1, NoiseParams(tf2=20.0), FROM_UP0),
+            # relaxation carries |down,1> to |down,0>
+            (0.0, NOISE1, {(UP, 0), (DOWN, 1), (DOWN, 0)}),
+            (0.0, NO_NOISE, {(UP, 0), (DOWN, 1)}),
+        ],
+        ids=["contamination", "dephasing-only", "exchange-and-relaxation", "exchange-only"],
+    )
+    def test_smaller_without_contamination_or_relaxation(
+        self, g_prime, noise, kept, monkeypatch
+    ):
+        # each against the RK4 oracle on all 6 states of 3 levels
+        spec = HilbertSpec(3)
+        pulse = make_pulse(g=G1, g_prime=g_prime, phase_freq=E1)
+        rho0 = pure_density(spec.ket(UP, 0))
+        got, traj = kept_states(monkeypatch, rho0, pulse, noise, spec)
+        assert got == kept
+        oracle = rk4.final_state(rho0, pulse, noise, spec)
+        assert np.max(np.abs(traj.final_state - oracle)) < 1e-10
+
+    def test_follows_rho0(self, monkeypatch):
+        # (|up,0> + |down,3>)/sqrt(2) at 4 levels: the exchange joins |down,3> to |up,2>,
+        # relaxation walks both down their ladders; nothing reaches |up,3>
+        scn, pulse = operating_point("fig2a", 0.05, 4)
+        spec, noise = scn.spec, relaxation_only(scn.noise)
+        rho0 = pure_density((spec.ket(UP, 0) + spec.ket(DOWN, 3)) / math.sqrt(2.0))
+        kept, traj = kept_states(monkeypatch, rho0, pulse, noise, spec)
+        assert kept == FROM_UP0 | {(DOWN, 3), (UP, 2)}
+        oracle = rk4.final_state(rho0, pulse, noise, spec, 5e-5)
+        assert np.max(np.abs(traj.final_state - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("levels", [3, 4, 6])
+    def test_matches_the_walk_on_every_state(self, levels, monkeypatch):
+        # the fig2a 0.05 ns ramp on its 5 states against the walk on all 2 * levels,
+        # whose unreached states hold exact zeros
+        scn, pulse = operating_point("fig2a", 0.05, levels)
+        args = (initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        kept = evolve(*args)
+        monkeypatch.setattr(dynamics, "_support", lambda rho0, *_: list(range(len(rho0))))
+        every = evolve(*args)
+        assert largest_difference(kept, every) < 1e-14
+        assert np.array_equal(kept.times, every.times)
+
+    def test_columns_are_the_reductions_of_the_embedded_states(self, monkeypatch):
+        # the fig2a 0.05 ns ramp at 4 levels keeps 5 of 8 states: each sample, put back
+        # into 8 x 8, gives the trace, purity and smallest eigenvalue (one of the three
+        # exact zeros, or below) that the trajectory holds
+        scn, pulse = operating_point("fig2a", 0.05, 4)
+        rows, states = _Recorder.rows, []
+
+        def keep(recorder, n):
+            handed = rows(recorder, n)
+            states.append((recorder.basis, handed))
+            return handed
+
+        monkeypatch.setattr(_Recorder, "rows", keep)
+        kept, traj = kept_states(monkeypatch, initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        # a run's rows are filled by the time the walk asks for more, and the block is
+        # reduced only when full, so every row is read after the walk
+        samples = np.concatenate([basis.matrices(handed) for basis, handed in states])
+        assert kept == FROM_UP0 and len(samples) == len(traj) - 1
+        index = sorted(scn.spec.index(spin, n) for spin, n in kept)
+        embedded = np.zeros((len(traj), scn.spec.dim, scn.spec.dim), dtype=complex)
+        embedded[np.ix_(range(len(samples)), index, index)] = samples
+        embedded[-1] = traj.final_state
+        assert np.max(np.abs(traj.trace - np.real(np.trace(embedded, axis1=1, axis2=2)))) < 1e-14
+        assert np.max(np.abs(traj.purity - purity(embedded))) < 1e-14
+        assert np.max(np.abs(traj.min_eigenvalue - min_eigenvalue(embedded))) < 1e-14
+        assert np.all(traj.min_eigenvalue <= 0.0)
+        i, j = scn.spec.index(DOWN, 1), scn.spec.index(UP, 0)
+        assert np.array_equal(traj.rho11, embedded[:, i, i])
+        assert np.array_equal(traj.rho12, embedded[:, i, j])
+
+
 class TestHermitianBasis:
     @pytest.mark.parametrize("dim", [4, 6, 12])
     def test_orthonormal_hermitian_basis(self, dim):
@@ -696,31 +808,41 @@ class TestRecorder:
     def test_block_diagnostics_match_each_sample(self, levels, monkeypatch):
         # fig2a sampled 601 times: two full blocks and part of a third.  The recorder
         # hands out rows for 600 samples as Hermitian coordinates, and gets the final
-        # state as a matrix.  Rows it handed out are filled by the time it is asked for
-        # more, and a reduced block keeps its rows, so each is read at the next call
+        # state as a matrix, both on the states the walk keeps: 4 of 4 at 2 levels, 5 of
+        # 8 at 4, where each of the 3 unreached states adds an eigenvalue 0.  Rows it
+        # handed out are filled by the time it is asked for more, and a reduced block
+        # keeps its rows, so each is read at the next call
         scn = resolve(dict(scenario_preset("fig2a"), hilbert={"fockLevels": levels}))
-        basis = _hermitian_basis(scn.spec.dim)
-        states, handed = [], []
-        rows = _Recorder.rows
+        states, handed, recorders = [], [], []
+        rows, finish = _Recorder.rows, _Recorder.finish
 
         def keep(recorder, n):
             if handed:
-                states.extend(basis.matrices(handed.pop()))
+                states.extend(recorder.basis.matrices(handed.pop()))
             handed.append(rows(recorder, n))
             return handed[-1]
 
+        def last(recorder, rho, t):
+            states.extend(recorder.basis.matrices(handed.pop()))
+            states.append(rho)
+            recorders.append(recorder)
+            return finish(recorder, rho, t)
+
         monkeypatch.setattr(_Recorder, "rows", keep)
+        monkeypatch.setattr(_Recorder, "finish", last)
         period = scn.pulse.duration / 600
         traj = evolve(initial_state(scn.spec), scn.pulse, scn.noise, scn.spec, period)
-        states.extend(basis.matrices(handed.pop()))
-        states.append(traj.final_state)
         assert len(traj) == len(states) == 601 > 2 * SAMPLE_BLOCK
-        i, j = scn.spec.index(DOWN, 1), scn.spec.index(UP, 0)
+        assert len(states[0]) == {2: 4, 4: 5}[levels]
+        i, j = recorders[0].i_dn1, recorders[0].i_up0
+        floor = 0.0 if len(states[0]) < scn.spec.dim else np.inf
         assert np.array_equal(traj.rho11, [rho[i, i] for rho in states])
         assert np.array_equal(traj.rho21, [rho[j, i] for rho in states])
         assert np.array_equal(traj.trace, [np.real(np.trace(rho)) for rho in states])
         assert np.array_equal(traj.purity, [purity(rho) for rho in states])
-        assert np.array_equal(traj.min_eigenvalue, [min_eigenvalue(rho) for rho in states])
+        assert np.array_equal(
+            traj.min_eigenvalue, [min(min_eigenvalue(rho), floor) for rho in states]
+        )
 
     @pytest.mark.parametrize(
         "first, time", [(0, "0"), (508, r"1\.016")], ids=["first-block", "second-block"]
@@ -729,7 +851,7 @@ class TestRecorder:
         # 1000 samples every 0.002 ns, overflowed from sample 0, or from sample 508 in
         # the second block; evolve's errstate hides the inf * 0 of turning them into matrices
         x = _hermitian_basis(SPEC.dim).coordinates(pure_density(SPEC.ket(UP, 0)))
-        recorder = _Recorder(SPEC, 2.0, 0.002)
+        recorder = _Recorder(SPEC.dim, SPEC.index(DOWN, 1), SPEC.index(UP, 0), 2.0, 0.002)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match=rf"diverged by t={time} ns"):
                 filled = 0
@@ -742,9 +864,9 @@ class TestRecorder:
 
     def test_keeps_one_block_of_states(self):
         # each further sample costs its trajectory row, 8 numbers, and not its
-        # state: 144 complex numbers at 6 levels
+        # state: 144 reals at 6 levels, all of them kept from the mixed state
         spec = HilbertSpec(6)
-        rho0 = pure_density(spec.ket(UP, 0))
+        rho0 = np.eye(spec.dim) / spec.dim
         pulse = make_pulse(duration=1.0)
 
         def peak_bytes(samples):
