@@ -657,18 +657,13 @@ def kept_states(monkeypatch, rho0, pulse, noise, spec):
     return {divmod(i, spec.n_fock) for i in kept[0]}, traj
 
 
-def relaxation_only(noise):
-    """noise without dephasing, which drains the trace from levels n >= 2."""
-    return dataclasses.replace(noise, tf2=math.inf)
-
-
 # the states the exchange, the contamination and the jump a reach from |up,0>
 FROM_UP0 = {(UP, 0), (DOWN, 0), (DOWN, 1), (UP, 1), (DOWN, 2)}
 
 
 class TestSupport:
     @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6])
-    def test_five_states_from_up0(self, levels, monkeypatch):
+    def test_states_reached_from_up0(self, levels, monkeypatch):
         scn, pulse = operating_point("fig2a", 0.05, levels)
         kept, _ = kept_states(monkeypatch, initial_state(scn.spec), pulse, scn.noise, scn.spec)
         assert kept == {(s, n) for s, n in FROM_UP0 if n < levels}
@@ -676,13 +671,13 @@ class TestSupport:
     @pytest.mark.parametrize(
         "g_prime, noise, kept",
         [
-            (GP1, NO_NOISE, FROM_UP0),
+            # without relaxation the contamination still reaches all five
             (GP1, NoiseParams(tf2=20.0), FROM_UP0),
             # relaxation carries |down,1> to |down,0>
             (0.0, NOISE1, {(UP, 0), (DOWN, 1), (DOWN, 0)}),
             (0.0, NO_NOISE, {(UP, 0), (DOWN, 1)}),
         ],
-        ids=["contamination", "dephasing-only", "exchange-and-relaxation", "exchange-only"],
+        ids=["dephasing-only", "exchange-and-relaxation", "exchange-only"],
     )
     def test_smaller_without_contamination_or_relaxation(
         self, g_prime, noise, kept, monkeypatch
@@ -698,9 +693,10 @@ class TestSupport:
 
     def test_follows_rho0(self, monkeypatch):
         # (|up,0> + |down,3>)/sqrt(2) at 4 levels: the exchange joins |down,3> to |up,2>,
-        # relaxation walks both down their ladders; nothing reaches |up,3>
+        # relaxation walks both down their ladders; nothing reaches |up,3>.  Dephasing is
+        # off: it drains the trace from levels n >= 2
         scn, pulse = operating_point("fig2a", 0.05, 4)
-        spec, noise = scn.spec, relaxation_only(scn.noise)
+        spec, noise = scn.spec, dataclasses.replace(scn.noise, tf2=math.inf)
         rho0 = pure_density((spec.ket(UP, 0) + spec.ket(DOWN, 3)) / math.sqrt(2.0))
         kept, traj = kept_states(monkeypatch, rho0, pulse, noise, spec)
         assert kept == FROM_UP0 | {(DOWN, 3), (UP, 2)}
