@@ -80,7 +80,7 @@ def flux_qubit_z(n_levels: int) -> np.ndarray:
     """sigma_f^z = |0><0| - |1><1| on the flux mode; zero on levels n >= 2.
 
     Being zero there, the contamination never leaves levels 0 and 1, so from
-    |up,0> ``dynamics.evolve`` reaches only 5 basis states at any truncation
+    |up,0> ``dynamics.evolve`` reaches at most 5 basis states at any truncation
     (``dynamics._support``, computed from the operators, follows any choice here).
     """
     z = np.zeros((n_levels, n_levels), dtype=complex)
