@@ -1,5 +1,11 @@
 """Scenario configuration: JSON loading, schema validation, unit resolution.
 
+The bundled ``schema/scenario.schema.json`` is the one statement of what a
+config may hold.  ``validate_raw`` checks a config against it with a small
+walker, ``_schema_errors``, that implements the JSON Schema (draft 2020-12)
+keywords the schema uses, in jsonschema's words; a schema with any other
+keyword is refused, so no check can be skipped silently.
+
 On-disk units mirror the usual experimental quotes: frequencies in GHz
 (ordinary, i.e. omega/2pi), times in ns, lengths in um, velocities in m/s,
 temperature in mK.  ``resolve`` converts everything to the internal rad/ns
@@ -20,10 +26,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from importlib import resources
-
-import jsonschema
 
 from . import device as dev
 from .dynamics import NoiseParams, PulseSegment, pulse_duration_for_area
@@ -136,18 +141,106 @@ class Scenario:
         return echo
 
 
+# the types the schema names; another raises KeyError
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    # a bool is not a number, and 2.0 is an integer
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+# keyword: (refused when, message)
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+# keywords that check nothing; "then" is read by "if"
+_ANNOTATIONS = frozenset({"$schema", "title", "then"})
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: a bool equals only itself, in lists and objects too; 1 equals 1.0."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield (path, message) for each way ``value`` breaks ``schema``.
+
+    Keywords are visited in the schema's order and their messages are
+    jsonschema's, so the first error by path is the one a draft 2020-12
+    validator reports first.  A keyword this walker does not implement
+    raises ValueError when it is reached, whatever the value.
+    """
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key in _BOUNDS:
+            refused, text = _BOUNDS[key]
+            if _TYPES["number"](value) and refused(value, arg):
+                yield path, f"{value!r} {text} {arg!r}"
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(sub, value[name], path + (name,))
+        elif key == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                extras = sorted(set(value) - schema.get("properties", {}).keys(), key=str)
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif key == "const":
+            if not _equal(value, arg):
+                yield path, f"{arg!r} was expected"
+        elif key == "enum":
+            if not any(_equal(each, value) for each in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _schema_errors(arg, item, path + (i,))
+        elif key == "if":
+            if "then" in schema and next(_schema_errors(arg, value, path), None) is None:
+                yield from _schema_errors(schema["then"], value, path)
+        elif key not in _ANNOTATIONS:
+            raise ValueError(f"schema keyword {key!r}: {arg!r} is not implemented")
+
+
 def validate_raw(raw: dict):
-    """Schema-validate a raw config dict; unknown keys are rejected."""
-    validator = jsonschema.Draft202012Validator(load_schema())
+    """Check a raw config dict against the bundled schema, then across its blocks.
+
+    The first error by path is a ConfigError with its JSON pointer and
+    jsonschema's message for it; unknown keys are rejected.
+    """
     try:
-        errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    except RecursionError:  # its error messages repr the offending value
+        # min keeps the first of equal paths, as a stable sort would
+        error = min(_schema_errors(load_schema(), raw), key=lambda e: e[0], default=None)
+    except RecursionError:  # an error message reprs the offending value
         raise ConfigError("config nests too deeply to validate") from None
-    if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
+    if error is not None:
+        path, message = error
+        pointer = "/" + "/".join(str(p) for p in path)
         # the message repeats the offending value: keep only the two ends of a long one
-        message = e.message
         if len(message) > 200:
             message = f"{message[:100]} ... {message[-100:]}"
         raise ConfigError(message, pointer=pointer)

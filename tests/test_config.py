@@ -1,12 +1,17 @@
+import copy
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from device_oracle import angular_to_ghz
-from topoflux.config import load_config, load_schema, resolve, validate_raw
+from topoflux.config import _schema_errors, load_config, load_schema, resolve, validate_raw
 from topoflux.errors import ConfigError, ValidityError
 from topoflux.presets import preset_names, scenario_preset
 
@@ -76,6 +81,143 @@ class TestSchema:
         raw["pulse"]["areaOverPi"] = 0
         with pytest.raises(ConfigError):
             validate_raw(raw)
+
+
+# what a mutation puts in place of a value: bools, null, strings, lists,
+# objects, integral floats, the schema's bounds and numbers outside its ranges
+BAD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "x", "sinSquaredRamp", "fig2a", "eta1"]),
+    st.lists(st.sampled_from([0.5, -1, True, None, "x"]), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "fockLevels"]), st.integers(-1, 1), max_size=1),
+    st.integers(-3, 8).map(float),
+    st.sampled_from([0, -0.0, 0.5, 1, 1.0, 2, 6]),
+    st.sampled_from([-1, 0.75, 6.5, 7, 1e300, -1e300, 2**70]),
+)
+UNKNOWN_KEYS = st.sampled_from(["extra", "shape", "rampTime_ns", "fockLevels", "alpha"])
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of everything inside it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(item, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _mutate(raw: dict, data):
+    """One random edit: replace a value, delete or add a key, or ask for a ramp without a time."""
+    paths = list(_paths(raw))
+    edit = data.draw(st.sampled_from(["replace", "delete", "add", "ramp"]))
+    if edit == "replace":
+        path = data.draw(st.sampled_from(paths[1:]))
+        _at(raw, path[:-1])[path[-1]] = data.draw(BAD_VALUES)
+    elif edit == "delete":
+        keyed = [p for p in paths[1:] if isinstance(_at(raw, p[:-1]), dict)]
+        path = data.draw(st.sampled_from(keyed))
+        del _at(raw, path[:-1])[path[-1]]
+    elif edit == "add":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(_at(raw, p), dict)]))
+        _at(raw, path)[data.draw(UNKNOWN_KEYS)] = data.draw(BAD_VALUES)
+    elif isinstance(raw.get("pulse"), dict):
+        raw["pulse"]["shape"] = "sinSquaredRamp"
+        raw["pulse"].pop("rampTime_ns", None)
+
+
+def _schema_keywords(schema: dict):
+    """Every subschema of the bundled schema, found through the keywords that hold them."""
+    yield schema
+    for key in ("items", "if", "then"):
+        if key in schema:
+            yield from _schema_keywords(schema[key])
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_keywords(sub)
+
+
+class TestSchemaWalker:
+    """``_schema_errors`` against jsonschema's draft 2020-12 validator as the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(preset_names()), st.integers(1, 3), st.data())
+    def test_agrees_with_jsonschema_on_mutated_presets(self, name, edits, data):
+        raw = scenario_preset(name)
+        for _ in range(edits):
+            _mutate(raw, data)
+        oracle = jsonschema.Draft202012Validator(load_schema()).iter_errors(raw)
+        expected = [
+            (tuple(e.absolute_path), e.message)
+            for e in sorted(oracle, key=lambda e: list(e.absolute_path))
+        ]
+        walked = sorted(_schema_errors(load_schema(), copy.deepcopy(raw)), key=lambda e: e[0])
+        assert walked == expected
+        if expected:
+            path, message = expected[0]
+            with pytest.raises(ConfigError) as exc:
+                validate_raw(raw)
+            assert exc.value.pointer == "/" + "/".join(map(str, path))
+            if len(message) <= 200:
+                assert str(exc.value) == f"{message} (at '{exc.value.pointer}')"
+
+    def test_implements_every_keyword_of_the_bundled_schema(self):
+        # the walker reaches every keyword of a subschema, whatever the value
+        for sub in _schema_keywords(load_schema()):
+            for value in (None, {}, [], 1, "x"):
+                list(_schema_errors(sub, value))
+
+    @pytest.mark.parametrize(
+        ("schema", "error"),
+        [
+            ({"pattern": "^a"}, ValueError),
+            ({"type": "number", "multipleOf": 2}, ValueError),
+            ({"additionalProperties": {"type": "number"}}, ValueError),
+            ({"if": {"const": 1}, "then": {"const": 1}, "else": {"const": 2}}, ValueError),
+            ({"type": "string"}, KeyError),
+            ({"type": ["number", "null"]}, TypeError),
+        ],
+    )
+    def test_unknown_keyword_or_type_raises(self, schema, error):
+        with pytest.raises(error):
+            list(_schema_errors(schema, "a"))
+
+    @pytest.mark.parametrize(
+        ("schema", "value", "valid"),
+        [
+            ({"type": "number"}, True, False),
+            ({"type": "integer"}, False, False),
+            ({"type": "integer"}, 2.0, True),
+            ({"type": "integer"}, 2.5, False),
+            ({"const": 1}, True, False),
+            ({"const": 1}, 1.0, True),
+            ({"enum": [0, 1]}, False, False),
+            ({"const": [1]}, [True], False),
+            ({"minimum": 0}, True, True),  # a bound checks numbers only
+            ({"minimum": 0}, 0, True),
+            ({"exclusiveMinimum": 0}, 0, False),
+            ({"maximum": 6}, 6.0, True),
+            ({"exclusiveMaximum": 1.0}, 1, False),
+        ],
+    )
+    def test_draft_2020_12_semantics(self, schema, value, valid):
+        assert (not list(_schema_errors(schema, value))) == valid
+
+    def test_cli_import_loads_no_jsonschema(self):
+        code = "import sys, topoflux.cli; print('jsonschema' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestResolution:

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import topoflux.experiments
 from topoflux import cli
 from topoflux.cli import main
-from topoflux.config import resolve
+from topoflux.config import resolve, validate_raw
 from topoflux.dynamics import MAX_STEPS, NO_NOISE, PulseSegment, _ramp_step, evolve
-from topoflux.errors import TopofluxError
+from topoflux.errors import ConfigError, TopofluxError
 from topoflux.experiments import (
     fidelities,
     initial_state,
@@ -758,19 +758,27 @@ def test_cli_probe_exits_with_documented_code(tmp_path, probe):
 
 
 def test_nesting_near_recursion_limit_exit_2(tmp_path):
-    # the schema validator reprs the value deeper in the stack than the JSON
-    # parser reads it, so a band of depths just below the parser's limit
-    # reaches the validator's
+    # a band of depths just below the JSON parser's limit: each is refused
+    # cleanly, by the parser or by the schema
     cfg = tmp_path / "cfg.json"
     text = json.dumps(_preset_with("fig2a", "hilbert", "fockLevels", "X"))
     limit = sys.getrecursionlimit()
-    refusals = set()
     for depth in range(limit - 150, limit + 1):
         cfg.write_text(text.replace('"X"', "[" * depth + "]" * depth))
         code, out, err = run_cli(["derive", "--config", str(cfg)])
         assert (code, out) == (2, ""), (depth, err)
-        refusals.add("to validate" in err)
-    assert refusals == {True, False}
+        assert "Traceback" not in err and "config error" in err, depth
+
+
+def test_value_too_deep_to_repr_is_a_config_error():
+    # the schema's message reprs the offending value; one nested deeper than
+    # the stack, which only a caller that builds the dict can pass, is refused
+    value = []
+    for _ in range(100_000):
+        value = [value]
+    raw = _preset_with("fig2a", "hilbert", "fockLevels", value)
+    with pytest.raises(ConfigError, match="nests too deeply to validate"):
+        validate_raw(raw)
 
 
 @settings(max_examples=200, deadline=None)
