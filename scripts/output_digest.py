@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
-"""Write a fixed set of topoflux outputs into a new OUT_DIR and print a sha256 per file.
+"""Write the outputs of every entry of the regression corpus into a new OUT_DIR and print
+a sha256 per file.
 
-The set covers what a refactor that promises unchanged output bytes must
-keep: ``run --format csv,json,svg`` on fig2a, fig2b and altParams,
-``run --format csv,json`` on fig2a with a 0.05 ns sin^2 ramp at fockLevels 2,
-3, 4 and 6 and on fig2a as a rectangular pulse carrying ``rampTime_ns: 100``
-(which it ignores), ``run --format csv,json`` on fig2a sampled every
-0.0004 ns (608 samples, three of the recorder's 256-sample blocks, so that
-block boundaries are in the check), the ``derive`` report of every preset,
-``derive`` and ``run --format json`` on fig2a with full overrides of g, g'
-and E (once with the pipeline's operating point echoed, once with
-``phi_c: null`` because no phase meets the resonance target), ``gates
-verify``, fig3a and fig3b sweeps reduced to 3 points and the ratios [0, 3],
-and robustness with 2 samples for seeds 0 and 7 (38 files).  It runs BLAS on
-one thread, whatever the environment says, since the 6-level ramp's last bits
-follow the thread count.  Run it on two checkouts and compare the printed lines:
+The inputs are the entries of ``tests/corpus`` (``scripts/write_corpus.py``
+writes them, ``tests/test_corpus.py`` checks their exit codes and summary
+numbers).  Each runs through the CLI with ``--out OUT_DIR/<entry>`` and
+``--config tests/corpus/<config>.json``, ``run`` entries with ``--format
+csv,json,svg``, and its stdout and stderr are dropped.  An entry that exits
+non-zero writes nothing, so a change of exit code shows in ``--compare`` as a
+directory that is only in one of the two.  It runs BLAS on one thread,
+whatever the environment says, since the 6-level ramp's last bits follow the
+thread count.  Run it on two checkouts and compare the printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR
 
@@ -32,8 +28,8 @@ against ``1.00``):
 
     PYTHONPATH=src python scripts/output_digest.py --compare OUT_A OUT_B --tol 1e-13
 
-It only uses the CLI, ``resolve``, ``run_sweep`` and ``run_robustness``, so
-older checkouts run it too.  A run takes under a minute on one core.
+It only runs the CLI, so one checkout's script and corpus also run on the
+``src`` of another (``PYTHONPATH=OTHER/src``).
 """
 
 import argparse
@@ -45,7 +41,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -62,75 +57,22 @@ if __name__ == "__main__":
         os.environ[var] = "1"
 
 from topoflux import cli  # noqa: E402
-from topoflux.config import resolve  # noqa: E402
-from topoflux.experiments import run_robustness, run_sweep  # noqa: E402
-from topoflux.presets import preset_names, scenario_preset  # noqa: E402
 
-RUN_PRESETS = ("fig2a", "fig2b", "altParams")
-RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
-RAMP_FOCK_LEVELS = (2, 3, 4, 6)
-# a rectangular pulse has no ramps, whatever its rampTime_ns
-RECT_WITH_RAMP_TIME = {"areaOverPi": -1.0, "shape": "rectangular", "rampTime_ns": 100}
-# fig2a sampled 608 times fills three of the recorder's 256-sample blocks
-MULTI_BLOCK = {"samplePeriod_ns": 0.0004}
-FULL_OVERRIDES = {"g_GHz": -2.0, "gPrime_GHz": -1.0, "E_GHz": 50.0}
-OVERRIDE_CONFIGS = {
-    "overrides": FULL_OVERRIDES,
-    # no phase gives E = 1e6 GHz, so phi_c is null and no derived or validity block is echoed
-    "overrides_unsolved": {**FULL_OVERRIDES, "resonanceTarget_GHz": 1e6},
-}
-SWEEP_PRESETS = ("fig3a", "fig3b")
-ROBUSTNESS_SEEDS = (0, 7)
-
-
-def _cli(*argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    if code != 0:
-        raise SystemExit(f"topoflux {' '.join(argv)} exited {code}")
-    return out.getvalue()
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import write_corpus  # noqa: E402
 
 
 def write_outputs(out: Path):
-    (out / "derive").mkdir(parents=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in preset_names():
-            cfg = Path(tmp) / f"{name}.json"
-            cfg.write_text(json.dumps(scenario_preset(name)))
-            (out / "derive" / f"{name}.json").write_text(_cli("derive", "--config", str(cfg)))
-            if name in RUN_PRESETS:
-                run_out = str(out / "run")
-                _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json,svg")
-        runs = {
-            f"ramped_fock{levels}": {"pulse": RAMP, "hilbert": {"fockLevels": levels}}
-            for levels in RAMP_FOCK_LEVELS
-        }
-        runs["rect_ramp_time"] = {"pulse": RECT_WITH_RAMP_TIME, "hilbert": {"fockLevels": 2}}
-        runs["multi_block"] = {"integration": MULTI_BLOCK}
-        for label, changes in runs.items():
-            raw = {**scenario_preset("fig2a"), **changes}
-            cfg = Path(tmp) / f"{label}.json"
-            cfg.write_text(json.dumps(raw))
-            run_out = str(out / f"run_{label}")
-            _cli("run", "--config", str(cfg), "--out", run_out, "--format", "csv,json")
-        for label, overrides in OVERRIDE_CONFIGS.items():
-            cfg = Path(tmp) / f"{label}.json"
-            cfg.write_text(json.dumps({**scenario_preset("fig2a"), "overrides": overrides}))
-            derived = _cli("derive", "--config", str(cfg))
-            (out / "derive" / f"fig2a_{label}.json").write_text(derived)
-            _cli("run", "--config", str(cfg), "--out", str(out / f"run_{label}"), "--format", "json")
-    _cli("gates", "verify", "--out", str(out / "gates"))
-
-    for name in SWEEP_PRESETS:
-        raw = scenario_preset(name)
-        raw["sweep"].update(points=3, gPrimeOverG=[0, 3])
-        run_sweep(resolve(raw), out_dir=out / "sweep")
-
-    raw = scenario_preset("robustness")
-    raw["robustness"]["samples"] = 2
-    for seed in ROBUSTNESS_SEEDS:
-        run_robustness(resolve(raw), seed=seed, out_dir=out / f"robustness_seed{seed}")
+    out.mkdir(parents=True)
+    for name, (config, argv) in write_corpus.entries(write_corpus.configs()).items():
+        argv = [*argv, "--out", str(out / name)]
+        if config is not None:
+            argv += ["--config", str(write_corpus.CORPUS / f"{config}.json")]
+        if argv[0] == "run":
+            argv += ["--format", "csv,json,svg"]
+        # the corpus test checks exit codes; an entry that fails writes no file
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
 
 
 def _number(x):

@@ -10,8 +10,11 @@ both override configs, robustness at seed 7 and ``gates verify``.
 ``tests/corpus/expected.json`` keeps, for each entry, its config, the command,
 the exit code, the first stderr line up to its first digit, and every number
 of the summary under its JSON path.  ``tests/test_corpus.py`` runs the same
-entries and compares.  Rewrite the corpus only with a change that means to
-move these values, and name every value that moved; the script prints them:
+entries and compares, and ``scripts/output_digest.py`` writes their output
+files.  Rewrite the corpus only with a change that means to move these values
+or the set of entries, and name every value that moved and every config or
+entry added (``+``) or dropped (``-``); the script prints them, and deletes the
+configs that ``configs()`` no longer writes:
 
     PYTHONPATH=src python scripts/write_corpus.py
 """
@@ -49,7 +52,7 @@ def configs() -> dict[str, str]:
     raws = {name: scenario_preset(name) for name in preset_names()}
     # at 6 levels the two plateau pieces that share a sample interval with a ramp are Magnus
     # steps whose 1-norm bound is above the Taylor series' limit
-    for levels in (2, 4, 6):
+    for levels in (2, 3, 4, 6):
         raws[f"fig2a_ramped_fock{levels}"] = _fig2a(pulse=RAMP, hilbert={"fockLevels": levels})
     # 608 samples, three of the recorder's 256-sample blocks
     raws["fig2a_sample_period_0.0004"] = _fig2a(integration={"samplePeriod_ns": 0.0004})
@@ -122,7 +125,10 @@ def main():
     path = CORPUS / "expected.json"
     before = json.loads(path.read_text()) if path.exists() else {}
     CORPUS.mkdir(exist_ok=True)
+    stored = {p.stem: p for p in CORPUS.glob("*.json") if p != path}
     texts = configs()
+    for name in stored.keys() - texts.keys():
+        stored[name].unlink()
     for name, text in texts.items():
         (CORPUS / f"{name}.json").write_text(text)
     expected = {}
@@ -136,6 +142,10 @@ def main():
             w = old.get("numbers", {}).get(p)
             if w is not None and w != v:
                 print(f"{name}{p}: {w!r} -> {v!r}")
+    old, new = stored.keys() | before.keys(), texts.keys() | expected.keys()
+    for sign, names in (("+", new - old), ("-", old - new)):
+        for name in sorted(names):
+            print(f"{sign} {name}")
     path.write_text(json.dumps(expected, indent=1) + "\n")
     print(f"wrote {len(texts)} configs and the {len(expected)} runs of {path}")
 

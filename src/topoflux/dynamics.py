@@ -585,14 +585,15 @@ def _magnus_coefficients(s: float, e1, e2, e3) -> np.ndarray:
     ) / 240.0
 
 
-def _propagate(y, l0, l1, basis: _HermitianBasis, pulse: PulseSegment, period: float, record):
-    """Carry y, rho's real coordinates in ``basis``, over the pulse under
+def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
+    """Carry y, rho's real coordinates in ``recorder.basis``, over the pulse under
     drho/dt = (l0 + env(t) l1) rho, l0 and l1 on the row-major vec(rho); returns y at the
     end and the plateau exponentials' ``_Plateau.dropped``.
 
-    The walk goes by sample intervals [k period, (k+1) period], the last one ending at the
-    pulse's end; ``record(n)`` returns the rows it fills with y at the next samples, at most
-    n of them.  The intervals on the plateau before the last form one run, which ``run``
+    The walk goes by sample intervals [k period, (k+1) period], period the recorder's
+    ``sample_period`` and the last interval ending at the pulse's end; ``record(n)``, the
+    recorder's ``rows``, returns the rows it fills with y at the next samples, at most n of
+    them.  The intervals on the plateau before the last form one run, which ``run``
     carries with the powers of P, the ``_Plateau`` of l0 + l1; on a rectangular pulse, one
     interval of the length left follows.  On a ramped pulse one loop walks the other
     intervals, cut at the ramp ends, in sixth-order Magnus steps: ceil(length/h) equal ones
@@ -603,6 +604,7 @@ def _propagate(y, l0, l1, basis: _HermitianBasis, pulse: PulseSegment, period: f
     ``TAYLOR_MAX_NORM`` is applied by one ``_TaylorSeries``, which stops on y's own terms;
     a longer one, on a ramp piece or a plateau piece, takes the real expm of its Omega.
     """
+    basis, period, record = recorder.basis, recorder.sample_period, recorder.rows
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
     # compared as a float, so a count that overflows to inf is refused too
     if not duration / period + (2.0 * ramp / h if ramp else 0.0) <= MAX_STEPS:
@@ -836,7 +838,7 @@ def evolve(
         l0 = _free_generator(ws, pulse.phase_freq, noise)
         l1 = _commutator(coupling)
         x = basis.coordinates(rho0)
-        x, dropped = _propagate(x, l0, l1, basis, pulse, recorder.sample_period, recorder.rows)
+        x, dropped = _propagate(x, l0, l1, pulse, recorder)
         nx = ws.excitation_diag
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
         rho = frame * basis.matrices(x)

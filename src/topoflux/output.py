@@ -121,7 +121,7 @@ def write_trajectory_svg(traj: Trajectory, path) -> Path:
     return path
 
 
-def emit_outputs(traj: Trajectory, out_dir, stem: str, formats=("csv",), summary: dict | None = None):
+def emit_outputs(traj: Trajectory, out_dir, stem: str, formats, summary: dict):
     """Write the requested artifact files for one trajectory; returns the paths."""
     if len(traj) == 0:
         raise ValueError("cannot emit an empty trajectory")
@@ -132,6 +132,6 @@ def emit_outputs(traj: Trajectory, out_dir, stem: str, formats=("csv",), summary
         written.append(write_trajectory_csv(traj, out_dir / f"{stem}.csv"))
     if "svg" in formats:
         written.append(write_trajectory_svg(traj, out_dir / f"{stem}.svg"))
-    if "json" in formats and summary is not None:
+    if "json" in formats:
         written.append(write_json(summary, out_dir / f"{stem}_summary.json"))
     return written

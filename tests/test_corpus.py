@@ -35,6 +35,7 @@ WRITER = _writer()
 def test_corpus_holds_the_written_configs():
     texts = WRITER.configs()
     assert {n: (e["config"], e["argv"]) for n, e in EXPECTED.items()} == WRITER.entries(texts)
+    assert {p.name for p in CORPUS.iterdir()} == {f"{n}.json" for n in [*texts, "expected"]}
     for name, text in texts.items():
         assert (CORPUS / f"{name}.json").read_text() == text, name
 

@@ -915,3 +915,18 @@ def test_output_digest_tol_needs_compare(tmp_path, monkeypatch, capsys):
     assert exited.value.code == 2
     assert "--tol needs --compare" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_output_digest_writes_each_corpus_entry_that_exits_0(tmp_path):
+    corpus = Path(__file__).resolve().parent / "corpus"
+    expected = json.loads((corpus / "expected.json").read_text())
+    passing = {name for name, entry in expected.items() if entry["exit"] == 0}
+    assert len(expected) - len(passing) == 7
+    _output_digest().write_outputs(tmp_path / "out")
+    assert {p.name for p in (tmp_path / "out").iterdir()} == passing
+    for name in passing:
+        entry = expected[name]
+        if entry["argv"] == ["run"]:
+            stem = json.loads((corpus / f"{entry['config']}.json").read_text())["experiment"]
+            files = {p.name for p in (tmp_path / "out" / name).iterdir()}
+            assert files == {f"{stem}.csv", f"{stem}.svg", f"{stem}_summary.json"}, name
