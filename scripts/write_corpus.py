@@ -17,16 +17,33 @@ entry added (``+``) or dropped (``-``); the script prints them, and deletes the
 configs that ``configs()`` no longer writes:
 
     PYTHONPATH=src python scripts/write_corpus.py
+
+It runs BLAS on one thread, whatever the environment says, as
+``scripts/output_digest.py`` does: the last bits of some stored values (the
+6-level ramp's among them) follow the thread count.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
-from topoflux import cli
-from topoflux.presets import preset_names, scenario_preset
+if __name__ == "__main__":
+    # set before numpy is first imported, so that the stored values depend on the code alone
+    for var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ[var] = "1"
+
+from topoflux import cli  # noqa: E402
+from topoflux.presets import preset_names, scenario_preset  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "corpus"
 RAMP = {"areaOverPi": -1.0, "shape": "sinSquaredRamp", "rampTime_ns": 0.05}
