@@ -10,9 +10,9 @@ On-disk units mirror the usual experimental quotes: frequencies in GHz
 (ordinary, i.e. omega/2pi), times in ns, lengths in um, velocities in m/s,
 temperature in mK.  ``resolve`` converts everything to the internal rad/ns
 system and runs the device pipeline once, so a resolved scenario is fully
-self-describing: summaries echo its records (``dataclasses.asdict``) as they
-are.  A phase ``phi_c`` left unsolved because full overrides replace the
-resonance condition stays ``None`` and is echoed as ``null``.
+self-describing: summaries echo its records as they are, each as a dict of
+its fields.  A phase ``phi_c`` left unsolved because full overrides replace
+the resonance condition stays ``None`` and is echoed as ``null``.
 
 Numbers are parsed strictly: ``NaN``, ``Infinity`` and literals that overflow
 a float are a ``ConfigError``, never a value that reaches the pipeline.  So
@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 from . import device as dev
@@ -96,6 +96,12 @@ class RobustnessSpec:
         _check_evaluations(9 + self.samples, "/robustness")
 
 
+def _fields(record) -> dict:
+    """A dataclass record as a dict of its fields, the values themselves: what ``asdict``
+    gives for a record whose fields hold no record, list or dict."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass
 class Scenario:
     """Fully resolved run description in internal units."""
@@ -119,14 +125,14 @@ class Scenario:
         echo = {
             "units": {"angular_frequency": "rad/ns", "time": "ns", "length": "um"},
             "experiment": self.experiment,
-            "device": asdict(self.device),
-            "hilbert": asdict(self.spec),
+            "device": _fields(self.device),
+            "hilbert": _fields(self.spec),
             "pulse": {
                 "area": self.pulse_area,
                 "shape": "sinSquaredRamp" if self.pulse.ramp else "rectangular",
                 "ramp_time": self.ramp_time,
             },
-            "noise": asdict(self.noise),
+            "noise": _fields(self.noise),
             "operating_point": {
                 "phi_c": self.phi_c,
                 "g": self.pulse.g_value,
@@ -135,9 +141,13 @@ class Scenario:
             },
         }
         if self.derived is not None:
-            echo["derived"] = asdict(self.derived)
+            echo["derived"] = _fields(self.derived)
         if self.validity is not None:
-            echo["validity"] = {**asdict(self.validity), "all_passed": self.validity.all_passed}
+            echo["validity"] = {
+                **_fields(self.validity),
+                "checks": tuple(_fields(check) for check in self.validity.checks),
+                "all_passed": self.validity.all_passed,
+            }
         return echo
 
 

@@ -202,7 +202,8 @@ class Trajectory:
 
 
 class _Workspace:
-    """Static operators for one Hilbert space, built once per evolution."""
+    """Static operators for one Hilbert space.  ``evolve`` and ``pulse_propagator`` share
+    one read-only instance per truncation (``_workspace``)."""
 
     def __init__(self, spec: HilbertSpec):
         n = spec.n_fock
@@ -227,12 +228,23 @@ class _Workspace:
         )
 
     def restricted(self, keep: list[int]) -> _Workspace:
-        """The same operators on the span of the basis states ``keep`` (sorted indices)."""
+        """The same operators on the span of the basis states ``keep`` (sorted indices), as
+        new arrays."""
         ws = object.__new__(_Workspace)
         cut = np.ix_(keep, keep)
         for name, op in vars(self).items():
             setattr(ws, name, op[cut] if op.ndim == 2 else op[keep])
         return ws
+
+
+@functools.lru_cache(maxsize=16)
+def _workspace(spec: HilbertSpec) -> _Workspace:
+    """The ``_Workspace`` of ``spec``, built once per truncation; its arrays are read-only,
+    so no caller can change another's operators."""
+    ws = _Workspace(spec)
+    for op in vars(ws).values():
+        op.flags.writeable = False
+    return ws
 
 
 def _support(rho0: np.ndarray, recorded, operators) -> list[int]:
@@ -820,7 +832,7 @@ def evolve(
         raise ValueError(
             f"rho0 is not Hermitian: |rho0 - rho0^dag| = {skew:.3e} exceeds {HERMITICITY_LIMIT:.0e}"
         )
-    ws = _Workspace(spec)
+    ws = _workspace(spec)
     recorded = spec.index(DOWN, 1), spec.index(UP, 0)
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
@@ -877,7 +889,7 @@ def pulse_propagator(pulse: PulseSegment, spec: HilbertSpec | None = None) -> np
     """
     if pulse.ramp:
         raise ValueError(f"pulse_propagator needs a rectangular pulse, got a {pulse.ramp} ns ramp")
-    ws = _Workspace(spec or HilbertSpec())
+    ws = _workspace(spec or HilbertSpec())
     nx = ws.excitation_diag
     u = expm(pulse.duration * (np.diag(-1j * pulse.phase_freq * nx) - 1j * ws.coupling(pulse)))
     return np.exp((1j * pulse.phase_freq * pulse.duration) * nx)[:, None] * u

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -15,6 +16,7 @@ from topoflux.errors import ConfigError, ValidityError
 from topoflux.presets import preset_names, scenario_preset
 
 TWO_PI = 2.0 * math.pi
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 
 class TestSchema:
@@ -296,6 +298,31 @@ class TestResolution:
             "energy_over_g",
             "strong_branch",
         }
+
+    # the presets and two corpus configs: full overrides, and full overrides whose
+    # resonance has no phase, with no derived or validity block
+    @pytest.mark.parametrize(
+        "name", [*preset_names(), "fig2a_overrides", "fig2a_overrides_unsolved"]
+    )
+    def test_parameter_echo_records_are_asdict(self, name):
+        scn = resolve(json.loads((CORPUS / f"{name}.json").read_text()))
+        records = {"device": scn.device, "hilbert": scn.spec, "noise": scn.noise}
+        if scn.derived is not None:
+            records["derived"] = scn.derived
+        expected = {key: asdict(record) for key, record in records.items()}
+        if scn.validity is not None:
+            expected["validity"] = {**asdict(scn.validity), "all_passed": scn.validity.all_passed}
+        echo = scn.parameter_echo()
+        assert echo.keys() - expected.keys() == {
+            "units",
+            "experiment",
+            "pulse",
+            "operating_point",
+        }
+        assert {key: echo[key] for key in expected} == expected
+        if scn.validity is not None:
+            assert type(echo["validity"]["checks"]) is tuple
+            assert all(type(check) is dict for check in echo["validity"]["checks"])
 
     def test_sweep_spec(self):
         scn = resolve(scenario_preset("fig3a"))

@@ -983,6 +983,49 @@ class TestPropagator:
         assert np.max(np.abs(u @ rho0 @ u.conj().T - traj.final_state)) < 1e-9
 
 
+class TestWorkspaceCache:
+    def test_one_read_only_workspace_per_truncation(self):
+        ws = dynamics._workspace(HilbertSpec(3))
+        assert ws is dynamics._workspace(HilbertSpec(3))
+        assert ws is not dynamics._workspace(HilbertSpec(4))
+        for name, op in vars(ws).items():
+            assert not op.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                op[0] = 0
+        # the restriction is made of new arrays, which the caller may change
+        assert all(op.flags.writeable for op in vars(ws.restricted([0, 1, 3, 4])).values())
+
+    @pytest.mark.parametrize("levels", [2, 4])
+    def test_evolve_matches_a_fresh_workspace(self, levels, monkeypatch):
+        # the fig2a ramp and rectangular pulse, from |up,0> (5 of 8 states kept at 4
+        # levels) and from a mixed state on every state, the cached workspace itself.
+        # Dephasing is off: it drains the trace from levels n >= 2
+        spec = HilbertSpec(levels)
+        rng = np.random.default_rng(levels)
+        m = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
+        mixed = m @ m.conj().T / np.trace(m @ m.conj().T)
+        scn, ramped = operating_point("fig2a", 0.05, levels)
+        rect = rectangular("fig2a", levels)[1]
+        noise = dataclasses.replace(scn.noise, tf2=math.inf)
+
+        def runs():
+            trajs = [
+                evolve(rho0, pulse, noise, spec)
+                for rho0 in (initial_state(spec), mixed)
+                for pulse in (ramped, rect)
+            ]
+            return trajs, pulse_propagator(rect, spec)
+
+        cached, cached_u = runs()
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_workspace", _Workspace)
+            fresh, fresh_u = runs()
+        assert np.array_equal(cached_u, fresh_u)
+        for a, b in zip(cached, fresh, strict=True):
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
 class TestPulseDurations:
     def test_rect_pi(self):
         d = pulse_duration_for_area(-math.pi, G1)
