@@ -1017,9 +1017,8 @@ class TestWorkspaceCache:
             return trajs, pulse_propagator(rect, spec)
 
         cached, cached_u = runs()
-        with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_workspace", _Workspace)
-            fresh, fresh_u = runs()
+        monkeypatch.setattr(dynamics, "_workspace", _Workspace)
+        fresh, fresh_u = runs()
         assert np.array_equal(cached_u, fresh_u)
         for a, b in zip(cached, fresh, strict=True):
             for field in dataclasses.fields(a):
