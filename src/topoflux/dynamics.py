@@ -49,9 +49,9 @@ ramp is one more such step.  Each step's Omega combines 10 fixed matrices
 polynomial that stops on the state's own terms (``_TaylorSeries``; Al-Mohy &
 Higham, SIAM J. Sci. Comput. 33, 488, 2011), or, for a step too long for the
 series, is the real ``expm`` of Omega.  Only the final state is turned back to
-a matrix in the working frame.  ``pulse_propagator`` gives a rectangular
-pulse's unitary as one exponential in the same frame.  The trajectory of
-``evolve`` comes from ``_Recorder``, which samples at the times
+a matrix in the working frame.  ``evolve`` is the only propagator: a
+closed-system check runs it with noise off.  The trajectory of ``evolve``
+comes from ``_Recorder``, which samples at the times
 k * sample_period (default duration/200) and at the end.  Its block holds
 ``SAMPLE_BLOCK`` states; a full one is turned into matrices in one scatter,
 checked for finite entries and reduced to trajectory columns, one numpy call
@@ -150,11 +150,6 @@ class PulseSegment:
         edge = np.minimum(np.minimum(tau, self.duration - tau), r)
         return np.sin(np.pi * edge / (2.0 * r)) ** 2
 
-    def area(self) -> float:
-        """Integral of g(t) over the pulse."""
-        # each sin^2 ramp integrates to g * ramp / 2
-        return self.g_value * (self.duration - self.ramp)
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -202,8 +197,8 @@ class Trajectory:
 
 
 class _Workspace:
-    """Static operators for one Hilbert space.  ``evolve`` and ``pulse_propagator`` share
-    one read-only instance per truncation (``_workspace``)."""
+    """Static operators for one Hilbert space.  ``evolve`` shares one read-only instance per
+    truncation (``_workspace``)."""
 
     def __init__(self, spec: HilbertSpec):
         n = spec.n_fock
@@ -879,28 +874,12 @@ def evolve(
     return traj
 
 
-def pulse_propagator(pulse: PulseSegment, spec: HilbertSpec | None = None) -> np.ndarray:
-    """Closed-system propagator U of a rectangular pulse, dU/dt = -i H U.
-
-    Gives the unitary actually generated by the pulse, for comparison against
-    closed-form gate constructions.  In the frame V(t) = exp(i E t N) the pulse's
-    Hamiltonian is the static E N + H_c, so U = V(T) expm(T (-i E N - i H_c)).
-    A ramped pulse raises ValueError.
-    """
-    if pulse.ramp:
-        raise ValueError(f"pulse_propagator needs a rectangular pulse, got a {pulse.ramp} ns ramp")
-    ws = _workspace(spec or HilbertSpec())
-    nx = ws.excitation_diag
-    u = expm(pulse.duration * (np.diag(-1j * pulse.phase_freq * nx) - 1j * ws.coupling(pulse)))
-    return np.exp((1j * pulse.phase_freq * pulse.duration) * nx)[:, None] * u
-
-
 def pulse_duration_for_area(area: float, g_value: float, ramp: float = 0.0) -> float:
     """Duration making the time integral of g(t) equal ``area`` with ramps of ``ramp`` ns.
 
-    Each sin^2 ramp carries half the area of a flat ramp of the same length,
-    so a ramped pulse is the rectangular pulse (ramp 0) lengthened by one
-    ramp time (``PulseSegment.area``).
+    Each sin^2 ramp of length r integrates to r/2, half the area of a flat ramp
+    of the same length, so the pulse's area is g * (duration - ramp): a ramped
+    pulse is the rectangular pulse (ramp 0) lengthened by one ramp time.
     """
     if g_value == 0.0:
         raise ValueError("g_value must be nonzero")

@@ -123,8 +123,10 @@ def synthesize_cp(
     return out
 
 
-def _local_invariants(gates) -> list[LocalInvariants]:
-    """Makhlin pairs of a sequence of 4x4 unitaries, computed as one stack."""
+def makhlin_invariants(gates) -> list[LocalInvariants]:
+    """Local invariants of a sequence of 4x4 unitaries, computed as one stack:
+    G1 = tr^2(m)/(16 det U), G2 = (tr^2(m) - tr(m^2))/(4 det U) with m = U_B^T U_B
+    in the magic basis."""
     u = np.asarray(gates)
     if u.shape[1:] != (4, 4):
         raise ValueError(f"gate must be 4x4, got {u.shape[1:]}")
@@ -140,12 +142,6 @@ def _local_invariants(gates) -> list[LocalInvariants]:
     g1 = tr2 / (16.0 * det)
     g2 = (tr2 - np.trace(m @ m, axis1=-2, axis2=-1)) / (4.0 * det)
     return [LocalInvariants(g1=complex(a), g2=float(b.real)) for a, b in zip(g1, g2)]
-
-
-def makhlin_invariants(u: np.ndarray) -> LocalInvariants:
-    """Local invariants G1 = tr^2(m)/(16 det U), G2 = (tr^2(m) - tr(m^2))/(4 det U)
-    with m = U_B^T U_B in the magic basis."""
-    return _local_invariants([u])[0]
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -190,7 +186,7 @@ def verification_report() -> dict:
         for root_name, root in (("pulse_root", pulse_root), ("canonical_sqrt_swap", canon_root))
         for order in ("right_to_left", "left_to_right")
     }
-    cz, *invs = _local_invariants([CZ, *references.values(), *synthesis.values()])
+    cz, *invs = makhlin_invariants([CZ, *references.values(), *synthesis.values()])
     entries = [_invariant_entry(inv, cz) for inv in invs]
     report = {
         "basis_order": ["down0", "down1", "up0", "up1"],

@@ -114,8 +114,3 @@ def final_state(rho0, pulse: PulseSegment, noise: NoiseParams, spec: HilbertSpec
     """The density matrix at the end of the pulse."""
     return propagate_pulse(np.array(rho0, dtype=complex), pulse, spec, lindblad(spec, noise), dt)
 
-
-def unitary(pulse: PulseSegment, spec: HilbertSpec, dt=None):
-    """The closed-system propagator of the pulse, dU/dt = -i H(t) U."""
-    u = np.eye(spec.dim, dtype=complex)
-    return propagate_pulse(u, pulse, spec, lambda h, m: -1j * (h @ m), dt)

@@ -2,7 +2,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from device_oracle import angular_to_ghz
+from topoflux import device
 from topoflux.config import _schema_errors, load_config, load_schema, resolve, validate_raw
 from topoflux.errors import ConfigError, ValidityError
 from topoflux.presets import preset_names, scenario_preset
@@ -272,6 +273,20 @@ class TestResolution:
         raw["device"]["phiC_rad"] = -0.1
         with pytest.raises(ValidityError):
             resolve(raw)
+
+    def test_non_finite_regime_check_refused(self, monkeypatch):
+        # the report's own floats stay finite: only the walk into its checks sees the inf
+        report = device.validity_report
+
+        def inf_check(params, derived):
+            validity = report(params, derived)
+            checks = (replace(validity.checks[0], value=math.inf), *validity.checks[1:])
+            return replace(validity, checks=checks)
+
+        monkeypatch.setattr(device, "validity_report", inf_check)
+        with pytest.raises(ConfigError, match="drives the pipeline to inf or nan") as exc:
+            resolve(scenario_preset("fig2a"))
+        assert exc.value.pointer == "/device"
 
     def test_noise_defaults_from_device(self):
         scn = resolve(scenario_preset("fig2a"))

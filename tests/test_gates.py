@@ -104,17 +104,17 @@ class TestRz:
 
 class TestMakhlin:
     def test_identity_class(self):
-        inv = makhlin_invariants(np.eye(4, dtype=complex))
+        inv = makhlin_invariants([np.eye(4, dtype=complex)])[0]
         assert inv.g1 == pytest.approx(1.0, abs=1e-12)
         assert inv.g2 == pytest.approx(3.0, abs=1e-12)
 
     def test_cz_class(self):
-        inv = makhlin_invariants(CZ)
+        inv = makhlin_invariants([CZ])[0]
         assert inv.g1 == pytest.approx(0.0, abs=1e-12)
         assert inv.g2 == pytest.approx(1.0, abs=1e-12)
 
     def test_swap_iswap_cz_distinct(self):
-        pairs = [makhlin_invariants(u) for u in (SWAP, ISWAP, CZ)]
+        pairs = makhlin_invariants([SWAP, ISWAP, CZ])
         assert pairs[0].g1 == pytest.approx(-1.0, abs=1e-12)
         assert pairs[0].g2 == pytest.approx(-3.0, abs=1e-12)
         assert pairs[1].g1 == pytest.approx(0.0, abs=1e-12)
@@ -126,18 +126,18 @@ class TestMakhlin:
     @pytest.mark.parametrize("base", [CZ, SWAP, ISWAP])
     def test_invariance_under_local_dressing(self, base):
         rng = np.random.default_rng(11)
-        ref = makhlin_invariants(base)
+        ref = makhlin_invariants([base])[0]
         for _ in range(100):
-            assert makhlin_invariants(dress(base, rng)).close_to(ref, tol=1e-10)
+            assert makhlin_invariants([dress(base, rng)])[0].close_to(ref, tol=1e-10)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
-            makhlin_invariants(np.ones((4, 4)))
+            makhlin_invariants([np.ones((4, 4))])
 
     @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4), (8, 8)])
     def test_non_4x4_rejected(self, shape):
         with pytest.raises(ValueError, match="must be 4x4"):
-            makhlin_invariants(np.ones(shape, dtype=complex))
+            makhlin_invariants([np.ones(shape, dtype=complex)])
 
 
 class TestGateFidelity:
@@ -195,13 +195,13 @@ class TestCpSynthesis:
         # sequence is diagonal and sits in the identity local class
         u = synthesize_cp()
         assert np.max(np.abs(u - np.diag(np.diag(u)))) < 1e-12
-        inv = makhlin_invariants(u)
+        inv = makhlin_invariants([u])[0]
         assert inv.close_to(LocalInvariants(1.0 + 0j, 3.0), tol=1e-10)
 
     def test_canonical_root_product_is_cz(self):
         u = synthesize_cp(root=canonical_sqrt_swap())
-        inv = makhlin_invariants(u)
-        assert inv.close_to(makhlin_invariants(CZ), tol=1e-10)
+        inv = makhlin_invariants([u])[0]
+        assert inv.close_to(makhlin_invariants([CZ])[0], tol=1e-10)
         assert gate_fidelity(u, CZ) == pytest.approx(1.0, abs=1e-12)
 
     def test_both_orders_available(self):
@@ -264,10 +264,10 @@ class TestVerificationReport:
             for name, root in (("pulse_root", pulse_root), ("canonical_sqrt_swap", canon_root))
             for order in ("right_to_left", "left_to_right")
         }
-        cz = makhlin_invariants(CZ)
+        cz = makhlin_invariants([CZ])[0]
 
         def expected(u):
-            inv = makhlin_invariants(u)
+            inv = makhlin_invariants([u])[0]
             return {
                 "G1_re": inv.g1.real,
                 "G1_im": inv.g1.imag,
