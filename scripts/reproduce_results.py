@@ -2,8 +2,7 @@
 """Run every bundled experiment and collect the headline numbers.
 
 Writes CSV/JSON/SVG artifacts under --out (default ./out) and prints a small
-results table.  --quick shrinks the sweep and Monte Carlo sizes for a fast
-smoke run.
+results table, with each experiment's wall time in ms.
 """
 
 import argparse
@@ -22,41 +21,31 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out"))
     ap.add_argument("--seed", type=_seed, default=0, help="PRNG seed, >= 0 (default 0)")
-    ap.add_argument("--quick", action="store_true", help="smaller sweeps and Monte Carlo")
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    def prepared(name):
-        raw = scenario_preset(name)
-        if args.quick:
-            if "sweep" in raw:
-                raw["sweep"]["points"] = 5
-            if "robustness" in raw:
-                raw["robustness"]["samples"] = 24
-        return resolve(raw)
+    def elapsed(t0):
+        return f"[{1e3 * (time.perf_counter() - t0):.0f} ms]"
 
-    results = {}
     for name in ("fig2a", "fig2b", "altParams"):
         t0 = time.perf_counter()
-        summary = run_scenario(prepared(name), out_dir=args.out)
-        results[name] = summary["fidelity"]
-        print(f"{name:12s} fidelity = {summary['fidelity']:.5f}   [{time.perf_counter() - t0:.1f} s]")
+        summary = run_scenario(resolve(scenario_preset(name)), out_dir=args.out)
+        print(f"{name:12s} fidelity = {summary['fidelity']:.5f}   {elapsed(t0)}")
 
     for name in ("fig3a", "fig3b"):
         t0 = time.perf_counter()
-        summary = run_sweep(prepared(name), out_dir=args.out)
+        summary = run_sweep(resolve(scenario_preset(name)), out_dir=args.out)
         lo_row, hi_row = summary["fidelities"][0], summary["fidelities"][-1]
         print(
             f"{name:12s} F1 range: ratio-0 column {hi_row[0]:.4f}..{lo_row[0]:.4f}, "
-            f"ratio-6 column {hi_row[-1]:.4f}..{lo_row[-1]:.4f}   "
-            f"[{time.perf_counter() - t0:.1f} s]"
+            f"ratio-6 column {hi_row[-1]:.4f}..{lo_row[-1]:.4f}   {elapsed(t0)}"
         )
 
     t0 = time.perf_counter()
-    rob = run_robustness(prepared("robustness"), seed=args.seed, out_dir=args.out)
+    rob = run_robustness(resolve(scenario_preset("robustness")), seed=args.seed, out_dir=args.out)
     print(
         f"{'robustness':12s} worst corner = {rob['worst_corner']['fidelity']:.5f}, "
-        f"mean = {rob['monte_carlo']['mean']:.5f}   [{time.perf_counter() - t0:.1f} s]"
+        f"mean = {rob['monte_carlo']['mean']:.5f}   {elapsed(t0)}"
     )
 
     write_json(verification_report(), args.out / "gates_verification.json")

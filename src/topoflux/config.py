@@ -311,15 +311,6 @@ def _device_from_raw(d: dict) -> dev.DeviceParams:
     return params
 
 
-def _all_finite(value) -> bool:
-    """Whether every float in a nested dict, list or tuple is finite."""
-    if isinstance(value, dict):
-        return all(_all_finite(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_all_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
-
-
 def _override(overrides: dict, key: str) -> float:
     """An override in rad/ns; one too large for a float in those units is a ConfigError."""
     return _internal(overrides, key, dev.ghz_to_angular, "GHz", "/overrides/")
@@ -358,8 +349,10 @@ def resolve(raw: dict) -> Scenario:
             raise
     except ArithmeticError as e:  # ZeroDivisionError, or OverflowError from **
         raise ConfigError(f"the device block overflows the pipeline ({e})", "/device") from None
+    # the report's checks are records of their own, so every float is a record's field
     checks = validity.checks if validity is not None else ()
-    if not all(_all_finite(_fields(r)) for r in (derived, validity, *checks) if r is not None):
+    values = [v for r in (derived, validity, *checks) if r is not None for v in _fields(r).values()]
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
         raise ConfigError("the device block drives the pipeline to inf or nan", pointer="/device")
 
     g = _override(overrides, "g_GHz") if "g_GHz" in overrides else derived.g

@@ -204,17 +204,17 @@ class _Workspace:
         n = spec.n_fock
         self.a = embed(annihilation_op(n), "flux", spec)
         self.a_dag = self.a.conj().T
-        self.s_minus = embed(sigma_minus(), "topological", spec)
-        self.s_plus = embed(sigma_plus(), "topological", spec)
+        s_minus = embed(sigma_minus(), "topological", spec)
+        s_plus = embed(sigma_plus(), "topological", spec)
         zf = embed(flux_qubit_z(n), "flux", spec)
-        self.exchange = self.a_dag @ self.s_minus + self.a @ self.s_plus
-        self.contam_up = zf @ self.s_plus
-        self.contam_down = zf @ self.s_minus
+        self.exchange = self.a_dag @ s_minus + self.a @ s_plus
+        self.contam_up = zf @ s_plus
+        self.contam_down = zf @ s_minus
         # diagonal operators enter the dissipators as broadcast scalings
         self.number_diag = np.real(np.diag(self.a_dag @ self.a)).copy()
         self.z_diag = np.real(np.diag(zf)).copy()
         # N = a^dag a + |up><up|: the exchange conserves it, s+ raises it by one
-        self.excitation_diag = self.number_diag + np.real(np.diag(self.s_plus @ self.s_minus))
+        self.excitation_diag = self.number_diag + np.real(np.diag(s_plus @ s_minus))
 
     def coupling(self, pulse: PulseSegment) -> np.ndarray:
         """The plateau coupling in the frame exp(i E t N), where it is static."""
@@ -773,7 +773,7 @@ def evolve(
     rho0: np.ndarray,
     pulse: PulseSegment,
     noise: NoiseParams,
-    spec: HilbertSpec | None = None,
+    *,
     sample_period: float | None = None,
 ) -> Trajectory:
     """Propagate the master equation over one pulse.
@@ -791,14 +791,13 @@ def evolve(
     ----------
     rho0 : ndarray
         Initial density matrix on the composite space, Hermitian to
-        ``HERMITICITY_LIMIT``.
+        ``HERMITICITY_LIMIT``; its shape 2n x 2n fixes the truncation,
+        ``HilbertSpec(n)``.
     pulse : PulseSegment
         The coupling pulse; its interaction-picture phase starts at 0 when
         the pulse starts.
     noise : NoiseParams
         Relaxation / dephasing times; pass NO_NOISE for closed evolution.
-    spec : HilbertSpec, optional
-        Defaults to the two-level flux truncation.
     sample_period : float, optional
         Time between samples in ns; defaults to 1/200 of the pulse duration.
 
@@ -814,13 +813,13 @@ def evolve(
     precision (``EXPM_MAX_NORM``), the state is not finite, the final trace
     drifts by more than ``TRACE_DRIFT_LIMIT``, or the plateau exponentials'
     anti-Hermitian round-off (``_Plateau.dropped``) or the final state is not
-    Hermitian to ``HERMITICITY_LIMIT``.  ValueError if ``rho0`` has the wrong
-    shape or is not Hermitian to ``HERMITICITY_LIMIT``, or ``sample_period``
-    is not positive.
+    Hermitian to ``HERMITICITY_LIMIT``.  ValueError if ``rho0`` is not a
+    2n x 2n matrix with n >= 2 or is not Hermitian to ``HERMITICITY_LIMIT``,
+    or ``sample_period`` is not positive.
     """
-    spec = spec or HilbertSpec()
-    if rho0.shape != (spec.dim, spec.dim):
-        raise ValueError(f"rho0 must be {spec.dim}x{spec.dim}, got {rho0.shape}")
+    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or len(rho0) % 2:
+        raise ValueError(f"rho0 must be a 2n x 2n matrix, got shape {rho0.shape}")
+    spec = HilbertSpec(len(rho0) // 2)
     # the Hermitian coordinates would drop an anti-Hermitian part without notice
     skew = np.linalg.norm(rho0 - rho0.conj().T)
     if not skew <= HERMITICITY_LIMIT:

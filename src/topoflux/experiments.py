@@ -45,11 +45,9 @@ def target_state(scn: Scenario) -> np.ndarray:
     return psi
 
 
-def run_evolution(scn: Scenario, pulse=None, noise=None) -> Trajectory:
-    """Evolve |up,0> under ``pulse`` and ``noise``, by default the scenario's own."""
-    pulse = scn.pulse if pulse is None else pulse
-    noise = scn.noise if noise is None else noise
-    return evolve(initial_state(scn.spec), pulse, noise, scn.spec, sample_period=scn.sample_period)
+def run_evolution(scn: Scenario) -> Trajectory:
+    """Evolve |up,0> under the scenario's pulse and noise."""
+    return evolve(initial_state(scn.spec), scn.pulse, scn.noise, sample_period=scn.sample_period)
 
 
 def scenario_fidelity(scn: Scenario, traj: Trajectory) -> float:
@@ -60,13 +58,12 @@ def fidelities(scn: Scenario, points: Iterable[tuple[PulseSegment, NoiseParams]]
     """Final-state fidelity against ``target_state(scn)`` for each (pulse, noise) point.
 
     The points are read one at a time, so a generator of them is never held
-    in memory whole.  Only the final state is read, so each evolution samples
-    just its two ends.
+    in memory whole.  Every point starts from the same |up,0>, and only its
+    final state is read, so each evolution samples just its two ends.
     """
-    target = target_state(scn)
-    ends_only = replace(scn, sample_period=scn.pulse.duration)
+    target, rho0 = target_state(scn), initial_state(scn.spec)
     return [
-        fidelity_pure(target, run_evolution(ends_only, pulse, noise).final_state)
+        fidelity_pure(target, evolve(rho0, pulse, noise, sample_period=pulse.duration).final_state)
         for pulse, noise in points
     ]
 

@@ -16,6 +16,8 @@ TOPOLOGICAL = "topological"
 FLUX = "flux"
 
 UNITARITY_TOL = 1e-10
+# ``LocalInvariants.close_to`` holds when G1 and G2 each differ by less than this
+INVARIANT_TOL = 1e-10
 
 # indices of the single-excitation pair exchanged by the coupling pulse
 _I_DN1, _I_UP0 = 1, 2
@@ -50,8 +52,8 @@ class LocalInvariants:
     g1: complex
     g2: float
 
-    def close_to(self, other: "LocalInvariants", tol: float = 1e-10) -> bool:
-        return abs(self.g1 - other.g1) < tol and abs(self.g2 - other.g2) < tol
+    def close_to(self, other: "LocalInvariants") -> bool:
+        return abs(self.g1 - other.g1) < INVARIANT_TOL and abs(self.g2 - other.g2) < INVARIANT_TOL
 
 
 def ideal_pulse_unitary(area: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import math
 import tracemalloc
 
@@ -137,7 +138,6 @@ class TestLabFrame:
             rho0,
             make_pulse(g=G1, g_prime=GP1, phase_freq=E1),
             NO_NOISE,
-            SPEC,
             sample_period=duration / 50,
         )
         h_lab = build_lab_hamiltonian(E1, E1, G1, GP1, SPEC)
@@ -208,7 +208,7 @@ class TestEvolve:
         duration = TWO_PI / abs(G1)
         pulse = make_pulse(duration=duration)
         traj = evolve(
-            pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, SPEC, sample_period=duration / 50
+            pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, sample_period=duration / 50
         )
         expected = np.cos(np.abs(G1) * traj.times / 2.0) ** 2
         assert np.max(np.abs(np.real(traj.rho22) - expected)) < 1e-6
@@ -222,7 +222,7 @@ class TestEvolve:
         duration = pulse_duration_for_area(-math.pi, G1, ramp)
         pulse = make_pulse(duration=duration, ramp=ramp)
         traj = evolve(
-            pure_density(spec.ket(UP, 0)), pulse, NO_NOISE, spec, sample_period=duration / 50
+            pure_density(spec.ket(UP, 0)), pulse, NO_NOISE, sample_period=duration / 50
         )
         t = traj.times
 
@@ -237,20 +237,20 @@ class TestEvolve:
 
     def test_dark_state_stationary(self):
         pulse = make_pulse(duration=10.0)
-        traj = evolve(pure_density(SPEC.ket(DOWN, 0)), pulse, NOISE1, SPEC, sample_period=5.0)
+        traj = evolve(pure_density(SPEC.ket(DOWN, 0)), pulse, NOISE1, sample_period=5.0)
         dev = np.max(np.abs(traj.final_state - pure_density(SPEC.ket(DOWN, 0))))
         assert dev < 1e-9
 
     def test_noise_free_purity(self):
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         rho0 = pure_density(SPEC.ket(UP, 0))
-        traj = evolve(rho0, pulse, NO_NOISE, SPEC, sample_period=pulse.duration / 100)
+        traj = evolve(rho0, pulse, NO_NOISE, sample_period=pulse.duration / 100)
         assert np.max(np.abs(traj.purity - 1.0)) < 1e-7
 
     def test_invariants_with_noise(self):
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         rho0 = pure_density(SPEC.ket(UP, 0))
-        traj = evolve(rho0, pulse, NOISE1, SPEC, sample_period=pulse.duration / 100)
+        traj = evolve(rho0, pulse, NOISE1, sample_period=pulse.duration / 100)
         checks = trajectory_checks(traj)
         assert checks["max_trace_error"] < 1e-7
         assert checks["final_hermiticity_error"] < 1e-9
@@ -260,7 +260,7 @@ class TestEvolve:
         # pi pulse with decoherence lands near 0.993
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         rho0 = pure_density(SPEC.ket(UP, 0))
-        traj = evolve(rho0, pulse, NOISE1, SPEC, sample_period=pulse.duration / 100)
+        traj = evolve(rho0, pulse, NOISE1, sample_period=pulse.duration / 100)
         i_dn1 = SPEC.index(DOWN, 1)
         assert traj.final_state[i_dn1, i_dn1].real == pytest.approx(0.993, abs=0.005)
 
@@ -272,7 +272,7 @@ class TestEvolve:
         raw["hilbert"] = {"fockLevels": 3}
         scn = resolve(raw)
         with pytest.raises(IntegrationError, match="trace drift"):
-            evolve(initial_state(scn.spec), scn.pulse, scn.noise, scn.spec)
+            evolve(initial_state(scn.spec), scn.pulse, scn.noise)
 
     def test_rho0_must_be_hermitian(self):
         # the Hermitian coordinates would drop rho0's anti-Hermitian part
@@ -280,9 +280,37 @@ class TestEvolve:
         pulse = make_pulse()
         rho0[0, 1] = 1e-9
         with pytest.raises(ValueError, match="not Hermitian"):
-            evolve(rho0, pulse, NO_NOISE, SPEC)
+            evolve(rho0, pulse, NO_NOISE)
         rho0[0, 1] = 1e-10  # |rho0 - rho0^dag|_F = 1.4e-10
-        assert len(evolve(rho0, pulse, NO_NOISE, SPEC)) == 201
+        assert len(evolve(rho0, pulse, NO_NOISE)) == 201
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(), (4,), (4, 6), (5, 5), (2, 2), (0, 0), (4, 4, 4)],
+        ids=["0-d", "1-d", "non-square", "odd", "2x2", "0x0", "3-d"],
+    )
+    def test_rho0_must_be_2n_by_2n(self, shape):
+        # rho0's shape fixes the truncation, HilbertSpec(n) for 2n x 2n, and n >= 2
+        with pytest.raises(ValueError, match="2n x 2n|n_fock must be >= 2"):
+            evolve(np.zeros(shape, dtype=complex), make_pulse(), NO_NOISE)
+
+    def test_truncation_is_read_from_rho0(self):
+        # no argument sets it: a truncation passed after the noise is refused at the call
+        params = inspect.signature(evolve).parameters
+        assert list(params) == ["rho0", "pulse", "noise", "sample_period"]
+        assert params["sample_period"].kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError, match="3 positional arguments"):
+            evolve(pure_density(SPEC.ket(UP, 0)), make_pulse(), NO_NOISE, SPEC)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_rho0_is_left_unchanged(self, levels):
+        # fidelities shares one rho0 across its points.  From |up,0> the walk keeps every
+        # state at 2 levels and a cut of 5 at 3
+        scn, pulse = rectangular("fig2a", levels)
+        rho0 = initial_state(scn.spec)
+        before = rho0.copy()
+        evolve(rho0, pulse, scn.noise)
+        assert np.array_equal(rho0, before)
 
     @pytest.mark.parametrize("share, refused", [(0.9, False), (1.1, True)])
     def test_plateau_round_off_is_refused(self, share, refused, monkeypatch):
@@ -295,9 +323,9 @@ class TestEvolve:
         monkeypatch.setattr(dynamics, "expm", lambda a: exact(a) + 1j * eps * np.eye(len(a)))
         if refused:
             with pytest.raises(IntegrationError, match="not Hermitian"):
-                evolve(rho0, pulse, NOISE1, SPEC)
+                evolve(rho0, pulse, NOISE1)
         else:
-            assert len(evolve(rho0, pulse, NOISE1, SPEC)) == 201
+            assert len(evolve(rho0, pulse, NOISE1)) == 201
 
     def test_static_divergence_error(self):
         # a non-finite generator is refused before it is exponentiated, and a
@@ -318,7 +346,7 @@ class TestEvolve:
         sample_period = duration / 37
         pulse = make_pulse(duration=duration)
         rho0 = pure_density(SPEC.ket(UP, 0))
-        a = evolve(rho0, pulse, NOISE1, SPEC, sample_period=sample_period)
+        a = evolve(rho0, pulse, NOISE1, sample_period=sample_period)
         h = interaction_hamiltonian(0.0, pulse, SPEC)
         b = evolve_static(rho0, h, duration, NOISE1, SPEC, sample_period=sample_period)
         assert len(a) == len(b)
@@ -330,8 +358,8 @@ class TestEvolve:
         spec4 = HilbertSpec(4)
         rho0_4 = pure_density(spec4.ket(UP, 0))
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
-        t4 = evolve(rho0_4, pulse, NOISE1, spec4, sample_period=1.0)
-        t2 = evolve(pure_density(SPEC.ket(UP, 0)), pulse, NOISE1, SPEC, sample_period=1.0)
+        t4 = evolve(rho0_4, pulse, NOISE1, sample_period=1.0)
+        t2 = evolve(pure_density(SPEC.ket(UP, 0)), pulse, NOISE1, sample_period=1.0)
         f4 = t4.final_state[spec4.index(DOWN, 1), spec4.index(DOWN, 1)].real
         f2 = t2.final_state[SPEC.index(DOWN, 1), SPEC.index(DOWN, 1)].real
         assert f4 == pytest.approx(f2, abs=5e-4)
@@ -395,7 +423,7 @@ class TestExactPropagation:
             m = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
             starts.append(m @ m.conj().T / np.trace(m @ m.conj().T))
         for rho0 in starts:
-            exact = evolve(rho0, pulse, noise, spec).final_state
+            exact = evolve(rho0, pulse, noise).final_state
             assert np.max(np.abs(exact - rk4.final_state(rho0, pulse, noise, spec))) < 1e-10
 
     @pytest.mark.parametrize("name, ramp, levels, noisy, dt, overrides", RAMPED_CASES)
@@ -403,7 +431,7 @@ class TestExactPropagation:
         scn, pulse = operating_point(name, ramp, levels, overrides)
         noise = scn.noise if noisy else NO_NOISE
         rho0 = initial_state(scn.spec)
-        magnus = evolve(rho0, pulse, noise, scn.spec).final_state
+        magnus = evolve(rho0, pulse, noise).final_state
         assert np.max(np.abs(magnus - rk4.final_state(rho0, pulse, noise, scn.spec, dt))) < 1e-10
 
     @pytest.mark.parametrize("samples", [600, 7.5])
@@ -413,7 +441,7 @@ class TestExactPropagation:
         # the fourth of 7.5 sample intervals
         scn, pulse = ramps_that_meet(levels)
         rho0 = initial_state(scn.spec)
-        magnus = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration / samples).final_state
+        magnus = evolve(rho0, pulse, scn.noise, sample_period=pulse.duration / samples).final_state
         oracle = rk4.final_state(rho0, pulse, scn.noise, scn.spec, 5e-5)
         assert np.max(np.abs(magnus - oracle)) < 1e-10
 
@@ -447,7 +475,7 @@ class TestExactPropagation:
 
         def final_state(steps):
             monkeypatch.setattr(dynamics, "RAMP_STEPS", steps)
-            return evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state
+            return evolve(rho0, pulse, scn.noise, sample_period=pulse.duration).final_state
 
         reference = final_state(256)
         coarse, fine = (np.max(np.abs(final_state(n) - reference)) for n in (16, 32))
@@ -460,9 +488,9 @@ class TestExactPropagation:
         # of one chunk per block of steps
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
-        whole = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state
+        whole = evolve(rho0, pulse, scn.noise, sample_period=pulse.duration).final_state
         monkeypatch.setattr(dynamics, "OMEGA_BLOCK_ENTRIES", 3 * scn.spec.dim**4)
-        split = evolve(rho0, pulse, scn.noise, scn.spec, pulse.duration).final_state
+        split = evolve(rho0, pulse, scn.noise, sample_period=pulse.duration).final_state
         assert np.max(np.abs(split - whole)) < 1e-14
 
     def test_steps_above_the_taylor_bound_take_expm(self, monkeypatch):
@@ -470,10 +498,10 @@ class TestExactPropagation:
         # Taylor series matches
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
-        taylor = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        taylor = evolve(rho0, pulse, scn.noise).final_state
         monkeypatch.setattr(dynamics, "TAYLOR_MAX_NORM", 0.0)
         monkeypatch.setattr(_TaylorSeries, "apply", None)
-        exponentials = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        exponentials = evolve(rho0, pulse, scn.noise).final_state
         assert np.max(np.abs(exponentials - taylor)) < 1e-14
 
     def test_steps_above_the_taylor_bound_take_a_real_expm(self, monkeypatch):
@@ -492,7 +520,7 @@ class TestExactPropagation:
             return exponential(a)
 
         monkeypatch.setattr(dynamics, "expm", spy)
-        evolve(pure_density(scn.spec.ket(UP, 5)), pulse, noise, scn.spec)
+        evolve(pure_density(scn.spec.ket(UP, 5)), pulse, noise)
         assert len(norms["c"]) == 1 and len(norms["f"]) == 2
         assert min(norms["f"]) > dynamics.TAYLOR_MAX_NORM
 
@@ -507,7 +535,7 @@ class TestExactPropagation:
         # and the plateau's sample intervals share the one expm
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
-        whole = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        whole = evolve(rho0, pulse, scn.noise).final_state
         if block is not None:
             monkeypatch.setattr(dynamics, "RAMP_BLOCK_STEPS", block)
         rows, ramp_rows, degrees, exponentials = [], [], [], []
@@ -536,7 +564,7 @@ class TestExactPropagation:
         monkeypatch.setattr(dynamics, "_magnus_coefficients", count_coefficients)
         monkeypatch.setattr(_TaylorSeries, "apply", count_apply)
         monkeypatch.setattr(dynamics, "expm", count_expm)
-        split = evolve(rho0, pulse, scn.noise, scn.spec).final_state
+        split = evolve(rho0, pulse, scn.noise).final_state
         assert sum(ramp_rows) == 206
         assert len(degrees) == sum(rows) == 206 + 2
         assert len(rows) == math.ceil((206 + 2) / dynamics.RAMP_BLOCK_STEPS)
@@ -564,14 +592,14 @@ class TestExactPropagation:
 
         monkeypatch.setattr(dynamics, "np", CountingNumpy())
         monkeypatch.setattr(_TaylorSeries, "apply", count_apply)
-        evolve(initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        evolve(initial_state(scn.spec), pulse, scn.noise)
         assert len(steps) == 726
         assert len(lookups) < len(steps)
 
     def test_sample_times_are_multiples_of_the_period(self):
         pulse = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
         period = pulse.duration / 7.5  # a remainder of half a period
-        traj = evolve(pure_density(SPEC.ket(UP, 0)), pulse, NOISE1, SPEC, sample_period=period)
+        traj = evolve(pure_density(SPEC.ket(UP, 0)), pulse, NOISE1, sample_period=period)
         assert np.array_equal(traj.times[:-1], np.arange(8) * period)
         assert traj.times[-1] == pulse.duration
 
@@ -669,9 +697,9 @@ class TestExactPropagation:
             expm(np.full((2, 2), value))
 
 
-def kept_states(monkeypatch, rho0, pulse, noise, spec):
-    """The basis states that evolve(rho0, pulse, noise, spec) walks on, as (spin, n)
-    pairs, and its trajectory."""
+def kept_states(monkeypatch, rho0, pulse, noise):
+    """The basis states that evolve(rho0, pulse, noise) walks on, as (spin, n) pairs, and
+    its trajectory."""
     support, kept = dynamics._support, []
 
     def spy(*args):
@@ -680,8 +708,8 @@ def kept_states(monkeypatch, rho0, pulse, noise, spec):
 
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_support", spy)
-        traj = evolve(rho0, pulse, noise, spec)
-    return {divmod(i, spec.n_fock) for i in kept[0]}, traj
+        traj = evolve(rho0, pulse, noise)
+    return {divmod(i, len(rho0) // 2) for i in kept[0]}, traj
 
 
 # the states the exchange, the contamination and the jump a reach from |up,0>
@@ -692,7 +720,7 @@ class TestSupport:
     @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6])
     def test_states_reached_from_up0(self, levels, monkeypatch):
         scn, pulse = operating_point("fig2a", 0.05, levels)
-        kept, _ = kept_states(monkeypatch, initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        kept, _ = kept_states(monkeypatch, initial_state(scn.spec), pulse, scn.noise)
         assert kept == {(s, n) for s, n in FROM_UP0 if n < levels}
 
     @pytest.mark.parametrize(
@@ -713,7 +741,7 @@ class TestSupport:
         spec = HilbertSpec(3)
         pulse = make_pulse(g=G1, g_prime=g_prime, phase_freq=E1)
         rho0 = pure_density(spec.ket(UP, 0))
-        got, traj = kept_states(monkeypatch, rho0, pulse, noise, spec)
+        got, traj = kept_states(monkeypatch, rho0, pulse, noise)
         assert got == kept
         oracle = rk4.final_state(rho0, pulse, noise, spec)
         assert np.max(np.abs(traj.final_state - oracle)) < 1e-10
@@ -725,7 +753,7 @@ class TestSupport:
         scn, pulse = operating_point("fig2a", 0.05, 4)
         spec, noise = scn.spec, dataclasses.replace(scn.noise, tf2=math.inf)
         rho0 = pure_density((spec.ket(UP, 0) + spec.ket(DOWN, 3)) / math.sqrt(2.0))
-        kept, traj = kept_states(monkeypatch, rho0, pulse, noise, spec)
+        kept, traj = kept_states(monkeypatch, rho0, pulse, noise)
         assert kept == FROM_UP0 | {(DOWN, 3), (UP, 2)}
         oracle = rk4.final_state(rho0, pulse, noise, spec, 5e-5)
         assert np.max(np.abs(traj.final_state - oracle)) < 1e-10
@@ -735,7 +763,7 @@ class TestSupport:
         # the fig2a 0.05 ns ramp on its 5 states against the walk on all 2 * levels,
         # whose unreached states hold exact zeros
         scn, pulse = operating_point("fig2a", 0.05, levels)
-        args = (initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        args = (initial_state(scn.spec), pulse, scn.noise)
         kept = evolve(*args)
         monkeypatch.setattr(dynamics, "_support", lambda rho0, *_: list(range(len(rho0))))
         every = evolve(*args)
@@ -755,7 +783,7 @@ class TestSupport:
             return handed
 
         monkeypatch.setattr(_Recorder, "rows", keep)
-        kept, traj = kept_states(monkeypatch, initial_state(scn.spec), pulse, scn.noise, scn.spec)
+        kept, traj = kept_states(monkeypatch, initial_state(scn.spec), pulse, scn.noise)
         # a run's rows are filled by the time the walk asks for more, and the block is
         # reduced only when full, so every row is read after the walk
         samples = np.concatenate([basis.matrices(handed) for basis, handed in states])
@@ -854,7 +882,7 @@ class TestRecorder:
         monkeypatch.setattr(_Recorder, "rows", keep)
         monkeypatch.setattr(_Recorder, "finish", last)
         period = scn.pulse.duration / 600
-        traj = evolve(initial_state(scn.spec), scn.pulse, scn.noise, scn.spec, period)
+        traj = evolve(initial_state(scn.spec), scn.pulse, scn.noise, sample_period=period)
         assert len(traj) == len(states) == 601 > 2 * SAMPLE_BLOCK
         assert len(states[0]) == {2: 4, 4: 5}[levels]
         i, j = recorders[0].i_dn1, recorders[0].i_up0
@@ -895,7 +923,7 @@ class TestRecorder:
         def peak_bytes(samples):
             tracemalloc.start()
             try:
-                evolve(rho0, pulse, NO_NOISE, spec, sample_period=1.0 / samples)
+                evolve(rho0, pulse, NO_NOISE, sample_period=1.0 / samples)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -911,13 +939,13 @@ def rectangular(name, levels):
     return scn, scn.pulse
 
 
-def walk_each_sample(monkeypatch, *args):
-    """evolve(*args) with the recorder handing out one row at a time, so that the walk
-    applies plateau(period) once per sample."""
+def walk_each_sample(monkeypatch, *args, sample_period):
+    """evolve(*args, sample_period=...) with the recorder handing out one row at a time, so
+    that the walk applies plateau(period) once per sample."""
     rows = _Recorder.rows
     with monkeypatch.context() as patch:
         patch.setattr(_Recorder, "rows", lambda recorder, n: rows(recorder, 1))
-        return evolve(*args)
+        return evolve(*args, sample_period=sample_period)
 
 
 def largest_difference(a, b):
@@ -940,8 +968,9 @@ class TestPlateauRuns:
         else:
             scn, pulse = rectangular("fig2a", levels)
         period = pulse.duration / 600
-        args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, period)
-        block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
+        args = (initial_state(scn.spec), pulse, scn.noise)
+        block = evolve(*args, sample_period=period)
+        each = walk_each_sample(monkeypatch, *args, sample_period=period)
         assert len(block) == len(each) == 601
         assert np.array_equal(block.times[:-1], np.arange(600) * period)
         assert np.array_equal(block.times, each.times)
@@ -953,8 +982,9 @@ class TestPlateauRuns:
         # ends on a partial stride
         scn, pulse = rectangular("fig2a", 2)
         for samples in range(1, 41):
-            args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, pulse.duration / samples)
-            block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
+            args, period = (initial_state(scn.spec), pulse, scn.noise), pulse.duration / samples
+            block = evolve(*args, sample_period=period)
+            each = walk_each_sample(monkeypatch, *args, sample_period=period)
             assert len(block) == samples + 1
             assert largest_difference(block, each) < 1e-13
 
@@ -967,7 +997,7 @@ class TestPlateauRuns:
         gc.collect()
         gc.disable()
         try:
-            evolve(initial_state(scn.spec), pulse, scn.noise, scn.spec, pulse.duration / 600)
+            evolve(initial_state(scn.spec), pulse, scn.noise, sample_period=pulse.duration / 600)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -977,8 +1007,9 @@ class TestPlateauRuns:
         # one before (the last in part).  The block walk measured 7.6e-13 from the walk of
         # one sample at a time, and a trace drift of 4.3e-12 against its 4.5e-12
         scn, pulse = rectangular("altParams", 2)
-        args = (initial_state(scn.spec), pulse, scn.noise, scn.spec, pulse.duration / 2e4)
-        block, each = evolve(*args), walk_each_sample(monkeypatch, *args)
+        args, period = (initial_state(scn.spec), pulse, scn.noise), pulse.duration / 2e4
+        block = evolve(*args, sample_period=period)
+        each = walk_each_sample(monkeypatch, *args, sample_period=period)
         assert len(block) == 20001
         assert largest_difference(block, each) < 1e-11
         drift = np.max(np.abs(block.trace - 1.0)), np.max(np.abs(each.trace - 1.0))
@@ -1012,7 +1043,7 @@ class TestWorkspaceCache:
 
         def runs():
             return [
-                evolve(rho0, pulse, noise, spec)
+                evolve(rho0, pulse, noise)
                 for rho0 in (initial_state(spec), mixed)
                 for pulse in (ramped, rect)
             ]
@@ -1062,7 +1093,7 @@ class TestPulseDurations:
         ramp = 0.02
         d = pulse_duration_for_area(-math.pi, G1, ramp)
         pulse = PulseSegment(duration=d, g_value=G1, ramp=ramp)
-        traj = evolve(pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, SPEC, sample_period=d)
+        traj = evolve(pure_density(SPEC.ket(UP, 0)), pulse, NO_NOISE, sample_period=d)
         i_dn1 = SPEC.index(DOWN, 1)
         assert traj.final_state[i_dn1, i_dn1].real == pytest.approx(1.0, abs=1e-5)
 
@@ -1081,7 +1112,7 @@ class TestValidation:
         rho0 = pure_density(SPEC.ket(UP, 0))
         h = interaction_hamiltonian(0.0, seg, SPEC)
         with pytest.raises(ValueError):
-            evolve(rho0, seg, NO_NOISE, SPEC, sample_period=0.0)
+            evolve(rho0, seg, NO_NOISE, sample_period=0.0)
         with pytest.raises(ValueError):
             evolve_static(rho0, h, 1.0, NO_NOISE, SPEC, sample_period=0.0)
 

@@ -118,7 +118,7 @@ class TestOutputs:
         seg = PulseSegment(duration=0.1, g_value=-12.9)
         spec = HilbertSpec(2)
         # the sample period outlasts the pulse: only t=0 and the end
-        traj = evolve(pure_density(spec.ket(UP, 0)), seg, NO_NOISE, spec, sample_period=1.0)
+        traj = evolve(pure_density(spec.ket(UP, 0)), seg, NO_NOISE, sample_period=1.0)
         assert len(traj) == 2
         path = write_trajectory_csv(traj, tmp_path / "tiny.csv")
         assert len(path.read_text().strip().split("\n")) == 3
@@ -126,7 +126,7 @@ class TestOutputs:
     def test_csv_round_trip_exact(self, tmp_path):
         scn = resolve(scenario_preset("fig2a"))
         traj = evolve(
-            initial_state(scn.spec), scn.pulse, scn.noise, scn.spec, sample_period=scn.sample_period
+            initial_state(scn.spec), scn.pulse, scn.noise, sample_period=scn.sample_period
         )
         path = write_trajectory_csv(traj, tmp_path / "t.csv")
         cols = read_trajectory_csv(path)
@@ -192,11 +192,12 @@ class TestSweep:
         assert summary["fidelities"][0][0] == pytest.approx(base, abs=1e-12)
 
     def test_fidelities_sample_only_the_ends(self, fig2a_scn, monkeypatch):
-        lengths = []
+        lengths, starts = [], []
 
-        def counting_evolve(*args, **kwargs):
-            traj = evolve(*args, **kwargs)
+        def counting_evolve(rho0, *args, **kwargs):
+            traj = evolve(rho0, *args, **kwargs)
             lengths.append(len(traj))
+            starts.append(rho0)
             return traj
 
         monkeypatch.setattr(topoflux.experiments, "evolve", counting_evolve)
@@ -204,6 +205,8 @@ class TestSweep:
         points = [(scn.pulse, scn.noise), (replace(scn.pulse, g_prime_value=0.0), scn.noise)]
         fidelities(scn, points)
         assert lengths == [2, 2]
+        # every point starts from the one |up,0> built for the call
+        assert starts[0] is starts[1]
 
     def test_sweep_csv_layout(self, tmp_path):
         # base dephasing effectively off so the eta1 = 0, ratio 0 corner is noise-free

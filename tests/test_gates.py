@@ -128,7 +128,7 @@ class TestMakhlin:
         rng = np.random.default_rng(11)
         ref = makhlin_invariants([base])[0]
         for _ in range(100):
-            assert makhlin_invariants([dress(base, rng)])[0].close_to(ref, tol=1e-10)
+            assert makhlin_invariants([dress(base, rng)])[0].close_to(ref)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -196,12 +196,12 @@ class TestCpSynthesis:
         u = synthesize_cp()
         assert np.max(np.abs(u - np.diag(np.diag(u)))) < 1e-12
         inv = makhlin_invariants([u])[0]
-        assert inv.close_to(LocalInvariants(1.0 + 0j, 3.0), tol=1e-10)
+        assert inv.close_to(LocalInvariants(1.0 + 0j, 3.0))
 
     def test_canonical_root_product_is_cz(self):
         u = synthesize_cp(root=canonical_sqrt_swap())
         inv = makhlin_invariants([u])[0]
-        assert inv.close_to(makhlin_invariants([CZ])[0], tol=1e-10)
+        assert inv.close_to(makhlin_invariants([CZ])[0])
         assert gate_fidelity(u, CZ) == pytest.approx(1.0, abs=1e-12)
 
     def test_both_orders_available(self):
