@@ -35,11 +35,13 @@ def main():
     for name in ("fig3a", "fig3b"):
         t0 = time.perf_counter()
         summary = run_sweep(resolve(scenario_preset(name)), out_dir=args.out)
-        lo_row, hi_row = summary["fidelities"][0], summary["fidelities"][-1]
-        print(
-            f"{name:12s} F1 range: ratio-0 column {hi_row[0]:.4f}..{lo_row[0]:.4f}, "
-            f"ratio-6 column {hi_row[-1]:.4f}..{lo_row[-1]:.4f}   {elapsed(t0)}"
+        # min..max of the first and last g'/g columns, over the whole decoherence axis
+        columns = list(zip(*summary["fidelities"]))
+        ranges = ", ".join(
+            f"ratio-{summary['ratios'][i]:g} column {min(columns[i]):.4f}..{max(columns[i]):.4f}"
+            for i in (0, -1)
         )
+        print(f"{name:12s} F1 range: {ranges}   {elapsed(t0)}")
 
     t0 = time.perf_counter()
     rob = run_robustness(resolve(scenario_preset("robustness")), seed=args.seed, out_dir=args.out)

@@ -12,9 +12,9 @@ the exit code, the first stderr line up to its first digit, and every number
 of the summary under its JSON path.  ``tests/test_corpus.py`` runs the same
 entries and compares, and ``scripts/output_digest.py`` writes their output
 files.  Rewrite the corpus only with a change that means to move these values
-or the set of entries, and name every value that moved and every config or
-entry added (``+``) or dropped (``-``); the script prints them, and deletes the
-configs that ``configs()`` no longer writes:
+or the set of entries, and name every value that moved or went and every
+config or entry added (``+``) or dropped (``-``); the script prints them, and
+deletes the configs that ``configs()`` no longer writes:
 
     PYTHONPATH=src python scripts/write_corpus.py
 
@@ -155,10 +155,12 @@ def main():
         for key in ("exit", "stderr"):
             if key in old and old[key] != expected[name][key]:
                 print(f"{name}: {key} {old[key]!r} -> {expected[name][key]!r}")
-        for p, v in expected[name]["numbers"].items():
-            w = old.get("numbers", {}).get(p)
-            if w is not None and w != v:
-                print(f"{name}{p}: {w!r} -> {v!r}")
+        now = expected[name]["numbers"]
+        for p, w in old.get("numbers", {}).items():
+            if p not in now:
+                print(f"{name}{p}: {w!r} -> (gone)")
+            elif now[p] != w:
+                print(f"{name}{p}: {w!r} -> {now[p]!r}")
     old, new = stored.keys() | before.keys(), texts.keys() | expected.keys()
     for sign, names in (("+", new - old), ("-", old - new)):
         for name in sorted(names):

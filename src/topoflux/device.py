@@ -124,10 +124,7 @@ class ValidityReport:
 
 def derive_statics(p: DeviceParams) -> tuple[float, float, float]:
     """(theta, zeta, omega_f) from the junction ratios and charging energy."""
-    disc = 4.0 * p.alpha**2 - 1.0
-    if disc <= 0:
-        raise ValueError(f"4 alpha^2 - 1 must be positive, got {disc}")
-    theta = math.sqrt(disc) / (2.0 * p.alpha * p.beta)
+    theta = math.sqrt(4.0 * p.alpha**2 - 1.0) / (2.0 * p.alpha * p.beta)
     zeta = (8.0 / p.ej_over_ec) ** 0.25 / math.sqrt(p.beta)
     omega_f = p.ej * math.sqrt(8.0 / p.ej_over_ec)
     return theta, zeta, omega_f

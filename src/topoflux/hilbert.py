@@ -138,10 +138,6 @@ def trace_error(rho: np.ndarray) -> float:
     return abs(np.trace(rho) - 1.0)
 
 
-def hermiticity_error(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def min_eigenvalue(rho: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix, or of each one in a stack."""
     return np.linalg.eigvalsh(rho)[..., 0]

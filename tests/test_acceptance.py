@@ -21,6 +21,7 @@ from topoflux.dynamics import (
 )
 from topoflux.experiments import (
     initial_state,
+    run_evolution,
     run_robustness,
     run_scenario,
     run_sweep,
@@ -191,7 +192,8 @@ def test_criterion_08_property_suite(scn_fig2a, fig2a_run, monkeypatch):
 
     diag = fig2a_run[0]["diagnostics"]
     results["trace_drift"] = diag["max_trace_error"] < 1e-7
-    results["hermiticity"] = diag["final_hermiticity_error"] < 1e-9
+    final = run_evolution(scn_fig2a).final_state
+    results["hermiticity"] = np.max(np.abs(final - final.conj().T)) < 1e-9
     results["positivity"] = diag["min_eigenvalue"] > -1e-8
 
     traj_free = evolve(rho_up0, pulse, NO_NOISE)

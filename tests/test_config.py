@@ -84,6 +84,13 @@ class TestSchema:
         with pytest.raises(ConfigError):
             validate_raw(raw)
 
+    def test_empty_ratio_list_rejected(self):
+        raw = scenario_preset("fig3a")
+        raw["sweep"]["gPrimeOverG"] = []
+        with pytest.raises(ConfigError) as exc:
+            validate_raw(raw)
+        assert str(exc.value) == "[] should be non-empty (at '/sweep/gPrimeOverG')"
+
 
 # what a mutation puts in place of a value: bools, null, strings, lists,
 # objects, integral floats, the schema's bounds and numbers outside its ranges

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -249,6 +250,13 @@ class TestRobustness:
         factors = {tuple(sorted(c["factors"].items())) for c in s["corners"]}
         assert len(factors) == 8
 
+    def test_scenario_without_robustness_block_refused(self):
+        # the CLI never gets here: only the robustness experiment runs under that command,
+        # and the schema check asks it for the block
+        with pytest.raises(ConfigError, match="scenario has no robustness block") as exc:
+            run_robustness(resolve(scenario_preset("fig2a")))
+        assert exc.value.pointer == "/robustness"
+
 
 class TestCli:
     def write_cfg(self, tmp_path, raw, name="cfg.json"):
@@ -285,6 +293,14 @@ class TestCli:
     def test_experiment_command_mismatch_exit_2(self, tmp_path):
         cfg = self.write_cfg(tmp_path, scenario_preset("fig2a"))
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    def test_custom_sweep_without_sweep_block_exit_2(self, tmp_path, capsys):
+        # custom runs under sweep, and the schema asks it for no sweep block
+        cfg = self.write_cfg(tmp_path, dict(scenario_preset("fig2a"), experiment="custom"))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scenario has no sweep block (at '/sweep')" in captured.err
 
     def test_validity_error_exit_3(self, tmp_path, capsys):
         raw = scenario_preset("fig2a")
@@ -585,6 +601,24 @@ class TestCli:
         assert "argument --seed: must be an integer, got 'abc'" in done.stderr
         assert "_seed" not in done.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_reproduce_script_prints_each_column_range(self, tmp_path, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+        spec = importlib.util.spec_from_file_location("reproduce_results", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), "--out", str(tmp_path)])
+        script.main()
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line}
+        for name in ("fig3a", "fig3b"):
+            summary = json.loads((tmp_path / f"{name}_summary.json").read_text())
+            shown = re.findall(r"ratio-(\S+) column (\S+)\.\.(\S+?)[,\s]", lines[name])
+            assert len(shown) == 2, lines[name]
+            for (ratio, lo, hi), i in zip(shown, (0, -1)):
+                column = [row[i] for row in summary["fidelities"]]
+                assert ratio == f"{summary['ratios'][i]:g}"
+                assert float(lo) <= float(hi)
+                assert (lo, hi) == (f"{min(column):.4f}", f"{max(column):.4f}")
 
     def test_cli_rejects_non_integer_seed(self, tmp_path):
         cfg = self.write_cfg(tmp_path, scenario_preset("robustness"), "robustness.json")

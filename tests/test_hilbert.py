@@ -11,7 +11,6 @@ from topoflux.hilbert import (
     embed,
     fidelity_pure,
     flux_qubit_z,
-    hermiticity_error,
     kron,
     matrix_element,
     min_eigenvalue,
@@ -103,6 +102,8 @@ class TestEmbed:
             embed(np.eye(3), "topological", spec)
         with pytest.raises(ValueError):
             embed(np.eye(2), "flux", spec)
+        with pytest.raises(ValueError, match="unknown subsystem 'bath'"):
+            embed(np.eye(2), "bath", spec)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
     @settings(max_examples=25, deadline=None)
@@ -159,10 +160,16 @@ class TestStatesAndFidelity:
         rho = 0.5 * pure_density(self.up0) + 0.5 * pure_density(self.dn1)
         assert fidelity_pure(target, rho) == pytest.approx(0.5)
 
+    def test_fidelity_refuses_a_non_hermitian_rho(self):
+        # an anti-Hermitian part on the diagonal makes <psi|rho|psi> complex
+        rho = pure_density(self.up0) + 1e-6j * np.eye(4)
+        with pytest.raises(ValueError, match="rho not Hermitian"):
+            fidelity_pure(self.up0, rho)
+
     def test_density_checks(self):
         rho = pure_density(self.up0)
         assert trace_error(rho) < 1e-12
-        assert hermiticity_error(rho) < 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert min_eigenvalue(rho) > -1e-12
 
     def test_unnormalized_state_rejected(self):
@@ -177,3 +184,5 @@ class TestStatesAndFidelity:
         assert spec.index(UP, 3) == 7
         with pytest.raises(ValueError):
             spec.index(UP, 4)
+        with pytest.raises(ValueError, match="spin must be 0"):
+            spec.index(2, 0)

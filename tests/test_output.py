@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from topoflux.config import resolve
 from topoflux.dynamics import Trajectory
 from topoflux.experiments import run_evolution
-from topoflux.output import write_matrix_csv, write_trajectory_csv, write_trajectory_svg
+from topoflux.output import (
+    emit_outputs,
+    read_trajectory_csv,
+    write_matrix_csv,
+    write_trajectory_csv,
+    write_trajectory_svg,
+)
 from topoflux.presets import scenario_preset
 from writer_oracle import matrix_csv_text, trajectory_csv_text, trajectory_svg_text
 
@@ -235,6 +241,19 @@ def test_matrix_csv_refuses_ragged_rows(tmp_path, header, rows, bad):
     with pytest.raises(ValueError, match=f"^row {bad} has {len(rows[bad])} cells"):
         write_matrix_csv(header, rows, path)
     assert not path.exists()
+
+
+def test_trajectory_csv_reader_refuses_another_header(tmp_path):
+    path = write_matrix_csv(["t", "rho11"], [[0.0, 1.0]], tmp_path / "sweep.csv")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_trajectory_csv(path)
+
+
+def test_emit_outputs_refuses_an_empty_trajectory(tmp_path):
+    traj = make_trajectory(*[[]] * 8)
+    with pytest.raises(ValueError, match="cannot emit an empty trajectory"):
+        emit_outputs(traj, tmp_path / "out", "fig2a", ("csv", "svg", "json"), {})
+    assert not (tmp_path / "out").exists()
 
 
 def test_trajectory_csv_peak_memory(tmp_path):
