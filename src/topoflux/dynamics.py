@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -98,10 +97,10 @@ from .hilbert import (
 RAMP_STEPS = 16
 MAX_PHASE_STEP = 0.2
 # refuse a run that would take more than minutes: samples plus ramp steps,
-# where a ramp step costs at most about 0.08 ms at fockLevels 6, on all 12
+# where a ramp step costs at most about 0.07 ms at fockLevels 6, on all 12
 # states (a whole 1 ns fig2a ramp evolution from |up,5> without dephasing,
-# 3436 steps, took 0.19-0.28 s on one BLAS thread of a 2-vCPU Xeon); from
-# |up,0>, on 5 states, the same ramp took 0.04-0.07 s at 6 levels, as at 2
+# 3436 steps, took 0.17-0.25 s on one BLAS thread of a 2-vCPU Xeon); from
+# |up,0>, on 5 states, the same ramp took 0.03-0.06 s at 6 levels, as at 2
 MAX_STEPS = 1_000_000
 # states the recorder keeps at once: its memory stays flat on runs of up to MAX_STEPS samples
 SAMPLE_BLOCK = 256
@@ -363,13 +362,16 @@ class _TaylorSeries:
     power besides |y|_2.  Each squared norm is the dot of a buffer row's entries, viewed as
     reals, with themselves: |row|_2^2 for real and complex rows of any shape.
 
-    A step calls ndarray methods only: on states of 16 to 64 reals numpy's function
+    A step calls ndarray methods only, each power one call of the bound ``a.dot`` from a
+    buffer row into the next (``pairs``): on states of 16 to 64 reals numpy's function
     dispatch costs about as much as a product.
     """
 
     def __init__(self, shape, dtype):
         self.powers = np.empty((_MAX_DEGREE + 1, *shape), dtype=dtype)
         self.rows = list(self.powers)
+        # (row j, row j + 1): a^(j+1) y is a times the row before it
+        self.pairs = list(zip(self.rows[:-1], self.rows[1:]))
         # 1/j! in the real type of dtype, then cast to it, so the sum below is one product
         j = np.arange(_MAX_DEGREE + 1, dtype=np.finfo(dtype).dtype)
         weights = 1 / np.cumprod(np.maximum(j, 1))
@@ -383,13 +385,13 @@ class _TaylorSeries:
     def apply(self, a, y, m, scale):
         """exp(a) @ y as a fresh array, by the series to degree at most m; scale is
         ``_stop_scales`` of a's norm bounds and y's size.  ``degree`` is where it stopped."""
-        rows, reals = self.rows, self.reals
-        rows[0][...] = y
+        dot, reals = a.dot, self.reals
+        self.rows[0][...] = y
         y_squared = reals[0].dot(reals[0])
         j, d = 0, min(self.degree, m)
         while True:
-            for k in range(j, d):
-                a.dot(rows[k], rows[k + 1])
+            for power, out in self.pairs[j:d]:
+                dot(power, out)
             term = reals[d]
             if d == m or scale * self.squared_weights[d] * term.dot(term) <= y_squared:
                 break
@@ -529,7 +531,8 @@ _MAX_DEGREE = 25
 # a Taylor series leaves a remainder of at most TAYLOR_TOL |y|_1
 TAYLOR_TOL = 1e-17
 # the ramp steps whose envelope nodes, coefficients, norm bounds and Taylor
-# degrees are formed at once, across sample pieces (a few hundred kB)
+# degrees are formed at once, across sample pieces (a few hundred kB), and the
+# sample intervals that ``_ramp_plan`` cuts into pieces at once
 RAMP_BLOCK_STEPS = 1024
 # the ramp steps whose Omega are formed at once hold at most this many entries
 # (256 kB), or are 4 steps, in one buffer that every chunk of steps reuses.
@@ -591,6 +594,62 @@ def _magnus_coefficients(s: float, e1, e2, e3) -> np.ndarray:
     ) / 240.0
 
 
+def _ramp_plan(pulse: PulseSegment, h: float, period: float, n_samples: int, skip: range):
+    """The Magnus steps of a ramped pulse's walk, as blocks of ``RAMP_BLOCK_STEPS`` of them
+    (the last may hold fewer): arrays (first, a, s, i, on_ramp) in walk order, for step i of
+    length s of the piece from a, first the sample interval k at an interval's first step,
+    else -1.
+
+    The walk covers the sample intervals k < n_samples outside ``skip``, the plateau run,
+    each [k period, (k+1) period] (the last ends at the pulse's end) cut at the ramp ends
+    inside it, once when they coincide.  A ramp piece takes ceil(length/h) equal steps, a
+    plateau piece one.  Intervals are cut into pieces RAMP_BLOCK_STEPS at a time, and the
+    pieces' steps are numbered only as the blocks hand them out, so a pulse of any length
+    holds one block of steps and a window of pieces at a time.
+    """
+    duration, ramp, last, size = pulse.duration, pulse.ramp, n_samples - 1, RAMP_BLOCK_STEPS
+    end = duration - ramp
+    cuts = np.array(list(dict.fromkeys((ramp, end))))
+    walked, width = n_samples - len(skip), len(cuts) + 2
+    # (first, a, s, n, on_ramp) of the pieces not yet handed out in full, of which the
+    # first's steps before ``done`` were
+    pieces, done = None, 0
+    for j in range(0, walked, size):
+        k = np.arange(j, min(j + size, walked))
+        if skip:
+            k[k >= skip.start] += len(skip)
+        # each interval's edges t0, the cuts and t1 in a row, kept where they bound pieces:
+        # a piece runs from a kept edge to the next one in its row
+        edges = np.empty((len(k), width))
+        t0, t1 = edges[:, 0], edges[:, -1]
+        t0[:], edges[:, 1:-1] = k * period, cuts
+        t1[:] = t0 + period
+        if k[-1] == last:
+            t1[-1] = duration
+        kept = np.ones(edges.shape, dtype=bool)
+        kept[:, 1:-1] = (t0[:, None] < cuts) & (cuts < t1[:, None])
+        firsts = np.full((len(k), width - 1), -1)
+        firsts[:, 0] = k
+        a, b = edges[:, :-1][kept[:, :-1]], edges[:, 1:][kept[:, 1:]]
+        # a piece is on a ramp unless it lies within [ramp, end]
+        length, on_ramp = b - a, (a < ramp) | (b > end)
+        n = np.ceil(length / h, out=np.ones_like(length), where=on_ramp)
+        new = (firsts[kept[:, :-1]], a, length / n, n, on_ramp)
+        pieces = new if pieces is None else [np.concatenate(p) for p in zip(pieces, new)]
+        ends = np.cumsum(pieces[3])
+        # full blocks, and at the end what is left
+        while ends[-1] - done >= size or (j + size >= walked and ends[-1] > done):
+            g = np.arange(done, min(done + size, ends[-1]))
+            p = np.searchsorted(ends, g, side="right")
+            first, a, s, n, on_ramp = (x[p] for x in pieces)
+            i = g - (ends[p] - n)
+            yield np.where(i == 0, first, -1), a, s, i, on_ramp
+            done = g[-1] + 1
+        # drop the pieces handed out in full
+        q = np.searchsorted(ends, done, side="right")
+        pieces, done = [x[q:] for x in pieces], done - (ends[q - 1] if q else 0)
+
+
 def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     """Carry y, rho's real coordinates in ``recorder.basis``, over the pulse under
     drho/dt = (l0 + env(t) l1) rho, l0 and l1 on the row-major vec(rho); returns y at the
@@ -604,9 +663,11 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     interval of the length left follows.  On a ramped pulse one loop walks the other
     intervals, cut at the ramp ends, in sixth-order Magnus steps: ceil(length/h) equal ones
     per ramp piece, h the pulse's ``_ramp_step``, and one per plateau piece, its Gauss nodes
-    set to 1.  It records y at each interval's first step and calls ``run`` before interval
-    ``stop``.  Each step's Omega combines the 10 ``_magnus_basis`` matrices of l0 and l1 in
-    ``basis``, formed a block of steps at a time.  A step whose 1-norm bound is at most
+    set to 1.  ``_ramp_plan`` forms these steps with numpy, a block of ``RAMP_BLOCK_STEPS``
+    at a time from a window of whole intervals, so no step costs a Python yield.  The loop
+    records y at each interval's first step and calls ``run`` before interval ``stop``.
+    Each step's Omega combines the 10 ``_magnus_basis`` matrices of l0 and l1 in ``basis``,
+    formed a block of steps at a time.  A step whose 1-norm bound is at most
     ``TAYLOR_MAX_NORM`` is applied by one ``_TaylorSeries``, which stops on y's own terms;
     a longer one, on a ramp piece or a plateau piece, takes the real expm of its Omega.
     """
@@ -659,30 +720,14 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     start = bisect.bisect_left(range(last), True, key=lambda k: ramp <= k * period)
     stop = bisect.bisect_left(range(last), True, key=lambda k: k * period + period > end)
 
-    def starts():
-        """(k, a, s, i, on_ramp) of each step in walk order, step i of length s from a: k for
-        the first step of sample interval k, else -1."""
-        for k in itertools.chain(range(start), range(max(start, stop), n_samples)):
-            t0 = k * period
-            t1 = duration if k == last else t0 + period
-            cuts = [c for c in dict.fromkeys((ramp, end)) if t0 < c < t1]
-            for a, b in zip([t0, *cuts], [*cuts, t1]):
-                on_ramp = not (ramp <= a and b <= end)
-                n = math.ceil((b - a) / h) if on_ramp else 1
-                for i in range(n):
-                    yield k, a, (b - a) / n, i, on_ramp
-                    k = -1
-
     (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
     matrices = _magnus_basis(a0, a1)
     norms = [np.linalg.norm(matrices.reshape(10, *a0.shape), p, axis=(1, 2)) for p in (1, np.inf)]
     chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
     buffer = np.empty((chunk, matrices.shape[1]))
     apply = _TaylorSeries(y.shape, float).apply
-    stream = starts()
     # a block of steps may span many sample intervals, and cut one
-    while block := list(itertools.islice(stream, RAMP_BLOCK_STEPS)):
-        first, a, s, i, on_ramp = np.array(block).T
+    for first, a, s, i, on_ramp in _ramp_plan(pulse, h, period, n_samples, range(start, stop)):
         mid = a + (i + 0.5) * s
         nodes = (
             np.where(on_ramp, pulse.envelope(mid + c * s), 1.0) for c in (-_GAUSS, 0.0, _GAUSS)
@@ -695,7 +740,7 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
         ceilings = _taylor_degree(theta1).tolist()
         ceilings = [m if t else None for m, t in zip(ceilings, taylor.tolist())]
         scales = _stop_scales(theta1, theta_inf, y.size).tolist()
-        firsts = first.astype(int).tolist()
+        firsts = first.tolist()
         for j in range(0, len(coef), chunk):
             cut = slice(j, j + chunk)
             rows = coef[cut]

@@ -76,6 +76,20 @@ def make_pulse(g=G1, g_prime=0.0, phase_freq=0.0, duration=None, **kw):
     )
 
 
+def envelope_area(pulse, t):
+    """The integral of a sin^2-ramped pulse's envelope over [0, t], in closed form: a ramp's
+    first u ns integrate to u/2 - r sin(pi u/r)/(2 pi)."""
+    r, duration = pulse.ramp, pulse.duration
+
+    def ramp_area(u):
+        return u / 2.0 - r * np.sin(np.pi * u / r) / TWO_PI
+
+    rise = ramp_area(np.minimum(t, r))
+    flat = np.clip(t - r, 0.0, duration - 2.0 * r)
+    fall = r / 2.0 - ramp_area(np.minimum(duration - t, r))
+    return rise + flat + fall
+
+
 class TestHamiltonian:
     def test_exchange_subspace(self):
         # with g' = 0 the only couplings are <down,1|H|up,0> = -g/2 and h.c.
@@ -215,24 +229,30 @@ class TestEvolve:
     @pytest.mark.parametrize("levels", [2, 3])
     @pytest.mark.parametrize("ramp", [0.02, 0.05, 0.1])
     def test_ramped_rabi_oracle(self, ramp, levels):
-        # noise off, g' = 0: rho22(t) = cos^2(A(t)/2) with A(t) the area so far; a sin^2
-        # ramp's envelope integrates over its first u ns to u/2 - r sin(pi u/r)/(2 pi)
+        # noise off, g' = 0: rho22(t) = cos^2(A(t)/2) with A(t) the area so far
         spec = HilbertSpec(levels)
         duration = pulse_duration_for_area(-math.pi, G1, ramp)
         pulse = make_pulse(duration=duration, ramp=ramp)
         traj = evolve(
             pure_density(spec.ket(UP, 0)), pulse, NO_NOISE, sample_period=duration / 50
         )
-        t = traj.times
-
-        def ramp_area(u):
-            return u / 2.0 - ramp * np.sin(np.pi * u / ramp) / TWO_PI
-
-        rise = ramp_area(np.minimum(t, ramp))
-        flat = np.clip(t - ramp, 0.0, duration - 2.0 * ramp)
-        fall = ramp / 2.0 - ramp_area(np.minimum(duration - t, ramp))
-        expected = np.cos(G1 * (rise + flat + fall) / 2.0) ** 2
+        expected = np.cos(G1 * envelope_area(pulse, traj.times) / 2.0) ** 2
         assert np.max(np.abs(np.real(traj.rho22) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("levels", [2, 4])
+    @pytest.mark.parametrize("ramp, area", [(0.05, 1), (0.2, 3)], ids=["pi", "3pi"])
+    def test_ramped_rabi_at_the_operating_point(self, ramp, area, levels):
+        # as above at fig2a's g and E (G1, E1), sampled every duration/200: rho22 =
+        # cos^2(A(t)/2) and rho11 = sin^2(A(t)/2) at every sample.  Measured at most
+        # 2.4e-14, on the 3 pi pulse; a dropped or repeated ramp piece moves the area of
+        # every later sample by one piece
+        spec = HilbertSpec(levels)
+        duration = pulse_duration_for_area(-area * math.pi, G1, ramp)
+        pulse = make_pulse(duration=duration, phase_freq=E1, ramp=ramp)
+        traj = evolve(pure_density(spec.ket(UP, 0)), pulse, NO_NOISE)
+        half = G1 * envelope_area(pulse, traj.times) / 2.0
+        assert np.max(np.abs(np.real(traj.rho22) - np.cos(half) ** 2)) < 1e-12
+        assert np.max(np.abs(np.real(traj.rho11) - np.sin(half) ** 2)) < 1e-12
 
     def test_dark_state_stationary(self):
         pulse = make_pulse(duration=10.0)
@@ -384,6 +404,27 @@ def ramps_that_meet(levels):
     """fig2a's 0.05 ns ramped pulse with ramp = duration / 2: all ramp, no plateau."""
     scn, pulse = operating_point("fig2a", 0.05, levels)
     return scn, dataclasses.replace(pulse, ramp=pulse.duration / 2)
+
+
+def plan_oracle(pulse, h, period, n_samples, skip):
+    """The steps of the ramp walk, as ``_ramp_plan`` gives them, one interval and one step at
+    a time in plain Python: (first, a, s, i, on_ramp) for step i of length s of the piece
+    from a, first the sample interval k at its first step, else -1."""
+    duration, ramp = pulse.duration, pulse.ramp
+    end, last, steps = duration - ramp, n_samples - 1, []
+    for k in range(n_samples):
+        if k in skip:
+            continue
+        t0 = k * period
+        t1 = duration if k == last else t0 + period
+        cuts = [c for c in dict.fromkeys((ramp, end)) if t0 < c < t1]
+        for a, b in zip([t0, *cuts], [*cuts, t1]):
+            on_ramp = not (ramp <= a and b <= end)
+            n = math.ceil((b - a) / h) if on_ramp else 1
+            for i in range(n):
+                steps.append((k, a, (b - a) / n, i, on_ramp))
+                k = -1
+    return steps
 
 
 # (preset, ramp ns, fockLevels, noise on, RK4 step ns, overrides).  Each ramp
@@ -855,6 +896,84 @@ class TestHermitianBasis:
         _, dropped = _hermitian_basis(scn.spec.dim).superoperator(np.stack((l0, l1)))
         norms = np.linalg.norm(l0, 1), np.linalg.norm(l1, 1)
         assert np.all(dropped <= 1e-13 * np.array(norms))
+
+
+# (ramp in ns, None for 0.05, or "meet"; sample intervals in the duration), fig2a at 2 levels
+PLAN_CASES = {
+    "benchmark": (None, 200),
+    "zero-length-plateau": ("meet", 200),
+    "ramp-end-inside-an-interval": (None, 8),
+    "period-does-not-divide": (None, 7.5),
+    "one-interval": (None, 0.5),
+    "1ns-ramp-sampled-once": (1.0, 1),
+}
+
+
+class TestRampPlan:
+    @pytest.mark.parametrize("block", [None, 8], ids=["default-block", "8-step-block"])
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    def test_matches_the_oracle(self, case, block, monkeypatch):
+        # the walk's steps, from the arguments evolve gives _ramp_plan, equal the oracle's
+        # bit for bit, in blocks of RAMP_BLOCK_STEPS but the last
+        ramp, intervals = PLAN_CASES[case]
+        if ramp == "meet":
+            scn, pulse = ramps_that_meet(2)
+        else:
+            scn, pulse = operating_point("fig2a", ramp or 0.05, 2)
+        if block is not None:
+            monkeypatch.setattr(dynamics, "RAMP_BLOCK_STEPS", block)
+        plan, calls = dynamics._ramp_plan, []
+
+        def spy(*args):
+            calls.append((args, list(plan(*args))))
+            return iter(calls[-1][1])
+
+        monkeypatch.setattr(dynamics, "_ramp_plan", spy)
+        evolve(initial_state(scn.spec), pulse, scn.noise, sample_period=pulse.duration / intervals)
+        [(args, blocks)] = calls
+        sizes = [len(b[0]) for b in blocks]
+        assert set(sizes[:-1]) <= {dynamics.RAMP_BLOCK_STEPS}
+        assert 0 < sizes[-1] <= dynamics.RAMP_BLOCK_STEPS
+        first, a, s, i, on_ramp = (np.concatenate(column) for column in zip(*blocks))
+        k, a0, s0, i0, on_ramp0 = zip(*plan_oracle(pulse, *args[1:]))
+        assert first.tolist() == list(k) and i.tolist() == list(i0)
+        assert on_ramp.tolist() == list(on_ramp0)
+        assert a.tobytes() == np.array(a0).tobytes() and s.tobytes() == np.array(s0).tobytes()
+        # each case reaches what it names: n_samples = args[3], period = args[2]
+        reached = {
+            "benchmark": len(a) == 206 + 2,
+            "zero-length-plateau": pulse.ramp == pulse.duration - pulse.ramp,
+            # a piece that starts inside its interval starts at a ramp end
+            "ramp-end-inside-an-interval": np.any((first < 0) & (i == 0)),
+            "period-does-not-divide": args[3] * args[2] > pulse.duration,
+            "one-interval": args[3] == 1,
+            "1ns-ramp-sampled-once": args[3] == 1 and len(a) > 3000,
+        }
+        assert reached[case]
+
+    @pytest.mark.parametrize("per_sample", [None, 64], ids=["sampled-once", "64-steps-a-sample"])
+    def test_memory_stays_flat_on_long_ramps(self, per_sample, monkeypatch):
+        # ramps that meet, in steps of h = MAX_PHASE_STEP/|g|, sampled once or every 64
+        # steps, with blocks of 32 steps: doubling the steps from 2048 to 4096 must not
+        # raise the peak by more than about one block (16 kB).  It rose by 0.3 and 2.8 kB;
+        # with every block handed out at once, by 106 and 108 kB
+        monkeypatch.setattr(dynamics, "RAMP_BLOCK_STEPS", 32)
+        h = dynamics.MAX_PHASE_STEP / abs(G1)
+        rho0 = pure_density(SPEC.ket(UP, 0))
+
+        def peak_bytes(steps):
+            ramp = steps / 2 * h
+            pulse = PulseSegment(duration=2 * ramp, g_value=G1, ramp=ramp)
+            assert dynamics._ramp_step(pulse) == h
+            tracemalloc.start()
+            try:
+                evolve(rho0, pulse, NO_NOISE, sample_period=(per_sample or steps) * h)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(2048)  # fills the caches of the workspace and the basis
+        assert peak_bytes(4096) - peak_bytes(2048) < dynamics.RAMP_BLOCK_STEPS * 512
 
 
 class TestRecorder:

@@ -888,10 +888,11 @@ def test_run_fuzz_exits_cleanly(raw):
 @settings(max_examples=RAMPED_FUZZ_EXAMPLES, deadline=None)
 @given(schema_valid_configs(presets=RUN_PRESETS, shapes=("sinSquaredRamp",)))
 def test_ramped_run_fuzz_exits_cleanly(raw):
-    # a ramp step takes about 0.025 ms at 2 levels, 0.25 ms at 6 (a 1 ns fig2a
-    # ramp, one BLAS thread on a 2-vCPU Xeon).  Runs within the MAX_STEPS bound
-    # but above 2500 ramp steps (0.6 s at 6 levels) would only be slow, so they
-    # are not drawn.
+    # a ramp step takes about 0.01-0.015 ms at 2 to 6 levels (a 1 ns fig2a ramp
+    # from |up,0>, which keeps at most 5 states, on one BLAS thread of a 2-vCPU
+    # Xeon).  Runs within the MAX_STEPS bound can take 10^6 ramp steps, 10-15 s;
+    # those above 2500 ramp steps (about 0.03 s) are not drawn, which keeps the
+    # 200 examples fast.
     size = evolution_size(raw)
     assume(size is None or size[1] <= 2500 or size[0] > MAX_STEPS)
     assert_run_exits_cleanly(raw)
