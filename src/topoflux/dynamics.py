@@ -47,15 +47,22 @@ Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
 ramp is one more such step.  Each step's Omega combines 10 fixed matrices
 (``_magnus_basis``), and its exponential is applied to the state as a Taylor
 polynomial that stops on the state's own terms (``_TaylorSeries``; Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488, 2011), or, for a step too long for the
-series, is the real ``expm`` of Omega.  Only the final state is turned back to
-a matrix in the working frame, Hermitian by construction.  ``evolve`` is the
-only propagator: a closed-system check runs it with noise off.  The trajectory
-of ``evolve`` comes from ``_Recorder``, which samples at the times
+Higham, SIAM J. Sci. Comput. 33, 488, 2011) and at the latest at the degree
+its 1-norm bound allows, one lookup in a table of the largest 1-norm per
+degree (``_taylor_degree``, ``_DEGREE_NORMS``), or, for a step too long for
+the series, is the real ``expm`` of Omega.  Only the final state is turned
+back to a matrix in the working frame, Hermitian by construction.  ``evolve``
+is the only propagator: a closed-system check runs it with noise off.  The
+trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times
 k * sample_period (default duration/200) and at the end.  Its block holds
 ``SAMPLE_BLOCK`` states; a full one is turned into matrices in one scatter,
 checked for finite entries and reduced to trajectory columns, one numpy call
-per diagnostic for the whole block.  No renormalization is applied, so trace
+per diagnostic for the whole block.  Purity is the squared norm of each
+state's real coordinates, tr(rho^2) = |x|^2 in the orthonormal basis, so the
+matrices serve the finite check, the trace, the recorded entries and
+``eigvalsh``.  The walk asks the recorder for rows once per run of sample
+intervals (those before the plateau run, the run, those after it), and once
+more each time a block fills.  No renormalization is applied, so trace
 drift measures the propagation's precision directly.  ``evolve`` is a pure
 function of its inputs; independent evolutions are safe to run concurrently.
 """
@@ -79,7 +86,6 @@ from .hilbert import (
     flux_qubit_z,
     kron,
     min_eigenvalue,
-    purity,
     sigma_minus,
     sigma_plus,
     trace_error,
@@ -171,7 +177,7 @@ class NoiseParams:
 NO_NOISE = NoiseParams(enabled=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Sampled evolution record.
 
@@ -329,14 +335,10 @@ def _taylor_degree(theta):
     of exp(a)'s degree-m Taylor series at 1-norms up to theta: m = 10 at theta = 0.1 and 19 at
     theta = 1 (as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).
 
-    theta is a float or an array of them, each at most ``TAYLOR_MAX_NORM``.  The
-    remainders r_m = theta^(m+1)/(m+1)! e^theta shrink by theta/(m+1) <= 1 from one m to
-    the next, so m is the number of them above TAYLOR_TOL.
+    theta is a float or an array of them, each at most ``TAYLOR_MAX_NORM``.  The degree is
+    the number of ``_DEGREE_NORMS`` below theta, one ``np.searchsorted``.
     """
-    theta = np.asarray(theta, dtype=float)[..., None]
-    factors = theta / np.arange(2.0, _MAX_DEGREE + 2.0)
-    remainders = np.cumprod(np.concatenate((theta * np.exp(theta), factors), axis=-1), axis=-1)
-    m = np.count_nonzero(remainders > TAYLOR_TOL, axis=-1)
+    m = np.searchsorted(_DEGREE_NORMS, theta)
     return int(m) if np.ndim(m) == 0 else m
 
 
@@ -530,6 +532,38 @@ TAYLOR_MAX_NORM = 2.0
 _MAX_DEGREE = 25
 # a Taylor series leaves a remainder of at most TAYLOR_TOL |y|_1
 TAYLOR_TOL = 1e-17
+# entry m is the largest 1-norm theta at which degree m meets TAYLOR_TOL: the largest double
+# where the remainder theta^(m+1)/(m+1)! e^theta, evaluated as the cumulative product
+# theta e^theta (theta/2) (theta/3) ... (theta/(m+1)), is at most TAYLOR_TOL.  The remainders
+# shrink from one m to the next (by theta/(m+2) <= 1) and grow with theta, so the degree at
+# theta is the number of entries below it; at TAYLOR_MAX_NORM it is _MAX_DEGREE
+_DEGREE_NORMS = (
+    1e-17,
+    4.472135944999579e-09,
+    3.914862532449314e-06,
+    0.00012446272265511084,
+    0.0010369222254966255,
+    0.004391075584354974,
+    0.012576706748811586,
+    0.028129564022370424,
+    0.05324675430087693,
+    0.08955441565171794,
+    0.13807285737807304,
+    0.19928850783125046,
+    0.27326550716913933,
+    0.35975921114910964,
+    0.45831464950173123,
+    0.5683448260741353,
+    0.6891895206778218,
+    0.8201575452815816,
+    0.9605559288222978,
+    1.1097092367704653,
+    1.2669716860865181,
+    1.4317341365556335,
+    1.6034275260417519,
+    1.7815238998604273,
+    1.9655358615461562,
+)
 # the ramp steps whose envelope nodes, coefficients, norm bounds and Taylor
 # degrees are formed at once, across sample pieces (a few hundred kB), and the
 # sample intervals that ``_ramp_plan`` cuts into pieces at once
@@ -665,11 +699,13 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     per ramp piece, h the pulse's ``_ramp_step``, and one per plateau piece, its Gauss nodes
     set to 1.  ``_ramp_plan`` forms these steps with numpy, a block of ``RAMP_BLOCK_STEPS``
     at a time from a window of whole intervals, so no step costs a Python yield.  The loop
-    records y at each interval's first step and calls ``run`` before interval ``stop``.
-    Each step's Omega combines the 10 ``_magnus_basis`` matrices of l0 and l1 in ``basis``,
-    formed a block of steps at a time.  A step whose 1-norm bound is at most
-    ``TAYLOR_MAX_NORM`` is applied by one ``_TaylorSeries``, which stops on y's own terms;
-    a longer one, on a ramp piece or a plateau piece, takes the real expm of its Omega.
+    records y at each interval's first step and calls ``run`` before interval ``stop``; it
+    asks ``record`` for the rows of every walked interval up to the run, or to the end, and
+    fills all it is handed before it asks again.  Each step's Omega combines the 10
+    ``_magnus_basis`` matrices of l0 and l1 in ``basis``, formed a block of steps at a
+    time.  A step whose 1-norm bound is at most ``TAYLOR_MAX_NORM`` is applied by one
+    ``_TaylorSeries``, which stops on y's own terms; a longer one, on a ramp piece or a
+    plateau piece, takes the real expm of its Omega.
     """
     basis, period, record = recorder.basis, recorder.sample_period, recorder.rows
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
@@ -722,24 +758,29 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
 
     (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
     matrices = _magnus_basis(a0, a1)
-    norms = [np.linalg.norm(matrices.reshape(10, *a0.shape), p, axis=(1, 2)) for p in (1, np.inf)]
+    # each basis matrix's 1- and inf-norm, the columns of one (10, 2) array
+    norms = np.stack(
+        [np.linalg.norm(matrices.reshape(10, *a0.shape), p, axis=(1, 2)) for p in (1, np.inf)],
+        axis=1,
+    )
     chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
     buffer = np.empty((chunk, matrices.shape[1]))
     apply = _TaylorSeries(y.shape, float).apply
+    gauss = np.array([[-_GAUSS], [0.0], [_GAUSS]])
+    # the rows the recorder handed out for the walked intervals, of which the first r are filled
+    out, r = (), 0
     # a block of steps may span many sample intervals, and cut one
     for first, a, s, i, on_ramp in _ramp_plan(pulse, h, period, n_samples, range(start, stop)):
-        mid = a + (i + 0.5) * s
-        nodes = (
-            np.where(on_ramp, pulse.envelope(mid + c * s), 1.0) for c in (-_GAUSS, 0.0, _GAUSS)
-        )
+        # the envelope at each step's three Gauss nodes, one row per node
+        nodes = np.where(on_ramp, pulse.envelope(a + (i + 0.5) * s + gauss * s), 1.0)
         coef = _magnus_coefficients(s, *nodes)
         # bounds on each step's 1- and inf-norm; above TAYLOR_MAX_NORM a step takes expm
-        theta1, theta_inf = np.abs(coef) @ norms[0], np.abs(coef) @ norms[1]
-        taylor = theta1 <= TAYLOR_MAX_NORM
-        theta1, theta_inf = np.where(taylor, theta1, 0.0), np.where(taylor, theta_inf, 0.0)
-        ceilings = _taylor_degree(theta1).tolist()
-        ceilings = [m if t else None for m, t in zip(ceilings, taylor.tolist())]
-        scales = _stop_scales(theta1, theta_inf, y.size).tolist()
+        bounds = np.abs(coef) @ norms
+        taylor = bounds[:, 0] <= TAYLOR_MAX_NORM
+        bounds[~taylor] = 0.0
+        # each step's Taylor degree, or -1 for one that takes expm
+        ceilings = np.where(taylor, _taylor_degree(bounds[:, 0]), -1).tolist()
+        scales = _stop_scales(bounds[:, 0], bounds[:, 1], y.size).tolist()
         firsts = first.tolist()
         for j in range(0, len(coef), chunk):
             cut = slice(j, j + chunk)
@@ -749,8 +790,12 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
                 if k >= 0:
                     if k == stop > start:
                         y = run(y, stop - start, period)
-                    record(1)[0] = y
-                y = apply(omega, y, m, scale) if m is not None else expm(omega) @ y
+                    if r == len(out):
+                        # rows for the walked intervals up to the run, or to the end
+                        out, r = record((start if k < start < stop else n_samples) - k), 0
+                    out[r] = y
+                    r += 1
+                y = apply(omega, y, m, scale) if m >= 0 else expm(omega) @ y
     return y, plateau.dropped
 
 
@@ -787,14 +832,18 @@ class _Recorder:
         self.filled = min(start + n, SAMPLE_BLOCK)
         return self.block[start : self.filled]
 
-    def _reduce(self, final=None, t=None):
-        """Check the filled rows, and the matrix ``final`` at time t after them when given,
-        and turn them into one block of trajectory columns."""
+    def _reduce(self, final=None):
+        """Check the filled rows, and the ``final`` state after them when given (its
+        coordinates, its matrix and its time), and turn them into one block of trajectory
+        columns."""
         n = self.filled
-        rho = self.basis.matrices(self.block[:n])
+        x = self.block[:n]
+        rho = self.basis.matrices(x)
         times = np.arange(self.reduced, self.reduced + n) * self.sample_period
         if final is not None:
-            rho, times = np.concatenate((rho, final[None])), np.append(times, t)
+            x_end, rho_end, t = final
+            x, rho = np.vstack((x, x_end)), np.concatenate((rho, rho_end[None]))
+            times = np.append(times, t)
         finite = np.isfinite(rho).all(axis=(1, 2))
         if not finite.all():
             raise IntegrationError(f"state diverged by t={times[np.argmin(finite)]:.4g} ns")
@@ -802,13 +851,16 @@ class _Recorder:
         # rho11, rho22, rho12, rho21, copied out so that no column keeps the block alive
         entries = rho[:, (i, j, i, j), (i, j, j, i)].T
         trace = np.real(np.trace(rho, axis1=1, axis2=2))
+        # tr(rho^2) = |x|^2, the basis being orthonormal
+        purity = (x * x).sum(axis=1)
         # in Trajectory field order
-        self.blocks.append((times, *entries, trace, purity(rho), min_eigenvalue(rho)))
+        self.blocks.append((times, *entries, trace, purity, min_eigenvalue(rho)))
         self.filled, self.reduced = 0, self.reduced + n
 
-    def finish(self, rho, t) -> Trajectory:
-        """Record the final state, the matrix rho, at time t and return the trajectory."""
-        self._reduce(rho, t)
+    def finish(self, x, rho, t) -> Trajectory:
+        """Record the final state, its coordinates x and its matrix rho, at time t and return
+        the trajectory."""
+        self._reduce((x, rho, t))
         columns = (np.concatenate(col) for col in zip(*self.blocks))
         return Trajectory(*columns, final_state=rho)
 
@@ -891,7 +943,7 @@ def evolve(
         nx = ws.excitation_diag
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
         rho = frame * basis.matrices(x)
-    traj = recorder.finish(rho, pulse.duration)
+    traj = recorder.finish(x, rho, pulse.duration)
     if not whole:
         rho = np.zeros((spec.dim, spec.dim), dtype=complex)
         rho[cut] = traj.final_state

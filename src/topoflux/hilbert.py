@@ -143,11 +143,6 @@ def min_eigenvalue(rho: np.ndarray):
     return np.linalg.eigvalsh(rho)[..., 0]
 
 
-def purity(rho: np.ndarray):
-    """tr(rho^2) of a density matrix, or of each one in a stack."""
-    return np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
-
-
 def pure_density(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| for a normalized state vector."""
     psi = np.asarray(psi, dtype=complex)

@@ -7,7 +7,9 @@ couplings through the transverse operator s+ + s-, counter-rotating terms
 included, and evolves it under one fixed Liouvillian.  It shares the
 operator builders of ``topoflux.hilbert``, the dissipators and ``expm`` with
 the code it checks; the Hamiltonian, the frame, the walk over the samples and
-the trajectory columns are its own.
+the trajectory columns are its own.  Its purity, for one, is tr(rho rho) of
+each sampled matrix (``purity``), where ``evolve``'s recorder takes the squared
+norm of the state's real coordinates.
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ from topoflux.hilbert import (
     embed,
     flux_qubit_z,
     min_eigenvalue,
-    purity,
     sigma_minus,
     sigma_plus,
 )
+
+
+def purity(rho: np.ndarray):
+    """tr(rho^2) of a density matrix, or of each one in a stack, from the matrix product."""
+    return np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
 
 
 def build_lab_hamiltonian(omega_f, energy, g, g_prime, spec: HilbertSpec | None = None) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rk4_oracle as rk4
-from lab_oracle import build_lab_hamiltonian, evolve_static
+from lab_oracle import build_lab_hamiltonian, evolve_static, purity
 from rk4_oracle import interaction_hamiltonian
 from topoflux import dynamics
 from topoflux.config import resolve
@@ -44,7 +44,6 @@ from topoflux.hilbert import (
     HilbertSpec,
     min_eigenvalue,
     pure_density,
-    purity,
 )
 from topoflux.presets import scenario_preset
 
@@ -66,6 +65,16 @@ def taylor_series(a, y, theta1, series=None):
     theta_inf = float(np.max(np.sum(np.abs(a), axis=1)))
     z = series.apply(a, y, _taylor_degree(theta1), _stop_scales(theta1, theta_inf, y.size))
     return z, series.degree
+
+
+def taylor_degree_rule(theta):
+    """The Taylor degree that ``_taylor_degree`` tables, by its rule: the number of remainders
+    r_m = theta^(m+1)/(m+1)! e^theta, m = 0 .. 25, above TAYLOR_TOL, each formed as the
+    cumulative product theta e^theta (theta/2) ... (theta/(m+1)); theta a float or an array."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    factors = theta / np.arange(2.0, dynamics._MAX_DEGREE + 2.0)
+    remainders = np.cumprod(np.concatenate((theta * np.exp(theta), factors), axis=-1), axis=-1)
+    return np.count_nonzero(remainders > dynamics.TAYLOR_TOL, axis=-1)
 
 
 def make_pulse(g=G1, g_prime=0.0, phase_freq=0.0, duration=None, **kw):
@@ -283,6 +292,14 @@ class TestEvolve:
         traj = evolve(rho0, pulse, NOISE1, sample_period=pulse.duration / 100)
         i_dn1 = SPEC.index(DOWN, 1)
         assert traj.final_state[i_dn1, i_dn1].real == pytest.approx(0.993, abs=0.005)
+
+    def test_trajectories_compare_by_identity(self):
+        # a Trajectory holds arrays, whose == gives no single truth value, so == is
+        # identity: two runs with and without noise, equal in shape, compare unequal
+        rho0, pulse = pure_density(SPEC.ket(UP, 0)), make_pulse()
+        quiet, noisy = evolve(rho0, pulse, NO_NOISE), evolve(rho0, pulse, NOISE1)
+        assert len(quiet) == len(noisy)
+        assert quiet == quiet and quiet != noisy and not quiet == evolve(rho0, pulse, NO_NOISE)
 
     def test_trace_drift_error(self):
         # sigma_f^z is zero on n >= 2, so at 3 levels dephasing drains the
@@ -682,6 +699,19 @@ class TestExactPropagation:
     def test_taylor_degree(self):
         assert [_taylor_degree(t) for t in (0.0, 1e-3, 0.1, 1.0, 2.0)] == [0, 4, 10, 19, 25]
 
+    def test_taylor_degree_table_follows_its_rule(self):
+        # the table gives the rule's degree on a dense log grid up to TAYLOR_MAX_NORM, and on
+        # both sides of every tabled 1-norm, where the degree steps up by one
+        grid = np.geomspace(5e-324, dynamics.TAYLOR_MAX_NORM, 200_001)
+        assert np.array_equal(_taylor_degree(grid), taylor_degree_rule(grid))
+        norms = np.array(dynamics._DEGREE_NORMS)
+        assert len(norms) == dynamics._MAX_DEGREE and np.all(np.diff(norms) > 0)
+        below, above = np.nextafter(norms, 0.0), np.nextafter(norms, np.inf)
+        for theta in (below, norms, above):
+            assert np.array_equal(_taylor_degree(theta), taylor_degree_rule(theta))
+        assert np.array_equal(taylor_degree_rule(norms), np.arange(dynamics._MAX_DEGREE))
+        assert np.array_equal(taylor_degree_rule(above), np.arange(1, dynamics._MAX_DEGREE + 1))
+
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
     @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0, 2.0])
     def test_taylor_series_meets_its_bound(self, norm):
@@ -981,41 +1011,64 @@ class TestRecorder:
     def test_block_diagnostics_match_each_sample(self, levels, monkeypatch):
         # fig2a sampled 601 times: two full blocks and part of a third.  The recorder
         # hands out rows for 600 samples as Hermitian coordinates, and gets the final
-        # state as a matrix, both on the states the walk keeps: 4 of 4 at 2 levels, 5 of
-        # 8 at 4, where each of the 3 unreached states adds an eigenvalue 0.  Rows it
-        # handed out are filled by the time it is asked for more, and a reduced block
-        # keeps its rows, so each is read at the next call
+        # state as its coordinates and its matrix, both on the states the walk keeps: 4 of
+        # 4 at 2 levels, 5 of 8 at 4, where each of the 3 unreached states adds an
+        # eigenvalue 0.  Rows it handed out are filled by the time it is asked for more,
+        # and a reduced block keeps its rows, so each is read at the next call.  Purity is
+        # the squared norm of each state's coordinates, tr(rho^2) up to round-off
         scn = resolve(dict(scenario_preset("fig2a"), hilbert={"fockLevels": levels}))
-        states, handed, recorders = [], [], []
+        coordinates, handed, recorders = [], [], []
         rows, finish = _Recorder.rows, _Recorder.finish
 
         def keep(recorder, n):
             if handed:
-                states.extend(recorder.basis.matrices(handed.pop()))
+                coordinates.extend(handed.pop().copy())
             handed.append(rows(recorder, n))
             return handed[-1]
 
-        def last(recorder, rho, t):
-            states.extend(recorder.basis.matrices(handed.pop()))
-            states.append(rho)
-            recorders.append(recorder)
-            return finish(recorder, rho, t)
+        def last(recorder, x, rho, t):
+            coordinates.extend(handed.pop().copy())
+            coordinates.append(x)
+            recorders.append((recorder, rho))
+            return finish(recorder, x, rho, t)
 
         monkeypatch.setattr(_Recorder, "rows", keep)
         monkeypatch.setattr(_Recorder, "finish", last)
         period = scn.pulse.duration / 600
         traj = evolve(initial_state(scn.spec), scn.pulse, scn.noise, sample_period=period)
+        recorder, final = recorders[0]
+        states = [*recorder.basis.matrices(np.array(coordinates[:-1])), final]
         assert len(traj) == len(states) == 601 > 2 * SAMPLE_BLOCK
         assert len(states[0]) == {2: 4, 4: 5}[levels]
-        i, j = recorders[0].i_dn1, recorders[0].i_up0
+        i, j = recorder.i_dn1, recorder.i_up0
         floor = 0.0 if len(states[0]) < scn.spec.dim else np.inf
         assert np.array_equal(traj.rho11, [rho[i, i] for rho in states])
         assert np.array_equal(traj.rho21, [rho[j, i] for rho in states])
         assert np.array_equal(traj.trace, [np.real(np.trace(rho)) for rho in states])
-        assert np.array_equal(traj.purity, [purity(rho) for rho in states])
+        assert np.array_equal(traj.purity, [(x * x).sum() for x in coordinates])
+        assert np.max(np.abs(traj.purity - [purity(rho) for rho in states])) <= 1e-15
         assert np.array_equal(
             traj.min_eigenvalue, [min(min_eigenvalue(rho), floor) for rho in states]
         )
+
+    @pytest.mark.parametrize("samples", [200, 600])
+    def test_asks_for_rows_once_per_run_of_samples(self, samples, monkeypatch):
+        # the benchmark's fig2a 0.05 ns ramp at 2 levels: the walk asks for the rows of the
+        # walked intervals before the plateau run in one request, the run for its own and
+        # the walk for those after it, plus one more each time a block fills.  One request
+        # per walked interval made 71 at 200 samples
+        scn, pulse = operating_point("fig2a", 0.05, 2)
+        calls, rows = [], _Recorder.rows
+
+        def count(recorder, n):
+            calls.append(n)
+            return rows(recorder, n)
+
+        monkeypatch.setattr(_Recorder, "rows", count)
+        period = pulse.duration / samples
+        traj = evolve(initial_state(scn.spec), pulse, scn.noise, sample_period=period)
+        assert len(traj) == samples + 1
+        assert len(calls) <= 3 + math.ceil(samples / SAMPLE_BLOCK)
 
     @pytest.mark.parametrize(
         "first, time", [(0, "0"), (508, r"1\.016")], ids=["first-block", "second-block"]
@@ -1033,7 +1086,8 @@ class TestRecorder:
                     rows[:] = x
                     rows[max(first - filled, 0) :] = np.inf
                     filled += len(rows)
-                recorder.finish(np.full((SPEC.dim, SPEC.dim), np.inf), 2.0)
+                final = np.full(len(x), np.inf), np.full((SPEC.dim, SPEC.dim), np.inf)
+                recorder.finish(*final, 2.0)
 
     def test_keeps_one_block_of_states(self):
         # each further sample costs its trajectory row, 8 numbers, and not its
