@@ -21,7 +21,9 @@ or when the text, keys or shapes disagree):
 
     PYTHONPATH=src python scripts/output_digest.py --compare OUT_A OUT_B
 
-With ``--tol X`` it also exits 1 when a file differs, is only in one of the
+Its last line counts the files: identical, moved, differ and only in one
+directory.  When its reader stops early (``| head``), it exits 1 without a
+traceback.  With ``--tol X`` it also exits 1 when a file differs, is only in one of the
 directories, or moves by more than X; ``--tol 0`` asks for the same bytes, so
 it also exits 1 when a file's numbers agree but its text does not (``1.0``
 against ``1.00``):
@@ -115,28 +117,34 @@ def _parse(path: Path):
 
 
 def compare(a_dir: Path, b_dir: Path) -> tuple[float, bool]:
-    """Print one line per file of either directory: how far apart its two copies are.
-    Returns the largest of those distances, NaN when a file differs or is missing from one,
-    and whether every file is identical."""
+    """Print one line per file of either directory: how far apart its two copies are, then
+    one line that counts the files identical, moved (their numbers, or only their text),
+    that differ, and that are only in one directory.  Returns the largest of those
+    distances, NaN when a file differs or is missing from one, and whether every file is
+    identical."""
     names = sorted(
         {p.relative_to(d) for d in (a_dir, b_dir) for p in d.rglob("*") if p.is_file()}
     )
-    worst, identical = 0.0, True
+    worst = 0.0
+    counts = dict.fromkeys(("identical", "moved", "differ", "only in one directory"), 0)
     for name in names:
         a, b = a_dir / name, b_dir / name
         if not (a.is_file() and b.is_file()):
             diff, status = math.nan, f"only in {a_dir if a.is_file() else b_dir}"
+            kind = "only in one directory"
         elif a.read_bytes() == b.read_bytes():
-            diff, status = 0.0, "identical"
+            diff, status, kind = 0.0, "identical", "identical"
         else:
             parsed = _parse(a), _parse(b)
             diff = math.nan if parsed[0] is None else _max_difference(*parsed)
             status = "differs" if math.isnan(diff) else f"{diff:.3e}"
+            kind = "differ" if math.isnan(diff) else "moved"
         # max() would drop a NaN that is not its first argument
         worst = diff if math.isnan(diff) else max(worst, diff)
-        identical = identical and status == "identical"
+        counts[kind] += 1
         print(f"{status:>10}  {name}")
-    return worst, identical
+    print(f"{len(names)} files: " + ", ".join(f"{n} {kind}" for kind, n in counts.items()))
+    return worst, counts["identical"] == len(names)
 
 
 def main():
@@ -171,4 +179,11 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout stopped early (``| head``): end quietly, with stdout pointed
+        # at devnull so that the interpreter's last flush raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

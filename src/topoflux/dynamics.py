@@ -34,7 +34,9 @@ states at 2 levels and 5 (|up,0>, |down,0>, |down,1>, |up,1>, |down,2>) at 3
 or more, because sigma_f^z is zero on n >= 2.  The final state is put back
 into D x D; each unreached state adds an exact zero eigenvalue, so when
 states were left out the smallest-eigenvalue column is min(eig(rho_S), 0).
-When every state is kept, nothing is copied.  On the plateau
+When every state is kept, nothing is copied; the operators on a smaller
+support are built once per truncation and set of states
+(``_restricted_workspace``).  On the plateau
 (env = 1) one matrix exponential P (``expm``) carries the state from one
 sample to the next; it is formed on the row-major generator and turned into
 the Hermitian coordinates once per length, and the imaginary part that this
@@ -45,9 +47,11 @@ sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes,
 Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
 (``_ramp_step``), and a piece of plateau that shares a sample interval with a
 ramp is one more such step.  Each step's Omega combines 10 fixed matrices
-(``_magnus_basis``), and its exponential is applied to the state as a Taylor
-polynomial that stops on the state's own terms (``_TaylorSeries``; Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488, 2011) and at the latest at the degree
+(``_magnus_basis``, three stacked products), and its exponential is applied to
+the state as a Taylor polynomial that stops on the state's own terms
+(``_TaylorSeries``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011),
+in two power buffers that the steps use in turn, each step's sum written
+where the next step's powers start, and at the latest at the degree
 its 1-norm bound allows, one lookup in a table of the largest 1-norm per
 degree (``_taylor_degree``, ``_DEGREE_NORMS``), or, for a step too long for
 the series, is the real ``expm`` of Omega.  Only the final state is turned
@@ -55,16 +59,16 @@ back to a matrix in the working frame, Hermitian by construction.  ``evolve``
 is the only propagator: a closed-system check runs it with noise off.  The
 trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times
 k * sample_period (default duration/200) and at the end.  Its block holds
-``SAMPLE_BLOCK`` states; a full one is turned into matrices in one scatter,
-checked for finite entries and reduced to trajectory columns, one numpy call
+``SAMPLE_BLOCK`` states; a full one is checked for finite coordinates, turned
+into matrices in one scatter and reduced to trajectory columns, one numpy call
 per diagnostic for the whole block.  Purity is the squared norm of each
 state's real coordinates, tr(rho^2) = |x|^2 in the orthonormal basis, so the
-matrices serve the finite check, the trace, the recorded entries and
-``eigvalsh``.  The walk asks the recorder for rows once per run of sample
-intervals (those before the plateau run, the run, those after it), and once
-more each time a block fills.  No renormalization is applied, so trace
-drift measures the propagation's precision directly.  ``evolve`` is a pure
-function of its inputs; independent evolutions are safe to run concurrently.
+matrices serve the trace, the recorded entries and ``eigvalsh``.  The walk
+asks the recorder for rows once per run of sample intervals (those before the
+plateau run, the run, those after it), and once more each time a block fills.
+No renormalization is applied, so trace drift measures the propagation's
+precision directly.  ``evolve`` is a pure function of its inputs; independent
+evolutions are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -246,6 +250,16 @@ def _workspace(spec: HilbertSpec) -> _Workspace:
     return ws
 
 
+@functools.lru_cache(maxsize=64)
+def _restricted_workspace(spec: HilbertSpec, keep: tuple[int, ...]) -> _Workspace:
+    """``_workspace(spec)`` on the span of the basis states ``keep`` (sorted indices), built
+    once per truncation and set of states; its arrays are read-only, as the whole one's are."""
+    ws = _workspace(spec).restricted(list(keep))
+    for op in vars(ws).values():
+        op.flags.writeable = False
+    return ws
+
+
 def _support(rho0: np.ndarray, recorded, operators) -> list[int]:
     """The sorted basis states that ``evolve`` can reach: those where rho0 has a nonzero row
     or column and the ``recorded`` ones, closed under the nonzero pattern of each operator
@@ -349,9 +363,23 @@ def _stop_scales(theta1, theta_inf, size):
     return np.expm1(np.sqrt(theta1 * theta_inf)) ** 2 * (size / TAYLOR_TOL**2)
 
 
+@functools.cache
+def _taylor_weights(dtype: np.dtype) -> tuple[tuple, tuple]:
+    """The squared 1/j! (j = 0 .. _MAX_DEGREE) as floats, for the stop, and the prefixes
+    1/0! .. 1/m! of the weights as read-only arrays of ``dtype``, one per m, for the sum:
+    computed in the real type of dtype, then cast to it, so that the sum is one product.
+    Built once per dtype."""
+    j = np.arange(_MAX_DEGREE + 1, dtype=np.finfo(dtype).dtype)
+    weights = 1 / np.cumprod(np.maximum(j, 1))
+    squared = tuple((weights**2).tolist())
+    weights = weights.astype(dtype)
+    weights.flags.writeable = False
+    return squared, tuple(weights[: m + 1] for m in range(_MAX_DEGREE + 1))
+
+
 class _TaylorSeries:
-    """exp(a) @ y by the Taylor series sum_j a^j y / j!, in one buffer of the powers a^j y
-    that every step of a walk reuses.
+    """exp(a) @ y by the Taylor series sum_j a^j y / j!, in two buffers of the powers a^j y
+    that every step of a walk reuses, in turn.
 
     The degree follows y's own terms.  Since |a^(j+i) y|_2 <= theta2^i |a^j y|_2 for
     theta2 >= |a|_2, the remainder after degree j is at most (e^theta2 - 1) |a^j y|_2 / j!.
@@ -364,43 +392,58 @@ class _TaylorSeries:
     power besides |y|_2.  Each squared norm is the dot of a buffer row's entries, viewed as
     reals, with themselves: |row|_2^2 for real and complex rows of any shape.
 
-    A step calls ndarray methods only, each power one call of the bound ``a.dot`` from a
-    buffer row into the next (``pairs``): on states of 16 to 64 reals numpy's function
-    dispatch costs about as much as a product.
+    A step takes its powers in one buffer, whose row 0 holds y, and writes their weighted
+    sum into row 0 of the other (``buffers``), which holds the next step's y: a walk that
+    hands each result to the next step copies no state and allocates no array.  A y from
+    elsewhere is copied into row 0 first.  A step calls ndarray methods only, each power
+    one call of the bound ``a.dot`` from a buffer row into the next (``pairs``): on states
+    of 16 to 64 reals numpy's function dispatch costs about as much as a product.
     """
 
     def __init__(self, shape, dtype):
-        self.powers = np.empty((_MAX_DEGREE + 1, *shape), dtype=dtype)
-        self.rows = list(self.powers)
-        # (row j, row j + 1): a^(j+1) y is a times the row before it
-        self.pairs = list(zip(self.rows[:-1], self.rows[1:]))
-        # 1/j! in the real type of dtype, then cast to it, so the sum below is one product
-        j = np.arange(_MAX_DEGREE + 1, dtype=np.finfo(dtype).dtype)
-        weights = 1 / np.cumprod(np.maximum(j, 1))
-        self.squared_weights = (weights**2).tolist()
-        flat = self.powers.reshape(_MAX_DEGREE + 1, -1)
-        self.reals = list(flat.view(weights.dtype))
-        weights = weights.astype(dtype)
-        self.sums = [(weights[: m + 1], flat[: m + 1]) for m in range(_MAX_DEGREE + 1)]
+        self.squared_weights, weights = _taylor_weights(np.dtype(dtype))
+        self.buffers = tuple(np.empty((_MAX_DEGREE + 1, *shape), dtype=dtype) for _ in range(2))
+        sides = []
+        for powers in self.buffers:
+            rows = list(powers)
+            flat = powers.reshape(_MAX_DEGREE + 1, -1)
+            # row 0 as y's shape and flat; (row j, row j + 1), as a^(j+1) y is a times the
+            # row before it; the rows viewed as reals, for their norms; and per degree m, the
+            # weights and the rows that the sum to m takes
+            pairs = list(zip(rows[:-1], rows[1:]))
+            sums = [(w, flat[: m + 1]) for m, w in enumerate(weights)]
+            sides.append((rows[0], flat[0], pairs, list(flat.view(powers.real.dtype)), sums))
+        # the side that holds the next step's y, and the side its sum goes to
+        self.here, self.there = sides
         self.degree = 0
 
     def apply(self, a, y, m, scale):
-        """exp(a) @ y as a fresh array, by the series to degree at most m; scale is
-        ``_stop_scales`` of a's norm bounds and y's size.  ``degree`` is where it stopped."""
-        dot, reals = a.dot, self.reals
-        self.rows[0][...] = y
+        """exp(a) @ y by the series to degree at most m; scale is ``_stop_scales`` of a's
+        norm bounds and y's size.  ``degree`` is where it stopped.
+
+        The result is row 0 of one of ``buffers``, never y's memory.  It stays valid through
+        the next step when that step is given it as y, and is overwritten by the step after
+        that, or by the next step when that one is given another y."""
+        here, there = self.here, self.there
+        head, _, pairs, reals, sums = here
+        if y is not head:
+            head[...] = y
+        dot = a.dot
         y_squared = reals[0].dot(reals[0])
-        j, d = 0, min(self.degree, m)
+        # min(degree, m), without a builtin call per step
+        j, d = 0, self.degree if self.degree < m else m
         while True:
-            for power, out in self.pairs[j:d]:
+            for power, out in pairs[j:d]:
                 dot(power, out)
             term = reals[d]
             if d == m or scale * self.squared_weights[d] * term.dot(term) <= y_squared:
                 break
             j, d = d, d + 1
         self.degree = d
-        weights, powers = self.sums[d]
-        return weights.dot(powers).reshape(y.shape)
+        weights, powers = sums[d]
+        weights.dot(powers, there[1])
+        self.here, self.there = there, here
+        return there[0]
 
 
 class _HermitianBasis:
@@ -574,23 +617,31 @@ RAMP_BLOCK_STEPS = 1024
 # made a ramp step 40% slower than chunks of 3; 2**18 raised the peak RSS of
 # the ramped workload's evolutions by 4 MB, 9% of a perfbench run's 48 MB.
 OMEGA_BLOCK_ENTRIES = 2**14
-
-
-def _commutator_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
+# the commutators [x, y] of ``_magnus_basis``, a level at a time: the basis rows of their
+# factors x, then of their factors y ([a1, [a0, C]] = [a0, [a1, C]] by the Jacobi identity)
+_MAGNUS_LEVELS = (
+    ([0], [1]),
+    ([0, 1], [2, 2]),
+    ([0, 0, 1, 2, 2], [3, 4, 4, 3, 4]),
+)
 
 
 def _magnus_basis(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """The 10 fixed matrices that every sixth-order Magnus step of a0 + env(t) a1
-    combines, flattened into the rows of one array (order as in ``_magnus_coefficients``)."""
+    combines, flattened into the rows of one array (order as in ``_magnus_coefficients``):
+    a0, a1, C = [a0, a1], [a0, C], [a1, C], then [a0, [a0, C]], [a0, [a1, C]],
+    [a1, [a1, C]], [C, [a0, C]] and [C, [a1, C]].
+
+    The commutators [x, y] = x y - y x are formed a level at a time (``_MAGNUS_LEVELS``),
+    each level's products x y and y x as one stacked matmul: three in all."""
     basis = np.empty((10, *a0.shape), dtype=np.result_type(a0, a1))
     basis[0], basis[1] = a0, a1
-    c = basis[2] = _commutator_of(a0, a1)
-    d0 = basis[3] = _commutator_of(a0, c)
-    d1 = basis[4] = _commutator_of(a1, c)
-    # [a1, [a0, C]] = [a0, [a1, C]] by the Jacobi identity
-    for k, (x, y) in enumerate(((a0, d0), (a0, d1), (a1, d1), (c, d0), (c, d1)), start=5):
-        basis[k] = _commutator_of(x, y)
+    k = 2
+    for x, y in _MAGNUS_LEVELS:
+        products = basis[x + y] @ basis[y + x]
+        n = len(x)
+        basis[k : k + n] = products[:n] - products[n:]
+        k += n
     return basis.reshape(10, -1)
 
 
@@ -738,7 +789,7 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
             while m < len(out):
                 j = min(m.bit_length(), len(powers)) - 1
                 k = min(1 << j, len(out) - m)
-                np.matmul(out[m - (1 << j) : m - (1 << j) + k], powers[j].T, out=out[m : m + k])
+                out[m - (1 << j) : m - (1 << j) + k].dot(powers[j].T, out[m : m + k])
                 m += k
             y, n = step @ out[-1], n - len(out)
         return y
@@ -758,11 +809,10 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
 
     (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
     matrices = _magnus_basis(a0, a1)
-    # each basis matrix's 1- and inf-norm, the columns of one (10, 2) array
-    norms = np.stack(
-        [np.linalg.norm(matrices.reshape(10, *a0.shape), p, axis=(1, 2)) for p in (1, np.inf)],
-        axis=1,
-    )
+    # each basis matrix's 1- and inf-norm (its largest column and row abs-sum), the columns
+    # of one (10, 2) array
+    entries = np.abs(matrices).reshape(10, *a0.shape)
+    norms = np.stack((entries.sum(axis=1).max(axis=1), entries.sum(axis=2).max(axis=1)), axis=1)
     chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
     buffer = np.empty((chunk, matrices.shape[1]))
     apply = _TaylorSeries(y.shape, float).apply
@@ -785,7 +835,7 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
         for j in range(0, len(coef), chunk):
             cut = slice(j, j + chunk)
             rows = coef[cut]
-            omegas = np.matmul(rows, matrices, out=buffer[: len(rows)]).reshape(-1, *a0.shape)
+            omegas = rows.dot(matrices, buffer[: len(rows)]).reshape(-1, *a0.shape)
             for k, omega, m, scale in zip(firsts[cut], omegas, ceilings[cut], scales[cut]):
                 if k >= 0:
                     if k == stop > start:
@@ -844,12 +894,19 @@ class _Recorder:
             x_end, rho_end, t = final
             x, rho = np.vstack((x, x_end)), np.concatenate((rho, rho_end[None]))
             times = np.append(times, t)
-        finite = np.isfinite(rho).all(axis=(1, 2))
+        # each entry of a sample's matrix is one of its coordinates times 0 or a weight of
+        # size 1 or sqrt(1/2), and each coordinate enters one with a nonzero weight, so the
+        # matrix is finite exactly when the coordinates are; the final matrix also carries
+        # the frame, and is checked itself
+        finite = np.isfinite(x).all(axis=1)
+        if final is not None:
+            finite[-1] &= np.isfinite(rho_end).all()
         if not finite.all():
             raise IntegrationError(f"state diverged by t={times[np.argmin(finite)]:.4g} ns")
-        i, j = self.i_dn1, self.i_up0
-        # rho11, rho22, rho12, rho21, copied out so that no column keeps the block alive
-        entries = rho[:, (i, j, i, j), (i, j, j, i)].T
+        i, j, d = self.i_dn1, self.i_up0, self.basis.dim
+        # rho11, rho22, rho12, rho21, one contiguous row each, copied out so that no column
+        # keeps the block alive
+        entries = rho.reshape(len(x), d * d).T[[i * d + i, j * d + j, i * d + j, j * d + i]]
         trace = np.real(np.trace(rho, axis1=1, axis2=2))
         # tr(rho^2) = |x|^2, the basis being orthonormal
         purity = (x * x).sum(axis=1)
@@ -861,7 +918,10 @@ class _Recorder:
         """Record the final state, its coordinates x and its matrix rho, at time t and return
         the trajectory."""
         self._reduce((x, rho, t))
-        columns = (np.concatenate(col) for col in zip(*self.blocks))
+        if len(self.blocks) == 1:
+            columns = self.blocks[0]
+        else:
+            columns = (np.concatenate(col) for col in zip(*self.blocks))
         return Trajectory(*columns, final_state=rho)
 
 
@@ -932,7 +992,8 @@ def evolve(
         whole = len(keep) == spec.dim
         if not whole:
             cut = np.ix_(keep, keep)
-            ws, coupling, rho0 = ws.restricted(keep), coupling[cut], rho0[cut]
+            ws = _restricted_workspace(spec, tuple(keep))
+            coupling, rho0 = coupling[cut], rho0[cut]
         i_dn1, i_up0 = (keep.index(i) for i in recorded)
         recorder = _Recorder(len(keep), i_dn1, i_up0, pulse.duration, sample_period)
         basis = recorder.basis

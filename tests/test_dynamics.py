@@ -77,6 +77,22 @@ def taylor_degree_rule(theta):
     return np.count_nonzero(remainders > dynamics.TAYLOR_TOL, axis=-1)
 
 
+def magnus_basis_pairwise(a0, a1):
+    """``_magnus_basis`` formed one commutator, two products, at a time: 16 products."""
+
+    def commutator(x, y):
+        return x @ y - y @ x
+
+    basis = np.empty((10, *a0.shape), dtype=np.result_type(a0, a1))
+    basis[0], basis[1] = a0, a1
+    c = basis[2] = commutator(a0, a1)
+    d0 = basis[3] = commutator(a0, c)
+    d1 = basis[4] = commutator(a1, c)
+    for k, (x, y) in enumerate(((a0, d0), (a0, d1), (a1, d1), (c, d0), (c, d1)), start=5):
+        basis[k] = commutator(x, y)
+    return basis.reshape(10, -1)
+
+
 def make_pulse(g=G1, g_prime=0.0, phase_freq=0.0, duration=None, **kw):
     if duration is None:
         duration = math.pi / abs(g) if g else 1.0
@@ -526,6 +542,26 @@ class TestExactPropagation:
         coef = _magnus_coefficients(s, *(np.array([ei]) for ei in e))
         expanded = (coef @ _magnus_basis(a0, a1)).reshape(6, 6)
         assert np.max(np.abs(expanded - omega)) <= 1e-14 * np.max(np.abs(omega))
+        assert np.array_equal(_magnus_basis(a0, a1), magnus_basis_pairwise(a0, a1))
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
+    @pytest.mark.parametrize("levels", [2, 3, 6])
+    def test_magnus_basis_matches_the_pairwise_commutators(self, levels, noisy, monkeypatch):
+        # the walk's basis, its commutators formed a level at a time, is the one formed one
+        # commutator at a time, bit for bit, on the generators of the fig2a 0.05 ns ramp
+        scn, pulse = operating_point("fig2a", 0.05, levels)
+        noise = scn.noise if noisy else NO_NOISE
+        magnus_basis, generators = dynamics._magnus_basis, []
+
+        def spy(a0, a1):
+            generators.append((a0, a1))
+            return magnus_basis(a0, a1)
+
+        monkeypatch.setattr(dynamics, "_magnus_basis", spy)
+        evolve(initial_state(scn.spec), pulse, noise)
+        [(a0, a1)] = generators
+        assert a0.dtype == a1.dtype == float
+        assert np.array_equal(magnus_basis(a0, a1), magnus_basis_pairwise(a0, a1))
 
     def test_ramp_steps_are_sixth_order(self, monkeypatch):
         # one sample, so each ramp is one piece of exactly RAMP_STEPS steps:
@@ -753,8 +789,9 @@ class TestExactPropagation:
 
     @pytest.mark.parametrize("theta", [0.0, 5e-324], ids=["zero", "subnormal"])
     def test_taylor_series_of_a_vanishing_step(self, theta):
-        # Omega = 0, or one of subnormal norm, is degree 0: y comes back unchanged,
-        # as a fresh array, after a step that stopped at a higher degree
+        # Omega = 0, or one of subnormal norm, is degree 0: y comes back unchanged, after a
+        # step that stopped at a higher degree, in memory apart from y's.  The walk hands
+        # each result to the next step, and the result holds through that step
         rng = np.random.default_rng(3)
         y = rng.normal(size=16) + 1j * rng.normal(size=16)
         series = _TaylorSeries(y.shape, complex)
@@ -763,7 +800,33 @@ class TestExactPropagation:
         z, degree = taylor_series(a, y, theta, series)
         assert degree == 0
         assert np.array_equal(z, y)
-        assert not np.shares_memory(z, y) and not np.shares_memory(z, series.powers)
+        assert not np.shares_memory(z, y)
+        kept = z.copy()
+        b = np.roll(np.eye(16), 1, axis=0).astype(complex)
+        w, _ = taylor_series(b, z, 1.0, series)
+        assert np.array_equal(z, kept)
+        assert not np.shares_memory(w, z)
+        assert np.max(np.abs(w - expm(b) @ kept)) < 1e-14
+
+    def test_walk_takes_its_taylor_results_from_two_buffers(self, monkeypatch):
+        # the fig2a 0.05 ns ramp at 2 levels: every Taylor step writes its result into one
+        # of the series' own two buffers, so the walk's 208 steps allocate no state
+        scn, pulse = operating_point("fig2a", 0.05, 2)
+        apply, results = _TaylorSeries.apply, []
+
+        def spy(series, *args):
+            z = apply(series, *args)
+            results.append((series, z))
+            return z
+
+        monkeypatch.setattr(_TaylorSeries, "apply", spy)
+        evolve(initial_state(scn.spec), pulse, scn.noise)
+        assert len(results) == 208
+        series = results[0][0]
+        assert all(s is series for s, _ in results)
+        assert len(series.buffers) == 2
+        assert all(any(np.shares_memory(z, b) for b in series.buffers) for _, z in results)
+        assert len({z.__array_interface__["data"][0] for _, z in results}) == 2
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
     def test_expm_refuses_non_finite_generator(self, value):
@@ -1226,10 +1289,66 @@ class TestWorkspaceCache:
 
         cached = runs()
         monkeypatch.setattr(dynamics, "_workspace", _Workspace)
+        def restricted(spec, keep):
+            return _Workspace(spec).restricted(list(keep))
+
+        monkeypatch.setattr(dynamics, "_restricted_workspace", restricted)
         fresh = runs()
-        for a, b in zip(cached, fresh, strict=True):
-            for field in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+        assert_same_trajectories(cached, fresh)
+
+
+def assert_same_trajectories(a_runs, b_runs):
+    for a, b in zip(a_runs, b_runs, strict=True):
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+class TestRestrictionCache:
+    @pytest.mark.parametrize("levels", [3, 6])
+    def test_one_read_only_restriction_per_set_of_states(self, levels):
+        spec = HilbertSpec(levels)
+        keep = tuple(sorted(spec.index(s, n) for s, n in FROM_UP0 if n < levels))
+        ws = dynamics._restricted_workspace(spec, keep)
+        assert ws is dynamics._restricted_workspace(spec, keep)
+        assert ws is not dynamics._restricted_workspace(spec, keep[:-1])
+        expected = vars(_Workspace(spec).restricted(list(keep)))
+        assert vars(ws).keys() == expected.keys()
+        for name, op in vars(ws).items():
+            assert np.array_equal(op, expected[name]), name
+            assert op.dtype == expected[name].dtype, name
+            assert not op.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                op[0] = 0
+
+    @pytest.mark.parametrize("levels", [3, 6])
+    def test_evolve_matches_with_the_cache_cleared_and_warm(self, levels, monkeypatch):
+        # fig2a, ramped and rectangular, from |up,0> (5 states kept) and, with noise off,
+        # from |up,2> (every state at 3 levels, so no restriction; 7 of 12 at 6)
+        scn, ramped = operating_point("fig2a", 0.05, levels)
+        rect = rectangular("fig2a", levels)[1]
+        starts = (
+            (initial_state(scn.spec), scn.noise),
+            (pure_density(scn.spec.ket(UP, 2)), NO_NOISE),
+        )
+        calls, restricted = [], dynamics._restricted_workspace
+
+        def count(spec, keep):
+            calls.append(keep)
+            return restricted(spec, keep)
+
+        monkeypatch.setattr(dynamics, "_restricted_workspace", count)
+
+        def runs():
+            return [evolve(rho0, p, noise) for rho0, noise in starts for p in (ramped, rect)]
+
+        restricted.cache_clear()
+        cold = runs()
+        sets = {3: 1, 6: 2}[levels]
+        assert len(calls) == 2 * sets and len(set(calls)) == sets
+        assert restricted.cache_info()[:2] == (sets, sets)  # hits, misses
+        warm = runs()
+        assert restricted.cache_info()[:2] == (3 * sets, sets)
+        assert_same_trajectories(cold, warm)
 
 
 class TestPulseDurations:

@@ -898,6 +898,77 @@ def test_ramped_run_fuzz_exits_cleanly(raw):
     assert_run_exits_cleanly(raw)
 
 
+@st.composite
+def sweep_and_robustness_configs(draw):
+    """A schema-valid fig3a, fig3b or robustness config with 2 or 3 sweep points or 0 to 3
+    Monte Carlo samples, and the command that runs it.  Half of them keep the preset's
+    device with a pulse of a few pi, a ramp up to 0.1 ns and rates up to 1/ns, so that they
+    evolve: most fully redrawn configs are refused before they do."""
+    raw = draw(schema_valid_configs(presets=("fig3a", "fig3b", "robustness")))
+    if draw(st.booleans()):
+        preset = scenario_preset(raw["experiment"])
+        raw["device"], raw["overrides"] = preset["device"], {}
+        # the presets' g is negative, and the area takes its sign
+        raw["pulse"]["areaOverPi"] = draw(st.floats(-5.0, -0.5))
+        if "rampTime_ns" in raw["pulse"]:
+            raw["pulse"]["rampTime_ns"] = draw(st.floats(0.0, 0.1, exclude_min=True))
+        if "sweep" in raw:
+            raw["sweep"].update(lo=0.0, hi=draw(st.floats(1e-4, 1.0)))
+    if raw["experiment"] == "robustness":
+        raw["robustness"] = {
+            "errorFraction": draw(st.floats(0.0, 0.5)),
+            "samples": draw(st.integers(min_value=0, max_value=3)),
+        }
+        return "robustness", raw
+    raw["sweep"]["points"] = draw(st.integers(min_value=2, max_value=3))
+    return "sweep", raw
+
+
+def largest_ramp_steps(command, raw):
+    """The most ramp steps that one evolution of the config's sweep or Monte Carlo takes: the
+    sweep's largest g'/g, or every factor of the Monte Carlo at 1 + errorFraction, gives the
+    shortest step.  None when the config is refused before it evolves."""
+    size = evolution_size(raw)
+    if size is None or not size[1]:
+        return size and size[1]
+    pulse = resolve(raw).pulse
+    if command == "sweep":
+        g = pulse.g_value
+        pulses = [replace(pulse, g_prime_value=r * g) for r in raw["sweep"]["gPrimeOverG"]]
+    else:
+        f = 1.0 + raw["robustness"]["errorFraction"]
+        pulses = [
+            replace(
+                pulse,
+                g_value=f * pulse.g_value,
+                g_prime_value=f * pulse.g_prime_value,
+                phase_freq=f * pulse.phase_freq,
+            )
+        ]
+    return max(2.0 * pulse.ramp / _ramp_step(p) for p in pulses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_and_robustness_configs())
+def test_sweep_and_robustness_fuzz_exit_cleanly(drawn):
+    # rectangular pulses, and ramped ones under the ramped run fuzz's 2500 ramp steps per
+    # evolution; each draw evolves 2 to 12 times, on the states its pulse and noise reach
+    command, raw = drawn
+    steps = largest_ramp_steps(command, raw)
+    assume(steps is None or steps <= 2500)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run_cli([command, "--config", str(cfg)])
+    assert code in (0, 2, 3, 4), err
+    if code == 0:
+        strict_loads(out)
+    else:
+        assert out == ""
+        assert err
+    assert "Traceback" not in err
+
+
 def _output_digest():
     """scripts/output_digest.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
@@ -944,6 +1015,50 @@ def test_output_digest_compare_exit_code(tmp_path, monkeypatch, capsys, value, e
     lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
     assert "identical  same.json" in lines
     assert any(status in line for line in lines if "same.json" not in line)
+
+
+def digest_pair(root):
+    """Two output directories: one file identical, one moved, one that differs, and one in
+    the second only."""
+    a, b = root / "a", root / "b"
+    for d, cell, text in ((a, "0.5", "x"), (b, "0.25", "y")):
+        d.mkdir()
+        (d / "same.json").write_text('{"fidelity": 0.25}')
+        (d / "moved.csv").write_text(f"t,rho11\n0.0,{cell}\n")
+        (d / "other.svg").write_text(text)
+    (b / "extra.json").write_text("{}")
+    return a, b
+
+
+def test_output_digest_compare_ends_with_counts(tmp_path, monkeypatch, capsys):
+    a, b = digest_pair(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", "--compare", str(a), str(b)])
+    _output_digest().main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[-1] == "4 files: 1 identical, 1 moved, 1 differ, 1 only in one directory"
+
+
+def test_output_digest_compare_into_a_closed_pipe(tmp_path):
+    # a reader that stops early (| head) ends the comparison without a traceback
+    a, b = digest_pair(tmp_path)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "output_digest.py"), "--compare", a, b],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == ""
 
 
 def test_output_digest_tol_needs_compare(tmp_path, monkeypatch, capsys):
