@@ -75,11 +75,15 @@ class SweepSpec:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ConfigError(f"need lo < hi, got [{self.lo}, {self.hi}]", pointer="/sweep")
+        # eta1 = 1/(2 tf1): above half the largest double, 2 eta1 overflows and tf1 is 0
+        if self.axis == "eta1" and not 1.0 / (2.0 * self.hi) > 0.0:
+            raise ConfigError(f"eta1 = {self.hi} leaves no positive tf1", pointer="/sweep/hi")
         _check_evaluations(self.points * len(self.ratios), "/sweep")
 
     def values(self):
+        """The axis values lo + i (hi - lo) / (points - 1), the last one hi exactly."""
         step = (self.hi - self.lo) / (self.points - 1)
-        return [self.lo + i * step for i in range(self.points)]
+        return [self.lo + i * step for i in range(self.points - 1)] + [self.hi]
 
 
 @dataclass(frozen=True)

@@ -34,21 +34,21 @@ states at 2 levels and 5 (|up,0>, |down,0>, |down,1>, |up,1>, |down,2>) at 3
 or more, because sigma_f^z is zero on n >= 2.  The final state is put back
 into D x D; each unreached state adds an exact zero eigenvalue, so when
 states were left out the smallest-eigenvalue column is min(eig(rho_S), 0).
-When every state is kept, nothing is copied; the operators on a smaller
-support are built once per truncation and set of states
-(``_restricted_workspace``).  On the plateau
-(env = 1) one matrix exponential P (``expm``) carries the state from one
-sample to the next; it is formed on the row-major generator and turned into
-the Hermitian coordinates once per length, and the imaginary part that this
-drops, the anti-Hermitian round-off of the exponential, bounds how far from
-Hermitian the complex walk would have strayed (``_Plateau``).  A run of
-plateau samples fills the recorder's block by products with P's powers.  On a
+When every state is kept, nothing is copied; the operators, whole or on a
+smaller support, are built once per truncation and set of states
+(``_workspace``).  On the plateau (env = 1) one matrix exponential P
+(``expm``) carries the state from one sample to the next; it is formed on
+the row-major generator and turned into the Hermitian coordinates once per
+length, and the imaginary part that this drops, the anti-Hermitian round-off
+of the exponential, bounds how far from Hermitian the complex walk would have
+strayed (``_Plateau``).  A run of plateau samples fills the recorder's block
+by products with P's powers.  On a
 sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes,
 Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
 (``_ramp_step``), and a piece of plateau that shares a sample interval with a
 ramp is one more such step.  Each step's Omega combines 10 fixed matrices
-(``_magnus_basis``, three stacked products), and its exponential is applied to
-the state as a Taylor polynomial that stops on the state's own terms
+(``_magnus_basis``, eight of them commutators), and its exponential is applied
+to the state as a Taylor polynomial that stops on the state's own terms
 (``_TaylorSeries``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011),
 in two power buffers that the steps use in turn, each step's sum written
 where the next step's powers start, and at the latest at the degree
@@ -58,17 +58,19 @@ the series, is the real ``expm`` of Omega.  Only the final state is turned
 back to a matrix in the working frame, Hermitian by construction.  ``evolve``
 is the only propagator: a closed-system check runs it with noise off.  The
 trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times
-k * sample_period (default duration/200) and at the end.  Its block holds
-``SAMPLE_BLOCK`` states; a full one is checked for finite coordinates, turned
-into matrices in one scatter and reduced to trajectory columns, one numpy call
-per diagnostic for the whole block.  Purity is the squared norm of each
-state's real coordinates, tr(rho^2) = |x|^2 in the orthonormal basis, so the
-matrices serve the trace, the recorded entries and ``eigvalsh``.  The walk
-asks the recorder for rows once per run of sample intervals (those before the
-plateau run, the run, those after it), and once more each time a block fills.
-No renormalization is applied, so trace drift measures the propagation's
-precision directly.  ``evolve`` is a pure function of its inputs; independent
-evolutions are safe to run concurrently.
+k * sample_period (default duration/200) and at the end.  It allocates the
+trajectory columns once, after the walk's ``MAX_STEPS`` refusal.  Its block
+holds ``SAMPLE_BLOCK`` states; a full one is checked for finite coordinates,
+turned into matrices in one scatter and reduced into its slice of the columns,
+one numpy call per diagnostic for the whole block, and the final state is
+reduced with the last block into the columns' last row.  Purity is the
+squared norm of each state's real coordinates, tr(rho^2) = |x|^2 in the
+orthonormal basis, so the matrices serve the trace, the recorded entries and
+``eigvalsh``.  The walk asks the recorder for rows once per run of sample
+intervals (those before the plateau run, the run, those after it), and once
+more each time a block fills.  No renormalization is applied, so trace drift
+measures the propagation's precision directly.  ``evolve`` is a pure function
+of its inputs; independent evolutions are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -230,31 +232,17 @@ class _Workspace:
             self.contam_up + self.contam_down
         )
 
-    def restricted(self, keep: list[int]) -> _Workspace:
-        """The same operators on the span of the basis states ``keep`` (sorted indices), as
-        new arrays."""
-        ws = object.__new__(_Workspace)
-        cut = np.ix_(keep, keep)
-        for name, op in vars(self).items():
-            setattr(ws, name, op[cut] if op.ndim == 2 else op[keep])
-        return ws
-
-
-@functools.lru_cache(maxsize=16)
-def _workspace(spec: HilbertSpec) -> _Workspace:
-    """The ``_Workspace`` of ``spec``, built once per truncation; its arrays are read-only,
-    so no caller can change another's operators."""
-    ws = _Workspace(spec)
-    for op in vars(ws).values():
-        op.flags.writeable = False
-    return ws
-
 
 @functools.lru_cache(maxsize=64)
-def _restricted_workspace(spec: HilbertSpec, keep: tuple[int, ...]) -> _Workspace:
-    """``_workspace(spec)`` on the span of the basis states ``keep`` (sorted indices), built
-    once per truncation and set of states; its arrays are read-only, as the whole one's are."""
-    ws = _workspace(spec).restricted(list(keep))
+def _workspace(spec: HilbertSpec, keep: tuple[int, ...] | None = None) -> _Workspace:
+    """The ``_Workspace`` of ``spec``, or its operators on the span of the basis states ``keep``
+    (sorted indices), built once per truncation and set of states; its arrays are read-only,
+    so no caller can change another's operators."""
+    ws = _Workspace(spec)
+    if keep is not None:
+        rows = list(keep)
+        cut = np.ix_(rows, rows)
+        vars(ws).update({n: op[cut] if op.ndim == 2 else op[rows] for n, op in vars(ws).items()})
     for op in vars(ws).values():
         op.flags.writeable = False
     return ws
@@ -617,32 +605,22 @@ RAMP_BLOCK_STEPS = 1024
 # made a ramp step 40% slower than chunks of 3; 2**18 raised the peak RSS of
 # the ramped workload's evolutions by 4 MB, 9% of a perfbench run's 48 MB.
 OMEGA_BLOCK_ENTRIES = 2**14
-# the commutators [x, y] of ``_magnus_basis``, a level at a time: the basis rows of their
-# factors x, then of their factors y ([a1, [a0, C]] = [a0, [a1, C]] by the Jacobi identity)
-_MAGNUS_LEVELS = (
-    ([0], [1]),
-    ([0, 1], [2, 2]),
-    ([0, 0, 1, 2, 2], [3, 4, 4, 3, 4]),
-)
 
 
 def _magnus_basis(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """The 10 fixed matrices that every sixth-order Magnus step of a0 + env(t) a1
     combines, flattened into the rows of one array (order as in ``_magnus_coefficients``):
     a0, a1, C = [a0, a1], [a0, C], [a1, C], then [a0, [a0, C]], [a0, [a1, C]],
-    [a1, [a1, C]], [C, [a0, C]] and [C, [a1, C]].
+    [a1, [a1, C]], [C, [a0, C]] and [C, [a1, C]] ([a1, [a0, C]] = [a0, [a1, C]] by the
+    Jacobi identity).  Each of the eight commutators [x, y] = x y - y x is two products."""
 
-    The commutators [x, y] = x y - y x are formed a level at a time (``_MAGNUS_LEVELS``),
-    each level's products x y and y x as one stacked matmul: three in all."""
-    basis = np.empty((10, *a0.shape), dtype=np.result_type(a0, a1))
-    basis[0], basis[1] = a0, a1
-    k = 2
-    for x, y in _MAGNUS_LEVELS:
-        products = basis[x + y] @ basis[y + x]
-        n = len(x)
-        basis[k : k + n] = products[:n] - products[n:]
-        k += n
-    return basis.reshape(10, -1)
+    def commutator(x, y):
+        return x @ y - y @ x
+
+    c = commutator(a0, a1)
+    d0, d1 = commutator(a0, c), commutator(a1, c)
+    outer = (commutator(x, y) for x, y in ((a0, d0), (a0, d1), (a1, d1), (c, d0), (c, d1)))
+    return np.stack((a0, a1, c, d0, d1, *outer)).reshape(10, -1)
 
 
 def _magnus_coefficients(s: float, e1, e2, e3) -> np.ndarray:
@@ -741,7 +719,9 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     end and the plateau exponentials' ``_Plateau.dropped``.
 
     The walk goes by sample intervals [k period, (k+1) period], period the recorder's
-    ``sample_period`` and the last interval ending at the pulse's end; ``record(n)``, the
+    ``sample_period`` and the last interval ending at the pulse's end; their number comes
+    from ``recorder.start()``, which allocates the trajectory once a pulse that needs more
+    than ``MAX_STEPS`` samples and ramp steps has been refused.  ``record(n)``, the
     recorder's ``rows``, returns the rows it fills with y at the next samples, at most n of
     them.  The intervals on the plateau before the last form one run, which ``run``
     carries with the powers of P, the ``_Plateau`` of l0 + l1; on a rectangular pulse, one
@@ -767,9 +747,7 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
             f"a {duration:.4g} ns pulse sampled every {period:.3e} ns{steps} needs more than "
             f"{MAX_STEPS} samples and ramp steps"
         )
-    # sample times k * period strictly before the end; the tolerance keeps a
-    # period that divides the duration from adding a sample at the end
-    n_samples = max(1, math.ceil(duration / period - 1e-9))
+    n_samples = recorder.start()
     last = n_samples - 1
     plateau = _Plateau(l0 + l1, basis)
 
@@ -850,12 +828,16 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
 
 
 class _Recorder:
-    """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` and builds the Trajectory.
+    """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` into the trajectory's
+    columns and builds the Trajectory.
 
-    ``_propagate`` writes the sampled states straight into the rows of one preallocated
-    block (``rows``), as their coordinates in the ``_HermitianBasis`` of ``dim`` x ``dim``
-    matrices.  i_dn1 and i_up0 are the positions of |down,1> and |up,0> among the dim
-    basis states that the walk carries.
+    ``start`` allocates the columns once, a row for each of the run's samples and one for
+    the end.  ``_propagate`` writes the sampled states straight into the rows of one
+    preallocated block (``rows``), as their coordinates in the ``_HermitianBasis`` of
+    ``dim`` x ``dim`` matrices.  A full block is reduced into its slice of the columns, and
+    ``finish`` reduces the last one with the final state in the row after it, so that the
+    final state lands in the columns' last row.  i_dn1 and i_up0 are the positions of
+    |down,1> and |up,0> among the dim basis states that the walk carries.
     """
 
     def __init__(
@@ -866,12 +848,23 @@ class _Recorder:
             sample_period = duration / 200.0 or duration
         if not sample_period > 0:
             raise ValueError(f"sample_period must be positive, got {sample_period}")
-        self.sample_period = sample_period
+        self.duration, self.sample_period = duration, sample_period
         self.basis = _hermitian_basis(dim)
         self.i_dn1, self.i_up0 = i_dn1, i_up0
-        self.block = np.empty((SAMPLE_BLOCK, dim**2))
+        # a block of samples and the final state after the last one
+        self.block = np.empty((SAMPLE_BLOCK + 1, dim**2))
         # the samples in the block, and those reduced before it
-        self.filled, self.reduced, self.blocks = 0, 0, []
+        self.filled, self.reduced = 0, 0
+
+    def start(self) -> int:
+        """Allocate the columns for the samples at the times k * sample_period strictly before
+        the end, and for the end; returns the number of samples, ``n_samples``."""
+        # the tolerance keeps a period that divides the duration from adding a sample at the end
+        n_samples = max(1, math.ceil(self.duration / self.sample_period - 1e-9))
+        self.times, self.trace, self.purity, self.min_eigenvalue = np.empty((4, n_samples + 1))
+        # rho11, rho22, rho12, rho21
+        self.entries = np.empty((4, n_samples + 1), dtype=complex)
+        return n_samples
 
     def rows(self, n):
         """The block's rows for the next samples, at most n, for the caller to fill.  A full
@@ -884,45 +877,41 @@ class _Recorder:
 
     def _reduce(self, final=None):
         """Check the filled rows, and the ``final`` state after them when given (its
-        coordinates, its matrix and its time), and turn them into one block of trajectory
-        columns."""
-        n = self.filled
-        x = self.block[:n]
-        rho = self.basis.matrices(x)
-        times = np.arange(self.reduced, self.reduced + n) * self.sample_period
+        coordinates, its matrix and its time), and write their slice of the columns."""
+        n, start = self.filled, self.reduced
         if final is not None:
             x_end, rho_end, t = final
-            x, rho = np.vstack((x, x_end)), np.concatenate((rho, rho_end[None]))
-            times = np.append(times, t)
+            self.block[n] = x_end
+            n += 1
+        x = self.block[:n]
+        rho = self.basis.matrices(x)
+        cut = slice(start, start + n)
+        times = np.multiply(np.arange(start, start + n), self.sample_period, out=self.times[cut])
         # each entry of a sample's matrix is one of its coordinates times 0 or a weight of
         # size 1 or sqrt(1/2), and each coordinate enters one with a nonzero weight, so the
         # matrix is finite exactly when the coordinates are; the final matrix also carries
         # the frame, and is checked itself
         finite = np.isfinite(x).all(axis=1)
         if final is not None:
+            rho[-1], times[-1] = rho_end, t
             finite[-1] &= np.isfinite(rho_end).all()
         if not finite.all():
             raise IntegrationError(f"state diverged by t={times[np.argmin(finite)]:.4g} ns")
         i, j, d = self.i_dn1, self.i_up0, self.basis.dim
-        # rho11, rho22, rho12, rho21, one contiguous row each, copied out so that no column
-        # keeps the block alive
-        entries = rho.reshape(len(x), d * d).T[[i * d + i, j * d + j, i * d + j, j * d + i]]
-        trace = np.real(np.trace(rho, axis1=1, axis2=2))
+        self.entries[:, cut] = rho.reshape(n, d * d).T[[i * d + i, j * d + j, i * d + j, j * d + i]]
+        self.trace[cut] = np.real(np.trace(rho, axis1=1, axis2=2))
         # tr(rho^2) = |x|^2, the basis being orthonormal
-        purity = (x * x).sum(axis=1)
-        # in Trajectory field order
-        self.blocks.append((times, *entries, trace, purity, min_eigenvalue(rho)))
-        self.filled, self.reduced = 0, self.reduced + n
+        self.purity[cut] = (x * x).sum(axis=1)
+        self.min_eigenvalue[cut] = min_eigenvalue(rho)
+        self.filled, self.reduced = 0, start + n
 
     def finish(self, x, rho, t) -> Trajectory:
         """Record the final state, its coordinates x and its matrix rho, at time t and return
         the trajectory."""
         self._reduce((x, rho, t))
-        if len(self.blocks) == 1:
-            columns = self.blocks[0]
-        else:
-            columns = (np.concatenate(col) for col in zip(*self.blocks))
-        return Trajectory(*columns, final_state=rho)
+        return Trajectory(
+            self.times, *self.entries, self.trace, self.purity, self.min_eigenvalue, final_state=rho
+        )
 
 
 def evolve(
@@ -992,7 +981,7 @@ def evolve(
         whole = len(keep) == spec.dim
         if not whole:
             cut = np.ix_(keep, keep)
-            ws = _restricted_workspace(spec, tuple(keep))
+            ws = _workspace(spec, tuple(keep))
             coupling, rho0 = coupling[cut], rho0[cut]
         i_dn1, i_up0 = (keep.index(i) for i in recorded)
         recorder = _Recorder(len(keep), i_dn1, i_up0, pulse.duration, sample_period)
@@ -1010,7 +999,7 @@ def evolve(
         rho[cut] = traj.final_state
         traj.final_state = rho
         # each unreached state adds an exact zero eigenvalue
-        traj.min_eigenvalue = np.minimum(traj.min_eigenvalue, 0.0)
+        np.minimum(traj.min_eigenvalue, 0.0, out=traj.min_eigenvalue)
 
     drift = trace_error(rho)
     if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:

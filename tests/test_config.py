@@ -355,6 +355,32 @@ class TestResolution:
         assert vals[-1] == pytest.approx(0.01)
         assert scn.sweep.ratios == (0, 1, 2, 3, 4, 5, 6)
 
+    @pytest.mark.parametrize(
+        "lo, hi, points", [(0.01, 0.1, 10), (0.044, 0.158, 8), (0.0, 0.01, 21), (0.02, 0.07, 2)]
+    )
+    def test_sweep_ends_at_hi(self, lo, hi, points):
+        # lo + (points - 1) step rounds to 0.10000000000000002 and 0.15799999999999997 on the
+        # first two; every value before the last is still lo + i step
+        raw = scenario_preset("fig3a")
+        raw["sweep"].update(lo=lo, hi=hi, points=points)
+        vals = resolve(raw).sweep.values()
+        step = (hi - lo) / (points - 1)
+        assert len(vals) == points
+        assert vals[-1] == hi
+        assert vals[:-1] == [lo + i * step for i in range(points - 1)]
+
+    @pytest.mark.parametrize("axis, refused", [("eta1", True), ("eta2", False)])
+    def test_sweep_rate_with_no_positive_time(self, axis, refused):
+        # tf1 = 1/(2 eta1) is 0 once 2 eta1 overflows; tf2 = 1/eta2 stays positive
+        raw = scenario_preset("fig3a")
+        raw["sweep"].update(axis=axis, lo=0.0, hi=8.98846567431158e307)
+        if refused:
+            with pytest.raises(ConfigError, match="leaves no positive tf1") as exc:
+                resolve(raw)
+            assert exc.value.pointer == "/sweep/hi"
+        else:
+            assert resolve(raw).sweep.values()[-1] == 8.98846567431158e307
+
     def test_hilbert_levels(self):
         raw = scenario_preset("fig2a")
         raw["hilbert"] = {"fockLevels": 4}

@@ -547,8 +547,8 @@ class TestExactPropagation:
     @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
     @pytest.mark.parametrize("levels", [2, 3, 6])
     def test_magnus_basis_matches_the_pairwise_commutators(self, levels, noisy, monkeypatch):
-        # the walk's basis, its commutators formed a level at a time, is the one formed one
-        # commutator at a time, bit for bit, on the generators of the fig2a 0.05 ns ramp
+        # the walk's basis is the oracle's, bit for bit, on the generators of the fig2a
+        # 0.05 ns ramp
         scn, pulse = operating_point("fig2a", 0.05, levels)
         noise = scn.noise if noisy else NO_NOISE
         magnus_basis, generators = dynamics._magnus_basis, []
@@ -1141,6 +1141,7 @@ class TestRecorder:
         # the second block; evolve's errstate hides the inf * 0 of turning them into matrices
         x = _hermitian_basis(SPEC.dim).coordinates(pure_density(SPEC.ket(UP, 0)))
         recorder = _Recorder(SPEC.dim, SPEC.index(DOWN, 1), SPEC.index(UP, 0), 2.0, 0.002)
+        assert recorder.start() == 1000
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match=rf"diverged by t={time} ns"):
                 filled = 0
@@ -1170,6 +1171,35 @@ class TestRecorder:
         n = 8 * SAMPLE_BLOCK
         per_sample = (peak_bytes(2 * n) - peak_bytes(n)) / n
         assert per_sample < spec.dim**2 * 16 / 4
+
+    def test_long_run_peaks_near_its_trajectory(self):
+        # fig2a sampled 1e5 times: the columns are allocated once and each block is reduced
+        # into its slice, so the trajectory itself is nearly all of the peak (1.03 times it);
+        # a walk that held each column twice would peak above twice it
+        scn = resolve(scenario_preset("fig2a"))
+        args = (initial_state(scn.spec), scn.pulse, scn.noise)
+        tracemalloc.start()
+        try:
+            traj = evolve(*args, sample_period=scn.pulse.duration / 1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(traj, field.name).nbytes for field in dataclasses.fields(traj))
+        assert len(traj) == 100_001
+        assert peak <= 1.3 * size
+
+    def test_refused_run_allocates_no_columns(self):
+        # twice MAX_STEPS samples would take 192 MB of columns; the refusal comes first
+        scn = resolve(scenario_preset("fig2a"))
+        period = scn.pulse.duration / (2 * dynamics.MAX_STEPS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrationError, match="samples and ramp steps"):
+                evolve(initial_state(scn.spec), scn.pulse, scn.noise, sample_period=period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def rectangular(name, levels):
@@ -1264,8 +1294,6 @@ class TestWorkspaceCache:
             assert not op.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 op[0] = 0
-        # the restriction is made of new arrays, which the caller may change
-        assert all(op.flags.writeable for op in vars(ws.restricted([0, 1, 3, 4])).values())
 
     @pytest.mark.parametrize("levels", [2, 4])
     def test_evolve_matches_a_fresh_workspace(self, levels, monkeypatch):
@@ -1288,11 +1316,8 @@ class TestWorkspaceCache:
             ]
 
         cached = runs()
-        monkeypatch.setattr(dynamics, "_workspace", _Workspace)
-        def restricted(spec, keep):
-            return _Workspace(spec).restricted(list(keep))
-
-        monkeypatch.setattr(dynamics, "_restricted_workspace", restricted)
+        # the uncached function: new operators at every call
+        monkeypatch.setattr(dynamics, "_workspace", dynamics._workspace.__wrapped__)
         fresh = runs()
         assert_same_trajectories(cached, fresh)
 
@@ -1308,14 +1333,21 @@ class TestRestrictionCache:
     def test_one_read_only_restriction_per_set_of_states(self, levels):
         spec = HilbertSpec(levels)
         keep = tuple(sorted(spec.index(s, n) for s, n in FROM_UP0 if n < levels))
-        ws = dynamics._restricted_workspace(spec, keep)
-        assert ws is dynamics._restricted_workspace(spec, keep)
-        assert ws is not dynamics._restricted_workspace(spec, keep[:-1])
-        expected = vars(_Workspace(spec).restricted(list(keep)))
+        ws = dynamics._workspace(spec, keep)
+        assert ws is dynamics._workspace(spec, keep)
+        assert ws is not dynamics._workspace(spec, keep[:-1])
+        assert ws is not dynamics._workspace(spec)
+        # the whole space's operators, cut to the kept rows and columns
+        cut = np.ix_(keep, keep)
+        expected = {
+            name: op[cut] if op.ndim == 2 else op[list(keep)]
+            for name, op in vars(_Workspace(spec)).items()
+        }
         assert vars(ws).keys() == expected.keys()
         for name, op in vars(ws).items():
             assert np.array_equal(op, expected[name]), name
             assert op.dtype == expected[name].dtype, name
+            assert op.shape[0] == len(keep), name
             assert not op.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 op[0] = 0
@@ -1330,24 +1362,28 @@ class TestRestrictionCache:
             (initial_state(scn.spec), scn.noise),
             (pure_density(scn.spec.ket(UP, 2)), NO_NOISE),
         )
-        calls, restricted = [], dynamics._restricted_workspace
+        calls, cached = [], dynamics._workspace
 
-        def count(spec, keep):
+        def count(spec, *keep):
             calls.append(keep)
-            return restricted(spec, keep)
+            return cached(spec, *keep)
 
-        monkeypatch.setattr(dynamics, "_restricted_workspace", count)
+        monkeypatch.setattr(dynamics, "_workspace", count)
 
         def runs():
             return [evolve(rho0, p, noise) for rho0, noise in starts for p in (ramped, rect)]
 
-        restricted.cache_clear()
+        cached.cache_clear()
         cold = runs()
+        # each evolution reads the whole workspace, and a restricted one when it drops states
         sets = {3: 1, 6: 2}[levels]
-        assert len(calls) == 2 * sets and len(set(calls)) == sets
-        assert restricted.cache_info()[:2] == (sets, sets)  # hits, misses
+        restricted = [keep for keep in calls if keep]
+        assert calls.count(()) == 4
+        assert len(restricted) == 2 * sets and len(set(restricted)) == sets
+        # a miss for the truncation and for each set of states, a hit for every other call
+        assert cached.cache_info()[:2] == (3 + sets, 1 + sets)  # hits, misses
         warm = runs()
-        assert restricted.cache_info()[:2] == (3 * sets, sets)
+        assert cached.cache_info()[:2] == (7 + 3 * sets, 1 + sets)
         assert_same_trajectories(cold, warm)
 
 
