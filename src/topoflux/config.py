@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 
 from . import device as dev
@@ -98,8 +98,9 @@ class RobustnessSpec:
 
 def _fields(record) -> dict:
     """A dataclass record as a dict of its fields, the values themselves: what ``asdict``
-    gives for a record whose fields hold no record, list or dict."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    gives for a record whose fields hold no record, list or dict.  A copy of the record's
+    ``vars``, which hold its fields and nothing else."""
+    return dict(vars(record))
 
 
 @dataclass

@@ -35,9 +35,11 @@ or more, because sigma_f^z is zero on n >= 2.  The final state is put back
 into D x D; each unreached state adds an exact zero eigenvalue, so when
 states were left out the smallest-eigenvalue column is min(eig(rho_S), 0).
 When every state is kept, nothing is copied; the operators, whole or on a
-smaller support, are built once per truncation and set of states
-(``_workspace``).  On the plateau (env = 1) one matrix exponential P
-(``expm``) carries the state from one sample to the next; it is formed on
+smaller support, and the parts of L0 that only they fix (the outer-product
+patterns of its diagonal and the jump superoperator) are built once per
+truncation and set of states (``_workspace``), and the kept states once per
+set of nonzero patterns of rho0, the coupling and the jump (``_closure``).
+On the plateau (env = 1) one matrix exponential P (``expm``) carries the state from one sample to the next; it is formed on
 the row-major generator and turned into the Hermitian coordinates once per
 length, and the imaginary part that this drops, the anti-Hermitian round-off
 of the exponential, bounds how far from Hermitian the complex walk would have
@@ -70,7 +72,12 @@ orthonormal basis, so the matrices serve the trace, the recorded entries and
 intervals (those before the plateau run, the run, those after it), and once
 more each time a block fills.  No renormalization is applied, so trace drift
 measures the propagation's precision directly.  ``evolve`` is a pure function
-of its inputs; independent evolutions are safe to run concurrently.
+of its inputs.  Independent evolutions are safe to run concurrently: the
+caches hold read-only arrays or tuples, and the arrays a ramped walk writes
+before it reads (the Taylor power buffers, the Magnus basis stack and the
+Omega buffer, ``_WalkScratch``) are kept per thread and per state size
+(``_walk_scratch``), so walks in one thread reuse them and no two threads
+share them.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,10 +215,11 @@ class Trajectory:
 
 
 class _Workspace:
-    """Static operators for one Hilbert space.  ``evolve`` shares one read-only instance per
-    truncation (``_workspace``)."""
+    """Static operators for one Hilbert space, or for the span of the basis states ``keep``
+    (sorted indices), and the parts of ``_free_generator`` built from them.  ``evolve``
+    shares one read-only instance per truncation and set of states (``_workspace``)."""
 
-    def __init__(self, spec: HilbertSpec):
+    def __init__(self, spec: HilbertSpec, keep: tuple[int, ...] | None = None):
         n = spec.n_fock
         self.a = embed(annihilation_op(n), "flux", spec)
         self.a_dag = self.a.conj().T
@@ -225,6 +234,19 @@ class _Workspace:
         self.z_diag = np.real(np.diag(zf)).copy()
         # N = a^dag a + |up><up|: the exchange conserves it, s+ raises it by one
         self.excitation_diag = self.number_diag + np.real(np.diag(s_plus @ s_minus))
+        if keep is not None:
+            rows = list(keep)
+            cut = np.ix_(rows, rows)
+            vars(self).update(
+                {name: op[cut] if op.ndim == 2 else op[rows] for name, op in vars(self).items()}
+            )
+        # the diagonal superoperators' patterns, one entry per pair of kept states, and the
+        # jump a rho a^dag on the row-major vec(rho): only the rates and E scale them
+        nx, nd, zd = self.excitation_diag, self.number_diag, self.z_diag
+        self.excitation_gaps = np.subtract.outer(nx, nx)
+        self.number_sums = np.add.outer(nd, nd)
+        self.dephasing_factors = np.multiply.outer(zd, zd) - 1.0
+        self.jump = kron(self.a, self.a.conj())
 
     def coupling(self, pulse: PulseSegment) -> np.ndarray:
         """The plateau coupling in the frame exp(i E t N), where it is static."""
@@ -235,29 +257,36 @@ class _Workspace:
 
 @functools.lru_cache(maxsize=64)
 def _workspace(spec: HilbertSpec, keep: tuple[int, ...] | None = None) -> _Workspace:
-    """The ``_Workspace`` of ``spec``, or its operators on the span of the basis states ``keep``
-    (sorted indices), built once per truncation and set of states; its arrays are read-only,
-    so no caller can change another's operators."""
-    ws = _Workspace(spec)
-    if keep is not None:
-        rows = list(keep)
-        cut = np.ix_(rows, rows)
-        vars(ws).update({n: op[cut] if op.ndim == 2 else op[rows] for n, op in vars(ws).items()})
+    """The ``_Workspace`` of ``spec``, or of its basis states ``keep``, built once per
+    truncation and set of states; its arrays are read-only, so no caller can change
+    another's operators."""
+    ws = _Workspace(spec, keep)
     for op in vars(ws).values():
         op.flags.writeable = False
     return ws
 
 
-def _support(rho0: np.ndarray, recorded, operators) -> list[int]:
+def _support(rho0: np.ndarray, recorded, operators) -> tuple[int, ...]:
     """The sorted basis states that ``evolve`` can reach: those where rho0 has a nonzero row
     or column and the ``recorded`` ones, closed under the nonzero pattern of each operator
     (a state i joins when op[i, j] != 0 for a state j of the set).
 
     With the coupling and, when relaxation is on, the jump a among the operators, a rho on
     the span of the set stays on it: the rest of the generator is diagonal.  A nonzero entry
-    is one that is not exactly 0, so a nan keeps its states.  The closure walks the pattern
-    in plain Python: on matrices this small, a numpy call per step would cost more.
+    is one that is not exactly 0, so a nan keeps its states.  rho0 and the operators are
+    matrices of one size.  The states follow from the nonzero patterns alone, so the closure
+    runs once per set of patterns (``_closure``).
     """
+    patterns = tuple(np.not_equal(m, 0).tobytes() for m in (rho0, *operators))
+    return _closure(len(rho0), tuple(recorded), patterns)
+
+
+@functools.lru_cache(maxsize=256)
+def _closure(dim: int, recorded: tuple[int, ...], patterns: tuple[bytes, ...]):
+    """``_support`` on the nonzero patterns of rho0 and of the operators, each the bytes of a
+    dim x dim boolean array.  The closure walks the pattern in plain Python: on matrices this
+    small, a numpy call per step would cost more."""
+    rho0, *operators = (np.frombuffer(p, dtype=bool).reshape(dim, dim) for p in patterns)
     rows, cols = np.nonzero(rho0)
     keep = {*rows.tolist(), *cols.tolist(), *recorded}
     reach = {}
@@ -271,7 +300,7 @@ def _support(rho0: np.ndarray, recorded, operators) -> list[int]:
             if i not in keep:
                 keep.add(i)
                 unvisited.append(i)
-    return sorted(keep)
+    return tuple(sorted(keep))
 
 
 # Pade-13 coefficients b_0..b_13 and the largest 1-norm for which Pade-13 is
@@ -365,9 +394,44 @@ def _taylor_weights(dtype: np.dtype) -> tuple[tuple, tuple]:
     return squared, tuple(weights[: m + 1] for m in range(_MAX_DEGREE + 1))
 
 
+class _WalkScratch:
+    """The arrays that a ramped walk on states of ``size`` real coordinates, with Omega
+    chunks of ``chunk`` steps, writes before it reads: a ``_TaylorSeries``, the
+    (11, size, size) ``stack`` that ``_magnus_basis`` writes into, and the Omega
+    ``buffer``, (chunk, size^2), with a list of its rows as size x size views (``omegas``),
+    since iterating a list costs a fifth of making each view anew."""
+
+    def __init__(self, size: int, chunk: int):
+        self.series = _TaylorSeries((size,), float)
+        self.stack = np.empty((11, size, size))
+        self.buffer = np.empty((chunk, size * size))
+        self.omegas = list(self.buffer.reshape(chunk, size, size))
+
+
+# the ramped walks' scratch, one set per thread and per key of ``_walk_scratch``
+_SCRATCH = threading.local()
+
+
+def _walk_scratch(size: int, chunk: int) -> _WalkScratch:
+    """The calling thread's ``_WalkScratch`` for this size and chunk, built on the thread's
+    first such walk, with its series' ``degree`` set back to 0.  A walk writes every entry
+    before it reads it, so its results do not depend on the walks before it, and no two
+    threads share one."""
+    try:
+        cache = _SCRATCH.walks
+    except AttributeError:
+        cache = _SCRATCH.walks = {}
+    scratch = cache.get((size, chunk))
+    if scratch is None:
+        scratch = cache[size, chunk] = _WalkScratch(size, chunk)
+    scratch.series.degree = 0
+    return scratch
+
+
 class _TaylorSeries:
     """exp(a) @ y by the Taylor series sum_j a^j y / j!, in two buffers of the powers a^j y
-    that every step of a walk reuses, in turn.
+    that every step of a walk reuses, in turn (and, through ``_walk_scratch``, every walk
+    in the same thread on states of the same size).
 
     The degree follows y's own terms.  Since |a^(j+i) y|_2 <= theta2^i |a^j y|_2 for
     theta2 >= |a|_2, the remainder after degree j is at most (e^theta2 - 1) |a^j y|_2 / j!.
@@ -527,20 +591,20 @@ def _commutator(h: np.ndarray) -> np.ndarray:
 
 
 def _free_generator(ws: _Workspace, energy: float, noise: NoiseParams) -> np.ndarray:
-    """-i[energy N, .] plus both dissipators, on the row-major vec(rho).
+    """-i[energy N, .] plus both dissipators, on the row-major vec(rho), from the parts that
+    ``ws`` holds.
 
     All but the jump term a rho a^dag are diagonal superoperators.
     """
     gamma1, gamma2 = noise.relaxation_rate, noise.dephasing_rate
-    nx, nd, zd = ws.excitation_diag, ws.number_diag, ws.z_diag
     diagonal = (
-        (-1j * energy) * np.subtract.outer(nx, nx)
-        - (0.5 * gamma1) * np.add.outer(nd, nd)
-        + gamma2 * (np.multiply.outer(zd, zd) - 1.0)
+        (-1j * energy) * ws.excitation_gaps
+        - (0.5 * gamma1) * ws.number_sums
+        + gamma2 * ws.dephasing_factors
     )
     gen = np.diag(diagonal.ravel())
     if gamma1 > 0.0:
-        gen += gamma1 * kron(ws.a, ws.a.conj())
+        gen += gamma1 * ws.jump
     return gen
 
 
@@ -556,6 +620,9 @@ def _ramp_step(pulse: PulseSegment) -> float:
 
 # the three Gauss-Legendre nodes of a step sit at 1/2 - _GAUSS, 1/2 and 1/2 + _GAUSS of it
 _GAUSS = math.sqrt(15.0) / 10.0
+# the nodes' offsets from a step's midpoint, in steps, as a column
+_GAUSS_NODES = np.array([[-_GAUSS], [0.0], [_GAUSS]])
+_GAUSS_NODES.flags.writeable = False
 # the largest 1-norm bound at which a ramp step's exponential is a Taylor
 # series (degree 25 at 2); longer steps take expm
 TAYLOR_MAX_NORM = 2.0
@@ -607,20 +674,30 @@ RAMP_BLOCK_STEPS = 1024
 OMEGA_BLOCK_ENTRIES = 2**14
 
 
-def _magnus_basis(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+def _magnus_basis(a0: np.ndarray, a1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The 10 fixed matrices that every sixth-order Magnus step of a0 + env(t) a1
     combines, flattened into the rows of one array (order as in ``_magnus_coefficients``):
     a0, a1, C = [a0, a1], [a0, C], [a1, C], then [a0, [a0, C]], [a0, [a1, C]],
     [a1, [a1, C]], [C, [a0, C]] and [C, [a1, C]] ([a1, [a0, C]] = [a0, [a1, C]] by the
-    Jacobi identity).  Each of the eight commutators [x, y] = x y - y x is two products."""
+    Jacobi identity).  Each of the eight commutators [x, y] = x y - y x is two products,
+    written in place into ``out``, an (11, n, n) array whose last matrix takes y x, or
+    into a new one; the result is a view of its first 10."""
+    if out is None:
+        out = np.empty((11, *a0.shape), dtype=np.result_type(a0, a1))
+    out[0], out[1] = a0, a1
+    a0, a1, c, d0, d1, *outer, yx = out
 
-    def commutator(x, y):
-        return x @ y - y @ x
+    def commutator(x, y, xy):
+        np.matmul(x, y, out=xy)
+        np.matmul(y, x, out=yx)
+        np.subtract(xy, yx, out=xy)
 
-    c = commutator(a0, a1)
-    d0, d1 = commutator(a0, c), commutator(a1, c)
-    outer = (commutator(x, y) for x, y in ((a0, d0), (a0, d1), (a1, d1), (c, d0), (c, d1)))
-    return np.stack((a0, a1, c, d0, d1, *outer)).reshape(10, -1)
+    commutator(a0, a1, c)
+    commutator(a0, c, d0)
+    commutator(a1, c, d1)
+    for (x, y), xy in zip(((a0, d0), (a0, d1), (a1, d1), (c, d0), (c, d1)), outer):
+        commutator(x, y, xy)
+    return out[:10].reshape(10, -1)
 
 
 def _magnus_coefficients(s: float, e1, e2, e3) -> np.ndarray:
@@ -736,7 +813,9 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     ``_magnus_basis`` matrices of l0 and l1 in ``basis``, formed a block of steps at a
     time.  A step whose 1-norm bound is at most ``TAYLOR_MAX_NORM`` is applied by one
     ``_TaylorSeries``, which stops on y's own terms; a longer one, on a ramp piece or a
-    plateau piece, takes the real expm of its Omega.
+    plateau piece, takes the real expm of its Omega.  The series, the basis stack and the
+    Omega buffer are the thread's ``_walk_scratch``, so the y returned may be a row of the
+    series' buffers, valid until the thread's next ramped walk on states of its size.
     """
     basis, period, record = recorder.basis, recorder.sample_period, recorder.rows
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
@@ -785,22 +864,21 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     start = bisect.bisect_left(range(last), True, key=lambda k: ramp <= k * period)
     stop = bisect.bisect_left(range(last), True, key=lambda k: k * period + period > end)
 
+    chunk = max(4, OMEGA_BLOCK_ENTRIES // y.size**2)
+    scratch = _walk_scratch(y.size, chunk)
+    buffer, omegas, apply = scratch.buffer, scratch.omegas, scratch.series.apply
     (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
-    matrices = _magnus_basis(a0, a1)
+    matrices = _magnus_basis(a0, a1, scratch.stack)
     # each basis matrix's 1- and inf-norm (its largest column and row abs-sum), the columns
     # of one (10, 2) array
     entries = np.abs(matrices).reshape(10, *a0.shape)
     norms = np.stack((entries.sum(axis=1).max(axis=1), entries.sum(axis=2).max(axis=1)), axis=1)
-    chunk = max(4, OMEGA_BLOCK_ENTRIES // a0.size)
-    buffer = np.empty((chunk, matrices.shape[1]))
-    apply = _TaylorSeries(y.shape, float).apply
-    gauss = np.array([[-_GAUSS], [0.0], [_GAUSS]])
     # the rows the recorder handed out for the walked intervals, of which the first r are filled
     out, r = (), 0
     # a block of steps may span many sample intervals, and cut one
     for first, a, s, i, on_ramp in _ramp_plan(pulse, h, period, n_samples, range(start, stop)):
         # the envelope at each step's three Gauss nodes, one row per node
-        nodes = np.where(on_ramp, pulse.envelope(a + (i + 0.5) * s + gauss * s), 1.0)
+        nodes = np.where(on_ramp, pulse.envelope(a + (i + 0.5) * s + _GAUSS_NODES * s), 1.0)
         coef = _magnus_coefficients(s, *nodes)
         # bounds on each step's 1- and inf-norm; above TAYLOR_MAX_NORM a step takes expm
         bounds = np.abs(coef) @ norms
@@ -813,7 +891,7 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
         for j in range(0, len(coef), chunk):
             cut = slice(j, j + chunk)
             rows = coef[cut]
-            omegas = rows.dot(matrices, buffer[: len(rows)]).reshape(-1, *a0.shape)
+            rows.dot(matrices, buffer[: len(rows)])
             for k, omega, m, scale in zip(firsts[cut], omegas, ceilings[cut], scales[cut]):
                 if k >= 0:
                     if k == stop > start:
@@ -958,8 +1036,9 @@ def evolve(
     precision (``EXPM_MAX_NORM``), the state is not finite, the final trace
     drifts by more than ``TRACE_DRIFT_LIMIT``, or the plateau exponentials'
     anti-Hermitian round-off (``_Plateau.dropped``) exceeds ``HERMITICITY_LIMIT``.
-    ValueError if ``rho0`` is not a 2n x 2n matrix with n >= 2 or is not
-    Hermitian to ``HERMITICITY_LIMIT``, or ``sample_period`` is not positive.
+    ValueError if ``rho0`` is not a 2n x 2n matrix with n >= 2, is not
+    Hermitian to ``HERMITICITY_LIMIT``, or has a trace off 1 by more than
+    ``TRACE_DRIFT_LIMIT``, or ``sample_period`` is not positive.
     """
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or len(rho0) % 2:
         raise ValueError(f"rho0 must be a 2n x 2n matrix, got shape {rho0.shape}")
@@ -970,6 +1049,10 @@ def evolve(
         raise ValueError(
             f"rho0 is not Hermitian: |rho0 - rho0^dag| = {skew:.3e} exceeds {HERMITICITY_LIMIT:.0e}"
         )
+    # the walk keeps the trace, so the final drift check would refuse it after the whole pulse
+    if not trace_error(rho0) <= TRACE_DRIFT_LIMIT:
+        trace = np.trace(rho0).real
+        raise ValueError(f"rho0 must have trace 1 to {TRACE_DRIFT_LIMIT:.0e}, got {trace:.9g}")
     ws = _workspace(spec)
     recorded = spec.index(DOWN, 1), spec.index(UP, 0)
     # expm refuses a generator that overflows, and the recorder a state
@@ -990,8 +1073,7 @@ def evolve(
         l1 = _commutator(coupling)
         x = basis.coordinates(rho0)
         x, dropped = _propagate(x, l0, l1, pulse, recorder)
-        nx = ws.excitation_diag
-        frame = np.exp((1j * pulse.phase_freq * pulse.duration) * np.subtract.outer(nx, nx))
+        frame = np.exp((1j * pulse.phase_freq * pulse.duration) * ws.excitation_gaps)
         rho = frame * basis.matrices(x)
     traj = recorder.finish(x, rho, pulse.duration)
     if not whole:

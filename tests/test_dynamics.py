@@ -2,7 +2,10 @@ import dataclasses
 import gc
 import inspect
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from topoflux.hilbert import (
     DOWN,
     UP,
     HilbertSpec,
+    kron,
     min_eigenvalue,
     pure_density,
 )
@@ -337,6 +341,23 @@ class TestEvolve:
         rho0[0, 1] = 1e-10  # |rho0 - rho0^dag|_F = 1.4e-10
         assert len(evolve(rho0, pulse, NO_NOISE)) == 201
 
+    @pytest.mark.parametrize("factor", [2.0, 0.0, 1.0 + 2e-6, 1.0 - 2e-6])
+    def test_rho0_must_have_trace_one(self, factor, monkeypatch):
+        # the walk keeps the trace, so an rho0 off 1 is refused before any step, not after
+        # the whole pulse by the final drift check
+        rho0, pulse = factor * pure_density(SPEC.ket(UP, 0)), make_pulse()
+
+        def walk(*args):
+            raise AssertionError("walked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_propagate", walk)
+            with pytest.raises(ValueError, match=rf"trace 1 to 1e-06, got {factor:.9g}$"):
+                evolve(rho0, pulse, NOISE1)
+        # within TRACE_DRIFT_LIMIT of 1 the run goes on, and keeps that trace
+        rho0 = (1.0 + 0.5e-6) * pure_density(SPEC.ket(UP, 0))
+        assert abs(evolve(rho0, pulse, NOISE1).trace[-1] - (1.0 + 0.5e-6)) < 1e-12
+
     @pytest.mark.parametrize(
         "shape",
         [(), (4,), (4, 6), (5, 5), (2, 2), (0, 0), (4, 4, 4)],
@@ -553,15 +574,18 @@ class TestExactPropagation:
         noise = scn.noise if noisy else NO_NOISE
         magnus_basis, generators = dynamics._magnus_basis, []
 
-        def spy(a0, a1):
-            generators.append((a0, a1))
-            return magnus_basis(a0, a1)
+        def spy(a0, a1, out):
+            basis = magnus_basis(a0, a1, out)
+            generators.append((a0, a1, basis.copy()))
+            return basis
 
         monkeypatch.setattr(dynamics, "_magnus_basis", spy)
         evolve(initial_state(scn.spec), pulse, noise)
-        [(a0, a1)] = generators
+        [(a0, a1, basis)] = generators
         assert a0.dtype == a1.dtype == float
-        assert np.array_equal(magnus_basis(a0, a1), magnus_basis_pairwise(a0, a1))
+        # written in place into the walk's scratch, as into a new array
+        assert np.array_equal(basis, magnus_basis_pairwise(a0, a1))
+        assert np.array_equal(magnus_basis(a0, a1), basis)
 
     def test_ramp_steps_are_sixth_order(self, monkeypatch):
         # one sample, so each ramp is one piece of exactly RAMP_STEPS steps:
@@ -1285,6 +1309,21 @@ class TestPlateauRuns:
         assert drift[0] <= 2 * drift[1]
 
 
+def free_generator_parent(ws, energy, noise):
+    """``_free_generator`` with every part formed anew from ws's operators."""
+    gamma1, gamma2 = noise.relaxation_rate, noise.dephasing_rate
+    nx, nd, zd = ws.excitation_diag, ws.number_diag, ws.z_diag
+    diagonal = (
+        (-1j * energy) * np.subtract.outer(nx, nx)
+        - (0.5 * gamma1) * np.add.outer(nd, nd)
+        + gamma2 * (np.multiply.outer(zd, zd) - 1.0)
+    )
+    gen = np.diag(diagonal.ravel())
+    if gamma1 > 0.0:
+        gen += gamma1 * kron(ws.a, ws.a.conj())
+    return gen
+
+
 class TestWorkspaceCache:
     def test_one_read_only_workspace_per_truncation(self):
         ws = dynamics._workspace(HilbertSpec(3))
@@ -1321,6 +1360,84 @@ class TestWorkspaceCache:
         fresh = runs()
         assert_same_trajectories(cached, fresh)
 
+    @pytest.mark.parametrize("levels", [2, 3, 6])
+    def test_generator_parts_are_those_of_its_operators(self, levels):
+        # the parts that _free_generator scales, on the whole space and on the states kept
+        # from |up,0>, give the generator formed from the operators anew, bit for bit
+        spec = HilbertSpec(levels)
+        keep = tuple(sorted(spec.index(s, n) for s, n in FROM_UP0 if n < levels))
+        energy = operating_point("fig2a", 0.05, levels)[1].phase_freq
+        for ws in (dynamics._workspace(spec), dynamics._workspace(spec, keep)):
+            for noise in (NOISE1, NO_NOISE, NoiseParams(tf1=900.0), NoiseParams(tf2=20.0)):
+                expected = free_generator_parent(ws, energy, noise)
+                assert np.array_equal(_free_generator(ws, energy, noise), expected)
+
+    def test_one_scratch_per_thread_and_state_size(self):
+        # the fig2a ramp walks 16 real coordinates at 2 levels and 25 at 3 and 6 (5 states
+        # kept), in Omega chunks of 64 and 26 steps: a thread builds one scratch for each
+        # and reuses it, and another thread builds its own
+        runs = [operating_point("fig2a", 0.05, levels) for levels in (2, 3, 6)]
+
+        def walk():
+            for scn, pulse in runs:
+                evolve(initial_state(scn.spec), pulse, scn.noise)
+            return dict(dynamics._SCRATCH.walks)
+
+        first = walk()
+        assert {(16, 64), (25, 26)} <= first.keys()
+        again = walk()
+        assert all(again[key] is scratch for key, scratch in first.items())
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(walk).result(timeout=60)
+        assert other.keys() == {(16, 64), (25, 26)}
+        assert all(other[key] is not first[key] for key in other)
+
+    def test_each_walk_starts_its_series_at_degree_0(self, monkeypatch):
+        # the thread's series is left at the degree where a walk's last step stopped; the
+        # next walk sets it back to 0, where a new series starts
+        apply, calls = _TaylorSeries.apply, []
+
+        def spy(series, *args):
+            calls.append((series, series.degree))
+            return apply(series, *args)
+
+        monkeypatch.setattr(_TaylorSeries, "apply", spy)
+        scn, pulse = operating_point("fig2a", 0.05, 3)
+        walks = []
+        for _ in range(3):
+            start = len(calls)
+            evolve(initial_state(scn.spec), pulse, scn.noise)
+            walks.append(calls[start:])
+        assert len({id(series) for series, _ in calls}) == 1
+        for walk in walks:
+            assert walk[0][1] == 0 < walk[1][1]
+        assert calls[0][0].degree > 0
+
+    @pytest.mark.parametrize("levels", [2, 3, 6])
+    def test_walks_write_their_scratch_before_they_read_it(self, levels, monkeypatch):
+        # a scratch full of nan gives the trajectory of the thread's own scratch, bit for
+        # bit: from |up,0> (16 and 25 coordinates) and, with noise off, from |up,1>
+        # (every state: 36 coordinates at 3 levels, 49 of 144 at 6)
+        scn, pulse = operating_point("fig2a", 0.05, levels)
+        starts = (
+            (initial_state(scn.spec), scn.noise),
+            (pure_density(scn.spec.ket(UP, 1)), NO_NOISE),
+        )
+
+        def runs():
+            return [evolve(rho0, pulse, noise) for rho0, noise in starts]
+
+        warm = runs()
+
+        def poisoned(size, chunk):
+            scratch = dynamics._WalkScratch(size, chunk)
+            for a in (scratch.stack, scratch.buffer, *scratch.series.buffers):
+                a.fill(np.nan)
+            return scratch
+
+        monkeypatch.setattr(dynamics, "_walk_scratch", poisoned)
+        assert_same_trajectories(warm, runs())
+
 
 def assert_same_trajectories(a_runs, b_runs):
     for a, b in zip(a_runs, b_runs, strict=True):
@@ -1337,17 +1454,21 @@ class TestRestrictionCache:
         assert ws is dynamics._workspace(spec, keep)
         assert ws is not dynamics._workspace(spec, keep[:-1])
         assert ws is not dynamics._workspace(spec)
-        # the whole space's operators, cut to the kept rows and columns
+        # the whole space's operators and generator parts, cut to the kept rows and columns;
+        # the jump superoperator to the kept pairs of states
         cut = np.ix_(keep, keep)
+        rows = np.array(keep)
+        pairs = (rows[:, None] * spec.dim + rows).ravel()
         expected = {
-            name: op[cut] if op.ndim == 2 else op[list(keep)]
+            name: op[cut] if op.ndim == 2 else op[rows]
             for name, op in vars(_Workspace(spec)).items()
         }
+        expected["jump"] = _Workspace(spec).jump[np.ix_(pairs, pairs)]
         assert vars(ws).keys() == expected.keys()
         for name, op in vars(ws).items():
             assert np.array_equal(op, expected[name]), name
             assert op.dtype == expected[name].dtype, name
-            assert op.shape[0] == len(keep), name
+            assert op.shape[0] == (len(pairs) if name == "jump" else len(keep)), name
             assert not op.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 op[0] = 0
@@ -1385,6 +1506,101 @@ class TestRestrictionCache:
         warm = runs()
         assert cached.cache_info()[:2] == (7 + 3 * sets, 1 + sets)
         assert_same_trajectories(cold, warm)
+
+    def test_one_closure_per_set_of_patterns(self, monkeypatch):
+        # the kept states follow from rho0's nonzero pattern, the coupling's (g != 0,
+        # g' != 0) and whether relaxation is on: runs that share them share one closure,
+        # whatever the pulse's length, ramp and rates
+        scn, ramped = operating_point("fig2a", 0.05, 4)
+        rect = rectangular("fig2a", 4)[1]
+        up0, up1 = initial_state(scn.spec), pure_density(scn.spec.ket(UP, 1))
+        # dephasing off: it drains the trace from levels n >= 2
+        relaxing = NoiseParams(tf1=900.0)
+        same = [
+            ((up0, ramped, relaxing), FROM_UP0),
+            ((up0, rect, relaxing), FROM_UP0),
+            ((up0, ramped, NoiseParams(tf1=50.0)), FROM_UP0),
+            ((0.5 * (up0 + up0), rect, relaxing), FROM_UP0),
+        ]
+        # other patterns: with no contamination the exchange and the jump reach |down,1> and
+        # |down,0> alone; with no relaxation, or from |up,1>, the walk keeps the same states
+        other = [
+            (
+                (up0, dataclasses.replace(ramped, g_prime_value=0.0), relaxing),
+                {(UP, 0), (DOWN, 1), (DOWN, 0)},
+            ),
+            ((up0, ramped, NO_NOISE), FROM_UP0),
+            ((up1, ramped, relaxing), FROM_UP0),
+        ]
+        closure = dynamics._closure
+        closure.cache_clear()
+        for args, states in same + other:
+            assert kept_states(monkeypatch, *args)[0] == states
+        # a miss for each set of patterns, a hit for every other run
+        assert closure.cache_info()[:2] == (3, 4)  # hits, misses
+        assert closure.cache_info().currsize == 4
+        for args, _ in same + other:
+            evolve(*args)
+        assert closure.cache_info()[:2] == (10, 4)
+        # the closure's states, cached or not
+        spec = scn.spec
+        recorded = spec.index(DOWN, 1), spec.index(UP, 0)
+        ws = dynamics._workspace(spec)
+        for (rho0, pulse, noise), _ in same + other:
+            jump = (ws.a,) if noise.relaxation_rate > 0.0 else ()
+            operators = (rho0, ws.coupling(pulse), *jump)
+            patterns = tuple(np.not_equal(m, 0).tobytes() for m in operators)
+            assert closure(spec.dim, recorded, patterns) == closure.__wrapped__(
+                spec.dim, recorded, patterns
+            )
+
+    @pytest.mark.parametrize("levels", [3, 6])
+    def test_evolve_matches_with_every_cache_cleared_and_warm(self, levels):
+        # the operators, the kept states and the thread's walk scratch built anew, then
+        # reused: fig2a, ramped and rectangular, from |up,0> and, noise off, from |up,2>
+        scn, ramped = operating_point("fig2a", 0.05, levels)
+        rect = rectangular("fig2a", levels)[1]
+        starts = (
+            (initial_state(scn.spec), scn.noise),
+            (pure_density(scn.spec.ket(UP, 2)), NO_NOISE),
+        )
+
+        def runs():
+            return [evolve(rho0, p, noise) for rho0, noise in starts for p in (ramped, rect)]
+
+        dynamics._workspace.cache_clear()
+        dynamics._closure.cache_clear()
+        vars(dynamics._SCRATCH).clear()
+        cold = runs()
+        assert_same_trajectories(cold, runs())
+
+
+class TestConcurrentEvolve:
+    def test_threads_match_the_serial_runs(self):
+        # the fig2a 0.05 ns ramp at 2, 3 and 6 levels in 4 threads at once, each walking
+        # every truncation three times in its own order, with thread switches every 10 us,
+        # so that walks in different threads interleave: every trajectory equals the serial
+        # run's in every field
+        runs = [operating_point("fig2a", 0.05, levels) for levels in (2, 3, 6)]
+        jobs = [(initial_state(scn.spec), pulse, scn.noise) for scn, pulse in runs]
+        serial = [evolve(*job) for job in jobs]
+        start = threading.Barrier(4)
+
+        def thread(shift):
+            order = [(shift + k) % 3 for k in range(3)] * 3
+            start.wait(timeout=60)
+            return order, [evolve(*jobs[k]) for k in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(thread, shift) for shift in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for order, trajectories in results:
+            assert_same_trajectories([serial[k] for k in order], trajectories)
 
 
 class TestPulseDurations:
