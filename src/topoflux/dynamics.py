@@ -34,15 +34,17 @@ states at 2 levels and 5 (|up,0>, |down,0>, |down,1>, |up,1>, |down,2>) at 3
 or more, because sigma_f^z is zero on n >= 2.  The final state is put back
 into D x D; each unreached state adds an exact zero eigenvalue, so when
 states were left out the smallest-eigenvalue column is min(eig(rho_S), 0).
-When every state is kept, nothing is copied; the operators, whole or on a
-smaller support, and the parts of L0 that only they fix (the outer-product
-patterns of its diagonal and the jump superoperator) are built once per
-truncation and set of states (``_workspace``), and the kept states once per
-set of nonzero patterns of rho0, the coupling and the jump (``_closure``).
-On the plateau (env = 1) one matrix exponential P (``expm``) carries the state from one sample to the next; it is formed on
-the row-major generator and turned into the Hermitian coordinates once per
-length, and the imaginary part that this drops, the anti-Hermitian round-off
-of the exponential, bounds how far from Hermitian the complex walk would have
+When every state is kept, nothing is copied.  The operators, whole or on a
+smaller support, the parts of L0 that only they fix (the outer-product
+patterns of its diagonal and the jump superoperator), the Hermitian basis of
+the kept states and the positions of |down,1> and |up,0> among them are built
+once per truncation and set of states (``_workspace``), and the kept states
+once per set of nonzero patterns of rho0, the coupling and the jump
+(``_closure``).  On the plateau (env = 1) one matrix exponential P (``expm``)
+carries the state from one sample to the next; it is formed on the row-major
+generator and turned into the Hermitian coordinates once per length, and the
+imaginary part that this drops, the anti-Hermitian round-off of the
+exponential, bounds how far from Hermitian the complex walk would have
 strayed (``_Plateau``).  A run of plateau samples fills the recorder's block
 by products with P's powers.  On a
 sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes,
@@ -52,11 +54,11 @@ ramp is one more such step.  Each step's Omega combines 10 fixed matrices
 (``_magnus_basis``, eight of them commutators), and its exponential is applied
 to the state as a Taylor polynomial that stops on the state's own terms
 (``_TaylorSeries``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011),
-in two power buffers that the steps use in turn, each step's sum written
-where the next step's powers start, and at the latest at the degree
-its 1-norm bound allows, one lookup in a table of the largest 1-norm per
-degree (``_taylor_degree``, ``_DEGREE_NORMS``), or, for a step too long for
-the series, is the real ``expm`` of Omega.  Only the final state is turned
+in two power buffers that the steps use in turn, each step's sum (one product
+with the series' own 1/j! table) written where the next step's powers start,
+and at the latest at the degree its 1-norm bound allows, one lookup in a table
+of the largest 1-norm per degree (``_taylor_degree``, ``_DEGREE_NORMS``), or,
+for a step too long for the series, is the real ``expm`` of Omega.  Only the final state is turned
 back to a matrix in the working frame, Hermitian by construction.  ``evolve``
 is the only propagator: a closed-system check runs it with noise off.  The
 trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times
@@ -75,9 +77,9 @@ measures the propagation's precision directly.  ``evolve`` is a pure function
 of its inputs.  Independent evolutions are safe to run concurrently: the
 caches hold read-only arrays or tuples, and the arrays a ramped walk writes
 before it reads (the Taylor power buffers, the Magnus basis stack and the
-Omega buffer, ``_WalkScratch``) are kept per thread and per state size
-(``_walk_scratch``), so walks in one thread reuse them and no two threads
-share them.
+Omega buffer, ``_WalkScratch``) are kept per thread and per state size, which
+also fixes the Omega chunk (``_walk_scratch``), so walks in one thread reuse
+them and no two threads share them.
 """
 
 from __future__ import annotations
@@ -216,8 +218,10 @@ class Trajectory:
 
 class _Workspace:
     """Static operators for one Hilbert space, or for the span of the basis states ``keep``
-    (sorted indices), and the parts of ``_free_generator`` built from them.  ``evolve``
-    shares one read-only instance per truncation and set of states (``_workspace``)."""
+    (sorted indices), the parts of ``_free_generator`` built from them, the
+    ``_HermitianBasis`` of their states (``basis``) and the positions of |down,1> and
+    |up,0> among those states (``recorded``).  ``evolve`` shares one read-only instance per
+    truncation and set of states (``_workspace``)."""
 
     def __init__(self, spec: HilbertSpec, keep: tuple[int, ...] | None = None):
         n = spec.n_fock
@@ -247,6 +251,9 @@ class _Workspace:
         self.number_sums = np.add.outer(nd, nd)
         self.dephasing_factors = np.multiply.outer(zd, zd) - 1.0
         self.jump = kron(self.a, self.a.conj())
+        states = range(spec.dim) if keep is None else keep
+        self.basis = _HermitianBasis(len(states))
+        self.recorded = tuple(states.index(spec.index(s, n)) for s, n in ((DOWN, 1), (UP, 0)))
 
     def coupling(self, pulse: PulseSegment) -> np.ndarray:
         """The plateau coupling in the frame exp(i E t N), where it is static."""
@@ -258,11 +265,12 @@ class _Workspace:
 @functools.lru_cache(maxsize=64)
 def _workspace(spec: HilbertSpec, keep: tuple[int, ...] | None = None) -> _Workspace:
     """The ``_Workspace`` of ``spec``, or of its basis states ``keep``, built once per
-    truncation and set of states; its arrays are read-only, so no caller can change
-    another's operators."""
+    truncation and set of states; its arrays and its basis' are read-only, so no caller can
+    change another's operators."""
     ws = _Workspace(spec, keep)
-    for op in vars(ws).values():
-        op.flags.writeable = False
+    for op in (*vars(ws).values(), *vars(ws.basis).values()):
+        if isinstance(op, np.ndarray):
+            op.flags.writeable = False
     return ws
 
 
@@ -369,8 +377,7 @@ def _taylor_degree(theta):
     theta is a float or an array of them, each at most ``TAYLOR_MAX_NORM``.  The degree is
     the number of ``_DEGREE_NORMS`` below theta, one ``np.searchsorted``.
     """
-    m = np.searchsorted(_DEGREE_NORMS, theta)
-    return int(m) if np.ndim(m) == 0 else m
+    return np.searchsorted(_DEGREE_NORMS, theta)
 
 
 def _stop_scales(theta1, theta_inf, size):
@@ -380,40 +387,28 @@ def _stop_scales(theta1, theta_inf, size):
     return np.expm1(np.sqrt(theta1 * theta_inf)) ** 2 * (size / TAYLOR_TOL**2)
 
 
-@functools.cache
-def _taylor_weights(dtype: np.dtype) -> tuple[tuple, tuple]:
-    """The squared 1/j! (j = 0 .. _MAX_DEGREE) as floats, for the stop, and the prefixes
-    1/0! .. 1/m! of the weights as read-only arrays of ``dtype``, one per m, for the sum:
-    computed in the real type of dtype, then cast to it, so that the sum is one product.
-    Built once per dtype."""
-    j = np.arange(_MAX_DEGREE + 1, dtype=np.finfo(dtype).dtype)
-    weights = 1 / np.cumprod(np.maximum(j, 1))
-    squared = tuple((weights**2).tolist())
-    weights = weights.astype(dtype)
-    weights.flags.writeable = False
-    return squared, tuple(weights[: m + 1] for m in range(_MAX_DEGREE + 1))
-
-
 class _WalkScratch:
-    """The arrays that a ramped walk on states of ``size`` real coordinates, with Omega
-    chunks of ``chunk`` steps, writes before it reads: a ``_TaylorSeries``, the
-    (11, size, size) ``stack`` that ``_magnus_basis`` writes into, and the Omega
-    ``buffer``, (chunk, size^2), with a list of its rows as size x size views (``omegas``),
-    since iterating a list costs a fifth of making each view anew."""
+    """The arrays that a ramped walk on states of ``size`` real coordinates writes before it
+    reads: a ``_TaylorSeries``, the (11, size, size) ``stack`` that ``_magnus_basis`` writes
+    into, and the Omega ``buffer``, (chunk, size^2), with a list of its rows as size x size
+    views (``omegas``), since iterating a list costs a fifth of making each view anew.  The
+    size fixes ``chunk``, the steps whose Omega the walk forms at once: as many as fit in
+    ``OMEGA_BLOCK_ENTRIES`` entries, and at least 4."""
 
-    def __init__(self, size: int, chunk: int):
+    def __init__(self, size: int):
+        self.chunk = chunk = max(4, OMEGA_BLOCK_ENTRIES // size**2)
         self.series = _TaylorSeries((size,), float)
         self.stack = np.empty((11, size, size))
         self.buffer = np.empty((chunk, size * size))
         self.omegas = list(self.buffer.reshape(chunk, size, size))
 
 
-# the ramped walks' scratch, one set per thread and per key of ``_walk_scratch``
+# the ramped walks' scratch, one per thread and state size
 _SCRATCH = threading.local()
 
 
-def _walk_scratch(size: int, chunk: int) -> _WalkScratch:
-    """The calling thread's ``_WalkScratch`` for this size and chunk, built on the thread's
+def _walk_scratch(size: int) -> _WalkScratch:
+    """The calling thread's ``_WalkScratch`` for states of this size, built on the thread's
     first such walk, with its series' ``degree`` set back to 0.  A walk writes every entry
     before it reads it, so its results do not depend on the walks before it, and no two
     threads share one."""
@@ -421,9 +416,9 @@ def _walk_scratch(size: int, chunk: int) -> _WalkScratch:
         cache = _SCRATCH.walks
     except AttributeError:
         cache = _SCRATCH.walks = {}
-    scratch = cache.get((size, chunk))
+    scratch = cache.get(size)
     if scratch is None:
-        scratch = cache[size, chunk] = _WalkScratch(size, chunk)
+        scratch = cache[size] = _WalkScratch(size)
     scratch.series.degree = 0
     return scratch
 
@@ -444,16 +439,22 @@ class _TaylorSeries:
     power besides |y|_2.  Each squared norm is the dot of a buffer row's entries, viewed as
     reals, with themselves: |row|_2^2 for real and complex rows of any shape.
 
-    A step takes its powers in one buffer, whose row 0 holds y, and writes their weighted
-    sum into row 0 of the other (``buffers``), which holds the next step's y: a walk that
-    hands each result to the next step copies no state and allocates no array.  A y from
+    A step takes its powers in one buffer, whose row 0 holds y, and writes their sum,
+    weighted by the series' own table of 1/j!, into row 0 of the other (``buffers``), which
+    holds the next step's y: a walk that hands each result to the next step copies no state
+    and allocates no array.  A y from
     elsewhere is copied into row 0 first.  A step calls ndarray methods only, each power
     one call of the bound ``a.dot`` from a buffer row into the next (``pairs``): on states
     of 16 to 64 reals numpy's function dispatch costs about as much as a product.
     """
 
     def __init__(self, shape, dtype):
-        self.squared_weights, weights = _taylor_weights(np.dtype(dtype))
+        # 1/j! (j = 0 .. _MAX_DEGREE), computed in the real type of dtype and then cast to
+        # it, so that the sum is one product; squared as floats for the stop
+        j = np.arange(_MAX_DEGREE + 1, dtype=np.finfo(dtype).dtype)
+        weights = 1 / np.cumprod(np.maximum(j, 1))
+        self.squared_weights = tuple((weights**2).tolist())
+        weights = weights.astype(dtype)
         self.buffers = tuple(np.empty((_MAX_DEGREE + 1, *shape), dtype=dtype) for _ in range(2))
         sides = []
         for powers in self.buffers:
@@ -463,7 +464,7 @@ class _TaylorSeries:
             # row before it; the rows viewed as reals, for their norms; and per degree m, the
             # weights and the rows that the sum to m takes
             pairs = list(zip(rows[:-1], rows[1:]))
-            sums = [(w, flat[: m + 1]) for m, w in enumerate(weights)]
+            sums = [(weights[: m + 1], flat[: m + 1]) for m in range(_MAX_DEGREE + 1)]
             sides.append((rows[0], flat[0], pairs, list(flat.view(powers.real.dtype)), sums))
         # the side that holds the next step's y, and the side its sum goes to
         self.here, self.there = sides
@@ -506,8 +507,8 @@ class _HermitianBasis:
     A Hermitian rho has the real coordinates x_k = tr(B_k rho), and a superoperator L that
     maps Hermitian matrices to Hermitian ones the real matrix T^dag L T, T the unitary whose
     columns are the row-major vec(B_k).  Each column of T has at most two nonzero entries,
-    so every change of basis here is one index gather and one product.  ``_hermitian_basis``
-    keeps one per dimension.
+    so every change of basis here is one index gather and one product.  Each ``_Workspace``
+    holds the basis of its states.
     """
 
     def __init__(self, dim: int):
@@ -555,12 +556,6 @@ class _HermitianBasis:
         right = (gen[..., self.entries] * self.weights).sum(axis=-2)
         both = (self.conj[:, :, None] * right[..., self.entries, :]).sum(axis=-3)
         return both.real.copy(), np.abs(both.imag).sum(axis=-2).max(axis=-1)
-
-
-@functools.lru_cache(maxsize=16)
-def _hermitian_basis(dim: int) -> _HermitianBasis:
-    """The ``_HermitianBasis`` of D x D matrices, built once per dimension."""
-    return _HermitianBasis(dim)
 
 
 class _Plateau:
@@ -674,16 +669,14 @@ RAMP_BLOCK_STEPS = 1024
 OMEGA_BLOCK_ENTRIES = 2**14
 
 
-def _magnus_basis(a0: np.ndarray, a1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _magnus_basis(a0: np.ndarray, a1: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The 10 fixed matrices that every sixth-order Magnus step of a0 + env(t) a1
     combines, flattened into the rows of one array (order as in ``_magnus_coefficients``):
     a0, a1, C = [a0, a1], [a0, C], [a1, C], then [a0, [a0, C]], [a0, [a1, C]],
     [a1, [a1, C]], [C, [a0, C]] and [C, [a1, C]] ([a1, [a0, C]] = [a0, [a1, C]] by the
     Jacobi identity).  Each of the eight commutators [x, y] = x y - y x is two products,
-    written in place into ``out``, an (11, n, n) array whose last matrix takes y x, or
-    into a new one; the result is a view of its first 10."""
-    if out is None:
-        out = np.empty((11, *a0.shape), dtype=np.result_type(a0, a1))
+    written in place into ``out``, an (11, n, n) array of a0's and a1's type whose last
+    matrix takes y x; the result is a view of its first 10."""
     out[0], out[1] = a0, a1
     a0, a1, c, d0, d1, *outer, yx = out
 
@@ -810,12 +803,13 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     records y at each interval's first step and calls ``run`` before interval ``stop``; it
     asks ``record`` for the rows of every walked interval up to the run, or to the end, and
     fills all it is handed before it asks again.  Each step's Omega combines the 10
-    ``_magnus_basis`` matrices of l0 and l1 in ``basis``, formed a block of steps at a
+    ``_magnus_basis`` matrices of l0 and l1 in ``basis``, formed a chunk of steps at a
     time.  A step whose 1-norm bound is at most ``TAYLOR_MAX_NORM`` is applied by one
     ``_TaylorSeries``, which stops on y's own terms; a longer one, on a ramp piece or a
-    plateau piece, takes the real expm of its Omega.  The series, the basis stack and the
-    Omega buffer are the thread's ``_walk_scratch``, so the y returned may be a row of the
-    series' buffers, valid until the thread's next ramped walk on states of its size.
+    plateau piece, takes the real expm of its Omega.  The series, the basis stack, the
+    Omega buffer and the chunk are the thread's ``_walk_scratch`` for y's size, so the y
+    returned may be a row of the series' buffers, valid until the thread's next ramped walk
+    on states of its size.
     """
     basis, period, record = recorder.basis, recorder.sample_period, recorder.rows
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
@@ -864,9 +858,9 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     start = bisect.bisect_left(range(last), True, key=lambda k: ramp <= k * period)
     stop = bisect.bisect_left(range(last), True, key=lambda k: k * period + period > end)
 
-    chunk = max(4, OMEGA_BLOCK_ENTRIES // y.size**2)
-    scratch = _walk_scratch(y.size, chunk)
-    buffer, omegas, apply = scratch.buffer, scratch.omegas, scratch.series.apply
+    scratch = _walk_scratch(y.size)
+    chunk, buffer, omegas = scratch.chunk, scratch.buffer, scratch.omegas
+    apply = scratch.series.apply
     (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
     matrices = _magnus_basis(a0, a1, scratch.stack)
     # each basis matrix's 1- and inf-norm (its largest column and row abs-sum), the columns
@@ -911,26 +905,18 @@ class _Recorder:
 
     ``start`` allocates the columns once, a row for each of the run's samples and one for
     the end.  ``_propagate`` writes the sampled states straight into the rows of one
-    preallocated block (``rows``), as their coordinates in the ``_HermitianBasis`` of
-    ``dim`` x ``dim`` matrices.  A full block is reduced into its slice of the columns, and
+    preallocated block (``rows``), as their coordinates in the basis of the workspace ws
+    that the walk runs on.  A full block is reduced into its slice of the columns, and
     ``finish`` reduces the last one with the final state in the row after it, so that the
-    final state lands in the columns' last row.  i_dn1 and i_up0 are the positions of
-    |down,1> and |up,0> among the dim basis states that the walk carries.
+    final state lands in the columns' last row.  The recorded entries are those at ws's
+    positions of |down,1> and |up,0> (``recorded``).
     """
 
-    def __init__(
-        self, dim: int, i_dn1: int, i_up0: int, duration: float, sample_period: float | None
-    ):
-        if sample_period is None:
-            # a subnormal duration / 200 underflows to 0: sample the ends only
-            sample_period = duration / 200.0 or duration
-        if not sample_period > 0:
-            raise ValueError(f"sample_period must be positive, got {sample_period}")
+    def __init__(self, ws: _Workspace, duration: float, sample_period: float):
         self.duration, self.sample_period = duration, sample_period
-        self.basis = _hermitian_basis(dim)
-        self.i_dn1, self.i_up0 = i_dn1, i_up0
+        self.basis, self.recorded = ws.basis, ws.recorded
         # a block of samples and the final state after the last one
-        self.block = np.empty((SAMPLE_BLOCK + 1, dim**2))
+        self.block = np.empty((SAMPLE_BLOCK + 1, ws.basis.dim**2))
         # the samples in the block, and those reduced before it
         self.filled, self.reduced = 0, 0
 
@@ -975,7 +961,7 @@ class _Recorder:
             finite[-1] &= np.isfinite(rho_end).all()
         if not finite.all():
             raise IntegrationError(f"state diverged by t={times[np.argmin(finite)]:.4g} ns")
-        i, j, d = self.i_dn1, self.i_up0, self.basis.dim
+        (i, j), d = self.recorded, self.basis.dim
         self.entries[:, cut] = rho.reshape(n, d * d).T[[i * d + i, j * d + j, i * d + j, j * d + i]]
         self.trace[cut] = np.real(np.trace(rho, axis1=1, axis2=2))
         # tr(rho^2) = |x|^2, the basis being orthonormal
@@ -1036,13 +1022,22 @@ def evolve(
     precision (``EXPM_MAX_NORM``), the state is not finite, the final trace
     drifts by more than ``TRACE_DRIFT_LIMIT``, or the plateau exponentials'
     anti-Hermitian round-off (``_Plateau.dropped``) exceeds ``HERMITICITY_LIMIT``.
-    ValueError if ``rho0`` is not a 2n x 2n matrix with n >= 2, is not
+    ValueError if ``sample_period`` is not positive and finite, or ``rho0`` is
+    not a 2n x 2n matrix with n >= 2, has an entry that is not finite, is not
     Hermitian to ``HERMITICITY_LIMIT``, or has a trace off 1 by more than
-    ``TRACE_DRIFT_LIMIT``, or ``sample_period`` is not positive.
+    ``TRACE_DRIFT_LIMIT``.
     """
+    if sample_period is None:
+        # a subnormal duration / 200 underflows to 0: sample the ends only
+        sample_period = pulse.duration / 200.0 or pulse.duration
+    # an infinite period would turn every sample time k * period into nan
+    if not 0 < sample_period < math.inf:
+        raise ValueError(f"sample_period must be positive and finite, got {sample_period}")
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or len(rho0) % 2:
         raise ValueError(f"rho0 must be a 2n x 2n matrix, got shape {rho0.shape}")
     spec = HilbertSpec(len(rho0) // 2)
+    if not np.isfinite(rho0).all():
+        raise ValueError("rho0 must be finite, got an entry that is inf or nan")
     # the Hermitian coordinates would drop an anti-Hermitian part without notice
     skew = np.linalg.norm(rho0 - rho0.conj().T)
     if not skew <= HERMITICITY_LIMIT:
@@ -1054,21 +1049,20 @@ def evolve(
         trace = np.trace(rho0).real
         raise ValueError(f"rho0 must have trace 1 to {TRACE_DRIFT_LIMIT:.0e}, got {trace:.9g}")
     ws = _workspace(spec)
-    recorded = spec.index(DOWN, 1), spec.index(UP, 0)
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
         coupling = ws.coupling(pulse)
-        # the walk carries only the states rho0 can reach, and the recorder's two
+        # the walk carries only the states rho0 can reach, and the recorder's two, whose
+        # positions in the whole space are their indices
         jump = (ws.a,) if noise.relaxation_rate > 0.0 else ()
-        keep = _support(rho0, recorded, (coupling, *jump))
+        keep = _support(rho0, ws.recorded, (coupling, *jump))
         whole = len(keep) == spec.dim
         if not whole:
             cut = np.ix_(keep, keep)
-            ws = _workspace(spec, tuple(keep))
+            ws = _workspace(spec, keep)
             coupling, rho0 = coupling[cut], rho0[cut]
-        i_dn1, i_up0 = (keep.index(i) for i in recorded)
-        recorder = _Recorder(len(keep), i_dn1, i_up0, pulse.duration, sample_period)
-        basis = recorder.basis
+        recorder = _Recorder(ws, pulse.duration, sample_period)
+        basis = ws.basis
         l0 = _free_generator(ws, pulse.phase_freq, noise)
         l1 = _commutator(coupling)
         x = basis.coordinates(rho0)

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +27,7 @@ from topoflux.dynamics import (
     PulseSegment,
     _commutator,
     _free_generator,
-    _hermitian_basis,
+    _HermitianBasis,
     _magnus_basis,
     _magnus_coefficients,
     _Recorder,
@@ -341,6 +342,18 @@ class TestEvolve:
         rho0[0, 1] = 1e-10  # |rho0 - rho0^dag|_F = 1.4e-10
         assert len(evolve(rho0, pulse, NO_NOISE)) == 201
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_rho0_must_be_finite(self, value, entry):
+        # named as what it is, not as a Hermiticity or trace fault of nan, and without the
+        # RuntimeWarning of inf - inf
+        rho0 = pure_density(SPEC.ket(UP, 0))
+        rho0[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rho0 must be finite"):
+                evolve(rho0, make_pulse(), NO_NOISE)
+
     @pytest.mark.parametrize("factor", [2.0, 0.0, 1.0 + 2e-6, 1.0 - 2e-6])
     def test_rho0_must_have_trace_one(self, factor, monkeypatch):
         # the walk keeps the trace, so an rho0 off 1 is refused before any step, not after
@@ -561,9 +574,10 @@ class TestExactPropagation:
         c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
         omega = alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
         coef = _magnus_coefficients(s, *(np.array([ei]) for ei in e))
-        expanded = (coef @ _magnus_basis(a0, a1)).reshape(6, 6)
+        basis = _magnus_basis(a0, a1, np.empty((11, 6, 6), dtype=complex))
+        expanded = (coef @ basis).reshape(6, 6)
         assert np.max(np.abs(expanded - omega)) <= 1e-14 * np.max(np.abs(omega))
-        assert np.array_equal(_magnus_basis(a0, a1), magnus_basis_pairwise(a0, a1))
+        assert np.array_equal(basis, magnus_basis_pairwise(a0, a1))
 
     @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
     @pytest.mark.parametrize("levels", [2, 3, 6])
@@ -583,9 +597,9 @@ class TestExactPropagation:
         evolve(initial_state(scn.spec), pulse, noise)
         [(a0, a1, basis)] = generators
         assert a0.dtype == a1.dtype == float
-        # written in place into the walk's scratch, as into a new array
+        # written in place into the walk's scratch, as into a new stack
         assert np.array_equal(basis, magnus_basis_pairwise(a0, a1))
-        assert np.array_equal(magnus_basis(a0, a1), basis)
+        assert np.array_equal(magnus_basis(a0, a1, np.empty((11, *a0.shape))), basis)
 
     def test_ramp_steps_are_sixth_order(self, monkeypatch):
         # one sample, so each ramp is one piece of exactly RAMP_STEPS steps:
@@ -606,12 +620,16 @@ class TestExactPropagation:
     def test_omega_blocks_split_a_piece(self, monkeypatch):
         # one sample, so each ramp is one piece of 82 steps; Omega chunks of 4
         # steps (the floor under the 3 steps' entries set here) give the state
-        # of one chunk per block of steps
+        # of one chunk per block of steps.  The chunk is fixed when the thread's scratch is
+        # built, so the scratch is emptied first
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
         whole = evolve(rho0, pulse, scn.noise, sample_period=pulse.duration).final_state
+        assert dynamics._SCRATCH.walks[16].chunk == 64
         monkeypatch.setattr(dynamics, "OMEGA_BLOCK_ENTRIES", 3 * scn.spec.dim**4)
+        monkeypatch.setattr(dynamics._SCRATCH, "walks", {})
         split = evolve(rho0, pulse, scn.noise, sample_period=pulse.duration).final_state
+        assert dynamics._SCRATCH.walks[16].chunk == 4
         assert np.max(np.abs(split - whole)) < 1e-14
 
     def test_steps_above_the_taylor_bound_take_expm(self, monkeypatch):
@@ -965,7 +983,7 @@ class TestSupport:
 class TestHermitianBasis:
     @pytest.mark.parametrize("dim", [4, 6, 12])
     def test_orthonormal_hermitian_basis(self, dim):
-        basis = _hermitian_basis(dim)
+        basis = _HermitianBasis(dim)
         b = basis.matrices(np.eye(dim * dim))
         assert np.array_equal(b, b.conj().transpose(0, 2, 1))
         t = b.reshape(dim * dim, -1).T
@@ -974,7 +992,7 @@ class TestHermitianBasis:
     @pytest.mark.parametrize("dim", [4, 8, 12])
     def test_hermitian_matrices_round_trip(self, dim):
         rng = np.random.default_rng(dim)
-        basis = _hermitian_basis(dim)
+        basis = _HermitianBasis(dim)
         b = basis.matrices(np.eye(dim * dim))
         for _ in range(20):
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -990,7 +1008,7 @@ class TestHermitianBasis:
         dim = 6
         rng = np.random.default_rng(2)
         gen = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
-        basis = _hermitian_basis(dim)
+        basis = _HermitianBasis(dim)
         t = basis.matrices(np.eye(dim * dim)).reshape(dim * dim, -1).T
         dense = t.conj().T @ gen @ t
         real, dropped = basis.superoperator(gen)
@@ -1010,7 +1028,7 @@ class TestHermitianBasis:
         ws = _Workspace(scn.spec)
         l0 = _free_generator(ws, scn.pulse.phase_freq, scn.noise if noisy else NO_NOISE)
         l1 = _commutator(ws.coupling(scn.pulse))
-        _, dropped = _hermitian_basis(scn.spec.dim).superoperator(np.stack((l0, l1)))
+        _, dropped = ws.basis.superoperator(np.stack((l0, l1)))
         norms = np.linalg.norm(l0, 1), np.linalg.norm(l1, 1)
         assert np.all(dropped <= 1e-13 * np.array(norms))
 
@@ -1127,7 +1145,7 @@ class TestRecorder:
         states = [*recorder.basis.matrices(np.array(coordinates[:-1])), final]
         assert len(traj) == len(states) == 601 > 2 * SAMPLE_BLOCK
         assert len(states[0]) == {2: 4, 4: 5}[levels]
-        i, j = recorder.i_dn1, recorder.i_up0
+        i, j = recorder.recorded
         floor = 0.0 if len(states[0]) < scn.spec.dim else np.inf
         assert np.array_equal(traj.rho11, [rho[i, i] for rho in states])
         assert np.array_equal(traj.rho21, [rho[j, i] for rho in states])
@@ -1163,8 +1181,9 @@ class TestRecorder:
     def test_names_the_first_sample_that_is_not_finite(self, first, time):
         # 1000 samples every 0.002 ns, overflowed from sample 0, or from sample 508 in
         # the second block; evolve's errstate hides the inf * 0 of turning them into matrices
-        x = _hermitian_basis(SPEC.dim).coordinates(pure_density(SPEC.ket(UP, 0)))
-        recorder = _Recorder(SPEC.dim, SPEC.index(DOWN, 1), SPEC.index(UP, 0), 2.0, 0.002)
+        ws = dynamics._workspace(SPEC)
+        x = ws.basis.coordinates(pure_density(SPEC.ket(UP, 0)))
+        recorder = _Recorder(ws, 2.0, 0.002)
         assert recorder.start() == 1000
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match=rf"diverged by t={time} ns"):
@@ -1324,15 +1343,38 @@ def free_generator_parent(ws, energy, noise):
     return gen
 
 
+def operator_arrays(ws):
+    """A workspace's operators and generator parts by name: all but its basis and its
+    recorded positions."""
+    return {name: op for name, op in vars(ws).items() if name not in ("basis", "recorded")}
+
+
+def assert_read_only(arrays):
+    for name, op in arrays.items():
+        assert not op.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            op[0] = 0
+
+
+def assert_basis_of(ws, spec, keep):
+    """ws's basis is the read-only ``_HermitianBasis`` of the states ``keep`` of spec, and
+    its recorded positions are those of |down,1> and |up,0> among them."""
+    arrays = dict(vars(ws.basis))
+    assert arrays.pop("dim") == len(keep)
+    for name, a in vars(_HermitianBasis(len(keep))).items():
+        assert np.array_equal(getattr(ws.basis, name), a), name
+    assert_read_only(arrays)
+    assert [keep[i] for i in ws.recorded] == [spec.index(DOWN, 1), spec.index(UP, 0)]
+
+
 class TestWorkspaceCache:
     def test_one_read_only_workspace_per_truncation(self):
-        ws = dynamics._workspace(HilbertSpec(3))
-        assert ws is dynamics._workspace(HilbertSpec(3))
+        spec = HilbertSpec(3)
+        ws = dynamics._workspace(spec)
+        assert ws is dynamics._workspace(spec)
         assert ws is not dynamics._workspace(HilbertSpec(4))
-        for name, op in vars(ws).items():
-            assert not op.flags.writeable, name
-            with pytest.raises(ValueError, match="read-only"):
-                op[0] = 0
+        assert_read_only(operator_arrays(ws))
+        assert_basis_of(ws, spec, range(spec.dim))
 
     @pytest.mark.parametrize("levels", [2, 4])
     def test_evolve_matches_a_fresh_workspace(self, levels, monkeypatch):
@@ -1384,12 +1426,13 @@ class TestWorkspaceCache:
             return dict(dynamics._SCRATCH.walks)
 
         first = walk()
-        assert {(16, 64), (25, 26)} <= first.keys()
+        assert {16, 25} <= first.keys()
+        assert (first[16].chunk, first[25].chunk) == (64, 26)
         again = walk()
         assert all(again[key] is scratch for key, scratch in first.items())
         with ThreadPoolExecutor(1) as pool:
             other = pool.submit(walk).result(timeout=60)
-        assert other.keys() == {(16, 64), (25, 26)}
+        assert other.keys() == {16, 25}
         assert all(other[key] is not first[key] for key in other)
 
     def test_each_walk_starts_its_series_at_degree_0(self, monkeypatch):
@@ -1429,8 +1472,8 @@ class TestWorkspaceCache:
 
         warm = runs()
 
-        def poisoned(size, chunk):
-            scratch = dynamics._WalkScratch(size, chunk)
+        def poisoned(size):
+            scratch = dynamics._WalkScratch(size)
             for a in (scratch.stack, scratch.buffer, *scratch.series.buffers):
                 a.fill(np.nan)
             return scratch
@@ -1461,17 +1504,16 @@ class TestRestrictionCache:
         pairs = (rows[:, None] * spec.dim + rows).ravel()
         expected = {
             name: op[cut] if op.ndim == 2 else op[rows]
-            for name, op in vars(_Workspace(spec)).items()
+            for name, op in operator_arrays(_Workspace(spec)).items()
         }
         expected["jump"] = _Workspace(spec).jump[np.ix_(pairs, pairs)]
-        assert vars(ws).keys() == expected.keys()
-        for name, op in vars(ws).items():
+        assert operator_arrays(ws).keys() == expected.keys()
+        for name, op in operator_arrays(ws).items():
             assert np.array_equal(op, expected[name]), name
             assert op.dtype == expected[name].dtype, name
             assert op.shape[0] == (len(pairs) if name == "jump" else len(keep)), name
-            assert not op.flags.writeable, name
-            with pytest.raises(ValueError, match="read-only"):
-                op[0] = 0
+        assert_read_only(operator_arrays(ws))
+        assert_basis_of(ws, spec, keep)
 
     @pytest.mark.parametrize("levels", [3, 6])
     def test_evolve_matches_with_the_cache_cleared_and_warm(self, levels, monkeypatch):
@@ -1662,8 +1704,12 @@ class TestValidation:
         seg = PulseSegment(duration=1.0, g_value=1.0)
         rho0 = pure_density(SPEC.ket(UP, 0))
         h = interaction_hamiltonian(0.0, seg, SPEC)
-        with pytest.raises(ValueError):
-            evolve(rho0, seg, NO_NOISE, sample_period=0.0)
+        # an infinite period makes every sample time k * inf = nan: the ramped walk would
+        # take no step and return rho0 unevolved
+        for pulse in (seg, PulseSegment(duration=1.0, g_value=1.0, ramp=0.25)):
+            for period in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="sample_period must be positive and finite"):
+                    evolve(rho0, pulse, NO_NOISE, sample_period=period)
         with pytest.raises(ValueError):
             evolve_static(rho0, h, 1.0, NO_NOISE, SPEC, sample_period=0.0)
 
