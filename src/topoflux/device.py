@@ -72,10 +72,11 @@ class DeviceParams:
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0.5, 1), got {self.alpha}")
-        if self.beta < 1.0:
+        # each check written so that nan fails it
+        if not self.beta >= 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
         for name in ("ej", "ej_over_ec", "delta0", "v_fermi", "length", "tf1", "tf2", "temperature"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 

@@ -51,14 +51,15 @@ sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes,
 Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
 (``_ramp_step``), and a piece of plateau that shares a sample interval with a
 ramp is one more such step.  Each step's Omega combines 10 fixed matrices
-(``_magnus_basis``, eight of them commutators), and its exponential is applied
-to the state as a Taylor polynomial that stops on the state's own terms
-(``_TaylorSeries``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011),
-in two power buffers that the steps use in turn, each step's sum (one product
-with the series' own 1/j! table) written where the next step's powers start,
-and at the latest at the degree its 1-norm bound allows, one lookup in a table
-of the largest 1-norm per degree (``_taylor_degree``, ``_DEGREE_NORMS``), or,
-for a step too long for the series, is the real ``expm`` of Omega.  Only the final state is turned
+(``_magnus_basis``, eight of them commutators), and its exponential follows
+from its 1-norm bound alone, one lookup in a table of the largest 1-norm per
+degree (``_taylor_degree``, ``_DEGREE_NORMS``): up to ``TAYLOR_MAX_NORM`` it is
+applied to the state as the Taylor polynomial of that degree (``_TaylorSeries``;
+the degree rule of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), in
+two power buffers that the steps use in turn, each step's sum (one product
+with the series' own 1/j! table) written where the next step's powers start;
+a step too long for the series, or with a nan bound, is the real ``expm`` of
+Omega.  Only the final state is turned
 back to a matrix in the working frame, Hermitian by construction.  ``evolve``
 is the only propagator: a closed-system check runs it with noise off.  The
 trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times
@@ -178,7 +179,8 @@ class NoiseParams:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.enabled and (self.tf1 <= 0 or self.tf2 <= 0):
+        # written so that nan fails; an infinite time switches its channel off
+        if self.enabled and not (self.tf1 > 0 and self.tf2 > 0):
             raise ValueError("tf1 and tf2 must be positive when noise is enabled")
 
     @property
@@ -372,19 +374,13 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _taylor_degree(theta):
     """The smallest m with theta^(m+1)/(m+1)! e^theta <= TAYLOR_TOL, which bounds the remainder
     of exp(a)'s degree-m Taylor series at 1-norms up to theta: m = 10 at theta = 0.1 and 19 at
-    theta = 1 (as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).
+    theta = 1 (as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011); or, for a theta
+    above ``TAYLOR_MAX_NORM`` or nan, _MAX_DEGREE + 1, where a step takes expm.
 
-    theta is a float or an array of them, each at most ``TAYLOR_MAX_NORM``.  The degree is
-    the number of ``_DEGREE_NORMS`` below theta, one ``np.searchsorted``.
+    theta is a float or an array of them.  The degree is the number of ``_DEGREE_NORMS``
+    below theta, one ``np.searchsorted``.
     """
     return np.searchsorted(_DEGREE_NORMS, theta)
-
-
-def _stop_scales(theta1, theta_inf, size):
-    """The factor (e^theta2 - 1)^2 size / TAYLOR_TOL^2 of ``_TaylorSeries.apply``'s stop, with
-    theta2 = sqrt(theta1 theta_inf) >= |a|_2 for 1- and inf-norm bounds theta1, theta_inf of a
-    (floats or arrays) and y of ``size`` entries."""
-    return np.expm1(np.sqrt(theta1 * theta_inf)) ** 2 * (size / TAYLOR_TOL**2)
 
 
 class _WalkScratch:
@@ -409,9 +405,8 @@ _SCRATCH = threading.local()
 
 def _walk_scratch(size: int) -> _WalkScratch:
     """The calling thread's ``_WalkScratch`` for states of this size, built on the thread's
-    first such walk, with its series' ``degree`` set back to 0.  A walk writes every entry
-    before it reads it, so its results do not depend on the walks before it, and no two
-    threads share one."""
+    first such walk.  It holds arrays only, and a walk writes every entry before it reads
+    it, so its results depend on its inputs alone; no two threads share one."""
     try:
         cache = _SCRATCH.walks
     except AttributeError:
@@ -419,81 +414,64 @@ def _walk_scratch(size: int) -> _WalkScratch:
     scratch = cache.get(size)
     if scratch is None:
         scratch = cache[size] = _WalkScratch(size)
-    scratch.series.degree = 0
     return scratch
 
 
 class _TaylorSeries:
-    """exp(a) @ y by the Taylor series sum_j a^j y / j!, in two buffers of the powers a^j y
-    that every step of a walk reuses, in turn (and, through ``_walk_scratch``, every walk
-    in the same thread on states of the same size).
+    """exp(a) @ y by the Taylor series sum_j a^j y / j! to a given degree m, in two buffers
+    of the powers a^j y that every step of a walk reuses, in turn (and, through
+    ``_walk_scratch``, every walk in the same thread on states of the same size).
 
-    The degree follows y's own terms.  Since |a^(j+i) y|_2 <= theta2^i |a^j y|_2 for
-    theta2 >= |a|_2, the remainder after degree j is at most (e^theta2 - 1) |a^j y|_2 / j!.
-    ``apply`` stops at the first checked j where that is at most TAYLOR_TOL |y|_2 / sqrt(n),
-    n the entries of y, which puts the remainder's 1-norm under TAYLOR_TOL |y|_1; and at
-    the latest at the ceiling m it is given, ``_taylor_degree`` of a's 1-norm bound.  The
-    norms are those of the coordinates y is given in: for ``evolve``, the real coordinates
-    of rho in ``_HermitianBasis``, whose 2-norm is rho's Frobenius norm.  The first check is
-    at the degree where the previous step stopped, so a typical step takes one norm of a
-    power besides |y|_2.  Each squared norm is the dot of a buffer row's entries, viewed as
-    reals, with themselves: |row|_2^2 for real and complex rows of any shape.
+    ``_propagate`` takes m = ``_taylor_degree`` of a's 1-norm bound, which puts the
+    remainder's 1-norm under TAYLOR_TOL |y|_1 whatever y is: a step forms exactly m powers
+    and one weighted sum, and no norm of y or of its powers.  On the benchmark's fig2a
+    0.05 ns ramp that is 13 powers a step, where a stop on y's own terms (Al-Mohy & Higham's
+    ``expmv``) took 10.5 but spent as much again on its norms.  Where y's terms fall much
+    faster than the bound, the stop saved more: a walk on all 144 coordinates at 6 levels
+    (from |up,5> or I/12, relaxation only) takes 18 powers a step against its 6.4, and
+    about 39 ms against 32 on one BLAS thread of a 2-vCPU Xeon.
 
     A step takes its powers in one buffer, whose row 0 holds y, and writes their sum,
     weighted by the series' own table of 1/j!, into row 0 of the other (``buffers``), which
     holds the next step's y: a walk that hands each result to the next step copies no state
-    and allocates no array.  A y from
-    elsewhere is copied into row 0 first.  A step calls ndarray methods only, each power
-    one call of the bound ``a.dot`` from a buffer row into the next (``pairs``): on states
-    of 16 to 64 reals numpy's function dispatch costs about as much as a product.
+    and allocates no array.  A y from elsewhere is copied into row 0 first.  A step calls
+    ndarray methods only, each power one call of the bound ``a.dot`` from a buffer row into
+    the next (``pairs``): on states of 16 to 64 reals numpy's function dispatch costs about
+    as much as a product.
     """
 
     def __init__(self, shape, dtype):
         # 1/j! (j = 0 .. _MAX_DEGREE), computed in the real type of dtype and then cast to
-        # it, so that the sum is one product; squared as floats for the stop
+        # it, so that the sum is one product
         j = np.arange(_MAX_DEGREE + 1, dtype=np.finfo(dtype).dtype)
-        weights = 1 / np.cumprod(np.maximum(j, 1))
-        self.squared_weights = tuple((weights**2).tolist())
-        weights = weights.astype(dtype)
+        weights = (1 / np.cumprod(np.maximum(j, 1))).astype(dtype)
         self.buffers = tuple(np.empty((_MAX_DEGREE + 1, *shape), dtype=dtype) for _ in range(2))
         sides = []
         for powers in self.buffers:
             rows = list(powers)
             flat = powers.reshape(_MAX_DEGREE + 1, -1)
             # row 0 as y's shape and flat; (row j, row j + 1), as a^(j+1) y is a times the
-            # row before it; the rows viewed as reals, for their norms; and per degree m, the
-            # weights and the rows that the sum to m takes
+            # row before it; and per degree m, the weights and the rows that the sum to m takes
             pairs = list(zip(rows[:-1], rows[1:]))
             sums = [(weights[: m + 1], flat[: m + 1]) for m in range(_MAX_DEGREE + 1)]
-            sides.append((rows[0], flat[0], pairs, list(flat.view(powers.real.dtype)), sums))
+            sides.append((rows[0], flat[0], pairs, sums))
         # the side that holds the next step's y, and the side its sum goes to
         self.here, self.there = sides
-        self.degree = 0
 
-    def apply(self, a, y, m, scale):
-        """exp(a) @ y by the series to degree at most m; scale is ``_stop_scales`` of a's
-        norm bounds and y's size.  ``degree`` is where it stopped.
+    def apply(self, a, y, m):
+        """exp(a) @ y by the series to degree m.
 
         The result is row 0 of one of ``buffers``, never y's memory.  It stays valid through
         the next step when that step is given it as y, and is overwritten by the step after
         that, or by the next step when that one is given another y."""
         here, there = self.here, self.there
-        head, _, pairs, reals, sums = here
+        head, _, pairs, sums = here
         if y is not head:
             head[...] = y
         dot = a.dot
-        y_squared = reals[0].dot(reals[0])
-        # min(degree, m), without a builtin call per step
-        j, d = 0, self.degree if self.degree < m else m
-        while True:
-            for power, out in pairs[j:d]:
-                dot(power, out)
-            term = reals[d]
-            if d == m or scale * self.squared_weights[d] * term.dot(term) <= y_squared:
-                break
-            j, d = d, d + 1
-        self.degree = d
-        weights, powers = sums[d]
+        for power, out in pairs[:m]:
+            dot(power, out)
+        weights, powers = sums[m]
         weights.dot(powers, there[1])
         self.here, self.there = there, here
         return there[0]
@@ -621,15 +599,16 @@ _GAUSS_NODES.flags.writeable = False
 # the largest 1-norm bound at which a ramp step's exponential is a Taylor
 # series (degree 25 at 2); longer steps take expm
 TAYLOR_MAX_NORM = 2.0
-# the Taylor degree at TAYLOR_MAX_NORM
+# the Taylor degree at TAYLOR_MAX_NORM; a lookup one above it means expm
 _MAX_DEGREE = 25
 # a Taylor series leaves a remainder of at most TAYLOR_TOL |y|_1
 TAYLOR_TOL = 1e-17
-# entry m is the largest 1-norm theta at which degree m meets TAYLOR_TOL: the largest double
-# where the remainder theta^(m+1)/(m+1)! e^theta, evaluated as the cumulative product
-# theta e^theta (theta/2) (theta/3) ... (theta/(m+1)), is at most TAYLOR_TOL.  The remainders
-# shrink from one m to the next (by theta/(m+2) <= 1) and grow with theta, so the degree at
-# theta is the number of entries below it; at TAYLOR_MAX_NORM it is _MAX_DEGREE
+# entry m < _MAX_DEGREE is the largest 1-norm theta at which degree m meets TAYLOR_TOL: the
+# largest double where the remainder theta^(m+1)/(m+1)! e^theta, evaluated as the cumulative
+# product theta e^theta (theta/2) (theta/3) ... (theta/(m+1)), is at most TAYLOR_TOL.  The
+# remainders shrink from one m to the next (by theta/(m+2) <= 1) and grow with theta, so the
+# degree at theta is the number of entries below it: _MAX_DEGREE at TAYLOR_MAX_NORM, the last
+# entry, and _MAX_DEGREE + 1 above it or at nan, which sorts after every number
 _DEGREE_NORMS = (
     1e-17,
     4.472135944999579e-09,
@@ -656,6 +635,7 @@ _DEGREE_NORMS = (
     1.6034275260417519,
     1.7815238998604273,
     1.9655358615461562,
+    TAYLOR_MAX_NORM,
 )
 # the ramp steps whose envelope nodes, coefficients, norm bounds and Taylor
 # degrees are formed at once, across sample pieces (a few hundred kB), and the
@@ -805,11 +785,11 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     fills all it is handed before it asks again.  Each step's Omega combines the 10
     ``_magnus_basis`` matrices of l0 and l1 in ``basis``, formed a chunk of steps at a
     time.  A step whose 1-norm bound is at most ``TAYLOR_MAX_NORM`` is applied by one
-    ``_TaylorSeries``, which stops on y's own terms; a longer one, on a ramp piece or a
-    plateau piece, takes the real expm of its Omega.  The series, the basis stack, the
-    Omega buffer and the chunk are the thread's ``_walk_scratch`` for y's size, so the y
-    returned may be a row of the series' buffers, valid until the thread's next ramped walk
-    on states of its size.
+    ``_TaylorSeries`` to the degree ``_taylor_degree`` tables for the bound; a longer one,
+    on a ramp piece or a plateau piece, takes the real expm of its Omega.  The series, the
+    basis stack, the Omega buffer and the chunk are the thread's ``_walk_scratch`` for y's
+    size, so the y returned may be a row of the series' buffers, valid until the thread's
+    next ramped walk on states of its size.
     """
     basis, period, record = recorder.basis, recorder.sample_period, recorder.rows
     duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
@@ -863,10 +843,8 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
     apply = scratch.series.apply
     (a0, a1), _ = basis.superoperator(np.stack((l0, l1)))
     matrices = _magnus_basis(a0, a1, scratch.stack)
-    # each basis matrix's 1- and inf-norm (its largest column and row abs-sum), the columns
-    # of one (10, 2) array
-    entries = np.abs(matrices).reshape(10, *a0.shape)
-    norms = np.stack((entries.sum(axis=1).max(axis=1), entries.sum(axis=2).max(axis=1)), axis=1)
+    # each basis matrix's 1-norm, its largest column abs-sum
+    norms = np.abs(matrices).reshape(10, *a0.shape).sum(axis=1).max(axis=1)
     # the rows the recorder handed out for the walked intervals, of which the first r are filled
     out, r = (), 0
     # a block of steps may span many sample intervals, and cut one
@@ -874,19 +852,14 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
         # the envelope at each step's three Gauss nodes, one row per node
         nodes = np.where(on_ramp, pulse.envelope(a + (i + 0.5) * s + _GAUSS_NODES * s), 1.0)
         coef = _magnus_coefficients(s, *nodes)
-        # bounds on each step's 1- and inf-norm; above TAYLOR_MAX_NORM a step takes expm
-        bounds = np.abs(coef) @ norms
-        taylor = bounds[:, 0] <= TAYLOR_MAX_NORM
-        bounds[~taylor] = 0.0
-        # each step's Taylor degree, or -1 for one that takes expm
-        ceilings = np.where(taylor, _taylor_degree(bounds[:, 0]), -1).tolist()
-        scales = _stop_scales(bounds[:, 0], bounds[:, 1], y.size).tolist()
+        # each step's Taylor degree at its 1-norm bound; above _MAX_DEGREE, expm
+        degrees = _taylor_degree(np.abs(coef) @ norms).tolist()
         firsts = first.tolist()
         for j in range(0, len(coef), chunk):
             cut = slice(j, j + chunk)
             rows = coef[cut]
             rows.dot(matrices, buffer[: len(rows)])
-            for k, omega, m, scale in zip(firsts[cut], omegas, ceilings[cut], scales[cut]):
+            for k, omega, m in zip(firsts[cut], omegas, degrees[cut]):
                 if k >= 0:
                     if k == stop > start:
                         y = run(y, stop - start, period)
@@ -895,7 +868,7 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
                         out, r = record((start if k < start < stop else n_samples) - k), 0
                     out[r] = y
                     r += 1
-                y = apply(omega, y, m, scale) if m >= 0 else expm(omega) @ y
+                y = apply(omega, y, m) if m <= _MAX_DEGREE else expm(omega) @ y
     return y, plateau.dropped
 
 
@@ -992,9 +965,9 @@ def evolve(
     reach (``_support``; the final state is put back into D x D): on the plateau
     (the whole of a rectangular pulse) a block of samples at a time, by the
     powers of one matrix exponential per sample period; sixth-order Magnus steps
-    of ``_ramp_step`` on a sin^2 ramp, each applied as a Taylor polynomial that
-    stops on the state's own terms.  The step and the states follow from the
-    inputs alone: no argument sets them.
+    of ``_ramp_step`` on a sin^2 ramp, each applied as a Taylor polynomial of
+    the degree that its 1-norm bound tables.  The step, its degree and the
+    states follow from the inputs alone: no argument sets them.
 
     Parameters
     ----------

@@ -130,8 +130,8 @@ def makhlin_invariants(gates) -> list[LocalInvariants]:
     G1 = tr^2(m)/(16 det U), G2 = (tr^2(m) - tr(m^2))/(4 det U) with m = U_B^T U_B
     in the magic basis."""
     u = np.asarray(gates)
-    if u.shape[1:] != (4, 4):
-        raise ValueError(f"gate must be 4x4, got {u.shape[1:]}")
+    if u.ndim != 3 or u.shape[1:] != (4, 4):
+        raise ValueError(f"gates must be a (k, 4, 4) stack, got shape {u.shape}")
     err = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4)))
     if err >= UNITARITY_TOL:
         raise ValueError(f"gate is not unitary (|U^dag U - I| = {err:.3e})")

@@ -65,6 +65,26 @@ class TestStatics:
         with pytest.raises(ValueError):
             any_params(beta=0.5)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "alpha",
+            "beta",
+            "ej",
+            "ej_over_ec",
+            "delta0",
+            "v_fermi",
+            "length",
+            "tf1",
+            "tf2",
+            "temperature",
+        ],
+    )
+    def test_nan_refused(self, field):
+        # every check is written so that nan fails it, not as a comparison nan passes
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(FIG2A_DEVICE, **{field: math.nan})
+
 
 class TestCouplingLaw:
     def test_lambda_zero_phase(self, set1):

@@ -31,7 +31,6 @@ from topoflux.dynamics import (
     _magnus_basis,
     _magnus_coefficients,
     _Recorder,
-    _stop_scales,
     _taylor_degree,
     _TaylorSeries,
     _Workspace,
@@ -64,12 +63,10 @@ SPEC = HilbertSpec(2)
 
 
 def taylor_series(a, y, theta1, series=None):
-    """exp(a) @ y by the ramp walk's Taylor series at the 1-norm bound theta1 (and a's own
-    inf-norm), and the degree where it stopped."""
+    """exp(a) @ y by the ramp walk's Taylor series at the 1-norm bound theta1, to the degree
+    that ``_taylor_degree`` tables for it."""
     series = series or _TaylorSeries(y.shape, np.result_type(a, y))
-    theta_inf = float(np.max(np.sum(np.abs(a), axis=1)))
-    z = series.apply(a, y, _taylor_degree(theta1), _stop_scales(theta1, theta_inf, y.size))
-    return z, series.degree
+    return series.apply(a, y, _taylor_degree(theta1))
 
 
 def taylor_degree_rule(theta):
@@ -633,12 +630,14 @@ class TestExactPropagation:
         assert np.max(np.abs(split - whole)) < 1e-14
 
     def test_steps_above_the_taylor_bound_take_expm(self, monkeypatch):
-        # with no step under the bound, every ramp step is an expm, which the
+        # with every step's lookup past the table, every ramp step is an expm, which the
         # Taylor series matches
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
         taylor = evolve(rho0, pulse, scn.noise).final_state
-        monkeypatch.setattr(dynamics, "TAYLOR_MAX_NORM", 0.0)
+        monkeypatch.setattr(
+            dynamics, "_taylor_degree", lambda theta: np.full(len(theta), dynamics._MAX_DEGREE + 1)
+        )
         monkeypatch.setattr(_TaylorSeries, "apply", None)
         exponentials = evolve(rho0, pulse, scn.noise).final_state
         assert np.max(np.abs(exponentials - taylor)) < 1e-14
@@ -669,17 +668,19 @@ class TestExactPropagation:
         # 70 sample pieces of about 3 steps, 206 steps in all, plus the two plateau
         # pieces that share a sample interval with a ramp, one step each.  Their
         # coefficients are formed once per block of steps, not once per piece, and
-        # blocks that cut pieces give the same state.  The Taylor series stops on
-        # the state's own terms, at 10.5 powers a step (13 at the 1-norm bounds),
-        # and the plateau's sample intervals share the one expm
+        # blocks that cut pieces give the same state.  Each step's Taylor series
+        # goes to the degree tabled for its 1-norm bound, |coef| times the 1-norms
+        # of the Magnus basis, which bounds its Omega's 1-norm (13 powers a step on
+        # average), and the plateau's sample intervals share the one expm
         scn, pulse = operating_point("fig2a", 0.05, 2)
         rho0 = initial_state(scn.spec)
         whole = evolve(rho0, pulse, scn.noise).final_state
         if block is not None:
             monkeypatch.setattr(dynamics, "RAMP_BLOCK_STEPS", block)
-        rows, ramp_rows, degrees, exponentials = [], [], [], []
-        coefficients, apply, exponential = (
+        rows, ramp_rows, coefs, steps, exponentials, norms = [], [], [], [], [], []
+        coefficients, magnus_basis, apply, exponential = (
             dynamics._magnus_coefficients,
+            dynamics._magnus_basis,
             _TaylorSeries.apply,
             dynamics.expm,
         )
@@ -687,27 +688,37 @@ class TestExactPropagation:
         def count_coefficients(s, e1, e2, e3):
             coef = coefficients(s, e1, e2, e3)
             rows.append(len(coef))
+            coefs.append(coef)
             # a plateau step's envelope is 1 at its nodes, a ramp step's is below 1 at its middle one
             ramp_rows.append(np.count_nonzero(e2 < 1.0))
             return coef
 
-        def count_apply(series, *args):
-            y = apply(series, *args)
-            degrees.append(series.degree)
-            return y
+        def keep_norms(a0, a1, out):
+            matrices = magnus_basis(a0, a1, out)
+            norms.extend(np.linalg.norm(m.reshape(a0.shape), 1) for m in matrices)
+            return matrices
+
+        def count_apply(series, omega, y, m):
+            steps.append((np.linalg.norm(omega, 1), m))
+            return apply(series, omega, y, m)
 
         def count_expm(a):
             exponentials.append(1)
             return exponential(a)
 
         monkeypatch.setattr(dynamics, "_magnus_coefficients", count_coefficients)
+        monkeypatch.setattr(dynamics, "_magnus_basis", keep_norms)
         monkeypatch.setattr(_TaylorSeries, "apply", count_apply)
         monkeypatch.setattr(dynamics, "expm", count_expm)
         split = evolve(rho0, pulse, scn.noise).final_state
         assert sum(ramp_rows) == 206
-        assert len(degrees) == sum(rows) == 206 + 2
+        assert len(steps) == sum(rows) == 206 + 2
         assert len(rows) == math.ceil((206 + 2) / dynamics.RAMP_BLOCK_STEPS)
-        assert np.mean(degrees) <= 11
+        bounds = np.abs(np.concatenate(coefs)) @ np.array(norms)
+        omega_norms, degrees = np.array(steps).T
+        assert np.all(omega_norms <= bounds * (1 + 1e-12))
+        assert degrees.tolist() == _taylor_degree(bounds).tolist()
+        assert round(np.mean(degrees)) == 13
         assert len(exponentials) == 1
         assert np.max(np.abs(split - whole)) < 1e-14
 
@@ -754,13 +765,12 @@ class TestExactPropagation:
 
     @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.3, 1.0, 2.0])
     def test_taylor_series_matches_expm(self, norm):
-        # a ramp step's series, stopped on its own terms under its 1-norm bound's degree
+        # a ramp step's series, to its 1-norm bound's degree
         rng = np.random.default_rng(7)
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a *= norm / np.linalg.norm(a, 1)
         y = rng.normal(size=16) + 1j * rng.normal(size=16)
-        z, degree = taylor_series(a, y, norm)
-        assert degree <= _taylor_degree(norm)
+        z = taylor_series(a, y, norm)
         assert np.max(np.abs(z - expm(a) @ y)) < 1e-14
 
     @pytest.mark.parametrize("norm", [0.1, 1.0, 2.0])
@@ -770,20 +780,32 @@ class TestExactPropagation:
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         a *= norm / np.linalg.norm(a, 1)
         y = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        z, degree = taylor_series(a, y, norm)
-        assert degree <= _taylor_degree(norm)
+        z = taylor_series(a, y, norm)
         assert np.max(np.abs(z - expm(a) @ y)) < 1e-14
 
     def test_taylor_degree(self):
         assert [_taylor_degree(t) for t in (0.0, 1e-3, 0.1, 1.0, 2.0)] == [0, 4, 10, 19, 25]
 
+    def test_taylor_degree_past_its_table_is_expm(self):
+        # the table ends at TAYLOR_MAX_NORM, where the degree is _MAX_DEGREE; a bound above
+        # it, infinite or nan looks up one more, which the walk takes to expm
+        theta = [2.0, np.nextafter(2.0, np.inf), np.inf, np.nan]
+        assert dynamics.TAYLOR_MAX_NORM == 2.0
+        taylor = dynamics._MAX_DEGREE
+        assert _taylor_degree(theta).tolist() == [taylor, taylor + 1, taylor + 1, taylor + 1]
+        assert [_taylor_degree(t) for t in theta] == [taylor, taylor + 1, taylor + 1, taylor + 1]
+
     def test_taylor_degree_table_follows_its_rule(self):
-        # the table gives the rule's degree on a dense log grid up to TAYLOR_MAX_NORM, and on
-        # both sides of every tabled 1-norm, where the degree steps up by one
+        # the table gives the rule's degree on a dense log grid up to TAYLOR_MAX_NORM, its
+        # last entry, and on both sides of every other tabled 1-norm, where the degree steps
+        # up by one
         grid = np.geomspace(5e-324, dynamics.TAYLOR_MAX_NORM, 200_001)
         assert np.array_equal(_taylor_degree(grid), taylor_degree_rule(grid))
-        norms = np.array(dynamics._DEGREE_NORMS)
+        *tabled, last = dynamics._DEGREE_NORMS
+        assert last == dynamics.TAYLOR_MAX_NORM
+        norms = np.array(tabled)
         assert len(norms) == dynamics._MAX_DEGREE and np.all(np.diff(norms) > 0)
+        assert norms[-1] < last
         below, above = np.nextafter(norms, 0.0), np.nextafter(norms, np.inf)
         for theta in (below, norms, above):
             assert np.array_equal(_taylor_degree(theta), taylor_degree_rule(theta))
@@ -806,46 +828,27 @@ class TestExactPropagation:
         for k in range(1, 60):
             term = (a @ term) / k
             exact = exact + term
-        z, degree = taylor_series(a, y, norm)
-        assert degree <= _taylor_degree(norm)
+        z = taylor_series(a, y, norm)
         error = np.sum(np.abs(z - exact))
         assert error <= 1e-17 * np.sum(np.abs(y))
-
-    def test_taylor_series_stops_on_fast_decaying_terms(self):
-        # a has 1- and inf-norm 1 (degree 19), but y lies where a is 2.9e-6, so
-        # (e - 1) |a^j y|_2 / j! is 7.0e-18 |y|_2 at j = 3 and 5.1e-24 |y|_2 at 4:
-        # under 1e-17 |y|_2 / sqrt(4) first at degree 4
-        a = np.diag([1.0, 2.9e-6, 2.9e-6, 1.0]).astype(complex)
-        y = np.array([0.0, 1.0, 1j, 0.0])
-        series = _TaylorSeries(y.shape, complex)
-        z, degree = taylor_series(a, y, 1.0, series)
-        assert degree == 4
-        assert np.max(np.abs(z - np.exp(np.diag(a)) * y)) < 1e-15
-        # a step whose terms need more goes on past where the last one stopped,
-        # and the next step checks first where that one stopped
-        w = np.array([1.0, 0.0, 0.0, 1.0j])
-        z, slow = taylor_series(a, w, 1.0, series)
-        assert degree < slow <= _taylor_degree(1.0)
-        assert np.max(np.abs(z - np.exp(np.diag(a)) * w)) < 1e-15
-        assert taylor_series(a, y, 1.0, series)[1] == slow
 
     @pytest.mark.parametrize("theta", [0.0, 5e-324], ids=["zero", "subnormal"])
     def test_taylor_series_of_a_vanishing_step(self, theta):
         # Omega = 0, or one of subnormal norm, is degree 0: y comes back unchanged, after a
-        # step that stopped at a higher degree, in memory apart from y's.  The walk hands
-        # each result to the next step, and the result holds through that step
+        # step of a higher degree, in memory apart from y's.  The walk hands each result to
+        # the next step, and the result holds through that step
         rng = np.random.default_rng(3)
         y = rng.normal(size=16) + 1j * rng.normal(size=16)
         series = _TaylorSeries(y.shape, complex)
-        series.degree = 9
-        a = theta * np.roll(np.eye(16), 1, axis=0).astype(complex)
-        z, degree = taylor_series(a, y, theta, series)
-        assert degree == 0
+        b = np.roll(np.eye(16), 1, axis=0).astype(complex)
+        taylor_series(0.5 * b, y, 0.5, series)
+        a = theta * b
+        assert _taylor_degree(theta) == 0
+        z = taylor_series(a, y, theta, series)
         assert np.array_equal(z, y)
         assert not np.shares_memory(z, y)
         kept = z.copy()
-        b = np.roll(np.eye(16), 1, axis=0).astype(complex)
-        w, _ = taylor_series(b, z, 1.0, series)
+        w = taylor_series(b, z, 1.0, series)
         assert np.array_equal(z, kept)
         assert not np.shares_memory(w, z)
         assert np.max(np.abs(w - expm(b) @ kept)) < 1e-14
@@ -1435,27 +1438,6 @@ class TestWorkspaceCache:
         assert other.keys() == {16, 25}
         assert all(other[key] is not first[key] for key in other)
 
-    def test_each_walk_starts_its_series_at_degree_0(self, monkeypatch):
-        # the thread's series is left at the degree where a walk's last step stopped; the
-        # next walk sets it back to 0, where a new series starts
-        apply, calls = _TaylorSeries.apply, []
-
-        def spy(series, *args):
-            calls.append((series, series.degree))
-            return apply(series, *args)
-
-        monkeypatch.setattr(_TaylorSeries, "apply", spy)
-        scn, pulse = operating_point("fig2a", 0.05, 3)
-        walks = []
-        for _ in range(3):
-            start = len(calls)
-            evolve(initial_state(scn.spec), pulse, scn.noise)
-            walks.append(calls[start:])
-        assert len({id(series) for series, _ in calls}) == 1
-        for walk in walks:
-            assert walk[0][1] == 0 < walk[1][1]
-        assert calls[0][0].degree > 0
-
     @pytest.mark.parametrize("levels", [2, 3, 6])
     def test_walks_write_their_scratch_before_they_read_it(self, levels, monkeypatch):
         # a scratch full of nan gives the trajectory of the thread's own scratch, bit for
@@ -1719,6 +1701,15 @@ class TestValidation:
         off = NoiseParams(enabled=False)
         assert off.relaxation_rate == 0.0
         assert off.dephasing_rate == 0.0
+
+    @pytest.mark.parametrize("field", ["tf1", "tf2"])
+    def test_noise_refuses_nan_and_switches_off_at_inf(self, field):
+        with pytest.raises(ValueError, match="tf1 and tf2 must be positive"):
+            NoiseParams(**{field: math.nan})
+        # an infinite time switches its channel off: the sweeps rely on it
+        noise = NoiseParams(**{field: math.inf, ({"tf1", "tf2"} - {field}).pop(): 20.0})
+        rate = noise.relaxation_rate if field == "tf1" else noise.dephasing_rate
+        assert rate == 0.0
 
     def test_envelope_shapes(self):
         seg = PulseSegment(duration=1.0, g_value=1.0, ramp=0.25)

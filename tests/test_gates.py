@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,8 +137,18 @@ class TestMakhlin:
 
     @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4), (8, 8)])
     def test_non_4x4_rejected(self, shape):
-        with pytest.raises(ValueError, match="must be 4x4"):
+        with pytest.raises(ValueError, match=r"must be a \(k, 4, 4\) stack"):
             makhlin_invariants([np.ones(shape, dtype=complex)])
+
+    @pytest.mark.parametrize(
+        "gates, shape",
+        [(CZ, (4, 4)), (np.ones((3, 2, 2), dtype=complex), (3, 2, 2))],
+        ids=["one-gate", "2x2-stack"],
+    )
+    def test_only_a_stack_of_4x4_gates_is_taken(self, gates, shape):
+        # one gate in place of a sequence is refused by its own shape, not by a row's
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            makhlin_invariants(gates)
 
 
 class TestGateFidelity:
