@@ -165,6 +165,9 @@ def main():
         ap.error("give either OUT_DIR or --compare OUT_A OUT_B")
     if args.tol is not None and args.compare is None:
         ap.error("--tol needs --compare")
+    # refused before any entry runs, not by write_outputs' mkdir after the CLI is loaded
+    if args.out_dir is not None and args.out_dir.exists():
+        ap.error(f"OUT_DIR {args.out_dir} already exists; give a new directory")
     if args.compare:
         worst, identical = compare(*args.compare)
         # a NaN worst (a file that differs or is missing) fails the comparison too, and

@@ -15,72 +15,72 @@ dephasing (sigma_f^z, rate 1/tf2):
     drho/dt = -i [H, rho] + (1/(2 tf1)) (2 a rho a^dag - a^dag a rho - rho a^dag a)
               + (1/tf2) (sigma_f^z rho sigma_f^z - rho)
 
-A pulse is one ``PulseSegment``: its duration, its plateau couplings g and
-g', E, and the length of its sin^2 ramps (0 for a rectangular pulse).  Every
-pulse is propagated by one core, ``_propagate``.  In the frame
-rho = V rho' V^dag with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the
-contamination phase becomes the static term E N, both dissipators are
-unchanged, and the generator is L(t) = L0 + env(t) L1: L0 holds -i[E N, .]
-and both dissipators, L1 the coupling commutator.  Each of them maps a
-Hermitian rho to a Hermitian one, so ``evolve`` carries rho as its D_s^2 real
-coordinates in an orthonormal Hermitian basis (``_HermitianBasis``), where
-L0, L1 and every step built from them are real matrices.  D_s counts the
-basis states the walk keeps (``_support``): those where rho0 has a nonzero
-row or column, and |down,1> and |up,0>, which the trajectory records, closed
-under the nonzero pattern of the coupling and, with relaxation on, of the
-jump a.  E N, a^dag a and sigma_f^z are diagonal and add none, so a rho on
-the span of these states stays there exactly.  From |up,0> that is all 4
-states at 2 levels and 5 (|up,0>, |down,0>, |down,1>, |up,1>, |down,2>) at 3
-or more, because sigma_f^z is zero on n >= 2.  The final state is put back
-into D x D; each unreached state adds an exact zero eigenvalue, so when
-states were left out the smallest-eigenvalue column is min(eig(rho_S), 0).
-When every state is kept, nothing is copied.  The operators, whole or on a
-smaller support, the parts of L0 that only they fix (the outer-product
-patterns of its diagonal and the jump superoperator), the Hermitian basis of
-the kept states and the positions of |down,1> and |up,0> among them are built
-once per truncation and set of states (``_workspace``), and the kept states
-once per set of nonzero patterns of rho0, the coupling and the jump
-(``_closure``).  On the plateau (env = 1) one matrix exponential P (``expm``)
-carries the state from one sample to the next; it is formed on the row-major
-generator and turned into the Hermitian coordinates once per length, and the
-imaginary part that this drops, the anti-Hermitian round-off of the
-exponential, bounds how far from Hermitian the complex walk would have
-strayed (``_Plateau``).  A run of plateau samples fills the recorder's block
-by products with P's powers.  On a
-sin^2 ramp, sixth-order Magnus steps (three-point Gauss-Legendre; Blanes,
-Casas & Ros, BIT 40, 434, 2000) do, in steps that the pulse alone sets
-(``_ramp_step``), and a piece of plateau that shares a sample interval with a
-ramp is one more such step.  Each step's Omega combines 10 fixed matrices
-(``_magnus_basis``, eight of them commutators), and its exponential follows
-from its 1-norm bound alone, one lookup in a table of the largest 1-norm per
-degree (``_taylor_degree``, ``_DEGREE_NORMS``): up to ``TAYLOR_MAX_NORM`` it is
-applied to the state as the Taylor polynomial of that degree (``_TaylorSeries``;
-the degree rule of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), in
-two power buffers that the steps use in turn, each step's sum (one product
-with the series' own 1/j! table) written where the next step's powers start;
-a step too long for the series, or with a nan bound, is the real ``expm`` of
-Omega.  Only the final state is turned
-back to a matrix in the working frame, Hermitian by construction.  ``evolve``
-is the only propagator: a closed-system check runs it with noise off.  The
-trajectory of ``evolve`` comes from ``_Recorder``, which samples at the times
-k * sample_period (default duration/200) and at the end.  It allocates the
-trajectory columns once, after the walk's ``MAX_STEPS`` refusal.  Its block
-holds ``SAMPLE_BLOCK`` states; a full one is checked for finite coordinates,
-turned into matrices in one scatter and reduced into its slice of the columns,
-one numpy call per diagnostic for the whole block, and the final state is
-reduced with the last block into the columns' last row.  Purity is the
-squared norm of each state's real coordinates, tr(rho^2) = |x|^2 in the
-orthonormal basis, so the matrices serve the trace, the recorded entries and
-``eigvalsh``.  The walk asks the recorder for rows once per run of sample
-intervals (those before the plateau run, the run, those after it), and once
-more each time a block fills.  No renormalization is applied, so trace drift
-measures the propagation's precision directly.  ``evolve`` is a pure function
-of its inputs.  Independent evolutions are safe to run concurrently: the
-caches hold read-only arrays or tuples, and the arrays a ramped walk writes
-before it reads (the Taylor power buffers, the Magnus basis stack and the
-Omega buffer, ``_WalkScratch``) are kept per thread and per state size, which
-also fixes the Omega chunk (``_walk_scratch``), so walks in one thread reuse
-them and no two threads share them.
+A pulse is one ``PulseSegment``: its duration, its plateau couplings g and g',
+E, and the length of its sin^2 ramps (0 for a rectangular pulse).  Every pulse
+is propagated by one core, ``_propagate``.  In the frame rho = V rho' V^dag
+with V(t) = exp(i E t N) and N = a^dag a + |up><up|, the contamination phase
+becomes the static term E N, both dissipators are unchanged, and the generator
+is L(t) = L0 + env(t) L1: L0 holds -i[E N, .] and both dissipators, L1 the
+coupling commutator.  Each of them maps a Hermitian rho to a Hermitian one, so
+``evolve`` carries rho as its D_s^2 real coordinates in an orthonormal
+Hermitian basis (``_HermitianBasis``), where L0, L1 and every step built from
+them are real matrices, a quarter of the complex arithmetic.  D_s counts the
+basis states the walk keeps (``_support``): those where rho0 has a nonzero row
+or column, and |down,1> and |up,0>, which the trajectory records, closed under
+the nonzero pattern of the coupling and, with relaxation on, of the jump a.
+E N, a^dag a and sigma_f^z are diagonal and add none, so a rho on the span of
+these states stays there exactly.  From |up,0> that is all 4 states at 2
+levels and 5 (|up,0>, |down,0>, |down,1>, |up,1>, |down,2>) at 3 or more,
+because sigma_f^z is zero on n >= 2.  Every walk runs on the cut rho0 and
+coupling, whether or not it keeps every state, and ``_Recorder`` puts the
+final state back into D x D; each unreached state adds an exact zero
+eigenvalue, so when states were left out the smallest-eigenvalue column is
+min(eig(rho_S), 0).  The operators, whole or on a smaller support, the parts
+of L0 that only they fix (the outer-product patterns of its diagonal and the
+jump superoperator), the Hermitian basis of the kept states and the positions
+of |down,1> and |up,0> among them are built once per truncation and set of
+states (``_workspace``), and the kept states once per set of nonzero patterns
+of rho0, the coupling and the jump (``_closure``).  On the plateau (env = 1)
+one matrix exponential P (``expm``) carries the state from one sample to the
+next; it is formed on the row-major generator and turned into the Hermitian
+coordinates once per length, and the imaginary part that this drops, the
+anti-Hermitian round-off of the exponential, bounds how far from Hermitian the
+complex walk would have strayed (``_Plateau``).  A run of plateau samples
+fills the recorder's block by products with P's powers.  On a sin^2 ramp,
+sixth-order Magnus steps (three-point Gauss-Legendre; Blanes, Casas & Ros, BIT
+40, 434, 2000) do, in steps that the pulse alone sets (``_ramp_step``), and a
+piece of plateau that shares a sample interval with a ramp is one more such
+step.  Each step's Omega combines 10 fixed matrices (``_magnus_basis``, eight
+of them commutators), and its exponential follows from its 1-norm bound alone,
+one lookup in a table of the largest 1-norm per degree (``_taylor_degree``,
+``_DEGREE_NORMS``): up to ``TAYLOR_MAX_NORM`` it is applied to the state as
+the Taylor polynomial of that degree (``_TaylorSeries``; the degree rule of
+Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), in two power buffers
+that the steps use in turn, each step's sum (one product with the series' own
+1/j! table) written where the next step's powers start; a step too long for
+the series, or with a nan bound, is the real ``expm`` of Omega.  Only the
+final state is turned back to a matrix in the working frame, Hermitian by
+construction.  ``evolve`` is the only propagator: a closed-system check runs
+it with noise off.  The trajectory of ``evolve`` comes from ``_Recorder``,
+which samples at the times k * sample_period (default duration/200) and at the
+end.  It allocates the trajectory columns once, after the walk's ``MAX_STEPS``
+refusal.  Its block holds ``SAMPLE_BLOCK`` states; a full one is checked for
+finite coordinates, turned into matrices in one scatter and reduced into its
+slice of the columns, one numpy call per diagnostic for the whole block, and
+the final state is reduced with the last block into the columns' last row.
+Purity is the squared norm of each state's real coordinates, tr(rho^2) = |x|^2
+in the orthonormal basis, so the matrices serve the trace, the recorded
+entries and ``eigvalsh``.  The walk asks the recorder for rows once per run of
+sample intervals (those before the plateau run, the run, those after it), and
+once more each time a block fills: 3 requests on the benchmark's 0.05 ns fig2a
+ramp, where one per walked interval made 71.  No renormalization is applied,
+so trace drift measures the propagation's precision directly.  ``evolve`` is a
+pure function of its inputs.  Independent evolutions are safe to run
+concurrently: the caches hold read-only arrays or tuples, and the arrays a
+ramped walk writes before it reads (the Taylor power buffers, the Magnus basis
+stack and the Omega buffer, ``_WalkScratch``) are kept per thread and per
+state size, which also fixes the Omega chunk (``_walk_scratch``), so walks in
+one thread reuse them and no two threads share them.
 """
 
 from __future__ import annotations
@@ -221,9 +221,10 @@ class Trajectory:
 class _Workspace:
     """Static operators for one Hilbert space, or for the span of the basis states ``keep``
     (sorted indices), the parts of ``_free_generator`` built from them, the
-    ``_HermitianBasis`` of their states (``basis``) and the positions of |down,1> and
-    |up,0> among those states (``recorded``).  ``evolve`` shares one read-only instance per
-    truncation and set of states (``_workspace``)."""
+    ``_HermitianBasis`` of their states (``basis``), the positions of |down,1> and |up,0>
+    among those states (``recorded``), and the whole space's dimension and the rows and
+    columns of its matrices that those states hold (``dim``, ``cut``).  ``evolve`` shares
+    one read-only instance per truncation and set of states (``_workspace``)."""
 
     def __init__(self, spec: HilbertSpec, keep: tuple[int, ...] | None = None):
         n = spec.n_fock
@@ -240,12 +241,12 @@ class _Workspace:
         self.z_diag = np.real(np.diag(zf)).copy()
         # N = a^dag a + |up><up|: the exchange conserves it, s+ raises it by one
         self.excitation_diag = self.number_diag + np.real(np.diag(s_plus @ s_minus))
-        if keep is not None:
-            rows = list(keep)
-            cut = np.ix_(rows, rows)
-            vars(self).update(
-                {name: op[cut] if op.ndim == 2 else op[rows] for name, op in vars(self).items()}
-            )
+        # every operator cut to the kept states, all of them when keep is None
+        rows = list(range(spec.dim) if keep is None else keep)
+        cut = np.ix_(rows, rows)
+        vars(self).update(
+            {name: op[cut] if op.ndim == 2 else op[rows] for name, op in vars(self).items()}
+        )
         # the diagonal superoperators' patterns, one entry per pair of kept states, and the
         # jump a rho a^dag on the row-major vec(rho): only the rates and E scale them
         nx, nd, zd = self.excitation_diag, self.number_diag, self.z_diag
@@ -253,9 +254,9 @@ class _Workspace:
         self.number_sums = np.add.outer(nd, nd)
         self.dephasing_factors = np.multiply.outer(zd, zd) - 1.0
         self.jump = kron(self.a, self.a.conj())
-        states = range(spec.dim) if keep is None else keep
-        self.basis = _HermitianBasis(len(states))
-        self.recorded = tuple(states.index(spec.index(s, n)) for s, n in ((DOWN, 1), (UP, 0)))
+        self.basis = _HermitianBasis(len(rows))
+        self.recorded = tuple(rows.index(spec.index(s, n)) for s, n in ((DOWN, 1), (UP, 0)))
+        self.dim, self.cut = spec.dim, cut
 
     def coupling(self, pulse: PulseSegment) -> np.ndarray:
         """The plateau coupling in the frame exp(i E t N), where it is static."""
@@ -270,7 +271,7 @@ def _workspace(spec: HilbertSpec, keep: tuple[int, ...] | None = None) -> _Works
     truncation and set of states; its arrays and its basis' are read-only, so no caller can
     change another's operators."""
     ws = _Workspace(spec, keep)
-    for op in (*vars(ws).values(), *vars(ws.basis).values()):
+    for op in (*vars(ws).values(), *ws.cut, *vars(ws.basis).values()):
         if isinstance(op, np.ndarray):
             op.flags.writeable = False
     return ws
@@ -389,7 +390,8 @@ class _WalkScratch:
     into, and the Omega ``buffer``, (chunk, size^2), with a list of its rows as size x size
     views (``omegas``), since iterating a list costs a fifth of making each view anew.  The
     size fixes ``chunk``, the steps whose Omega the walk forms at once: as many as fit in
-    ``OMEGA_BLOCK_ENTRIES`` entries, and at least 4."""
+    ``OMEGA_BLOCK_ENTRIES`` entries, and at least 4.  The scratch for the benchmark's 16 and 25
+    coordinates takes about 0.36 MB in all, and for 144 about 2.5 MB."""
 
     def __init__(self, size: int):
         self.chunk = chunk = max(4, OMEGA_BLOCK_ENTRIES // size**2)
@@ -426,10 +428,12 @@ class _TaylorSeries:
     remainder's 1-norm under TAYLOR_TOL |y|_1 whatever y is: a step forms exactly m powers
     and one weighted sum, and no norm of y or of its powers.  On the benchmark's fig2a
     0.05 ns ramp that is 13 powers a step, where a stop on y's own terms (Al-Mohy & Higham's
-    ``expmv``) took 10.5 but spent as much again on its norms.  Where y's terms fall much
-    faster than the bound, the stop saved more: a walk on all 144 coordinates at 6 levels
-    (from |up,5> or I/12, relaxation only) takes 18 powers a step against its 6.4, and
-    about 39 ms against 32 on one BLAS thread of a 2-vCPU Xeon.
+    ``expmv``) took 10.5 but spent as much again on its norms: a rotation of that ramp at 2,
+    3 and 4 levels took 9.14-9.42 ms with the stop and 8.84-8.91 ms without (best of 200).
+    Where y's terms fall much faster than the bound, the stop saved more: a walk on all 144
+    coordinates at 6 levels (from |up,5> or I/12, relaxation only) takes 18 powers a step
+    against its 6.4, and 38.9-39.9 ms against 31.6-34.1, all on one BLAS thread of a 2-vCPU
+    Xeon.
 
     A step takes its powers in one buffer, whose row 0 holds y, and writes their sum,
     weighted by the series' own table of 1/j!, into row 0 of the other (``buffers``), which
@@ -808,7 +812,8 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
         """y after n plateau intervals of this length, recording y and the states after it.
         Each chunk of rows from ``record`` starts from the state and is filled by products
         with P = plateau(length) and its squares, rows[m:m+k] = rows[m-k:m] (P^k)^T: k = m
-        (doubling) up to ``PLATEAU_STRIDE``, then k = PLATEAU_STRIDE, cut at the chunk's end."""
+        (doubling) up to ``PLATEAU_STRIDE``, then k = PLATEAU_STRIDE, cut at the chunk's end:
+        34 products for 256 rows."""
         step = plateau(length, n)
         # P^(2^j) up to P^PLATEAU_STRIDE, as far as a chunk of min(n, SAMPLE_BLOCK) rows needs
         powers = [step]
@@ -882,12 +887,14 @@ class _Recorder:
     that the walk runs on.  A full block is reduced into its slice of the columns, and
     ``finish`` reduces the last one with the final state in the row after it, so that the
     final state lands in the columns' last row.  The recorded entries are those at ws's
-    positions of |down,1> and |up,0> (``recorded``).
+    positions of |down,1> and |up,0> (``recorded``).  ``finish`` puts the final state back
+    into the whole space; when ws left states out, each adds an exact zero eigenvalue, so
+    the smallest-eigenvalue column is min(eig(rho_S), 0).
     """
 
     def __init__(self, ws: _Workspace, duration: float, sample_period: float):
         self.duration, self.sample_period = duration, sample_period
-        self.basis, self.recorded = ws.basis, ws.recorded
+        self.basis, self.recorded, self.dim, self.cut = ws.basis, ws.recorded, ws.dim, ws.cut
         # a block of samples and the final state after the last one
         self.block = np.empty((SAMPLE_BLOCK + 1, ws.basis.dim**2))
         # the samples in the block, and those reduced before it
@@ -937,15 +944,20 @@ class _Recorder:
         (i, j), d = self.recorded, self.basis.dim
         self.entries[:, cut] = rho.reshape(n, d * d).T[[i * d + i, j * d + j, i * d + j, j * d + i]]
         self.trace[cut] = np.real(np.trace(rho, axis1=1, axis2=2))
-        # tr(rho^2) = |x|^2, the basis being orthonormal
+        # tr(rho^2) = |x|^2, the basis being orthonormal; within 1e-15 of tr(rho @ rho)
         self.purity[cut] = (x * x).sum(axis=1)
         self.min_eigenvalue[cut] = min_eigenvalue(rho)
         self.filled, self.reduced = 0, start + n
 
     def finish(self, x, rho, t) -> Trajectory:
         """Record the final state, its coordinates x and its matrix rho, at time t and return
-        the trajectory."""
+        the trajectory, whose final state is rho put back into the whole space."""
         self._reduce((x, rho, t))
+        if self.basis.dim < self.dim:
+            whole = np.zeros((self.dim, self.dim), dtype=complex)
+            whole[self.cut] = rho
+            rho = whole
+            np.minimum(self.min_eigenvalue, 0.0, out=self.min_eigenvalue)
         return Trajectory(
             self.times, *self.entries, self.trace, self.purity, self.min_eigenvalue, final_state=rho
         )
@@ -1028,30 +1040,15 @@ def evolve(
         # the walk carries only the states rho0 can reach, and the recorder's two, whose
         # positions in the whole space are their indices
         jump = (ws.a,) if noise.relaxation_rate > 0.0 else ()
-        keep = _support(rho0, ws.recorded, (coupling, *jump))
-        whole = len(keep) == spec.dim
-        if not whole:
-            cut = np.ix_(keep, keep)
-            ws = _workspace(spec, keep)
-            coupling, rho0 = coupling[cut], rho0[cut]
+        ws = _workspace(spec, _support(rho0, ws.recorded, (coupling, *jump)))
         recorder = _Recorder(ws, pulse.duration, sample_period)
-        basis = ws.basis
         l0 = _free_generator(ws, pulse.phase_freq, noise)
-        l1 = _commutator(coupling)
-        x = basis.coordinates(rho0)
-        x, dropped = _propagate(x, l0, l1, pulse, recorder)
+        l1 = _commutator(coupling[ws.cut])
+        x, dropped = _propagate(ws.basis.coordinates(rho0[ws.cut]), l0, l1, pulse, recorder)
         frame = np.exp((1j * pulse.phase_freq * pulse.duration) * ws.excitation_gaps)
-        rho = frame * basis.matrices(x)
-    traj = recorder.finish(x, rho, pulse.duration)
-    if not whole:
-        rho = np.zeros((spec.dim, spec.dim), dtype=complex)
-        rho[cut] = traj.final_state
-        traj.final_state = rho
-        # each unreached state adds an exact zero eigenvalue
-        np.minimum(traj.min_eigenvalue, 0.0, out=traj.min_eigenvalue)
-
-    drift = trace_error(rho)
-    if not math.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
+        traj = recorder.finish(x, frame * ws.basis.matrices(x), pulse.duration)
+    drift = abs(traj.trace[-1] - 1.0)
+    if not drift <= TRACE_DRIFT_LIMIT:
         raise IntegrationError(f"final trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:.0e}")
     if not dropped <= HERMITICITY_LIMIT:
         raise IntegrationError(

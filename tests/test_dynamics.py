@@ -40,11 +40,12 @@ from topoflux.dynamics import (
     trajectory_checks,
 )
 from topoflux.errors import IntegrationError
-from topoflux.experiments import initial_state
+from topoflux.experiments import initial_state, target_state
 from topoflux.hilbert import (
     DOWN,
     UP,
     HilbertSpec,
+    fidelity_pure,
     kron,
     min_eigenvalue,
     pure_density,
@@ -898,6 +899,49 @@ def kept_states(monkeypatch, rho0, pulse, noise):
 FROM_UP0 = {(UP, 0), (DOWN, 0), (DOWN, 1), (UP, 1), (DOWN, 2)}
 
 
+def contamination_prediction(pulse):
+    """The noise-off F1 of a rectangular pi pulse to second order in g'/E: the contamination
+    shifts |up,0> against |down,1> by delta = g'^2/(2E) and moves a population of 2(g'/2E)^2
+    out of the pair, so F_pred = (g/Omega)^2 sin^2(Omega T/2) - 2(g'/2E)^2 with
+    Omega^2 = g^2 + delta^2 (Schrieffer-Wolff; Bravyi, DiVincenzo & Loss, Ann. Phys. 326,
+    2793, 2011)."""
+    g, gp, energy = pulse.g_value, pulse.g_prime_value, pulse.phase_freq
+    delta = gp * gp / (2.0 * energy)
+    omega = math.hypot(g, delta)
+    leak = 2.0 * (gp / (2.0 * energy)) ** 2
+    return (g / omega) ** 2 * math.sin(omega * pulse.duration / 2.0) ** 2 - leak
+
+
+class TestContaminationBudget:
+    @pytest.mark.parametrize(
+        "name, ratio, rest",
+        [
+            ("fig3a", 0.0, 0.0),
+            ("fig3a", 0.5, 6.2e-6),
+            ("fig3a", 1.0, 2.6e-5),
+            ("fig3a", 2.0, 1.7e-4),
+            ("fig3a", 3.0, 8.7e-4),
+            ("altParams", None, 5.5e-4),
+        ],
+        ids=["fig3a-0", "fig3a-0.5", "fig3a-1", "fig3a-2", "fig3a-3", "altParams"],
+    )
+    def test_noise_off_transfer_matches_the_closed_form(self, name, ratio, rest):
+        # the rectangular pi pulse at fig3a's g and E along fig3's g'/g axis, and altParams
+        # as configured (g'/g = 3.0), with noise off: F1 - F_pred is the closed form's
+        # higher-order rest, which grows with g'/g; without contamination the pulse is an
+        # exact Rabi pi pulse
+        scn, pulse = rectangular(name, 2)
+        if ratio is not None:
+            pulse = dataclasses.replace(pulse, g_prime_value=ratio * pulse.g_value)
+        traj = evolve(initial_state(scn.spec), pulse, NO_NOISE)
+        f1 = fidelity_pure(target_state(scn), traj.final_state)
+        residual = f1 - contamination_prediction(pulse)
+        if rest:
+            assert rest / 1.5 <= residual <= 1.5 * rest
+        else:
+            assert abs(residual) <= 1e-12
+
+
 class TestSupport:
     @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6])
     def test_states_reached_from_up0(self, levels, monkeypatch):
@@ -947,7 +991,7 @@ class TestSupport:
         scn, pulse = operating_point("fig2a", 0.05, levels)
         args = (initial_state(scn.spec), pulse, scn.noise)
         kept = evolve(*args)
-        monkeypatch.setattr(dynamics, "_support", lambda rho0, *_: list(range(len(rho0))))
+        monkeypatch.setattr(dynamics, "_support", lambda rho0, *_: tuple(range(len(rho0))))
         every = evolve(*args)
         assert largest_difference(kept, every) < 1e-14
         assert np.array_equal(kept.times, every.times)
@@ -1347,9 +1391,10 @@ def free_generator_parent(ws, energy, noise):
 
 
 def operator_arrays(ws):
-    """A workspace's operators and generator parts by name: all but its basis and its
-    recorded positions."""
-    return {name: op for name, op in vars(ws).items() if name not in ("basis", "recorded")}
+    """A workspace's operators and generator parts by name: all but its basis, its
+    recorded positions and its place in the whole space."""
+    others = ("basis", "recorded", "dim", "cut")
+    return {name: op for name, op in vars(ws).items() if name not in others}
 
 
 def assert_read_only(arrays):
@@ -1500,7 +1545,7 @@ class TestRestrictionCache:
     @pytest.mark.parametrize("levels", [3, 6])
     def test_evolve_matches_with_the_cache_cleared_and_warm(self, levels, monkeypatch):
         # fig2a, ramped and rectangular, from |up,0> (5 states kept) and, with noise off,
-        # from |up,2> (every state at 3 levels, so no restriction; 7 of 12 at 6)
+        # from |up,2> (every state at 3 levels; 7 of 12 at 6)
         scn, ramped = operating_point("fig2a", 0.05, levels)
         rect = rectangular("fig2a", levels)[1]
         starts = (
@@ -1520,8 +1565,9 @@ class TestRestrictionCache:
 
         cached.cache_clear()
         cold = runs()
-        # each evolution reads the whole workspace, and a restricted one when it drops states
-        sets = {3: 1, 6: 2}[levels]
+        # each evolution reads the whole workspace and the one of the states it keeps, all
+        # of them or not
+        sets = 2
         restricted = [keep for keep in calls if keep]
         assert calls.count(()) == 4
         assert len(restricted) == 2 * sets and len(set(restricted)) == sets

@@ -1017,6 +1017,21 @@ def test_output_digest_compare_exit_code(tmp_path, monkeypatch, capsys, value, e
     assert any(status in line for line in lines if "same.json" not in line)
 
 
+def test_output_digest_refuses_an_existing_out_dir(tmp_path, monkeypatch, capsys):
+    # an OUT_DIR that exists is a usage error (exit 2) before any corpus entry runs, not a
+    # FileExistsError traceback
+    digest, written = _output_digest(), []
+    monkeypatch.setattr(digest, "write_outputs", written.append)
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", str(tmp_path)])
+    with pytest.raises(SystemExit) as exited:
+        digest.main()
+    assert exited.value.code == 2
+    assert written == []
+    err = capsys.readouterr().err
+    assert f"OUT_DIR {tmp_path} already exists" in err
+    assert "Traceback" not in err
+
+
 def digest_pair(root):
     """Two output directories: one file identical, one moved, one that differs, and one in
     the second only."""

@@ -142,11 +142,16 @@ class TestMakhlin:
 
     @pytest.mark.parametrize(
         "gates, shape",
-        [(CZ, (4, 4)), (np.ones((3, 2, 2), dtype=complex), (3, 2, 2))],
-        ids=["one-gate", "2x2-stack"],
+        [
+            (CZ, (4, 4)),
+            (np.ones((3, 2, 2), dtype=complex), (3, 2, 2)),
+            (np.empty((0, 4, 4), dtype=complex), (0, 4, 4)),
+        ],
+        ids=["one-gate", "2x2-stack", "empty-stack"],
     )
     def test_only_a_stack_of_4x4_gates_is_taken(self, gates, shape):
-        # one gate in place of a sequence is refused by its own shape, not by a row's
+        # one gate in place of a sequence is refused by its own shape, not by a row's, and
+        # an empty stack by its shape, not inside numpy
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             makhlin_invariants(gates)
 
