@@ -17,8 +17,11 @@ the resonance condition stays ``None`` and is echoed as ``null``.
 Numbers are parsed strictly: ``NaN``, ``Infinity`` and literals that overflow
 a float are a ``ConfigError``, never a value that reaches the pipeline.  So
 are a device value or an override that overflows in internal units, a pulse
-that cannot be built, a sweep with ``lo >= hi`` and a sweep or Monte Carlo
-asking for more than ``MAX_EVALUATIONS`` evolutions.
+that cannot be built, a sweep with ``lo >= hi`` or fewer than 2 points, a
+Monte Carlo with a negative number of samples and a sweep or Monte Carlo
+asking for more than ``MAX_EVALUATIONS`` evolutions.  ``SweepSpec`` and
+``RobustnessSpec`` refuse their own, so a record made outside ``resolve``
+(by ``dataclasses.replace``, say) is refused too.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 from . import device as dev
 from .dynamics import NoiseParams, PulseSegment, pulse_duration_for_area
@@ -49,10 +52,11 @@ MAX_EVALUATIONS = 100_000
 
 @functools.cache
 def load_schema() -> dict:
-    """The bundled scenario schema, read once; callers share it and must not modify it."""
-    ref = resources.files("topoflux") / "schema" / "scenario.schema.json"
-    with ref.open() as f:
-        return json.load(f)
+    """The bundled scenario schema, read once; callers share it and must not modify it.  It is
+    read by path, beside this module: ``importlib.resources`` would add its import to every
+    start of the command line."""
+    path = Path(__file__).parent / "schema" / "scenario.schema.json"
+    return json.loads(path.read_text("utf-8"))
 
 
 def _check_evaluations(evaluations: int, pointer: str):
@@ -73,6 +77,9 @@ class SweepSpec:
     ratios: tuple[float, ...]  # g'/g family, one output column each
 
     def __post_init__(self):
+        # values() needs both ends
+        if self.points < 2:
+            raise ConfigError(f"need at least 2 points, got {self.points}", pointer="/sweep/points")
         if not self.lo < self.hi:
             raise ConfigError(f"need lo < hi, got [{self.lo}, {self.hi}]", pointer="/sweep")
         # eta1 = 1/(2 tf1): above half the largest double, 2 eta1 overflows and tf1 is 0
@@ -92,6 +99,10 @@ class RobustnessSpec:
     samples: int
 
     def __post_init__(self):
+        if self.samples < 0:
+            raise ConfigError(
+                f"samples must not be negative, got {self.samples}", pointer="/robustness/samples"
+            )
         # the nominal point and the eight corners run besides the samples
         _check_evaluations(9 + self.samples, "/robustness")
 

@@ -35,18 +35,19 @@ because sigma_f^z is zero on n >= 2.  Every walk runs on the cut rho0 and
 coupling, whether or not it keeps every state, and ``_Recorder`` puts the
 final state back into D x D; each unreached state adds an exact zero
 eigenvalue, so when states were left out the smallest-eigenvalue column is
-min(eig(rho_S), 0).  The operators, whole or on a smaller support, the parts
-of L0 that only they fix (the outer-product patterns of its diagonal and the
-jump superoperator), the Hermitian basis of the kept states and the positions
-of |down,1> and |up,0> among them are built once per truncation and set of
-states (``_workspace``), and the kept states once per set of nonzero patterns
-of rho0, the coupling and the jump (``_closure``).  On the plateau (env = 1)
-one matrix exponential P (``expm``) carries the state from one sample to the
-next; it is formed on the row-major generator and turned into the Hermitian
-coordinates once per length, and the imaginary part that this drops, the
-anti-Hermitian round-off of the exponential, bounds how far from Hermitian the
-complex walk would have strayed (``_Plateau``).  A run of plateau samples
-fills the recorder's block by products with P's powers.  On a sin^2 ramp,
+min(eig(rho_S), 0).  The operators on a set of states, the parts of L0 that
+only they fix (its diagonal's outer-product patterns and the jump
+superoperator), their Hermitian basis and the positions of |down,1> and |up,0>
+among them are built once per truncation and set of states (``_workspace``),
+so a support of every state walks the workspace that ``evolve`` read it from;
+the kept states once per set of nonzero patterns of rho0, the coupling and the
+jump (``_closure``).  On the plateau (env = 1) one matrix exponential P
+(``expm``) carries the state from one sample to the next; it is formed on the
+row-major generator and turned into the Hermitian coordinates once per length,
+and the imaginary part that this drops, the anti-Hermitian round-off of the
+exponential, bounds how far from Hermitian the complex walk would have strayed
+(``_Plateau``).  A run of plateau samples fills the recorder's block by
+products with P's powers.  On a sin^2 ramp,
 sixth-order Magnus steps (three-point Gauss-Legendre; Blanes, Casas & Ros, BIT
 40, 434, 2000) do, in steps that the pulse alone sets (``_ramp_step``), and a
 piece of plateau that shares a sample interval with a ramp is one more such
@@ -219,14 +220,13 @@ class Trajectory:
 
 
 class _Workspace:
-    """Static operators for one Hilbert space, or for the span of the basis states ``keep``
-    (sorted indices), the parts of ``_free_generator`` built from them, the
-    ``_HermitianBasis`` of their states (``basis``), the positions of |down,1> and |up,0>
-    among those states (``recorded``), and the whole space's dimension and the rows and
-    columns of its matrices that those states hold (``dim``, ``cut``).  ``evolve`` shares
-    one read-only instance per truncation and set of states (``_workspace``)."""
+    """Static operators on the span of the basis states ``keep`` (sorted indices) of one
+    Hilbert space, the parts of ``_free_generator`` built from them, their ``_HermitianBasis``
+    (``basis``), the positions of |down,1> and |up,0> among them (``recorded``), and the
+    whole space's dimension and the rows and columns of its matrices that they hold (``dim``,
+    ``cut``).  ``evolve`` shares one per truncation and set of states (``_workspace``)."""
 
-    def __init__(self, spec: HilbertSpec, keep: tuple[int, ...] | None = None):
+    def __init__(self, spec: HilbertSpec, keep: tuple[int, ...]):
         n = spec.n_fock
         self.a = embed(annihilation_op(n), "flux", spec)
         self.a_dag = self.a.conj().T
@@ -241,9 +241,8 @@ class _Workspace:
         self.z_diag = np.real(np.diag(zf)).copy()
         # N = a^dag a + |up><up|: the exchange conserves it, s+ raises it by one
         self.excitation_diag = self.number_diag + np.real(np.diag(s_plus @ s_minus))
-        # every operator cut to the kept states, all of them when keep is None
-        rows = list(range(spec.dim) if keep is None else keep)
-        cut = np.ix_(rows, rows)
+        # every operator cut to the kept states
+        rows, cut = list(keep), np.ix_(keep, keep)
         vars(self).update(
             {name: op[cut] if op.ndim == 2 else op[rows] for name, op in vars(self).items()}
         )
@@ -266,10 +265,10 @@ class _Workspace:
 
 
 @functools.lru_cache(maxsize=64)
-def _workspace(spec: HilbertSpec, keep: tuple[int, ...] | None = None) -> _Workspace:
-    """The ``_Workspace`` of ``spec``, or of its basis states ``keep``, built once per
-    truncation and set of states; its arrays and its basis' are read-only, so no caller can
-    change another's operators."""
+def _workspace(spec: HilbertSpec, keep: tuple[int, ...]) -> _Workspace:
+    """The ``_Workspace`` of the basis states ``keep`` of ``spec``, built once per truncation
+    and tuple of states; its arrays and its basis' are read-only, so no caller can change
+    another's operators."""
     ws = _Workspace(spec, keep)
     for op in (*vars(ws).values(), *ws.cut, *vars(ws.basis).values()):
         if isinstance(op, np.ndarray):
@@ -1033,12 +1032,12 @@ def evolve(
     if not trace_error(rho0) <= TRACE_DRIFT_LIMIT:
         trace = np.trace(rho0).real
         raise ValueError(f"rho0 must have trace 1 to {TRACE_DRIFT_LIMIT:.0e}, got {trace:.9g}")
-    ws = _workspace(spec)
+    ws = _workspace(spec, tuple(range(spec.dim)))
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
         coupling = ws.coupling(pulse)
-        # the walk carries only the states rho0 can reach, and the recorder's two, whose
-        # positions in the whole space are their indices
+        # the walk carries the states rho0 can reach and the recorder's two (whose positions
+        # here are their indices), on ws itself when those are all of them
         jump = (ws.a,) if noise.relaxation_rate > 0.0 else ()
         ws = _workspace(spec, _support(rho0, ws.recorded, (coupling, *jump)))
         recorder = _Recorder(ws, pulse.duration, sample_period)

@@ -93,7 +93,8 @@ def evolve_static(
     if not sample_period > 0:
         raise ValueError(f"sample_period must be positive, got {sample_period}")
     n = max(1, math.ceil(duration / sample_period - 1e-9))
-    gen = _commutator(hamiltonian) + _free_generator(_Workspace(spec), 0.0, noise)
+    ws = _Workspace(spec, tuple(range(spec.dim)))
+    gen = _commutator(hamiltonian) + _free_generator(ws, 0.0, noise)
     states = [np.array(rho0, dtype=complex).reshape(-1)]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is refused below
         step = expm(sample_period * gen)

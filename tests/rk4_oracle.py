@@ -35,7 +35,7 @@ CHUNK_ENTRIES = 2**20
 
 def interaction_hamiltonian(t: float, pulse: PulseSegment, spec: HilbertSpec) -> np.ndarray:
     """Interaction-picture Hamiltonian at time t since the pulse start."""
-    ws = _Workspace(spec)
+    ws = _Workspace(spec, tuple(range(spec.dim)))
     terms = ws.exchange, ws.contam_up, ws.contam_down
     return sum(c * term for c, term in zip(_coefficients(pulse, t), terms))
 
@@ -53,7 +53,7 @@ def lindblad_rhs(
     rho: np.ndarray, h: np.ndarray, noise: NoiseParams, spec: HilbertSpec
 ) -> np.ndarray:
     """Right-hand side of the master equation for a given Hamiltonian snapshot."""
-    ws = _Workspace(spec)
+    ws = _Workspace(spec, tuple(range(spec.dim)))
     return _rhs_with(ws, rho, h, noise.relaxation_rate, noise.dephasing_rate)
 
 
@@ -111,7 +111,7 @@ def final_state(rho0, pulse: PulseSegment, noise: NoiseParams, spec: HilbertSpec
     if pulse.phase_freq != 0.0:
         limit = (2.0 * math.pi / abs(pulse.phase_freq)) / MIN_STEPS_PER_PHASE_PERIOD
         assert dt <= limit, f"dt={dt:.3e} ns cannot resolve the phase (need dt <= {limit:.3e} ns)"
-    ws = _Workspace(spec)
+    ws = _Workspace(spec, tuple(range(spec.dim)))
     parts = _superoperators(ws, noise.relaxation_rate, noise.dephasing_rate)
     n_steps = max(1, math.ceil(pulse.duration / dt))
     h = pulse.duration / n_steps

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +228,20 @@ class TestSchemaWalker:
         )
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_loads_no_importlib_resources(self):
+        # python -S skips site-packages' .pth files, which may import importlib.resources
+        # themselves; src and numpy's parent directory go on the path by hand
+        site = Path(np.__file__).resolve().parents[1]
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path[:0] = [{str(src)!r}, {str(site)!r}]; import topoflux.cli; "
+            "print('importlib.resources' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, env={}
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestResolution:
     def test_unit_conversion(self):
@@ -368,6 +383,24 @@ class TestResolution:
         assert len(vals) == points
         assert vals[-1] == hi
         assert vals[:-1] == [lo + i * step for i in range(points - 1)]
+
+    @pytest.mark.parametrize(
+        "preset, block, changes, pointer",
+        [
+            ("fig3a", "sweep", {"points": 1}, "/sweep/points"),
+            ("fig3a", "sweep", {"points": 0}, "/sweep/points"),
+            ("fig3a", "sweep", {"points": -3}, "/sweep/points"),
+            ("robustness", "robustness", {"samples": -1}, "/robustness/samples"),
+            ("robustness", "robustness", {"samples": -5}, "/robustness/samples"),
+        ],
+    )
+    def test_records_refuse_what_the_schema_refuses(self, preset, block, changes, pointer):
+        # the schema refuses these counts in a config; the public records refuse them too,
+        # where a one-point sweep divided by zero and a negative sample count ran no draws
+        record = getattr(resolve(scenario_preset(preset)), block)
+        with pytest.raises(ConfigError) as exc:
+            replace(record, **changes)
+        assert exc.value.pointer == pointer
 
     @pytest.mark.parametrize("axis, refused", [("eta1", True), ("eta2", False)])
     def test_sweep_rate_with_no_positive_time(self, axis, refused):

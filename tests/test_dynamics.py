@@ -40,7 +40,7 @@ from topoflux.dynamics import (
     trajectory_checks,
 )
 from topoflux.errors import IntegrationError
-from topoflux.experiments import initial_state, target_state
+from topoflux.experiments import initial_state, run_evolution, target_state
 from topoflux.hilbert import (
     DOWN,
     UP,
@@ -61,6 +61,11 @@ E1 = ghz_to_angular(49.963987)
 NOISE1 = NoiseParams(tf1=900.0, tf2=20.0)
 
 SPEC = HilbertSpec(2)
+
+
+def every_state(spec):
+    """All basis states of spec, the states of its whole-space workspace."""
+    return tuple(range(spec.dim))
 
 
 def taylor_series(a, y, theta1, series=None):
@@ -191,7 +196,7 @@ class TestLabFrame:
 
 def frame_rhs(rho, pulse, noise, tau=0.0, spec=SPEC):
     """drho'/dt from the generator evolve runs, L0 + env(tau) L1, on the row-major vec(rho')."""
-    ws = _Workspace(spec)
+    ws = _Workspace(spec, every_state(spec))
     gen = _free_generator(ws, pulse.phase_freq, noise)
     gen = gen + pulse.envelope(tau) * _commutator(ws.coupling(pulse))
     return (gen @ rho.reshape(-1)).reshape(rho.shape)
@@ -237,7 +242,7 @@ class TestLindbladRhs:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = m @ m.conj().T
         seg = make_pulse(g=G1, g_prime=GP1, phase_freq=E1)
-        nx = _Workspace(SPEC).excitation_diag
+        nx = _Workspace(SPEC, every_state(SPEC)).excitation_diag
         lab = frame_rhs(rho, seg, NOISE1) + 1j * E1 * np.subtract.outer(nx, nx) * rho
         expected = rk4.lindblad_rhs(rho, interaction_hamiltonian(0.0, seg, SPEC), NOISE1, SPEC)
         assert np.max(np.abs(lab - expected)) < 1e-12
@@ -1072,7 +1077,7 @@ class TestHermitianBasis:
         # L0 and L1 keep rho Hermitian, so the imaginary part the change of basis
         # drops is round-off against their 1-norms
         scn = resolve(dict(scenario_preset(name), hilbert={"fockLevels": levels}))
-        ws = _Workspace(scn.spec)
+        ws = _Workspace(scn.spec, every_state(scn.spec))
         l0 = _free_generator(ws, scn.pulse.phase_freq, scn.noise if noisy else NO_NOISE)
         l1 = _commutator(ws.coupling(scn.pulse))
         _, dropped = ws.basis.superoperator(np.stack((l0, l1)))
@@ -1228,7 +1233,7 @@ class TestRecorder:
     def test_names_the_first_sample_that_is_not_finite(self, first, time):
         # 1000 samples every 0.002 ns, overflowed from sample 0, or from sample 508 in
         # the second block; evolve's errstate hides the inf * 0 of turning them into matrices
-        ws = dynamics._workspace(SPEC)
+        ws = dynamics._workspace(SPEC, every_state(SPEC))
         x = ws.basis.coordinates(pure_density(SPEC.ket(UP, 0)))
         recorder = _Recorder(ws, 2.0, 0.002)
         assert recorder.start() == 1000
@@ -1417,12 +1422,21 @@ def assert_basis_of(ws, spec, keep):
 
 class TestWorkspaceCache:
     def test_one_read_only_workspace_per_truncation(self):
-        spec = HilbertSpec(3)
-        ws = dynamics._workspace(spec)
-        assert ws is dynamics._workspace(spec)
-        assert ws is not dynamics._workspace(HilbertSpec(4))
+        spec, other = HilbertSpec(3), HilbertSpec(4)
+        ws = dynamics._workspace(spec, every_state(spec))
+        assert ws is dynamics._workspace(spec, every_state(spec))
+        assert ws is not dynamics._workspace(other, every_state(other))
         assert_read_only(operator_arrays(ws))
-        assert_basis_of(ws, spec, range(spec.dim))
+        assert_basis_of(ws, spec, every_state(spec))
+
+    @pytest.mark.parametrize("levels, workspaces", [(2, 1), (4, 2)])
+    def test_a_run_caches_one_workspace_per_set_of_states(self, levels, workspaces):
+        # a fig2a run from |up,0> keeps all 4 states at 2 levels and walks the workspace it
+        # read its support from; at 4 levels it keeps 5 of the 8 and walks a second one
+        scn = resolve(dict(scenario_preset("fig2a"), hilbert={"fockLevels": levels}))
+        dynamics._workspace.cache_clear()
+        run_evolution(scn)
+        assert dynamics._workspace.cache_info().currsize == workspaces
 
     @pytest.mark.parametrize("levels", [2, 4])
     def test_evolve_matches_a_fresh_workspace(self, levels, monkeypatch):
@@ -1457,7 +1471,7 @@ class TestWorkspaceCache:
         spec = HilbertSpec(levels)
         keep = tuple(sorted(spec.index(s, n) for s, n in FROM_UP0 if n < levels))
         energy = operating_point("fig2a", 0.05, levels)[1].phase_freq
-        for ws in (dynamics._workspace(spec), dynamics._workspace(spec, keep)):
+        for ws in (dynamics._workspace(spec, every_state(spec)), dynamics._workspace(spec, keep)):
             for noise in (NOISE1, NO_NOISE, NoiseParams(tf1=900.0), NoiseParams(tf2=20.0)):
                 expected = free_generator_parent(ws, energy, noise)
                 assert np.array_equal(_free_generator(ws, energy, noise), expected)
@@ -1523,17 +1537,18 @@ class TestRestrictionCache:
         ws = dynamics._workspace(spec, keep)
         assert ws is dynamics._workspace(spec, keep)
         assert ws is not dynamics._workspace(spec, keep[:-1])
-        assert ws is not dynamics._workspace(spec)
+        assert ws is not dynamics._workspace(spec, every_state(spec))
         # the whole space's operators and generator parts, cut to the kept rows and columns;
         # the jump superoperator to the kept pairs of states
         cut = np.ix_(keep, keep)
         rows = np.array(keep)
         pairs = (rows[:, None] * spec.dim + rows).ravel()
+        whole = _Workspace(spec, every_state(spec))
         expected = {
             name: op[cut] if op.ndim == 2 else op[rows]
-            for name, op in operator_arrays(_Workspace(spec)).items()
+            for name, op in operator_arrays(whole).items()
         }
-        expected["jump"] = _Workspace(spec).jump[np.ix_(pairs, pairs)]
+        expected["jump"] = whole.jump[np.ix_(pairs, pairs)]
         assert operator_arrays(ws).keys() == expected.keys()
         for name, op in operator_arrays(ws).items():
             assert np.array_equal(op, expected[name]), name
@@ -1554,9 +1569,9 @@ class TestRestrictionCache:
         )
         calls, cached = [], dynamics._workspace
 
-        def count(spec, *keep):
+        def count(spec, keep):
             calls.append(keep)
-            return cached(spec, *keep)
+            return cached(spec, keep)
 
         monkeypatch.setattr(dynamics, "_workspace", count)
 
@@ -1565,16 +1580,18 @@ class TestRestrictionCache:
 
         cached.cache_clear()
         cold = runs()
-        # each evolution reads the whole workspace and the one of the states it keeps, all
-        # of them or not
-        sets = 2
-        restricted = [keep for keep in calls if keep]
-        assert calls.count(()) == 4
-        assert len(restricted) == 2 * sets and len(set(restricted)) == sets
-        # a miss for the truncation and for each set of states, a hit for every other call
-        assert cached.cache_info()[:2] == (3 + sets, 1 + sets)  # hits, misses
+        # each evolution reads its support from the workspace of every state and walks the
+        # one of the states it keeps: from |up,2> at 3 levels, that same workspace
+        whole, kept = every_state(scn.spec), calls[1::2]
+        assert calls[::2] == [whole] * 4
+        assert kept[0] == kept[1] and len(kept[0]) == 5 and kept[2] == kept[3]
+        assert (kept[2] == whole) == (levels == 3)
+        workspaces = len({whole, *kept})
+        assert workspaces == (2 if levels == 3 else 3)
+        # a miss for each set of states, a hit for every other call
+        assert cached.cache_info()[:2] == (8 - workspaces, workspaces)  # hits, misses
         warm = runs()
-        assert cached.cache_info()[:2] == (7 + 3 * sets, 1 + sets)
+        assert cached.cache_info()[:2] == (16 - workspaces, workspaces)
         assert_same_trajectories(cold, warm)
 
     def test_one_closure_per_set_of_patterns(self, monkeypatch):
@@ -1615,7 +1632,7 @@ class TestRestrictionCache:
         # the closure's states, cached or not
         spec = scn.spec
         recorded = spec.index(DOWN, 1), spec.index(UP, 0)
-        ws = dynamics._workspace(spec)
+        ws = dynamics._workspace(spec, every_state(spec))
         for (rho0, pulse, noise), _ in same + other:
             jump = (ws.a,) if noise.relaxation_rate > 0.0 else ()
             operators = (rho0, ws.coupling(pulse), *jump)

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from topoflux.errors import ConfigError, TopofluxError
 from topoflux.experiments import (
     fidelities,
     initial_state,
+    run_evolution,
     run_robustness,
     run_scenario,
     run_sweep,
@@ -154,6 +155,27 @@ class TestDeterminism:
         run_scenario(resolve(scenario_preset("fig2a")), out_dir=b, formats=("csv", "json", "svg"))
         for name in ("fig2a.csv", "fig2a_summary.json", "fig2a.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("ramp", [None, 0.05], ids=["rectangular", "ramped"])
+    def test_fock_levels_3_4_6_give_the_same_runs(self, ramp):
+        # from |up,0> every run keeps the same 5 states at 3 or more levels, since
+        # sigma_f^z is zero on n >= 2: every trajectory column and every summary number
+        # outside the parameter echo is the same
+        raw = scenario_preset("fig2a")
+        if ramp:
+            raw["pulse"] = dict(raw["pulse"], shape="sinSquaredRamp", rampTime_ns=ramp)
+        runs = []
+        for levels in (3, 4, 6):
+            scn = resolve(dict(raw, hilbert={"fockLevels": levels}))
+            traj, summary = run_evolution(scn), run_scenario(scn)
+            del summary["parameters"]
+            runs.append((traj, summary))
+        (first, summary), *others = runs
+        for traj, other in others:
+            for field in fields(first):
+                if field.name != "final_state":
+                    assert np.array_equal(getattr(traj, field.name), getattr(first, field.name))
+            assert other == summary
 
     def test_robustness_byte_identical_with_seed(self, tmp_path):
         raw = dict(scenario_preset("robustness"), robustness={"errorFraction": 0.1, "samples": 3})
