@@ -18,7 +18,8 @@ Numbers are parsed strictly: ``NaN``, ``Infinity`` and literals that overflow
 a float are a ``ConfigError``, never a value that reaches the pipeline.  So
 are a device value or an override that overflows in internal units, a pulse
 that cannot be built, a sweep with ``lo >= hi`` or fewer than 2 points, a
-Monte Carlo with a negative number of samples and a sweep or Monte Carlo
+Monte Carlo with a negative number of samples, any other value the schema
+refuses in a ``sweep`` or ``robustness`` block, and a sweep or Monte Carlo
 asking for more than ``MAX_EVALUATIONS`` evolutions.  ``SweepSpec`` and
 ``RobustnessSpec`` refuse their own, so a record made outside ``resolve``
 (by ``dataclasses.replace``, say) is refused too.
@@ -77,6 +78,18 @@ class SweepSpec:
     ratios: tuple[float, ...]  # g'/g family, one output column each
 
     def __post_init__(self):
+        # each refusal is the schema's, so nan is refused too
+        if self.axis not in ("eta1", "eta2"):
+            raise ConfigError(
+                f"axis must be eta1 or eta2, got {self.axis!r}", pointer="/sweep/axis"
+            )
+        if not self.lo >= 0.0:
+            raise ConfigError(f"lo must be >= 0, got {self.lo}", pointer="/sweep/lo")
+        if not self.ratios or not all(r >= 0.0 for r in self.ratios):
+            raise ConfigError(
+                f"g'/g ratios must be one or more numbers >= 0, got {list(self.ratios)}",
+                pointer="/sweep/gPrimeOverG",
+            )
         # values() needs both ends
         if self.points < 2:
             raise ConfigError(f"need at least 2 points, got {self.points}", pointer="/sweep/points")
@@ -99,6 +112,12 @@ class RobustnessSpec:
     samples: int
 
     def __post_init__(self):
+        # the schema's bounds, written so that nan is refused too
+        if not 0.0 <= self.error_fraction <= 0.5:
+            raise ConfigError(
+                f"errorFraction must lie in [0, 0.5], got {self.error_fraction}",
+                pointer="/robustness/errorFraction",
+            )
         if self.samples < 0:
             raise ConfigError(
                 f"samples must not be negative, got {self.samples}", pointer="/robustness/samples"

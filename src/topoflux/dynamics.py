@@ -45,35 +45,36 @@ jump (``_closure``).  On the plateau (env = 1) one matrix exponential P
 (``expm``) carries the state from one sample to the next; it is formed on the
 row-major generator and turned into the Hermitian coordinates once per length,
 and the imaginary part that this drops, the anti-Hermitian round-off of the
-exponential, bounds how far from Hermitian the complex walk would have strayed
-(``_Plateau``).  A run of plateau samples fills the recorder's block by
-products with P's powers.  On a sin^2 ramp,
-sixth-order Magnus steps (three-point Gauss-Legendre; Blanes, Casas & Ros, BIT
-40, 434, 2000) do, in steps that the pulse alone sets (``_ramp_step``), and a
-piece of plateau that shares a sample interval with a ramp is one more such
-step.  Each step's Omega combines 10 fixed matrices (``_magnus_basis``, eight
-of them commutators), and its exponential follows from its 1-norm bound alone,
-one lookup in a table of the largest 1-norm per degree (``_taylor_degree``,
-``_DEGREE_NORMS``): up to ``TAYLOR_MAX_NORM`` it is applied to the state as
-the Taylor polynomial of that degree (``_TaylorSeries``; the degree rule of
-Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), in two power buffers
-that the steps use in turn, each step's sum (one product with the series' own
-1/j! table) written where the next step's powers start; a step too long for
-the series, or with a nan bound, is the real ``expm`` of Omega.  Only the
-final state is turned back to a matrix in the working frame, Hermitian by
-construction.  ``evolve`` is the only propagator: a closed-system check runs
-it with noise off.  The trajectory of ``evolve`` comes from ``_Recorder``,
-which samples at the times k * sample_period (default duration/200) and at the
-end.  It allocates the trajectory columns once, after the walk's ``MAX_STEPS``
-refusal.  Its block holds ``SAMPLE_BLOCK`` states; a full one is checked for
-finite coordinates, turned into matrices in one scatter and reduced into its
-slice of the columns, one numpy call per diagnostic for the whole block, and
-the final state is reduced with the last block into the columns' last row.
-Purity is the squared norm of each state's real coordinates, tr(rho^2) = |x|^2
-in the orthonormal basis, so the matrices serve the trace, the recorded
-entries and ``eigvalsh``.  The walk asks the recorder for rows once per run of
-sample intervals (those before the plateau run, the run, those after it), and
-once more each time a block fills: 3 requests on the benchmark's 0.05 ns fig2a
+exponential, summed over its applications, bounds how far from Hermitian the
+complex walk would have strayed.  A run of plateau samples fills the recorder's
+block by products with P's powers.  On a sin^2 ramp, sixth-order Magnus steps
+(three-point Gauss-Legendre; Blanes, Casas & Ros, BIT 40, 434, 2000) do, in
+steps that the pulse alone sets (``_ramp_step``, computed once by ``evolve``),
+and a piece of plateau that shares a sample interval with a ramp is one more
+such step.  Each step's Omega combines 10 fixed matrices (``_magnus_basis``,
+eight of them commutators), and its exponential follows from its 1-norm bound
+alone, one lookup in a table of the largest 1-norm per degree
+(``_taylor_degree``, ``_DEGREE_NORMS``): up to ``TAYLOR_MAX_NORM`` it is
+applied to the state as the Taylor polynomial of that degree
+(``_TaylorSeries``; the degree rule of Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 488, 2011), in two power buffers that the steps use in turn, each step's
+sum (one product with the series' own 1/j! table) written where the next
+step's powers start; a step too long for the series, or with a nan bound, is
+the real ``expm`` of Omega.  Only the final state is turned back to a matrix
+in the working frame, Hermitian by construction.  ``evolve`` is the only
+propagator: a closed-system check runs it with noise off.  The trajectory of
+``evolve`` comes from ``_Recorder``, which samples at the times
+k * sample_period (default duration/200) and at the end.  It allocates the
+trajectory columns when built, after ``evolve``'s ``MAX_STEPS`` refusal.  Its
+block holds ``SAMPLE_BLOCK`` states; a full one is checked for finite
+coordinates, turned into matrices in one scatter and reduced into its slice of
+the columns, one numpy call per diagnostic for the whole block, and the final
+state is reduced with the last block into the columns' last row.  Purity is the
+squared norm of each state's real coordinates, tr(rho^2) = |x|^2 in the
+orthonormal basis, so the matrices serve the trace, the recorded entries and
+``eigvalsh``.  The walk asks the recorder for rows once per run of sample
+intervals (those before the plateau run, the run, those after it), and once
+more each time a block fills: 3 requests on the benchmark's 0.05 ns fig2a
 ramp, where one per walked interval made 71.  No renormalization is applied,
 so trace drift measures the propagation's precision directly.  ``evolve`` is a
 pure function of its inputs.  Independent evolutions are safe to run
@@ -136,7 +137,7 @@ TRACE_DRIFT_LIMIT = 1e-6
 # |rho - rho^dag|_F above twice hilbert.fidelity_pure's 1e-10 bound on an
 # imaginary part could give a fidelity with a larger one; the same bound
 # applies to rho0 and to the anti-Hermitian round-off of the plateau
-# exponentials (``_Plateau.dropped``)
+# exponentials, summed over their applications by ``_propagate``
 HERMITICITY_LIMIT = 2e-10
 
 
@@ -539,27 +540,6 @@ class _HermitianBasis:
         return both.real.copy(), np.abs(both.imag).sum(axis=-2).max(axis=-1)
 
 
-class _Plateau:
-    """The plateau propagators exp(length gen), one per length, for ``_propagate``'s runs.
-
-    Each is formed on the row-major gen and turned into the basis's real coordinates.
-    ``dropped`` sums, over every application (``applications`` per call), the 1-norm of the
-    imaginary part that this drops: the anti-Hermitian round-off that a walk on the complex
-    vec(rho) would have carried.
-    """
-
-    def __init__(self, gen: np.ndarray, basis: _HermitianBasis):
-        self.gen, self.basis = gen, basis
-        self.cache, self.dropped = {}, 0.0
-
-    def __call__(self, length: float, applications: int) -> np.ndarray:
-        if length not in self.cache:
-            self.cache[length] = self.basis.superoperator(expm(length * self.gen))
-        propagator, dropped = self.cache[length]
-        self.dropped += applications * dropped
-        return propagator
-
-
 def _commutator(h: np.ndarray) -> np.ndarray:
     """-i[h, .] on the row-major vec(rho), where vec(A rho B) = (A kron B^T) vec(rho)."""
     eye = np.eye(len(h))
@@ -766,54 +746,50 @@ def _ramp_plan(pulse: PulseSegment, h: float, period: float, n_samples: int, ski
         pieces, done = [x[q:] for x in pieces], done - (ends[q - 1] if q else 0)
 
 
-def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
+def _propagate(y, l0, l1, pulse: PulseSegment, h: float, recorder: _Recorder):
     """Carry y, rho's real coordinates in ``recorder.basis``, over the pulse under
-    drho/dt = (l0 + env(t) l1) rho, l0 and l1 on the row-major vec(rho); returns y at the
-    end and the plateau exponentials' ``_Plateau.dropped``.
+    drho/dt = (l0 + env(t) l1) rho, l0 and l1 on the row-major vec(rho), in Magnus steps of
+    at most h on the ramps; returns y at the end and the 1-norm of the imaginary parts that
+    the plateau exponentials drop, summed over their applications.
 
     The walk goes by sample intervals [k period, (k+1) period], period the recorder's
-    ``sample_period`` and the last interval ending at the pulse's end; their number comes
-    from ``recorder.start()``, which allocates the trajectory once a pulse that needs more
-    than ``MAX_STEPS`` samples and ramp steps has been refused.  ``record(n)``, the
-    recorder's ``rows``, returns the rows it fills with y at the next samples, at most n of
-    them.  The intervals on the plateau before the last form one run, which ``run``
-    carries with the powers of P, the ``_Plateau`` of l0 + l1; on a rectangular pulse, one
-    interval of the length left follows.  On a ramped pulse one loop walks the other
-    intervals, cut at the ramp ends, in sixth-order Magnus steps: ceil(length/h) equal ones
-    per ramp piece, h the pulse's ``_ramp_step``, and one per plateau piece, its Gauss nodes
-    set to 1.  ``_ramp_plan`` forms these steps with numpy, a block of ``RAMP_BLOCK_STEPS``
-    at a time from a window of whole intervals, so no step costs a Python yield.  The loop
-    records y at each interval's first step and calls ``run`` before interval ``stop``; it
-    asks ``record`` for the rows of every walked interval up to the run, or to the end, and
-    fills all it is handed before it asks again.  Each step's Omega combines the 10
-    ``_magnus_basis`` matrices of l0 and l1 in ``basis``, formed a chunk of steps at a
-    time.  A step whose 1-norm bound is at most ``TAYLOR_MAX_NORM`` is applied by one
-    ``_TaylorSeries`` to the degree ``_taylor_degree`` tables for the bound; a longer one,
-    on a ramp piece or a plateau piece, takes the real expm of its Omega.  The series, the
-    basis stack, the Omega buffer and the chunk are the thread's ``_walk_scratch`` for y's
-    size, so the y returned may be a row of the series' buffers, valid until the thread's
-    next ramped walk on states of its size.
+    ``sample_period`` and the last interval ending at the pulse's end; there are
+    ``recorder.n_samples`` of them.  ``record(n)``, the recorder's ``rows``, returns the
+    rows it fills with y at the next samples, at most n of them.  The intervals on the
+    plateau before the last form one run, which ``run`` carries with the powers of P, the
+    matrix exponential of l0 + l1 over one interval, formed once per length and turned into
+    the real coordinates; on a rectangular pulse, one interval of the length left follows.
+    On a ramped pulse one loop walks the other intervals, cut at the ramp ends, in
+    sixth-order Magnus steps: ceil(length/h) equal ones per ramp piece and one per plateau
+    piece, its Gauss nodes set to 1.  ``_ramp_plan`` forms these steps with numpy, a block
+    of ``RAMP_BLOCK_STEPS`` at a time from a window of whole intervals, so no step costs a
+    Python yield.  The loop records y at each interval's first step and calls ``run``
+    before interval ``stop``; it asks ``record`` for the rows of every walked interval up
+    to the run, or to the end, and fills all it is handed before it asks again.  Each
+    step's Omega combines the 10 ``_magnus_basis`` matrices of l0 and l1 in ``basis``,
+    formed a chunk of steps at a time.  A step whose 1-norm bound is at most
+    ``TAYLOR_MAX_NORM`` is applied by one ``_TaylorSeries`` to the degree
+    ``_taylor_degree`` tables for the bound; a longer one, on a ramp piece or a plateau
+    piece, takes the real expm of its Omega.  The series, the basis stack, the Omega buffer
+    and the chunk are the thread's ``_walk_scratch`` for y's size, so the y returned may be
+    a row of the series' buffers, valid until the thread's next ramped walk on states of
+    its size.
     """
     basis, period, record = recorder.basis, recorder.sample_period, recorder.rows
-    duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
-    # compared as a float, so a count that overflows to inf is refused too
-    if not duration / period + (2.0 * ramp / h if ramp else 0.0) <= MAX_STEPS:
-        steps = f", with ramp steps of {h:.3e} ns," if ramp else ""
-        raise IntegrationError(
-            f"a {duration:.4g} ns pulse sampled every {period:.3e} ns{steps} needs more than "
-            f"{MAX_STEPS} samples and ramp steps"
-        )
-    n_samples = recorder.start()
-    last = n_samples - 1
-    plateau = _Plateau(l0 + l1, basis)
+    duration, ramp, n_samples = pulse.duration, pulse.ramp, recorder.n_samples
+    last, plateau, propagators, dropped = n_samples - 1, l0 + l1, {}, 0.0
 
     def run(y, n, length):
         """y after n plateau intervals of this length, recording y and the states after it.
         Each chunk of rows from ``record`` starts from the state and is filled by products
-        with P = plateau(length) and its squares, rows[m:m+k] = rows[m-k:m] (P^k)^T: k = m
+        with P = exp(length plateau) and its squares, rows[m:m+k] = rows[m-k:m] (P^k)^T: k = m
         (doubling) up to ``PLATEAU_STRIDE``, then k = PLATEAU_STRIDE, cut at the chunk's end:
-        34 products for 256 rows."""
-        step = plateau(length, n)
+        34 products for 256 rows.  P and the round-off it drops are formed once per length."""
+        nonlocal dropped
+        if length not in propagators:
+            propagators[length] = basis.superoperator(expm(length * plateau))
+        step, loss = propagators[length]
+        dropped += n * loss
         # P^(2^j) up to P^PLATEAU_STRIDE, as far as a chunk of min(n, SAMPLE_BLOCK) rows needs
         powers = [step]
         while len(powers) < min(n - 1, SAMPLE_BLOCK - 1, PLATEAU_STRIDE).bit_length():
@@ -835,7 +811,7 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
             rest = period
         if last:
             y = run(y, last, period)
-        return run(y, 1, rest), plateau.dropped
+        return run(y, 1, rest), dropped
 
     end = duration - ramp
     # the run [start, stop): the intervals before the last that lie on the plateau
@@ -873,15 +849,16 @@ def _propagate(y, l0, l1, pulse: PulseSegment, recorder: _Recorder):
                     out[r] = y
                     r += 1
                 y = apply(omega, y, m) if m <= _MAX_DEGREE else expm(omega) @ y
-    return y, plateau.dropped
+    return y, dropped
 
 
 class _Recorder:
     """Samples the state, reduces it in blocks of ``SAMPLE_BLOCK`` into the trajectory's
     columns and builds the Trajectory.
 
-    ``start`` allocates the columns once, a row for each of the run's samples and one for
-    the end.  ``_propagate`` writes the sampled states straight into the rows of one
+    It allocates the columns when built, a row for each of the run's ``n_samples`` samples,
+    at the times k * sample_period strictly before the end, and one for the end.
+    ``_propagate`` writes the sampled states straight into the rows of one
     preallocated block (``rows``), as their coordinates in the basis of the workspace ws
     that the walk runs on.  A full block is reduced into its slice of the columns, and
     ``finish`` reduces the last one with the final state in the row after it, so that the
@@ -892,22 +869,17 @@ class _Recorder:
     """
 
     def __init__(self, ws: _Workspace, duration: float, sample_period: float):
-        self.duration, self.sample_period = duration, sample_period
+        self.sample_period = sample_period
         self.basis, self.recorded, self.dim, self.cut = ws.basis, ws.recorded, ws.dim, ws.cut
+        # the tolerance keeps a period that divides the duration from adding a sample at the end
+        self.n_samples = n = max(1, math.ceil(duration / sample_period - 1e-9))
+        self.times, self.trace, self.purity, self.min_eigenvalue = np.empty((4, n + 1))
+        # rho11, rho22, rho12, rho21
+        self.entries = np.empty((4, n + 1), dtype=complex)
         # a block of samples and the final state after the last one
         self.block = np.empty((SAMPLE_BLOCK + 1, ws.basis.dim**2))
         # the samples in the block, and those reduced before it
         self.filled, self.reduced = 0, 0
-
-    def start(self) -> int:
-        """Allocate the columns for the samples at the times k * sample_period strictly before
-        the end, and for the end; returns the number of samples, ``n_samples``."""
-        # the tolerance keeps a period that divides the duration from adding a sample at the end
-        n_samples = max(1, math.ceil(self.duration / self.sample_period - 1e-9))
-        self.times, self.trace, self.purity, self.min_eigenvalue = np.empty((4, n_samples + 1))
-        # rho11, rho22, rho12, rho21
-        self.entries = np.empty((4, n_samples + 1), dtype=complex)
-        return n_samples
 
     def rows(self, n):
         """The block's rows for the next samples, at most n, for the caller to fill.  A full
@@ -1005,7 +977,9 @@ def evolve(
     ramp steps, a step's generator is non-finite or too long for double
     precision (``EXPM_MAX_NORM``), the state is not finite, the final trace
     drifts by more than ``TRACE_DRIFT_LIMIT``, or the plateau exponentials'
-    anti-Hermitian round-off (``_Plateau.dropped``) exceeds ``HERMITICITY_LIMIT``.
+    anti-Hermitian round-off, summed over their applications, exceeds
+    ``HERMITICITY_LIMIT``.  The ``MAX_STEPS`` refusal comes after those of
+    ``sample_period`` and ``rho0``, and before any operator or column is built.
     ValueError if ``sample_period`` is not positive and finite, or ``rho0`` is
     not a 2n x 2n matrix with n >= 2, has an entry that is not finite, is not
     Hermitian to ``HERMITICITY_LIMIT``, or has a trace off 1 by more than
@@ -1032,6 +1006,14 @@ def evolve(
     if not trace_error(rho0) <= TRACE_DRIFT_LIMIT:
         trace = np.trace(rho0).real
         raise ValueError(f"rho0 must have trace 1 to {TRACE_DRIFT_LIMIT:.0e}, got {trace:.9g}")
+    duration, ramp, h = pulse.duration, pulse.ramp, _ramp_step(pulse)
+    # compared as a float, so a count that overflows to inf is refused too
+    if not duration / sample_period + (2.0 * ramp / h if ramp else 0.0) <= MAX_STEPS:
+        steps = f", with ramp steps of {h:.3e} ns," if ramp else ""
+        raise IntegrationError(
+            f"a {duration:.4g} ns pulse sampled every {sample_period:.3e} ns{steps} needs more "
+            f"than {MAX_STEPS} samples and ramp steps"
+        )
     ws = _workspace(spec, tuple(range(spec.dim)))
     # expm refuses a generator that overflows, and the recorder a state
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1040,12 +1022,12 @@ def evolve(
         # here are their indices), on ws itself when those are all of them
         jump = (ws.a,) if noise.relaxation_rate > 0.0 else ()
         ws = _workspace(spec, _support(rho0, ws.recorded, (coupling, *jump)))
-        recorder = _Recorder(ws, pulse.duration, sample_period)
+        recorder = _Recorder(ws, duration, sample_period)
         l0 = _free_generator(ws, pulse.phase_freq, noise)
         l1 = _commutator(coupling[ws.cut])
-        x, dropped = _propagate(ws.basis.coordinates(rho0[ws.cut]), l0, l1, pulse, recorder)
-        frame = np.exp((1j * pulse.phase_freq * pulse.duration) * ws.excitation_gaps)
-        traj = recorder.finish(x, frame * ws.basis.matrices(x), pulse.duration)
+        x, dropped = _propagate(ws.basis.coordinates(rho0[ws.cut]), l0, l1, pulse, h, recorder)
+        frame = np.exp((1j * pulse.phase_freq * duration) * ws.excitation_gaps)
+        traj = recorder.finish(x, frame * ws.basis.matrices(x), duration)
     drift = abs(traj.trace[-1] - 1.0)
     if not drift <= TRACE_DRIFT_LIMIT:
         raise IntegrationError(f"final trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:.0e}")

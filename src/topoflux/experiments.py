@@ -95,7 +95,10 @@ def run_scenario(scn: Scenario, out_dir=None, formats=("csv", "json", "svg")) ->
 
 
 def _noise_for_axis(base: NoiseParams, axis: str, eta: float) -> NoiseParams:
-    # eta1 = 1/(2 tf1), eta2 = 1/tf2; eta = 0 switches that channel off
+    # eta1 = 1/(2 tf1), eta2 = 1/tf2; eta = 0 switches that channel off.  The other channel
+    # keeps the scenario's time, or stays off when the scenario's noise is disabled
+    if not base.enabled:
+        base = NoiseParams()
     if axis == "eta1":
         return replace(base, tf1=math.inf if eta == 0.0 else 1.0 / (2.0 * eta), enabled=True)
     return replace(base, tf2=math.inf if eta == 0.0 else 1.0 / eta, enabled=True)

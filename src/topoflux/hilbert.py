@@ -26,6 +26,9 @@ class HilbertSpec:
     n_fock: int = 2
 
     def __post_init__(self):
+        # a float, even 2.0, would fail deep inside numpy once a state is built
+        if not isinstance(self.n_fock, (int, np.integer)):
+            raise ValueError(f"n_fock must be an integer, got {self.n_fock!r}")
         if self.n_fock < 2:
             raise ValueError(f"n_fock must be >= 2, got {self.n_fock}")
 

@@ -392,11 +392,23 @@ class TestResolution:
             ("fig3a", "sweep", {"points": -3}, "/sweep/points"),
             ("robustness", "robustness", {"samples": -1}, "/robustness/samples"),
             ("robustness", "robustness", {"samples": -5}, "/robustness/samples"),
+            ("fig3a", "sweep", {"axis": "eta3"}, "/sweep/axis"),
+            ("fig3a", "sweep", {"lo": -1.0}, "/sweep/lo"),
+            ("fig3a", "sweep", {"lo": math.nan}, "/sweep/lo"),
+            ("fig3a", "sweep", {"ratios": ()}, "/sweep/gPrimeOverG"),
+            ("fig3a", "sweep", {"ratios": (-1.0,)}, "/sweep/gPrimeOverG"),
+            ("fig3a", "sweep", {"ratios": (0.0, math.nan)}, "/sweep/gPrimeOverG"),
+            ("robustness", "robustness", {"error_fraction": 2.0}, "/robustness/errorFraction"),
+            ("robustness", "robustness", {"error_fraction": 0.51}, "/robustness/errorFraction"),
+            ("robustness", "robustness", {"error_fraction": -0.5}, "/robustness/errorFraction"),
+            ("robustness", "robustness", {"error_fraction": math.nan}, "/robustness/errorFraction"),
         ],
     )
     def test_records_refuse_what_the_schema_refuses(self, preset, block, changes, pointer):
-        # the schema refuses these counts in a config; the public records refuse them too,
-        # where a one-point sweep divided by zero and a negative sample count ran no draws
+        # the schema refuses these values in a config; the public records refuse them too,
+        # where a one-point sweep divided by zero, a negative sample count ran no draws, eta3
+        # ran as eta2, no ratio ran a sweep of empty rows, a fraction of 2 drew a factor of
+        # -1 on g, and a nan ratio or fraction ended in an IntegrationError
         record = getattr(resolve(scenario_preset(preset)), block)
         with pytest.raises(ConfigError) as exc:
             replace(record, **changes)

@@ -6,7 +6,7 @@ import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "topoflux"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
-# a double-backticked dotted name, such as ``MAX_STEPS``, ``_Plateau.dropped`` or
+# a double-backticked dotted name, such as ``MAX_STEPS``, ``_Recorder.rows`` or
 # ``dynamics._support``
 DOTTED = re.compile(r"``([A-Za-z_][\w.]*)``")
 

@@ -1236,7 +1236,7 @@ class TestRecorder:
         ws = dynamics._workspace(SPEC, every_state(SPEC))
         x = ws.basis.coordinates(pure_density(SPEC.ket(UP, 0)))
         recorder = _Recorder(ws, 2.0, 0.002)
-        assert recorder.start() == 1000
+        assert recorder.n_samples == 1000
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match=rf"diverged by t={time} ns"):
                 filled = 0
@@ -1437,6 +1437,15 @@ class TestWorkspaceCache:
         dynamics._workspace.cache_clear()
         run_evolution(scn)
         assert dynamics._workspace.cache_info().currsize == workspaces
+
+    def test_refused_run_builds_no_workspace(self):
+        # evolve refuses a run of more than MAX_STEPS samples before it builds an operator
+        scn = resolve(scenario_preset("fig2a"))
+        period = scn.pulse.duration / (2 * dynamics.MAX_STEPS)
+        dynamics._workspace.cache_clear()
+        with pytest.raises(IntegrationError, match="samples and ramp steps"):
+            evolve(initial_state(scn.spec), scn.pulse, scn.noise, sample_period=period)
+        assert dynamics._workspace.cache_info().currsize == 0
 
     @pytest.mark.parametrize("levels", [2, 4])
     def test_evolve_matches_a_fresh_workspace(self, levels, monkeypatch):

@@ -255,6 +255,16 @@ class TestSweep:
         f_clean, f_noisy = summary["fidelities"][0][0], summary["fidelities"][1][0]
         assert f_clean > f_noisy
 
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b"])
+    def test_sweep_keeps_disabled_noise_off(self, name):
+        # with noise disabled, the point where the swept rate is 0 runs without noise: the
+        # channel the sweep leaves alone read relaxation at Tf1 = 900 ns on fig3b (0.99986514)
+        raw = dict(scenario_preset(name), noise={"enabled": False})
+        raw["sweep"].update(lo=0.0, gPrimeOverG=[0])
+        scn = resolve(raw)
+        clean = fidelities(scn, [(replace(scn.pulse, g_prime_value=0.0), NO_NOISE)])
+        assert run_sweep(scn)["fidelities"][0] == clean
+
 
 class TestRobustness:
     def test_zero_fraction_degenerate(self):

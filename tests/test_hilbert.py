@@ -179,6 +179,11 @@ class TestStatesAndFidelity:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             HilbertSpec(1)
+        # a float failed only once numpy built a state from it; numpy integers stay accepted
+        for levels in (2.5, 2.0):
+            with pytest.raises(ValueError, match="n_fock must be an integer"):
+                HilbertSpec(levels)
+        assert HilbertSpec(np.int64(3)).ket(UP, 2)[5] == 1.0
         spec = HilbertSpec(4)
         assert spec.dim == 8
         assert spec.index(UP, 3) == 7
